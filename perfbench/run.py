@@ -9,9 +9,30 @@ Usage, from the root of a checkout:
 Each workload is a closed loop with one client and no threads: the next
 ``qims.cli.main([...])`` call (a *job*) starts when the previous one has
 returned and its output has been checked by an independent oracle
-(``oracles.py``).  Jobs run in whole cycles (``workloads.py``); the loop
-stops at the cycle boundary nearest to ``--seconds`` once it holds at least
-100 jobs, so every run has the same mix of job kinds.
+(``oracles.py``).  Jobs come in cycles with the same job kinds in the same
+order (``workloads.py``); the loop runs for ``--seconds`` and holds at least
+100 jobs.
+
+Every timing in the result line is in *reference seconds*.  The host this
+benchmark was tuned on is shared, and for seconds or minutes at a time
+other tenants slow every computation on it by up to 1.7x; wall times of the
+same jobs then differ by a quarter from run to run.  So a fixed reference
+computation (exact rational arithmetic, dict updates and numpy array work,
+the kinds of work the qims layers do; about 2.5 ms) is timed right before
+and right after every job, outside the job's span, once per 0.1 s of job
+latency on each side (up to 10 times; before a job, the latency of the
+kind's previous job counts), and the job's latency is scaled by
+``REF_NOMINAL_S`` over the median of those times: the job's latency on a
+host that runs the reference in ``REF_NOMINAL_S``.  The plain wall figures
+are in the record line.  Each job kind (kind and
+size, such as ``check_commute`` at L3N2) is then timed by the median of its
+scaled latencies in the run, and the end-to-end figures are those of one
+cycle at those latencies: ``jobs_per_s`` is the cycle's passed jobs over the
+sum of its latencies, ``job_p50_s`` and ``job_p90_s`` are quantiles over the
+cycle's jobs, and ``fail_frac`` is the share of the cycle's jobs that fail,
+from each kind's failure rate in the run.  Set-up probes (fresh
+interpreters) run between jobs, spread over the run, and are scaled the
+same way; ``setup_s`` is their median.
 
 ``--trace 0`` reports the end-to-end metrics named in ``BENCHMARK.json``.
 ``--trace 1`` alternates untraced and traced cycles and reports the
@@ -38,8 +59,11 @@ import resource  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import time  # noqa: E402
+from collections import defaultdict  # noqa: E402
 from fractions import Fraction  # noqa: E402
 from pathlib import Path  # noqa: E402
+
+import numpy  # noqa: E402
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
@@ -51,9 +75,14 @@ WORK = ROOT / ".perfbench_work"
 
 MIN_JOBS = 100          # job_p90_s needs ten samples beyond it
 LOOP_CAP_S = 140.0      # a run ends within the 180 s limit even on a slow build
-SETUP_SAMPLES = 5       # fresh interpreters timed for setup_s
+SETUP_SAMPLES = 6       # fresh interpreters timed for setup_s, spread over the run
 END_TO_END_UNITS = {"jobs_per_s": "jobs/s", "job_p50_s": "s", "job_p90_s": "s",
                     "fail_frac": "ratio", "setup_s": "s", "peak_rss_mb": "MiB"}
+# a round figure near the reference computation's median wall time on one
+# vCPU of the 2.1 GHz Xeon host the benchmark was tuned on
+REF_NOMINAL_S = 0.0025
+REF_EVERY_S = 0.1       # one reference sample per this much job latency, per side
+REF_MAX = 10            # reference samples per side at most
 # fail_frac is 0 on two workloads, so it is reported in the record line and
 # through ``failed``/``attempted`` rather than as a bounded metric
 RESULT_METRICS = ("jobs_per_s", "job_p50_s", "job_p90_s", "setup_s", "peak_rss_mb")
@@ -87,12 +116,33 @@ class Runner:
         self.cfg_path = WORK / f"job-{workload}-{os.getpid()}.json"
         self.next_cycle = 0
         self.keys = set()
+        self.last_latency = {}
+        self.ref_x = numpy.linspace(0.1, 1.0, 100_000)
+
+    def references(self, latency):
+        """Reference times for one side of a job that takes ``latency``."""
+        n = min(REF_MAX, 1 + int(latency / REF_EVERY_S))
+        return [self.reference() for _ in range(n)]
+
+    def reference(self):
+        """Wall time of the fixed reference computation."""
+        t0 = time.perf_counter()
+        acc = Fraction(0)
+        for k in range(1, 200):
+            acc += Fraction(k % 97 + 1, k % 89 + 3)
+        counts = {}
+        for k in range(1500):
+            counts[k % 31, k % 17] = counts.get((k % 31, k % 17), 0) + k
+        y = numpy.exp(-self.ref_x) * self.ref_x
+        float((numpy.log1p(self.ref_x) * y).sum())
+        return time.perf_counter() - t0
 
     def run_job(self, job, tracer=None, corrupt=False):
         with open(self.cfg_path, "w", encoding="utf-8") as fh:
             json.dump(job.cfg, fh)
         argv = ["--config", str(self.cfg_path)] + job.argv
         out, err = io.StringIO(), io.StringIO()
+        refs = self.references(self.last_latency.get((job.kind, job.size), 0.0))
         t0 = time.perf_counter()
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -103,6 +153,8 @@ class Runner:
         except (Exception, SystemExit) as exc:  # a job that raises is a failed job
             rc = f"raised {type(exc).__name__}: {exc}"
         latency = time.perf_counter() - t0
+        refs += self.references(latency)
+        self.last_latency[job.kind, job.size] = latency
         text = out.getvalue()
         if corrupt:
             text = corrupt_output(text)
@@ -119,18 +171,14 @@ class Runner:
         repeat = job.key() in self.keys
         self.keys.add(job.key())
         return {"kind": job.kind, "size": job.size, "latency": latency,
+                "latency_ref": latency * REF_NOMINAL_S / statistics.median(refs),
                 "passed": passed, "known_defect": known, "reason": reason,
                 "repeat": repeat}
 
-    def run_cycle(self, tracer=None, corrupt_kind=None):
+    def next_jobs(self):
         jobs = self.stream.cycle(self.next_cycle)
         self.next_cycle += 1
-        results = []
-        for job in jobs:
-            corrupt = job.kind == corrupt_kind
-            results.append(self.run_job(job, tracer, corrupt))
-            corrupt_kind = None if corrupt else corrupt_kind
-        return results
+        return jobs
 
     def warm_up(self):
         for job in self.stream.warmup():
@@ -168,29 +216,40 @@ def corrupt_output(text):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def summarize(results, wall):
-    """End-to-end figures of a list of job results; ``wall`` is the summed
-    job latency, the time the client spent waiting on qims."""
-    lat = sorted(r["latency"] for r in results)
-    passed = sum(r["passed"] for r in results)
-    p90 = statistics.quantiles(lat, n=10, method="inclusive")[8]
-    return {"jobs_per_s": passed / wall, "job_p50_s": statistics.median(lat),
-            "job_p90_s": p90, "fail_frac": 1 - passed / len(results)}
+def summarize(results, cycle, key="latency_ref"):
+    """End-to-end figures of a list of job results.  ``cycle`` lists the
+    (kind, size) of one cycle's jobs; each kind's latency is the median of
+    its samples' ``key``, and the figures are those of one cycle at those
+    latencies (see the module docstring)."""
+    samples, passed = defaultdict(list), defaultdict(list)
+    for r in results:
+        samples[r["kind"], r["size"]].append(r[key])
+        passed[r["kind"], r["size"]].append(r["passed"])
+    latency = {k: statistics.median(v) for k, v in samples.items()}
+    cycle_lat = [latency[k] for k in cycle]
+    cycle_passed = sum(statistics.fmean(passed[k]) for k in cycle)
+    p90 = statistics.quantiles(cycle_lat, n=10, method="inclusive")[8]
+    return {"jobs_per_s": cycle_passed / sum(cycle_lat),
+            "job_p50_s": statistics.median(cycle_lat), "job_p90_s": p90,
+            "fail_frac": 1 - cycle_passed / len(cycle),
+            "kinds": {f"{k}:{z}": {"latency": v, "samples": len(samples[k, z])}
+                      for (k, z), v in latency.items()}}
 
 
-def setup_seconds(workload, seed, small, samples):
-    """Median wall time from spawning a fresh interpreter until it has
-    imported qims, generated the first cycle's configs and warmed up."""
-    times = []
-    for _ in range(samples):
-        cmd = [sys.executable, str(HERE / "run.py"), "--setup-probe",
-               "--workload", workload, "--seed", str(seed)] + (["--small"] if small else [])
-        t0 = time.perf_counter()
-        proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=120)
-        times.append(time.perf_counter() - t0)
-        if proc.returncode != 0:
-            raise RuntimeError(f"setup probe failed: {proc.stderr[-2000:]}")
-    return statistics.median(times)
+def setup_probe_seconds(runner, workload, seed, small, last):
+    """Wall and reference-scaled time from spawning a fresh interpreter until
+    it has imported qims, generated the first cycle's configs and warmed up;
+    ``last`` is the previous probe's wall time."""
+    refs = runner.references(last)
+    cmd = [sys.executable, str(HERE / "run.py"), "--setup-probe",
+           "--workload", workload, "--seed", str(seed)] + (["--small"] if small else [])
+    t0 = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=120)
+    elapsed = time.perf_counter() - t0
+    if proc.returncode != 0:
+        raise RuntimeError(f"setup probe failed: {proc.stderr[-2000:]}")
+    refs += runner.references(elapsed)
+    return elapsed, elapsed * REF_NOMINAL_S / statistics.median(refs)
 
 
 def setup_probe(workload, seed, small):
@@ -202,7 +261,6 @@ def setup_probe(workload, seed, small):
 
 
 def provenance(workload, seed, results, cycles):
-    import numpy
     import scipy
     from workloads import LOOP_RETURN_BOUND, OPEN_PATH_BOUND, SERIES_BOUND
 
@@ -224,35 +282,51 @@ def provenance(workload, seed, results, cycles):
 
 def run(workload, seed, seconds, trace, small=False, setup_samples=SETUP_SAMPLES,
         corrupt_kind=None):
-    """One benchmark run; returns (record, result)."""
+    """One benchmark run; returns (record, result).  With ``trace`` the
+    cycles alternate untraced and traced, and the run ends after a traced
+    cycle; otherwise it may end after any job."""
     _import_qims()
-    setup = setup_seconds(workload, seed, small, setup_samples)
     runner = Runner(workload, seed, small)
     runner.warm_up()
-
-    plain, traced, tracer = [], [], None
+    tracer = None
     if trace:
         from tracing import Tracer
         tracer = Tracer()
-    t0 = last = time.perf_counter()
+
+    plain, traced, setup = [], [], []
+    cycle, queue = [], []
+    t0 = time.perf_counter()
     while True:
-        plain += runner.run_cycle(corrupt_kind=corrupt_kind)
-        corrupt_kind = None
-        if tracer is not None:
-            traced += runner.run_cycle(tracer)
-        now = time.perf_counter()
-        # stop at the cycle boundary nearest to the target duration
-        elapsed, step, last = now - t0, now - last, now
-        enough = small or trace or len(plain) >= MIN_JOBS
-        if elapsed >= LOOP_CAP_S or (enough and elapsed + step / 2 >= seconds):
+        elapsed = time.perf_counter() - t0
+        if len(setup) < setup_samples and elapsed >= len(setup) * seconds / setup_samples:
+            setup.append(setup_probe_seconds(runner, workload, seed, small,
+                                             setup[-1][0] if setup else 0.0))
+        if tracer is None:
+            enough = cycle and len(plain) >= max(len(cycle), 0 if small else MIN_JOBS)
+        else:
+            enough = traced and not queue and runner.next_cycle % 2 == 0
+        if elapsed >= LOOP_CAP_S or (enough and elapsed >= seconds):
             break
+        if not queue:
+            queue = runner.next_jobs()
+            cycle = cycle or [(j.kind, j.size) for j in queue]
+        job = queue.pop(0)
+        if tracer is not None and runner.next_cycle % 2 == 0:
+            traced.append(runner.run_job(job, tracer))
+        else:
+            corrupt = job.kind == corrupt_kind
+            corrupt_kind = None if corrupt else corrupt_kind
+            plain.append(runner.run_job(job, corrupt=corrupt))
+    while len(setup) < setup_samples:
+        setup.append(setup_probe_seconds(runner, workload, seed, small,
+                                         setup[-1][0] if setup else 0.0))
+
     results = plain + traced
-    stats = summarize(plain, sum(r["latency"] for r in plain))
-    stats["setup_s"] = setup
+    stats = summarize(plain, cycle)
+    stats["setup_s"] = statistics.median(scaled for _, scaled in setup)
     stats["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     if tracer is not None:
-        traced_stats = summarize(traced, sum(r["latency"] for r in traced))
-        metrics = tracer.metrics(traced_stats["jobs_per_s"], stats["jobs_per_s"])
+        metrics = tracer.metrics(summarize(traced, cycle)["jobs_per_s"], stats["jobs_per_s"])
         tracer.write(WORK / f"trace-{workload}-seed{seed}.json")
     else:
         metrics = {k: {"value": stats[k], "unit": END_TO_END_UNITS[k]}
@@ -263,6 +337,14 @@ def run(workload, seed, seconds, trace, small=False, setup_samples=SETUP_SAMPLES
     record["trace"] = trace
     record["end_to_end"] = {k: {"value": stats[k], "unit": END_TO_END_UNITS[k]}
                             for k in END_TO_END_UNITS}
+    wall = summarize(plain, cycle, "latency")
+    record["wall_seconds"] = {"jobs_per_s": {"value": wall["jobs_per_s"], "unit": "jobs/s"},
+                              "job_p50_s": {"value": wall["job_p50_s"], "unit": "s"},
+                              "job_p90_s": {"value": wall["job_p90_s"], "unit": "s"},
+                              "setup_s": {"value": statistics.median(w for w, _ in setup),
+                                          "unit": "s"}}
+    record["kind_latency"] = {k: {"s": v["latency"], "wall_s": wall["kinds"][k]["latency"],
+                                  "samples": v["samples"]} for k, v in stats["kinds"].items()}
     record["known_defect_failures"] = len(failures) - len(unexpected)
     record["unexpected_failures"] = [{k: r[k] for k in ("kind", "size", "reason")}
                                      for r in unexpected[:20]]

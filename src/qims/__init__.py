@@ -14,8 +14,7 @@ from .weylops import (Parameters, make_parameters, apply, flatten, hamiltonian,
                       ahat_commutator_residual, ahat_matrix, braid_residual_adjacent,
                       braid_residual_disjoint, garnier_example_residual,
                       Q, P, Sc, Add, Mul)
-from .pfaffian import (PfaffianSystem, ZPath, flatness_residual,
-                       monodromy_like_transport, propagate, restrict)
+from .pfaffian import PfaffianSystem, ZPath, flatness_residual, propagate
 from .quadrature import QuadratureSpec
 from .hypint import (ExponentsM, ExponentsM1, PhiIndexData, dictionary_M, dictionary_M1,
                      eval_psi1, eval_psiM, forms_M1, pde_residual, series_psi1,

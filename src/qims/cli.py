@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -46,6 +44,11 @@ def parse_scalar(x):
     raise ParameterError(f"cannot parse scalar {x!r}")
 
 
+def parse_complex(x):
+    """A complex scalar: an [re, im] pair or any real scalar ``parse_scalar`` takes."""
+    return complex(*x) if isinstance(x, list) else complex(float(parse_scalar(x)))
+
+
 def emit_scalar(x, tolerance=None):
     """Numbers carry provenance: exact values as 'p/q', floats with tolerance."""
     if isinstance(x, (int, Fraction)):
@@ -73,8 +76,11 @@ def index_label(A, L, N):
 
 
 def load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ParameterError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
 def build_parameters(cfg) -> weylops.Parameters:
@@ -99,6 +105,18 @@ def get_z(cfg, args):
     return tuple(parse_scalar(x) for x in cfg["z"])
 
 
+def get_zf(cfg, args):
+    """The point z as floats, for the quadrature-based subcommands."""
+    return tuple(float(x) for x in get_z(cfg, args))
+
+
+def get_i(cfg, args, params):
+    i = int(args.i if args.i is not None else cfg.get("i", 1))
+    if not 1 <= i <= params.N:
+        raise ParameterError(f"time index i={i} out of range 1..{params.N}")
+    return i
+
+
 def get_space(cfg, args):
     model = cfg["model"]
     if args.M is not None:
@@ -108,6 +126,13 @@ def get_space(cfg, args):
     if "T" in model:
         return ("F", tuple(int(t) for t in model["T"]))
     raise ParameterError("config model must carry M (for V(M)) or T (for F(T))")
+
+
+def get_M(cfg, args):
+    kind, M = get_space(cfg, args)
+    if kind != "V":
+        raise ParameterError("integral solutions live on V(M): config model must carry M")
+    return M
 
 
 def get_quad(cfg, args):
@@ -140,29 +165,18 @@ def write_csv_matrix(path, mat, basis, L, N):
                         for x in row])
 
 
-def _pmap(fn, items):
-    """Map over probe sets, optionally in parallel (QIMS_THREADS workers);
-    reduction order is the input order either way."""
-    workers = int(os.environ.get("QIMS_THREADS", "1"))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # --- subcommands ----------------------------------------------------------------
 
 def cmd_basis(cfg, args):
     model = cfg["model"]
     L, N = int(model["L"]), int(model["N"])
-    if args.M is not None or "M" in model:
-        M = int(args.M if args.M is not None else model["M"])
-        basis = polyalg.enumerate_basis(L, N, M)
-        space = {"kind": "V", "M": M}
+    kind, data = get_space(cfg, args)
+    if kind == "V":
+        basis = polyalg.enumerate_basis(L, N, data)
+        space = {"kind": "V", "M": data}
     else:
-        T = tuple(int(t) for t in model["T"])
-        basis = polyalg.enumerate_basis_FT(L, N, T)
-        space = {"kind": "F", "T": list(T)}
+        basis = polyalg.enumerate_basis_FT(L, N, data)
+        space = {"kind": "F", "T": list(data)}
     payload = {
         "space": space,
         "dimension": len(basis),
@@ -177,7 +191,7 @@ def cmd_hamiltonian(cfg, args):
     params = build_parameters(cfg)
     z = get_z(cfg, args)
     space = get_space(cfg, args)
-    i = args.i or int(cfg.get("i", 1))
+    i = get_i(cfg, args, params)
     system = pfaffian.PfaffianSystem(params, space)
     mat = system.matrix_at(i, z)
     if args.out and args.out.endswith(".csv"):
@@ -197,24 +211,17 @@ def cmd_hamiltonian(cfg, args):
     return 0
 
 
-def _probes(params, dmax):
-    return polyalg.enumerate_basis(params.L, params.N, dmax)
-
-
 def _check_commute(cfg, args, params, z):
-    probes = _probes(params, args.dmax)
-    worst = Fraction(0)
+    probes = polyalg.enumerate_basis(params.L, params.N, args.dmax)
     pairs = [(i, j) for i in range(1, params.N + 1) for j in range(i, params.N + 1)]
-    res = _pmap(lambda ij: weylops.commutator_residual(ij[0], ij[1], params, z, probes),
-                pairs)
-    for r in res:
-        worst = max(worst, r)
+    worst = max([Fraction(0)] + [weylops.commutator_residual(i, j, params, z, probes)
+                                 for i, j in pairs])
     return {"residual": emit_scalar(worst), "pairs": len(pairs),
             "probes": len(probes)}, worst == 0
 
 
 def _check_braid(cfg, args, params, z):
-    probes = _probes(params, min(args.dmax, 2))
+    probes = polyalg.enumerate_basis(params.L, params.N, min(args.dmax, 2))
     worst = weylops.ahat_commutator_residual(1, 1, params, probes)
     if params.N >= 2:
         worst = max(worst, weylops.ahat_commutator_residual(1, 2, params, probes))
@@ -258,7 +265,7 @@ def _check_subspace(cfg, args, params, z):
 def _check_garnier(cfg, args, params, z):
     if params.L != 2:
         raise ParameterError("the explicit-example check needs L = 2")
-    probes = _probes(params, args.dmax)
+    probes = polyalg.enumerate_basis(params.L, params.N, args.dmax)
     worst = Fraction(0)
     for i in range(1, params.N + 1):
         worst = max(worst, weylops.garnier_example_residual(i, params, z, probes))
@@ -312,18 +319,13 @@ def cmd_pfaffian(cfg, args):
     params = build_parameters(cfg)
     space = get_space(cfg, args)
     system = pfaffian.PfaffianSystem(params, space)
-    if args.path:
-        waypoints = load_config(args.path)["path"] if args.path.endswith(".json") else None
-    else:
-        waypoints = cfg.get("path")
+    waypoints = load_config(args.path)["path"] if args.path else cfg.get("path")
     if waypoints is None:
         raise ParameterError("pfaffian needs a path: config 'path' or --path FILE")
-    zpath = pfaffian.ZPath([[complex(float(parse_scalar(x))) if not isinstance(x, list)
-                             else complex(*x) for x in w] for w in waypoints])
+    zpath = pfaffian.ZPath([[parse_complex(x) for x in w] for w in waypoints])
     if "c0" not in cfg:
         raise ParameterError("pfaffian needs an initial vector 'c0' in the config")
-    c0 = np.array([complex(float(parse_scalar(x))) if not isinstance(x, list)
-                   else complex(*x) for x in cfg["c0"]])
+    c0 = np.array([parse_complex(x) for x in cfg["c0"]])
     tol = cfg.get("tolerances", {})
     rtol = float(tol.get("rtol", 1e-10))
     atol = float(tol.get("atol", 1e-12))
@@ -341,8 +343,8 @@ def cmd_pfaffian(cfg, args):
 
 def cmd_integral(cfg, args):
     params = build_parameters(cfg)
-    z = tuple(float(parse_scalar(x)) for x in (args.z.split(",") if args.z else cfg["z"]))
-    M = int(args.M if args.M is not None else cfg["model"]["M"])
+    z = get_zf(cfg, args)
+    M = get_M(cfg, args)
     quad = get_quad(cfg, args)
     chamber = cfg.get("chamber", "level_blocks")
     res = hypint.eval_psiM(params, z, M, quad, chamber=chamber)
@@ -358,7 +360,7 @@ def cmd_integral(cfg, args):
 
 def cmd_series(cfg, args):
     params = build_parameters(cfg)
-    z = tuple(float(parse_scalar(x)) for x in (args.z.split(",") if args.z else cfg["z"]))
+    z = get_zf(cfg, args)
     order = int(cfg.get("order", 30))
     res = hypint.series_psi1(params, z, order)
     payload = {
@@ -373,16 +375,16 @@ def cmd_series(cfg, args):
 
 def cmd_verify(cfg, args):
     params = build_parameters(cfg)
-    zf = tuple(float(parse_scalar(x)) for x in (args.z.split(",") if args.z else cfg["z"]))
-    M = int(args.M if args.M is not None else cfg["model"]["M"])
+    zf = get_zf(cfg, args)
+    M = get_M(cfg, args)
     quad = get_quad(cfg, args)
     chamber = cfg.get("chamber", "level_blocks")
-    i = args.i or int(cfg.get("i", 1))
+    i = get_i(cfg, args, params)
     h = args.h or float(cfg.get("h", 5e-3))
     tol = float(cfg.get("tolerances", {}).get("pde", 1e-4))
 
     residual = hypint.pde_residual(params, zf, M, quad, i=i, h=h, chamber=chamber)
-    z_exact = tuple(parse_scalar(x) for x in cfg["z"])
+    z_exact = get_z(cfg, args)
     exact_ok = all(isinstance(x, Fraction) for x in z_exact)
     if exact_ok:
         cmpres = cohomology.compare_cohomology_operator(params, z_exact, M, i)

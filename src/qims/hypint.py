@@ -252,8 +252,12 @@ def eval_psi1(params: Parameters, z, quad: QuadratureSpec) -> IntegralResult:
     """Degree-1 coefficient vector c with c_(0) = int U phi_0 and
     c_(n,i) = -int U phi_n^(i), by Gauss-Jacobi tensor quadrature on the cube.
 
-    Stability is asserted by node doubling, never assumed.
+    Stability is asserted by node doubling, never assumed.  Any other
+    scheme is rejected.
     """
+    if quad.scheme != "gauss_jacobi_tensor":
+        raise ParameterError(
+            f"degree 1 uses scheme 'gauss_jacobi_tensor', got {quad.scheme!r}")
     exps = dictionary_M1(params)
     z = _check_z_box(z, exps.N)
     c1 = _psi1_eval_at(exps, z, quad.nodes_per_axis)
@@ -617,12 +621,17 @@ def eval_psiM(params: Parameters, z, M: int, quad: QuadratureSpec,
     M = 1 delegates to :func:`eval_psi1` (same chamber, trivial
     symmetrization).  For M >= 2 the scheme is a tanh-sinh tensor rule on
     the cube image of the chamber (K = M(L-1) axes, K <= 6) or seeded
-    Monte Carlo with sorted-uniform chamber samples.
+    Monte Carlo with sorted-uniform chamber samples; ``gauss_jacobi_tensor``
+    is rejected there.
     """
     if M < 1:
         raise ParameterError("M must be a positive integer")
     if M == 1:
         return eval_psi1(params, z, quad)
+    if quad.scheme == "gauss_jacobi_tensor":
+        raise ParameterError(
+            f"degree M={M} uses scheme 'tanh_sinh_tensor' or 'monte_carlo', "
+            "got 'gauss_jacobi_tensor'")
     exps = dictionary_M(params, M)
     z = _check_z_box(z, exps.N)
     basis = tuple(enumerate_basis(exps.L, exps.N, M))

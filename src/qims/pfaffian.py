@@ -142,11 +142,6 @@ class PfaffianSystem:
         return out / zi
 
 
-def restrict(params: Parameters, z, space, i: int):
-    """One-call restriction: M_i(z) on V(M) or F(T) at exact z."""
-    return PfaffianSystem(params, space).matrix_at(i, z)
-
-
 # --- flatness -------------------------------------------------------------------
 
 class FlatnessResult(NamedTuple):
@@ -336,14 +331,3 @@ def propagate(system: PfaffianSystem, path: ZPath, c0, rtol: float = 1e-10,
         return c, TransportStats(n_acc, n_rej, n_rhs)
     return c
 
-
-def monodromy_like_transport(system: PfaffianSystem, loop: ZPath, c0,
-                             rtol: float = 1e-10, atol: float = 1e-12):
-    """Transport around a closed loop; returns the transported vector.
-
-    For a contractible loop the result equals c0 up to integration error;
-    around z_i = z_j it is returned for inspection without assertion.
-    """
-    if not loop.is_closed():
-        raise ParameterError("loop must end at its starting waypoint")
-    return propagate(system, loop, c0, rtol=rtol, atol=atol)

@@ -33,27 +33,6 @@ def level_degree(A: Index, m: int, N: int) -> int:
     return sum(A[flat_pos(m, 1, N):flat_pos(m, 1, N) + N])
 
 
-def copies_before(A: Index, n: int, i: int, L: int, N: int) -> int:
-    """Block boundary S_n^(i): entries of columns j < i plus rows m <= n of column i."""
-    s = 0
-    for j in range(1, i):
-        for m in range(1, L):
-            s += A[flat_pos(m, j, N)]
-    for m in range(1, n + 1):
-        s += A[flat_pos(m, i, N)]
-    return s
-
-
-def multinomial(M: int, A: Index) -> int:
-    """M! / (A_0! * prod A_{m,i}!) with A_0 = M - d(A)."""
-    rest = M
-    out = 1
-    for a in A:
-        out *= comb(rest, a)
-        rest -= a
-    return out
-
-
 def _simplex(k: int, cap: int):
     # All k-tuples of nonnegative ints with sum <= cap.
     if k == 0:

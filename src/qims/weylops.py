@@ -338,23 +338,36 @@ def _max_abs(terms: dict):
     return max((abs(c) for c in terms.values()), default=Fraction(0))
 
 
+def _monomial(A) -> dict:
+    return {tuple(A): Fraction(1)}
+
+
+def _subtract(out: dict, terms: dict) -> dict:
+    """out - terms, computed in place on ``out``; zero coefficients are dropped."""
+    for B, c in terms.items():
+        s = out.get(B, 0) - c
+        if s == 0:
+            out.pop(B, None)
+        else:
+            out[B] = s
+    return out
+
+
+def _commutator(a: FlatOp, b: FlatOp, A) -> dict:
+    """(ab - ba) q^A as a raw {index: coefficient} map."""
+    one = _monomial(A)
+    return _subtract(a.apply_raw(b.apply_raw(one)), b.apply_raw(a.apply_raw(one)))
+
+
+def _commutator_max(a: FlatOp, b: FlatOp, probes):
+    """max coefficient magnitude of (ab - ba) q^A over the probes."""
+    return max([Fraction(0)] + [_max_abs(_commutator(a, b, A)) for A in probes])
+
+
 def commutator_residual(i: int, j: int, params: Parameters, z, probes) -> object:
     """max coefficient magnitude of (H_i H_j - H_j H_i) q^A over the probes."""
-    Hi = hamiltonian_flat(i, params, z)
-    Hj = hamiltonian_flat(j, params, z)
-    worst = Fraction(0)
-    for A in probes:
-        one = {tuple(A): Fraction(1)}
-        fwd = Hi.apply_raw(Hj.apply_raw(one))
-        bwd = Hj.apply_raw(Hi.apply_raw(one))
-        for B, c in bwd.items():
-            s = fwd.get(B, 0) - c
-            if s == 0:
-                fwd.pop(B, None)
-            else:
-                fwd[B] = s
-        worst = max(worst, _max_abs(fwd))
-    return worst
+    return _commutator_max(hamiltonian_flat(i, params, z), hamiltonian_flat(j, params, z),
+                           probes)
 
 
 def ahat_entry(m: int, n: int, i: int):
@@ -387,29 +400,14 @@ def ahat_commutator_residual(i, j, params: Parameters, probes, entries=None):
         rhs_terms = []
         if i == j:
             if n == mp:
-                rhs_terms.append((Fraction(1), ahat_entry(m, np_, i)))
+                rhs_terms.append(ahat_entry(m, np_, i))
             if np_ == m:
-                rhs_terms.append((Fraction(-1), ahat_entry(mp, n, i)))
-        rhs_ops = [(c, flatten(t, params)) for c, t in rhs_terms]
+                rhs_terms.append(Mul(Sc(-1), ahat_entry(mp, n, i)))
+        rhs = flatten(Add(*rhs_terms), params)
         for A in probes:
-            one = {tuple(A): Fraction(1)}
-            comm = a.apply_raw(b.apply_raw(one))
-            for B, c in b.apply_raw(a.apply_raw(one)).items():
-                s = comm.get(B, 0) - c
-                if s == 0:
-                    comm.pop(B, None)
-                else:
-                    comm[B] = s
-            # residual = comm/hbar - rhs
-            resid = {B: c / params.hbar for B, c in comm.items()}
-            for cc, op in rhs_ops:
-                for B, c in op.apply_raw(one).items():
-                    s = resid.get(B, 0) - cc * c
-                    if s == 0:
-                        resid.pop(B, None)
-                    else:
-                        resid[B] = s
-            worst = max(worst, _max_abs(resid))
+            # residual = [a, b]/hbar - rhs
+            resid = {B: c / params.hbar for B, c in _commutator(a, b, A).items()}
+            worst = max(worst, _max_abs(_subtract(resid, rhs.apply_raw(_monomial(A)))))
     return worst
 
 
@@ -426,40 +424,17 @@ def braid_residual_disjoint(i, j, k, l, params: Parameters, probes):
     """[Omega_{i,j}, Omega_{k,l}] on probes for pairwise distinct indices."""
     if len({i, j, k, l}) != 4:
         raise StructureError("indices must be pairwise distinct")
-    A_ = flatten(omega_tree(i, j, params.L), params)
-    B_ = flatten(omega_tree(k, l, params.L), params)
-    worst = Fraction(0)
-    for A in probes:
-        one = {tuple(A): Fraction(1)}
-        fwd = A_.apply_raw(B_.apply_raw(one))
-        for Bk, c in B_.apply_raw(A_.apply_raw(one)).items():
-            s = fwd.get(Bk, 0) - c
-            if s == 0:
-                fwd.pop(Bk, None)
-            else:
-                fwd[Bk] = s
-        worst = max(worst, _max_abs(fwd))
-    return worst
+    return _commutator_max(flatten(omega_tree(i, j, params.L), params),
+                           flatten(omega_tree(k, l, params.L), params), probes)
 
 
 def braid_residual_adjacent(i, j, k, params: Parameters, probes):
     """[Omega_{i,j}, Omega_{i,k} + Omega_{k,j}] on probes for distinct i, j, k."""
     if len({i, j, k}) != 3:
         raise StructureError("indices must be pairwise distinct")
-    A_ = flatten(omega_tree(i, j, params.L), params)
-    B_ = flatten(Add(omega_tree(i, k, params.L), omega_tree(k, j, params.L)), params)
-    worst = Fraction(0)
-    for A in probes:
-        one = {tuple(A): Fraction(1)}
-        fwd = A_.apply_raw(B_.apply_raw(one))
-        for Bk, c in B_.apply_raw(A_.apply_raw(one)).items():
-            s = fwd.get(Bk, 0) - c
-            if s == 0:
-                fwd.pop(Bk, None)
-            else:
-                fwd[Bk] = s
-        worst = max(worst, _max_abs(fwd))
-    return worst
+    a = flatten(omega_tree(i, j, params.L), params)
+    b = flatten(Add(omega_tree(i, k, params.L), omega_tree(k, j, params.L)), params)
+    return _commutator_max(a, b, probes)
 
 
 # --- the L = 2 explicit example -------------------------------------------------
@@ -516,29 +491,14 @@ def garnier_example_residual(i: int, params: Parameters, z, probes):
     zi = z[i - 1]
     generic = flatten(Mul(Sc(zi * (zi - 1)), hamiltonian(i, params, z)), params)
     example = flatten(garnier_example_operator(i, params, z), params)
-    L, N = params.L, params.N
-    const = (0,) * ((L - 1) * N)
+    const = (0,) * ((params.L - 1) * params.N)
 
     def diff_on(A):
-        one = {tuple(A): Fraction(1)}
-        d = generic.apply_raw(one)
-        for B, c in example.apply_raw(one).items():
-            s = d.get(B, 0) - c
-            if s == 0:
-                d.pop(B, None)
-            else:
-                d[B] = s
-        return d
+        one = _monomial(A)
+        return _subtract(generic.apply_raw(one), example.apply_raw(one))
 
     lam = diff_on(const).get(const, Fraction(0))
     worst = Fraction(0)
     for A in probes:
-        d = diff_on(A)
-        key = tuple(A)
-        s = d.get(key, 0) - lam
-        if s == 0:
-            d.pop(key, None)
-        else:
-            d[key] = s
-        worst = max(worst, _max_abs(d))
+        worst = max(worst, _max_abs(_subtract(diff_on(A), {tuple(A): lam})))
     return worst

@@ -194,11 +194,33 @@ def test_entry_point_subprocess(tmp_path):
     assert json.loads(proc.stdout)["dimension"] == 2
 
 
-def test_threaded_sweep_matches_serial(tmp_path, capsys, monkeypatch):
-    cfg = write_cfg(tmp_path, "c.json", base_cfg(2, 2, 1))
-    assert main(["--config", cfg, "check", "commute", "--dmax", "2"]) == 0
-    serial = json.loads(capsys.readouterr().out)
-    monkeypatch.setenv("QIMS_THREADS", "4")
-    assert main(["--config", cfg, "check", "commute", "--dmax", "2"]) == 0
-    threaded = json.loads(capsys.readouterr().out)
-    assert serial == threaded
+
+def test_pfaffian_path_file_any_name(tmp_path, capsys):
+    cfg = base_cfg(2, 2, 1)
+    cfg["c0"] = ["1", "0", "0.5"]
+    path = write_cfg(tmp_path, "c.json", cfg)
+    waypoints = write_cfg(tmp_path, "loop.txt", {
+        "path": [["0.40", "0.70"], ["0.45", "0.75"], ["0.40", "0.70"]]})
+    assert main(["--config", path, "pfaffian", "--path", waypoints]) == 0
+    end = json.loads(capsys.readouterr().out)["endpoint"]
+    assert abs(end[0]["value"][0] - 1.0) < 1e-8
+
+
+def test_unreadable_files_exit2(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    assert main(["--config", missing, "basis"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["code"] == 2 and missing in error["message"]
+    path = write_cfg(tmp_path, "c.json", base_cfg(2, 2, 1))
+    assert main(["--config", path, "pfaffian", "--path", str(tmp_path / "none.txt")]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == 2
+
+
+@pytest.mark.parametrize("command,i", [("hamiltonian", "0"), ("hamiltonian", "3"),
+                                       ("verify", "3")])
+def test_time_index_out_of_range_exit2(tmp_path, capsys, command, i):
+    path = write_cfg(tmp_path, "c.json", base_cfg(2, 2, 1))
+    assert main(["--config", path, command, "--i", i]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ParameterError" and "out of range 1..2" in error["message"]
+

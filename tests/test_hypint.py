@@ -224,6 +224,14 @@ def test_psiM_m1_delegates_exactly():
     assert np.array_equal(a.vector, b.vector)
 
 
+@pytest.mark.parametrize("M,scheme", [(1, "tanh_sinh_tensor"), (1, "monte_carlo"),
+                                      (2, "gauss_jacobi_tensor")])
+def test_psiM_rejects_scheme_of_other_degree(M, scheme):
+    params = m1_window_params(2, 1) if M == 1 else m_window_params(2, 1, M)
+    with pytest.raises(ParameterError, match=scheme):
+        eval_psiM(params, (0.4,), M, QuadratureSpec(scheme=scheme))
+
+
 def test_psiM_coefficient_count_and_determinism():
     params = m_window_params(2, 1, 2)
     q = QuadratureSpec(scheme="monte_carlo", mc_samples=20000, seed=77)

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import random_params, random_z, resonant_params
+from qims import weylops
 from qims.errors import ParameterError, SingularityError, StructureError
 from qims.polyalg import Polynomial, enumerate_basis, flat_pos
 from qims.weylops import (Add, Mul, P, Q, Sc, apply, ahat_commutator_residual,
@@ -125,6 +126,16 @@ def test_degree_raised_by_at_most_one():
 def test_commutator_same_index_trivial(p21):
     z = (F(2, 5),)
     assert commutator_residual(1, 1, p21, z, enumerate_basis(2, 1, 3)) == 0
+
+
+def test_commutator_path_reports_hbar():
+    # negative control for the shared commutator path: [p, q] q^A = hbar q^A
+    params = make_parameters(2, 1, e=[F(1, 3), F(1, 6)], kappa=[F(2, 7), F(3, 5)],
+                             theta=[F(1, 11)], hbar=F(3, 2))
+    p, q = flatten(P(1, 1), params), flatten(Q(1, 1), params)
+    probes = enumerate_basis(2, 1, 3)
+    assert all(weylops._commutator(p, q, A) == {A: F(3, 2)} for A in probes)
+    assert weylops._commutator_max(p, q, probes) == F(3, 2)
 
 
 @pytest.mark.parametrize("L,N,dmax", [(2, 2, 3), (3, 3, 2)])

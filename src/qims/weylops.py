@@ -15,6 +15,7 @@ normal-ordering pass is ever performed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -186,64 +187,110 @@ def _expand(node, params: Parameters):
 
 
 class FlatOp:
-    """An operator normalized to a sum of scalar-weighted generator strings."""
+    """An operator compiled to an exact integer kernel.
 
-    __slots__ = ("L", "N", "hbar", "terms")
+    Compilation merges equal generator strings, folds ``hbar`` into each
+    coefficient once per ``p`` factor and drops zero terms.  ``terms`` lists
+    the surviving ``(numerator, string)`` pairs, each string pre-flattened in
+    application (rightmost-first) order; the true coefficient of a term is
+    ``numerator / den``.  For exact operators ``den`` is the least common
+    denominator and every numerator is an ``int``; for float or complex
+    operators ``den = 1`` and the numerators keep their type.
+
+    A string acting on q^A moves the exponents by a fixed shift and
+    multiplies by a product of factors ``A[k] + offset``, one per ``p``;
+    that falling-factorial weight is zero exactly when some ``p`` meets a
+    zero exponent.  The kernel groups terms by shift, so every output
+    monomial is one sum of ``int`` products.  Images of monomials are
+    memoized on the instance (at most ``MEMO_CAP`` of them), so an operator
+    applied many times within one computation does each monomial once.
+    """
+
+    __slots__ = ("L", "N", "terms", "den", "unit", "_kernel", "_memo")
+
+    MEMO_CAP = 4096
 
     def __init__(self, L, N, hbar, terms):
         self.L = L
         self.N = N
-        self.hbar = hbar
         kinds = {scalar_kind(c) for c, _ in terms} | {scalar_kind(hbar)}
         if "float" in kinds and "exact" in kinds:
             anycomplex = any(isinstance(c, complex) for c, _ in terms)
             conv = complex if anycomplex else float
             terms = [(conv(c) if scalar_kind(c) == "exact" else c, g) for c, g in terms]
-            self.hbar = conv(hbar) if scalar_kind(hbar) == "exact" else hbar
-        # store generator strings pre-flattened in application (rightmost-first) order
-        self.terms = [
-            (c, tuple((g[0] == "p", flat_pos(g[1], g[2], N)) for g in reversed(gens)))
-            for c, gens in terms
-        ]
+            hbar = conv(hbar) if scalar_kind(hbar) == "exact" else hbar
+        merged = {}
+        for c, gens in terms:
+            ops = tuple((g[0] == "p", flat_pos(g[1], g[2], N)) for g in reversed(gens))
+            merged[ops] = merged.get(ops, 0) + c * hbar ** sum(p for p, _ in ops)
+        merged = {ops: c for ops, c in merged.items() if c != 0}
+        if "float" in kinds:
+            self.den = 1
+        else:
+            self.den = math.lcm(*(Fraction(c).denominator for c in merged.values()))
+            merged = {ops: int(c * self.den) for ops, c in merged.items()}
+        self.unit = Fraction(1, self.den)
+        self.terms = [(c, ops) for ops, c in merged.items()]
+
+        kernel = {}
+        for c, ops in self.terms:
+            offset, factors = {}, []
+            for is_p, k in ops:
+                off = offset.get(k, 0)
+                if is_p:
+                    factors.append((k, off))
+                offset[k] = off - 1 if is_p else off + 1
+            shift = tuple(sorted((k, d) for k, d in offset.items() if d))
+            group = kernel.setdefault(shift, {})
+            factors = tuple(sorted(factors))
+            group[factors] = group.get(factors, 0) + c
+        self._kernel = [(shift, [(c, f) for f, c in group.items() if c != 0])
+                        for shift, group in kernel.items()]
+        self._memo = {}
+
+    def image(self, A) -> dict:
+        """``den`` times the image of q^A, as {index: numerator}.
+
+        The dict is shared with the memo: read it, never change it.
+        """
+        img = self._memo.get(A)
+        if img is not None:
+            return img
+        img = {}
+        for shift, group in self._kernel:
+            s = 0
+            for c, factors in group:
+                for k, off in factors:
+                    e = A[k] + off
+                    if e <= 0:
+                        break
+                    c *= e
+                else:
+                    s += c
+            if s:
+                B = list(A)
+                for k, d in shift:
+                    B[k] += d
+                img[tuple(B)] = s
+        if len(self._memo) < self.MEMO_CAP:
+            self._memo[A] = img
+        return img
+
+    def apply_scaled(self, terms: dict) -> dict:
+        """``den`` times the image of sum_A c_A q^A, for any coefficients c_A."""
+        out = {}
+        for A, c in terms.items():
+            for B, v in self.image(A).items():
+                out[B] = out.get(B, 0) + c * v
+        return {B: v for B, v in out.items() if v != 0}
+
+    def apply_raw(self, terms: dict) -> dict:
+        unit = self.unit
+        return {B: v * unit for B, v in self.apply_scaled(terms).items()}
 
     def apply_index(self, A, c0=1):
         """Apply to the monomial c0*q^A; returns a raw {index: coefficient} map."""
-        hbar = self.hbar
-        out = {}
-        for coeff, ops in self.terms:
-            c = coeff * c0
-            B = list(A)
-            dead = False
-            for is_p, k in ops:
-                if is_p:
-                    exp = B[k]
-                    if exp == 0:
-                        dead = True
-                        break
-                    c = c * exp * hbar
-                    B[k] = exp - 1
-                else:
-                    B[k] += 1
-            if dead:
-                continue
-            key = tuple(B)
-            s = out.get(key, 0) + c
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return out
-
-    def apply_raw(self, terms: dict) -> dict:
-        out = {}
-        for A, c in terms.items():
-            for B, v in self.apply_index(A, c).items():
-                s = out.get(B, 0) + v
-                if s == 0:
-                    out.pop(B, None)
-                else:
-                    out[B] = s
-        return out
+        return self.apply_raw({tuple(A): c0})
 
     def __call__(self, f: Polynomial) -> Polynomial:
         if (f.L, f.N) != (self.L, self.N):
@@ -333,13 +380,14 @@ def hamiltonian_flat(i: int, params: Parameters, z) -> FlatOp:
 
 
 # --- exact checks ---------------------------------------------------------------
+#
+# The sweeps work on the scaled images of ``FlatOp.image``: integer
+# numerators over the product of the operators' denominators.  A residual is
+# zero exactly when its scaled form is, and each sweep turns its largest
+# scaled coefficient into a true one once, at the end.
 
 def _max_abs(terms: dict):
-    return max((abs(c) for c in terms.values()), default=Fraction(0))
-
-
-def _monomial(A) -> dict:
-    return {tuple(A): Fraction(1)}
+    return max((abs(c) for c in terms.values()), default=0)
 
 
 def _subtract(out: dict, terms: dict) -> dict:
@@ -353,21 +401,37 @@ def _subtract(out: dict, terms: dict) -> dict:
     return out
 
 
+def _difference(x: dict, x_den, y: dict, y_den) -> dict:
+    """x/x_den - y/y_den over the denominator x_den*y_den, as numerators."""
+    return _subtract({B: c * y_den for B, c in x.items()},
+                     {B: c * x_den for B, c in y.items()})
+
+
 def _commutator(a: FlatOp, b: FlatOp, A) -> dict:
-    """(ab - ba) q^A as a raw {index: coefficient} map."""
-    one = _monomial(A)
-    return _subtract(a.apply_raw(b.apply_raw(one)), b.apply_raw(a.apply_raw(one)))
+    """(ab - ba) q^A times a.den*b.den, as a raw {index: numerator} map."""
+    A = tuple(A)
+    return _subtract(a.apply_scaled(b.image(A)), b.apply_scaled(a.image(A)))
 
 
 def _commutator_max(a: FlatOp, b: FlatOp, probes):
     """max coefficient magnitude of (ab - ba) q^A over the probes."""
-    return max([Fraction(0)] + [_max_abs(_commutator(a, b, A)) for A in probes])
+    worst = max((_max_abs(_commutator(a, b, A)) for A in probes), default=0)
+    return worst * a.unit * b.unit
 
 
-def commutator_residual(i: int, j: int, params: Parameters, z, probes) -> object:
-    """max coefficient magnitude of (H_i H_j - H_j H_i) q^A over the probes."""
-    return _commutator_max(hamiltonian_flat(i, params, z), hamiltonian_flat(j, params, z),
-                           probes)
+def commutator_residual(i: int, j: int, params: Parameters, z, probes, *, hams=None):
+    """max coefficient magnitude of (H_i H_j - H_j H_i) q^A over the probes.
+
+    ``hams`` is an optional dict of compiled Hamiltonians keyed by time
+    index, filled on first use.  Passing one dict to every pair of a sweep at
+    the same parameters and z builds each H_k once and shares its memoized
+    images across pairs.
+    """
+    hams = {} if hams is None else hams
+    for k in (i, j):
+        if k not in hams:
+            hams[k] = hamiltonian_flat(k, params, z)
+    return _commutator_max(hams[i], hams[j], probes)
 
 
 def ahat_entry(m: int, n: int, i: int):
@@ -393,6 +457,7 @@ def ahat_commutator_residual(i, j, params: Parameters, probes, entries=None):
     if entries is None:
         rng = range(1, L)
         entries = [(m, n, mp, np_) for m in rng for n in rng for mp in rng for np_ in rng]
+    hbar = params.hbar
     worst = Fraction(0)
     for (m, n, mp, np_) in entries:
         a = flatten(ahat_entry(m, n, i), params)
@@ -403,11 +468,12 @@ def ahat_commutator_residual(i, j, params: Parameters, probes, entries=None):
                 rhs_terms.append(ahat_entry(m, np_, i))
             if np_ == m:
                 rhs_terms.append(Mul(Sc(-1), ahat_entry(mp, n, i)))
-        rhs = flatten(Add(*rhs_terms), params)
-        for A in probes:
-            # residual = [a, b]/hbar - rhs
-            resid = {B: c / params.hbar for B, c in _commutator(a, b, A).items()}
-            worst = max(worst, _max_abs(_subtract(resid, rhs.apply_raw(_monomial(A)))))
+        # residual = ([a, b] - hbar*rhs)/hbar, the scaled difference first
+        rhs = flatten(Mul(Sc(hbar), Add(*rhs_terms)), params)
+        scaled = max((_max_abs(_difference(_commutator(a, b, A), a.den * b.den,
+                                           rhs.image(tuple(A)), rhs.den))
+                      for A in probes), default=0)
+        worst = max(worst, scaled * a.unit * b.unit * rhs.unit / abs(hbar))
     return worst
 
 
@@ -494,11 +560,10 @@ def garnier_example_residual(i: int, params: Parameters, z, probes):
     const = (0,) * ((params.L - 1) * params.N)
 
     def diff_on(A):
-        one = _monomial(A)
-        return _subtract(generic.apply_raw(one), example.apply_raw(one))
+        # (generic - example) q^A times generic.den * example.den
+        return _difference(generic.image(A), generic.den, example.image(A), example.den)
 
-    lam = diff_on(const).get(const, Fraction(0))
-    worst = Fraction(0)
-    for A in probes:
-        worst = max(worst, _max_abs(_subtract(diff_on(A), {tuple(A): lam})))
-    return worst
+    lam = diff_on(const).get(const, 0)
+    worst = max((_max_abs(_subtract(diff_on(A), {A: lam})) for A in map(tuple, probes)),
+                default=0)
+    return worst * generic.unit * example.unit

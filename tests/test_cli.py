@@ -224,3 +224,43 @@ def test_time_index_out_of_range_exit2(tmp_path, capsys, command, i):
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["type"] == "ParameterError" and "out of range 1..2" in error["message"]
 
+
+
+@pytest.mark.parametrize("L", [3, 4])
+def test_cmd_check_all_skips_garnier_beyond_L2(tmp_path, capsys, L):
+    cfg = base_cfg(L, 1, 1)
+    cfg["lemma_samples"] = 3
+    path = write_cfg(tmp_path, "c.json", cfg)
+    assert main(["--config", path, "check", "all"]) == 0
+    captured = capsys.readouterr()
+    checks = json.loads(captured.out)["checks"]
+    assert set(checks) == {"commute", "braid", "flatness", "subspace", "garnier", "lemmas"}
+    assert checks["garnier"] == {"passed": True,
+                                 "skipped": "the explicit example exists only for L = 2"}
+    assert "check garnier: skip (L = 2 only)" in captured.err
+    assert all(v["value"] == "0/1" for v in checks["lemmas"]["residuals"].values())
+
+
+def test_cmd_check_garnier_alone_needs_L2(tmp_path, capsys):
+    path = write_cfg(tmp_path, "c.json", base_cfg(3, 1, 1))
+    assert main(["--config", path, "check", "garnier"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ParameterError" and "needs L = 2" in error["message"]
+
+
+def test_unknown_quadrature_key_exit2(tmp_path, capsys):
+    cfg = base_cfg(2, 1, 1)
+    cfg["quadrature"] = {"nodes_per_axis": 4, "schme": "monte_carlo"}
+    path = write_cfg(tmp_path, "c.json", cfg)
+    assert main(["--config", path, "integral"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ParameterError" and "schme" in error["message"]
+
+
+@pytest.mark.parametrize("argv", [["verify", "--h", "0"], ["check", "flatness", "--h", "0"],
+                                  ["verify", "--h=-1e-3"], ["verify", "--h", "inf"]])
+def test_nonpositive_step_exit2(tmp_path, capsys, argv):
+    path = write_cfg(tmp_path, "c.json", base_cfg(2, 2, 1))
+    assert main(["--config", path] + argv) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ParameterError" and "step h" in error["message"]

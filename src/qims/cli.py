@@ -255,10 +255,13 @@ def _check_braid(cfg, args, params, z):
             "probes": len(probes)}, worst == 0
 
 
+FLATNESS_H = 1e-5  # default step of the flatness check's derivative test
+
+
 def _check_flatness(cfg, args, params, z):
+    h = get_h(args, FLATNESS_H)
     space = get_space(cfg, args)
     system = pfaffian.PfaffianSystem(params, space)
-    h = get_h(args, 1e-5)
     worst_c = Fraction(0)
     worst_d = 0.0
     for i in range(1, params.N + 1):
@@ -281,7 +284,6 @@ def _check_garnier(cfg, args, params, z):
     if params.L != 2:
         if args.which != "all":
             raise ParameterError("the explicit-example check needs L = 2")
-        print("check garnier: skip (L = 2 only)", file=sys.stderr)
         return {"skipped": "the explicit example exists only for L = 2"}, True
     probes = polyalg.enumerate_basis(params.L, params.N, args.dmax)
     worst = Fraction(0)
@@ -322,14 +324,17 @@ def cmd_check(cfg, args):
     params = build_parameters(cfg)
     z = get_z(cfg, args)
     names = list(CHECKS) if args.which == "all" else [args.which]
+    if "flatness" in names:
+        get_h(args, FLATNESS_H)  # a bad --h fails before any check runs
     report = {}
     all_ok = True
     for name in names:
         detail, ok = CHECKS[name](cfg, args, params, z)
         report[name] = {"passed": ok, **detail}
         all_ok = all_ok and ok
-        if "skipped" not in detail:
-            print(f"check {name}: {'pass' if ok else 'FAIL'}", file=sys.stderr)
+        status = f"skip ({detail['skipped']})" if "skipped" in detail else (
+            "pass" if ok else "FAIL")
+        print(f"check {name}: {status}", file=sys.stderr)
     write_output(args, {"checks": report, "passed": all_ok})
     return 0 if all_ok else 1
 

@@ -201,14 +201,10 @@ class FlatOp:
     multiplies by a product of factors ``A[k] + offset``, one per ``p``;
     that falling-factorial weight is zero exactly when some ``p`` meets a
     zero exponent.  The kernel groups terms by shift, so every output
-    monomial is one sum of ``int`` products.  Images of monomials are
-    memoized on the instance (at most ``MEMO_CAP`` of them), so an operator
-    applied many times within one computation does each monomial once.
+    monomial is one sum of ``int`` products.
     """
 
-    __slots__ = ("L", "N", "terms", "den", "unit", "_kernel", "_memo")
-
-    MEMO_CAP = 4096
+    __slots__ = ("L", "N", "terms", "den", "unit", "_kernel")
 
     def __init__(self, L, N, hbar, terms):
         self.L = L
@@ -246,16 +242,9 @@ class FlatOp:
             group[factors] = group.get(factors, 0) + c
         self._kernel = [(shift, [(c, f) for f, c in group.items() if c != 0])
                         for shift, group in kernel.items()]
-        self._memo = {}
 
     def image(self, A) -> dict:
-        """``den`` times the image of q^A, as {index: numerator}.
-
-        The dict is shared with the memo: read it, never change it.
-        """
-        img = self._memo.get(A)
-        if img is not None:
-            return img
+        """``den`` times the image of q^A, as {index: numerator}."""
         img = {}
         for shift, group in self._kernel:
             s = 0
@@ -272,8 +261,6 @@ class FlatOp:
                 for k, d in shift:
                     B[k] += d
                 img[tuple(B)] = s
-        if len(self._memo) < self.MEMO_CAP:
-            self._memo[A] = img
         return img
 
     def apply_scaled(self, terms: dict) -> dict:
@@ -422,16 +409,16 @@ def _commutator_max(a: FlatOp, b: FlatOp, probes):
 def commutator_residual(i: int, j: int, params: Parameters, z, probes, *, hams=None):
     """max coefficient magnitude of (H_i H_j - H_j H_i) q^A over the probes.
 
-    ``hams`` is an optional dict of compiled Hamiltonians keyed by time
-    index, filled on first use.  Passing one dict to every pair of a sweep at
-    the same parameters and z builds each H_k once and shares its memoized
-    images across pairs.
+    ``hams`` is an optional dict of compiled Hamiltonians, filled on first
+    use and keyed by (time index, params, z); passing one dict to every pair
+    of a sweep builds each H_k once.
     """
     hams = {} if hams is None else hams
-    for k in (i, j):
-        if k not in hams:
-            hams[k] = hamiltonian_flat(k, params, z)
-    return _commutator_max(hams[i], hams[j], probes)
+    keys = [(k, params, tuple(z)) for k in (i, j)]
+    for key in keys:
+        if key not in hams:
+            hams[key] = hamiltonian_flat(key[0], params, z)
+    return _commutator_max(hams[keys[0]], hams[keys[1]], probes)
 
 
 def ahat_entry(m: int, n: int, i: int):

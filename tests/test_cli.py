@@ -237,7 +237,7 @@ def test_cmd_check_all_skips_garnier_beyond_L2(tmp_path, capsys, L):
     assert set(checks) == {"commute", "braid", "flatness", "subspace", "garnier", "lemmas"}
     assert checks["garnier"] == {"passed": True,
                                  "skipped": "the explicit example exists only for L = 2"}
-    assert "check garnier: skip (L = 2 only)" in captured.err
+    assert "check garnier: skip (the explicit example exists only for L = 2)" in captured.err
     assert all(v["value"] == "0/1" for v in checks["lemmas"]["residuals"].values())
 
 
@@ -264,3 +264,14 @@ def test_nonpositive_step_exit2(tmp_path, capsys, argv):
     assert main(["--config", path] + argv) == 2
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["type"] == "ParameterError" and "step h" in error["message"]
+
+
+@pytest.mark.parametrize("which", ["flatness", "all"])
+def test_bad_step_fails_before_any_check(tmp_path, capsys, monkeypatch, which):
+    def never(*args, **kwargs):
+        raise AssertionError("ran before --h was checked")
+    monkeypatch.setattr("qims.cli.pfaffian.PfaffianSystem", never)
+    monkeypatch.setattr("qims.cli.weylops.commutator_residual", never)
+    path = write_cfg(tmp_path, "c.json", base_cfg(2, 2, 1))
+    assert main(["--config", path, "check", which, "--h", "0"]) == 2
+    assert "step h" in json.loads(capsys.readouterr().out)["error"]["message"]

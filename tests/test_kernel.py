@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_params, random_z
 from qims import weylops
 from qims.polyalg import enumerate_basis
-from qims.weylops import (Add, FlatOp, Mul, Q, Sc, ahat_entry, flatten,
+from qims.weylops import (Add, Mul, Q, Sc, ahat_entry, flatten,
                           garnier_example_operator, hamiltonian, make_parameters,
                           omega_tree)
 from written_order import commutator, written_order
@@ -111,11 +111,15 @@ def test_merge_drops_cancelling_strings():
     assert op.terms == [] and op.apply_index((2,)) == {}
 
 
-def test_memo_is_bounded():
-    params = make_parameters(2, 1, e=[F(1, 3), F(1, 6)], kappa=[F(2, 7), F(3, 5)],
-                             theta=[F(1, 11)])
-    op = flatten(Q(1, 1), params)
-    cap = FlatOp.MEMO_CAP
-    for k in range(cap + 10):
-        assert op.apply_index((k,)) == {(k + 1,): 1}
-    assert len(op._memo) == cap
+def test_hams_dict_reused_at_another_point():
+    # one dict shared across points: an entry is read only at its own (k, params, z)
+    rnd = random.Random(5)
+    params = random_params(2, 2, rnd)
+    probes = enumerate_basis(2, 2, 2)
+    z1, z2 = (F(1, 3), F(2, 3)), (F(1, 5), F(3, 7))
+    bumped = flatten(Add(hamiltonian(2, params, z1), Q(1, 1)), params)
+    hams = {(2, params, z1): bumped}
+    want = weylops._commutator_max(weylops.hamiltonian_flat(1, params, z1), bumped, probes)
+    assert weylops.commutator_residual(1, 2, params, z1, probes, hams=hams) == want != 0
+    assert weylops.commutator_residual(1, 2, params, z2, probes, hams=hams) == 0
+    assert len(hams) == 4

@@ -3,8 +3,8 @@
 ``WrittenOrderOp`` is the application loop ``qims.weylops.FlatOp`` ran
 before operators were compiled: every generator string of the expanded
 tree is applied to the monomial one factor at a time, rightmost first, in
-the arithmetic of its coefficients, and nothing is merged, scaled or
-memoized.  The tests compare the compiled ``FlatOp`` with it.
+the arithmetic of its coefficients, and nothing is merged or scaled.
+The tests compare the compiled ``FlatOp`` with it.
 """
 
 from qims.polyalg import flat_pos, scalar_kind

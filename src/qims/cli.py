@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -84,6 +85,30 @@ def load_config(path):
         raise ParameterError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
+# Every key some subcommand reads, per config block (None: the top level), so
+# one config serves every subcommand.
+CONFIG_KEYS = {
+    None: {"model", "parameters", "z", "i", "h", "order", "lemma_samples", "path", "c0",
+           "quadrature", "tolerances"},
+    "model": {"L", "N", "M", "T"},
+    "parameters": {"e", "kappa", "theta", "theta0", "hbar", "planck"},
+    "quadrature": {"scheme", "nodes_per_axis", "mc_samples", "seed", "stabilize_tol"},
+    "tolerances": {"rtol", "atol", "pde"},
+}
+
+
+def check_config_keys(cfg):
+    """Reject a config key no subcommand reads, naming it."""
+    for block, known in CONFIG_KEYS.items():
+        d = cfg if block is None else cfg.get(block, {})
+        where = "config" if block is None else f"config {block!r} block"
+        if not isinstance(d, dict):
+            raise ParameterError(f"{where} must be a JSON object")
+        unknown = sorted(set(d) - known)
+        if unknown:
+            raise ParameterError(f"unknown {where} keys: {', '.join(unknown)}")
+
+
 def build_parameters(cfg) -> weylops.Parameters:
     model = cfg["model"]
     L, N = int(model["L"]), int(model["N"])
@@ -142,15 +167,11 @@ def get_quad(cfg, args):
         q["nodes_per_axis"] = args.nodes
     if args.seed is not None:
         q["seed"] = args.seed
-    unknown = sorted(set(q) - {"scheme", "nodes_per_axis", "mc_samples", "seed",
-                               "stabilize_tol"})
-    if unknown:
-        raise ParameterError(f"unknown quadrature keys: {', '.join(unknown)}")
     return QuadratureSpec(**q)
 
 
 def get_h(args, default):
-    """The finite-difference step: --h if given, else ``default``; finite and > 0."""
+    """The PDE residual's step: --h if given, else ``default``; finite and > 0."""
     h = args.h if args.h is not None else default
     if not (math.isfinite(h) and h > 0):
         raise ParameterError(f"step h must be finite and positive, got {h}")
@@ -223,7 +244,7 @@ def cmd_hamiltonian(cfg, args):
     return 0
 
 
-def _check_commute(cfg, args, params, z):
+def _check_commute(cfg, args, params, z, system):
     probes = polyalg.enumerate_basis(params.L, params.N, args.dmax)
     pairs = [(i, j) for i in range(1, params.N + 1) for j in range(i, params.N + 1)]
     hams = {}  # each H_k is built once and shared by every pair
@@ -234,7 +255,7 @@ def _check_commute(cfg, args, params, z):
             "probes": len(probes)}, worst == 0
 
 
-def _check_braid(cfg, args, params, z):
+def _check_braid(cfg, args, params, z, system):
     probes = polyalg.enumerate_basis(params.L, params.N, min(args.dmax, 2))
     worst = weylops.ahat_commutator_residual(1, 1, params, probes)
     if params.N >= 2:
@@ -255,32 +276,24 @@ def _check_braid(cfg, args, params, z):
             "probes": len(probes)}, worst == 0
 
 
-FLATNESS_H = 1e-5  # default step of the flatness check's derivative test
-
-
-def _check_flatness(cfg, args, params, z):
-    h = get_h(args, FLATNESS_H)
-    space = get_space(cfg, args)
-    system = pfaffian.PfaffianSystem(params, space)
-    worst_c = Fraction(0)
-    worst_d = 0.0
+def _check_flatness(cfg, args, params, z, system):
+    restricted = system()  # built even at N = 1, where there is no pair
+    worst_c = worst_d = Fraction(0)
     for i in range(1, params.N + 1):
         for j in range(i + 1, params.N + 1):
-            r = pfaffian.flatness_residual(system, z, i, j, h=h)
+            r = pfaffian.flatness_residual(restricted, z, i, j)
             worst_c = max(worst_c, r.commutator)
             worst_d = max(worst_d, r.derivative_rel)
-    ok = worst_c == 0 and worst_d < 1e-7
     return {"commutator": emit_scalar(worst_c),
-            "derivative_rel": emit_scalar(worst_d, 1e-7)}, ok
+            "derivative_rel": emit_scalar(float(worst_d))}, worst_c == 0 and worst_d == 0
 
 
-def _check_subspace(cfg, args, params, z):
-    space = get_space(cfg, args)
-    system = pfaffian.PfaffianSystem(params, space)  # raises SubspaceError on leakage
-    return {"dimension": system.dim, "overflow": emit_scalar(Fraction(0))}, True
+def _check_subspace(cfg, args, params, z, system):
+    # building the restriction raises SubspaceError on leakage
+    return {"dimension": system().dim, "overflow": emit_scalar(Fraction(0))}, True
 
 
-def _check_garnier(cfg, args, params, z):
+def _check_garnier(cfg, args, params, z, system):
     if params.L != 2:
         if args.which != "all":
             raise ParameterError("the explicit-example check needs L = 2")
@@ -292,7 +305,7 @@ def _check_garnier(cfg, args, params, z):
     return {"deviation": emit_scalar(worst), "probes": len(probes)}, worst == 0
 
 
-def _check_lemmas(cfg, args, params, z):
+def _check_lemmas(cfg, args, params, z, system):
     import random
     rng = random.Random(args.seed if args.seed is not None else 20240)
     nsamples = int(cfg.get("lemma_samples", 10))
@@ -323,13 +336,20 @@ CHECKS = {
 def cmd_check(cfg, args):
     params = build_parameters(cfg)
     z = get_z(cfg, args)
+    # the checks read every scalar but planck, and float noise is never exactly 0
+    fields = {"z": z, "e": params.e, "kappa": params.kappa, "theta": params.theta,
+              "hbar": [params.hbar]}
+    inexact = [k for k, xs in fields.items() if not all(isinstance(x, Fraction) for x in xs)]
+    if inexact:
+        raise ParameterError("check proves identities exactly and needs exact rationals "
+                             f"('p/q' strings or integers); decimal in: {', '.join(inexact)}")
+    # one restriction shared by the checks of this command, built on first use
+    system = functools.cache(lambda: pfaffian.PfaffianSystem(params, get_space(cfg, args)))
     names = list(CHECKS) if args.which == "all" else [args.which]
-    if "flatness" in names:
-        get_h(args, FLATNESS_H)  # a bad --h fails before any check runs
     report = {}
     all_ok = True
     for name in names:
-        detail, ok = CHECKS[name](cfg, args, params, z)
+        detail, ok = CHECKS[name](cfg, args, params, z, system)
         report[name] = {"passed": ok, **detail}
         all_ok = all_ok and ok
         status = f"skip ({detail['skipped']})" if "skipped" in detail else (
@@ -370,8 +390,7 @@ def cmd_integral(cfg, args):
     z = get_zf(cfg, args)
     M = get_M(cfg, args)
     quad = get_quad(cfg, args)
-    chamber = cfg.get("chamber", "level_blocks")
-    res = hypint.eval_psiM(params, z, M, quad, chamber=chamber)
+    res = hypint.eval_psiM(params, z, M, quad)
     payload = {
         "basis_labels": [index_label(A, params.L, params.N) for A in res.basis],
         "coefficients": [emit_scalar(float(v), res.convergence) for v in res.vector],
@@ -402,12 +421,11 @@ def cmd_verify(cfg, args):
     zf = get_zf(cfg, args)
     M = get_M(cfg, args)
     quad = get_quad(cfg, args)
-    chamber = cfg.get("chamber", "level_blocks")
     i = get_i(cfg, args, params)
     h = get_h(args, float(cfg.get("h", 5e-3)))
     tol = float(cfg.get("tolerances", {}).get("pde", 1e-4))
 
-    residual = hypint.pde_residual(params, zf, M, quad, i=i, h=h, chamber=chamber)
+    residual = hypint.pde_residual(params, zf, M, quad, i=i, h=h)
     z_exact = get_z(cfg, args)
     exact_ok = all(isinstance(x, Fraction) for x in z_exact)
     if exact_ok:
@@ -432,8 +450,7 @@ def cmd_verify(cfg, args):
         for g in grid:
             zz = list(zf)
             zz[i - 1] = float(g)
-            curves.append(hypint.eval_psiM(params, tuple(zz), M, quad,
-                                           chamber=chamber).vector)
+            curves.append(hypint.eval_psiM(params, tuple(zz), M, quad).vector)
         curves = np.array(curves)
         basis = polyalg.enumerate_basis(params.L, params.N, M)
         series = [(index_label(A, params.L, params.N), list(grid), list(curves[:, k]))
@@ -452,31 +469,34 @@ def cmd_verify(cfg, args):
     return 0 if ok else 1
 
 
+# each subcommand's handler and the flags it reads besides --L, --N and --out
+COMMANDS = {
+    "basis": (cmd_basis, "M"),
+    "hamiltonian": (cmd_hamiltonian, "M z i"),
+    "check": (cmd_check, "M z dmax seed"),
+    "pfaffian": (cmd_pfaffian, "M path"),
+    "integral": (cmd_integral, "M z nodes seed"),
+    "series": (cmd_series, "z"),
+    "verify": (cmd_verify, "M z i nodes seed h plot"),
+}
+FLAGS = {"L": {"type": int}, "N": {"type": int}, "out": {}, "M": {"type": int}, "z": {},
+         "i": {"type": int}, "nodes": {"type": int}, "seed": {"type": int},
+         "dmax": {"type": int, "default": 2}, "h": {"type": float}, "plot": {}, "path": {}}
+
+
 def build_argparser():
     ap = argparse.ArgumentParser(prog="qims",
                                  description="quantum isomonodromic system toolkit")
     ap.add_argument("--config", required=False, help="JSON run configuration")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--L", type=int)
-        p.add_argument("--N", type=int)
-        p.add_argument("--M", type=int)
-        p.add_argument("--z")
-        p.add_argument("--i", type=int)
-        p.add_argument("--nodes", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--dmax", type=int, default=2)
-        p.add_argument("--h", type=float)
-        p.add_argument("--out")
-        p.add_argument("--plot")
-        p.add_argument("--path")
-
-    for name in ("basis", "hamiltonian", "pfaffian", "integral", "series", "verify"):
-        common(sub.add_parser(name))
-    pc = sub.add_parser("check")
-    pc.add_argument("which", choices=list(CHECKS) + ["all"])
-    common(pc)
+    for name, (_, flags) in COMMANDS.items():
+        # no abbreviations: a flag this subcommand lacks must not match another
+        # one, such as --h matching --help
+        p = sub.add_parser(name, allow_abbrev=False)
+        if name == "check":
+            p.add_argument("which", choices=list(CHECKS) + ["all"])
+        for flag in ["L", "N", "out"] + flags.split():
+            p.add_argument(f"--{flag}", **FLAGS[flag])
     return ap
 
 
@@ -484,22 +504,14 @@ def main(argv=None):
     args = build_argparser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else {}
+        check_config_keys(cfg)
         if args.L is not None or args.N is not None:
             cfg.setdefault("model", {})
             if args.L is not None:
                 cfg["model"]["L"] = args.L
             if args.N is not None:
                 cfg["model"]["N"] = args.N
-        handler = {
-            "basis": cmd_basis,
-            "hamiltonian": cmd_hamiltonian,
-            "check": cmd_check,
-            "pfaffian": cmd_pfaffian,
-            "integral": cmd_integral,
-            "series": cmd_series,
-            "verify": cmd_verify,
-        }[args.command]
-        return handler(cfg, args)
+        return COMMANDS[args.command][0](cfg, args)
     except NUMERIC_ERRORS as exc:
         write_output(args, {"error": {"code": 3, "type": type(exc).__name__,
                                       "message": str(exc)}})

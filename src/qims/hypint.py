@@ -325,37 +325,6 @@ def series_psi1(params: Parameters, z, order: int) -> IntegralResult:
 
 # --- degree-M chamber machinery -----------------------------------------------------
 
-CHAMBERS = ("level_blocks", "copy_blocks")
-
-
-def _chain_maps(L, M, chamber="level_blocks"):
-    """Chain position of t_n^(a) under the chosen total order.
-
-    ``level_blocks`` (default): all level-n copies exceed all level-(n+1)
-    copies, copies descending within a level.  ``copy_blocks``: each copy's
-    full chain t_1 > ... > t_{L-1} sits above the next copy's; every
-    adjacent chain pair then meets a level-adjacent weight factor, which
-    needs L <= 3 (for larger L the copy boundary would be a free face with
-    no vanishing factor, breaking the coboundary argument).
-    """
-    if chamber not in CHAMBERS:
-        raise ParameterError(f"unknown chamber {chamber!r}; pick one of {CHAMBERS}")
-    pos = {}
-    if chamber == "level_blocks":
-        for n in range(1, L):
-            for a in range(1, M + 1):
-                pos[(n, a)] = (n - 1) * M + (a - 1)
-    else:
-        if L > 3 and M > 1:
-            raise ParameterError(
-                "copy_blocks chamber requires L <= 3: the copy boundary pairs "
-                "levels (L-1, 1), which are weight-adjacent only then")
-        for a in range(1, M + 1):
-            for n in range(1, L):
-                pos[(n, a)] = (a - 1) * (L - 1) + (n - 1)
-    return pos
-
-
 @dataclass(frozen=True)
 class PhiIndexData:
     """Combinatorics of one degree-M coefficient form.
@@ -438,21 +407,20 @@ class _ChainPoint:
         return cls(x, omx, gaps)
 
 
-def _psiM_coeffs(exps: ExponentsM, z, pt: _ChainPoint, logw, basis,
-                 chamber="level_blocks"):
+def _psiM_coeffs(exps: ExponentsM, z, pt: _ChainPoint, logw, basis):
     """Coefficient integrands summed over points: dict A -> value.
 
     logw already contains the quadrature weight and any substitution
     Jacobian; the per-copy 1/t_{L-1} normalization and the symmetric
     weight U go into a shared log-domain base.  Power-law bases enter
-    through their (positive) chain gaps; on the copy_blocks chamber one
-    base family has constant negative sign, which only multiplies every
-    coefficient by one global constant and is dropped (the differential
-    system is linear).  The rational densities keep their true signs.
+    through their (positive) chain gaps.  The rational densities keep their
+    true signs.
     """
     L, N, M = exps.L, exps.N, exps.M
     kp = float(exps.planck)
-    pos = _chain_maps(L, M, chamber)
+    # chain position of t_n^(a): all level-n copies exceed all level-(n+1)
+    # copies, copies descending within a level
+    pos = {(n, a): (n - 1) * M + (a - 1) for n in range(1, L) for a in range(1, M + 1)}
     x, omx = pt.x, pt.omx
 
     logbase = np.array(logw, copy=True)
@@ -518,7 +486,7 @@ def _psiM_coeffs(exps: ExponentsM, z, pt: _ChainPoint, logw, basis,
     return {A: info[A].sign * info[A].multinomial * acc[A] for A in basis}
 
 
-def _probe_exponent(exps: ExponentsM, z, basis, moves, chamber="level_blocks"):
+def _probe_exponent(exps: ExponentsM, z, basis, moves):
     """Fitted power of the cube integrand as the listed (axis, side) faces
     are approached together; +inf when the integrand vanishes there."""
     K = (exps.L - 1) * exps.M
@@ -534,7 +502,7 @@ def _probe_exponent(exps: ExponentsM, z, basis, moves, chamber="level_blocks"):
         logw = np.zeros(1)
         for j in range(K):
             logw += (K - 1 - j) * np.log(v[0, j])  # cube Jacobian
-        c = _psiM_coeffs(exps, z, pt, logw, basis, chamber)
+        c = _psiM_coeffs(exps, z, pt, logw, basis)
         worst = max(abs(val) for val in c.values())
         if not math.isfinite(worst):
             raise ConvergenceError(
@@ -545,15 +513,15 @@ def _probe_exponent(exps: ExponentsM, z, basis, moves, chamber="level_blocks"):
     return (math.log(vals[0]) - math.log(vals[1])) / math.log(2.0)
 
 
-def _axis_exponents_numeric(exps: ExponentsM, z, basis, chamber="level_blocks"):
+def _axis_exponents_numeric(exps: ExponentsM, z, basis):
     """Measured per-axis endpoint exponents (v -> 0 and v -> 1 separately)."""
     K = (exps.L - 1) * exps.M
-    return [tuple(_probe_exponent(exps, z, basis, [(axis, side)], chamber)
+    return [tuple(_probe_exponent(exps, z, basis, [(axis, side)])
                   for side in (0, 1))
             for axis in range(K)]
 
 
-def _window_check_M(exps: ExponentsM, z, basis, chamber="level_blocks"):
+def _window_check_M(exps: ExponentsM, z, basis):
     """Integrability window on the concrete ordered chamber.
 
     Within-level collision faces carry (t-t')^(2/kappa) from the weight alone,
@@ -566,22 +534,14 @@ def _window_check_M(exps: ExponentsM, z, basis, chamber="level_blocks"):
     exceed -1.
     """
     kp = float(exps.planck)
-    if chamber == "level_blocks":
-        # within-level collisions are codimension-1 faces here
-        if not 2.0 / kp > -1.0:
-            raise ConvergenceError(
-                f"window violated: need Re(2/kappa) > -1, got {2.0 / kp}")
-        if exps.L >= 3 and exps.M >= 2 and not 1.0 / kp < 0.0:
-            raise ConvergenceError(
-                "window violated: adjacent-level collision faces need "
-                f"Re(1/kappa) < 0 for L >= 3, got 1/kappa = {1.0 / kp}")
-    else:
-        # every adjacent pair is level-adjacent; within-level collisions only
-        # occur at corners, which the composite-face probes cover
-        if exps.M >= 2 and not 1.0 / kp < 0.0:
-            raise ConvergenceError(
-                "window violated: copy_blocks faces need Re(1/kappa) < 0, "
-                f"got 1/kappa = {1.0 / kp}")
+    # within-level collisions are codimension-1 faces of this chamber
+    if not 2.0 / kp > -1.0:
+        raise ConvergenceError(
+            f"window violated: need Re(2/kappa) > -1, got {2.0 / kp}")
+    if exps.L >= 3 and exps.M >= 2 and not 1.0 / kp < 0.0:
+        raise ConvergenceError(
+            "window violated: adjacent-level collision faces need "
+            f"Re(1/kappa) < 0 for L >= 3, got 1/kappa = {1.0 / kp}")
     if not float(exps.gamma) / kp < 1:
         raise ConvergenceError("window violated: Re(gamma/kappa) must be below 1")
     # endpoint exponents do not depend on z (z only scales smooth factors), so
@@ -589,7 +549,7 @@ def _window_check_M(exps: ExponentsM, z, basis, chamber="level_blocks"):
     # exactly across nearby z and finite differences see common random numbers
     zc = tuple(0.15 + 0.7 * j / max(exps.N - 1, 1) if exps.N > 1 else 0.35
                for j in range(exps.N))
-    expos = _axis_exponents_numeric(exps, zc, basis, chamber)
+    expos = _axis_exponents_numeric(exps, zc, basis)
     for axis, (e0, e1) in enumerate(expos):
         for side, expo in ((0, e0), (1, e1)):
             # guard band: an exponent this close to -1 is either measurement
@@ -606,7 +566,7 @@ def _window_check_M(exps: ExponentsM, z, basis, chamber="level_blocks"):
             continue
         for axes in combinations(range(K), c):
             for sides in product((0, 1), repeat=c):
-                expo = _probe_exponent(exps, zc, basis, list(zip(axes, sides)), chamber)
+                expo = _probe_exponent(exps, zc, basis, list(zip(axes, sides)))
                 if expo <= -c + 0.05:
                     raise ConvergenceError(
                         f"nonconvergent corner exponent {expo:.3f} at faces "
@@ -614,8 +574,7 @@ def _window_check_M(exps: ExponentsM, z, basis, chamber="level_blocks"):
     return expos
 
 
-def eval_psiM(params: Parameters, z, M: int, quad: QuadratureSpec,
-              chamber: str = "level_blocks") -> IntegralResult:
+def eval_psiM(params: Parameters, z, M: int, quad: QuadratureSpec) -> IntegralResult:
     """Degree-M coefficient vector c_A over the ordered chamber.
 
     M = 1 delegates to :func:`eval_psi1` (same chamber, trivial
@@ -635,23 +594,23 @@ def eval_psiM(params: Parameters, z, M: int, quad: QuadratureSpec,
     exps = dictionary_M(params, M)
     z = _check_z_box(z, exps.N)
     basis = tuple(enumerate_basis(exps.L, exps.N, M))
-    expos = _window_check_M(exps, z, basis, chamber)
+    expos = _window_check_M(exps, z, basis)
     K = (exps.L - 1) * M
 
     if quad.scheme == "monte_carlo":
-        c, sem = _psiM_mc(exps, z, basis, expos, quad.mc_samples, quad.seed, chamber)
+        c, sem = _psiM_mc(exps, z, basis, expos, quad.mc_samples, quad.seed)
         scale = max(abs(v) for v in c.values())
         conv = sem / scale if scale else 0.0
         vec = np.array([c[A] for A in basis])
         return IntegralResult(basis, vec, c, conv,
                               {"scheme": "monte_carlo", "samples": quad.mc_samples,
-                               "seed": quad.seed, "sem": sem, "chamber": chamber})
+                               "seed": quad.seed, "sem": sem, "chamber": "level_blocks"})
 
     if K > 6:
         raise ParameterError(
             f"tensor quadrature supports M(L-1) <= 6 axes, got {K}; use monte_carlo")
-    c1 = _psiM_tensor(exps, z, basis, quad.nodes_per_axis, chamber)
-    c2 = _psiM_tensor(exps, z, basis, int(quad.nodes_per_axis * 1.5) | 1, chamber)
+    c1 = _psiM_tensor(exps, z, basis, quad.nodes_per_axis)
+    c2 = _psiM_tensor(exps, z, basis, int(quad.nodes_per_axis * 1.5) | 1)
     scale = max(abs(v) for v in c2.values())
     change = max(abs(c1[A] - c2[A]) for A in basis) / scale if scale else 0.0
     if change > quad.stabilize_tol:
@@ -662,10 +621,10 @@ def eval_psiM(params: Parameters, z, M: int, quad: QuadratureSpec,
     return IntegralResult(basis, vec, c2, change,
                           {"scheme": "tanh_sinh_tensor",
                            "nodes": int(quad.nodes_per_axis * 1.5) | 1,
-                           "chamber": chamber})
+                           "chamber": "level_blocks"})
 
 
-def _psiM_tensor(exps: ExponentsM, z, basis, nodes, chamber="level_blocks"):
+def _psiM_tensor(exps: ExponentsM, z, basis, nodes):
     K = (exps.L - 1) * exps.M
     xs, omxs, ws = tanh_sinh_01(nodes)
     grids = np.meshgrid(*([xs] * K), indexing="ij")
@@ -677,11 +636,10 @@ def _psiM_tensor(exps: ExponentsM, z, basis, nodes, chamber="level_blocks"):
         logw += np.log(ws)[(slice(None),) + (None,) * (K - 1 - j)]
         logw += (K - 1 - j) * np.log(v[..., j])  # Jacobian of x_j = prod v
     pt = _ChainPoint.from_cube(v, omv)
-    return _psiM_coeffs(exps, z, pt, logw, basis, chamber)
+    return _psiM_coeffs(exps, z, pt, logw, basis)
 
 
-def _psiM_mc(exps: ExponentsM, z, basis, expos, nsamples, seed,
-             chamber="level_blocks", batches=16):
+def _psiM_mc(exps: ExponentsM, z, basis, expos, nsamples, seed, batches=16):
     """Importance-sampled Monte Carlo on the cube image of the chamber.
 
     Each cube axis draws from Beta(E0+1, E1+1) with (E0, E1) the measured
@@ -715,7 +673,7 @@ def _psiM_mc(exps: ExponentsM, z, basis, expos, nsamples, seed,
             logw += (K - 1 - j) * np.log(v[:, j])          # cube Jacobian
             logw -= (a[j] - 1.0) * np.log(v[:, j])         # / proposal density
             logw -= (b[j] - 1.0) * np.log(omv[:, j])
-        c = _psiM_coeffs(exps, z, pt, logw, basis, chamber)
+        c = _psiM_coeffs(exps, z, pt, logw, basis)
         for A in basis:
             per_batch[A].append(c[A] / per)
     means = {A: float(np.mean(per_batch[A])) for A in basis}
@@ -726,7 +684,7 @@ def _psiM_mc(exps: ExponentsM, z, basis, expos, nsamples, seed,
 # --- differential-system residual ----------------------------------------------------
 
 def pde_residual(params: Parameters, z, M: int, quad: QuadratureSpec, i: int = 1,
-                 h: float = 5e-3, chamber: str = "level_blocks"):
+                 h: float = 5e-3):
     """Relative residual || planck * D_h c - M_i(z) c || / || M_i(z) c ||.
 
     D_h is the 4th-order central difference in z_i of the quadrature-evaluated
@@ -739,7 +697,7 @@ def pde_residual(params: Parameters, z, M: int, quad: QuadratureSpec, i: int = 1
     kp = float(params.planck)
 
     def c_at(zz):
-        return eval_psiM(params, zz, M, quad, chamber=chamber).vector
+        return eval_psiM(params, zz, M, quad).vector
 
     def shifted(delta):
         out = list(z)

@@ -145,12 +145,8 @@ class PfaffianSystem:
 # --- flatness -------------------------------------------------------------------
 
 class FlatnessResult(NamedTuple):
-    commutator: object     # exact max-abs entry of [M_i(z), M_j(z)]
-    derivative_rel: float  # relative max-abs entry of d_i M_j - d_j M_i (central diff)
-
-    @property
-    def value(self):
-        return max(self.commutator, self.derivative_rel)
+    commutator: object      # exact max-abs entry of [M_i(z), M_j(z)]
+    derivative_rel: object  # exact max-abs entry of d_i M_j - d_j M_i, relative
 
 
 def _mat_mul_exact(A, B):
@@ -162,30 +158,37 @@ def _max_abs_exact(A):
     return max((abs(x) for row in A for x in row), default=Fraction(0))
 
 
-def flatness_residual(system: PfaffianSystem, z, i: int, j: int, h: float = 1e-5) -> FlatnessResult:
-    """Exact commutator of M_i, M_j plus central-difference cross-derivative check."""
+def cross_derivative(system: PfaffianSystem, z, i: int, j: int):
+    """d M_j / d z_i for i != j: exactly K_ji / (z_i - z_j)^2.
+
+    Only the term K_ji z_i/(z_j - z_i) of z_j M_j depends on z_i, and
+    d/dz_i [z_i/(z_j - z_i)] = z_j/(z_j - z_i)^2 cancels the 1/z_j.  Exact
+    for exact z; complex z gives complex entries.
+    """
+    c = 1 / (z[i - 1] - z[j - 1]) ** 2
+    return [[x * c for x in row] for row in system._K[j][i]]
+
+
+def flatness_residual(system: PfaffianSystem, z, i: int, j: int) -> FlatnessResult:
+    """Exact commutator of M_i, M_j and exact cross-derivative d_i M_j - d_j M_i.
+
+    The derivative residual is relative to max(1, |d_i M_j|, |d_j M_i|).
+    Both are exact rationals for exact z, so zero is a proof at z.
+    """
     if i == j:
-        return FlatnessResult(Fraction(0), 0.0)
+        return FlatnessResult(Fraction(0), Fraction(0))
+    z = check_z(system.params, z)
     Mi = system.matrix_at(i, z)
     Mj = system.matrix_at(j, z)
     comm = _mat_mul_exact(Mi, Mj)
     rev = _mat_mul_exact(Mj, Mi)
     D = system.dim
     comm = [[comm[a][b] - rev[a][b] for b in range(D)] for a in range(D)]
-    comm_max = _max_abs_exact(comm)
-
-    zf = [complex(x) for x in z]
-
-    def shifted(k, delta):
-        out = list(zf)
-        out[k - 1] = out[k - 1] + delta
-        return out
-
-    dMj_dzi = (system.matrix_float(j, shifted(i, h)) - system.matrix_float(j, shifted(i, -h))) / (2 * h)
-    dMi_dzj = (system.matrix_float(i, shifted(j, h)) - system.matrix_float(i, shifted(j, -h))) / (2 * h)
-    scale = max(1.0, np.abs(dMj_dzi).max(), np.abs(dMi_dzj).max())
-    deriv = float(np.abs(dMj_dzi - dMi_dzj).max() / scale)
-    return FlatnessResult(comm_max, deriv)
+    dj = cross_derivative(system, z, i, j)
+    di = cross_derivative(system, z, j, i)
+    diff = [[dj[a][b] - di[a][b] for b in range(D)] for a in range(D)]
+    scale = max(1, _max_abs_exact(dj), _max_abs_exact(di))
+    return FlatnessResult(_max_abs_exact(comm), _max_abs_exact(diff) / scale)
 
 
 # --- paths and transport ----------------------------------------------------------

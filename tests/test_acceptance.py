@@ -110,16 +110,16 @@ def test_criterion_03_subspace_invariance():
 def test_criterion_04_flatness():
     t0 = time.time()
     rnd = random.Random(1004)
-    worst_c, worst_d = F(0), 0.0
+    worst_c, worst_d = F(0), F(0)
     for (L, N, M) in [(2, 2, 1), (2, 2, 2), (3, 2, 1)]:
         system = PfaffianSystem(resonant_params(L, N, M, rnd), ("V", M))
         z = random_z(N, rnd)
-        r = flatness_residual(system, z, 1, 2, h=1e-5)
+        r = flatness_residual(system, z, 1, 2)
         worst_c = max(worst_c, r.commutator)
         worst_d = max(worst_d, r.derivative_rel)
     dt = time.time() - t0
-    report(4, "flatness", worst_c == 0 and worst_d < 1e-7 and dt < 30,
-           f"(commutator {worst_c}, derivative {worst_d:.2e}, {dt:.1f}s)")
+    report(4, "flatness", worst_c == 0 and worst_d == 0 and dt < 30,
+           f"(commutator {worst_c}, derivative {worst_d}, {dt:.1f}s)")
 
 
 def test_criterion_05_explicit_L2_example():

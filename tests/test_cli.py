@@ -85,6 +85,7 @@ def test_cmd_check_all_small(tmp_path, capsys):
     assert payload["passed"] is True
     assert set(payload["checks"]) == {"commute", "braid", "flatness", "subspace",
                                       "garnier", "lemmas"}
+    assert payload["checks"]["flatness"]["derivative_rel"] == {"value": 0.0, "kind": "float"}
 
 
 def test_malformed_config_exit2(tmp_path, capsys):
@@ -257,8 +258,8 @@ def test_unknown_quadrature_key_exit2(tmp_path, capsys):
     assert error["type"] == "ParameterError" and "schme" in error["message"]
 
 
-@pytest.mark.parametrize("argv", [["verify", "--h", "0"], ["check", "flatness", "--h", "0"],
-                                  ["verify", "--h=-1e-3"], ["verify", "--h", "inf"]])
+@pytest.mark.parametrize("argv", [["verify", "--h", "0"], ["verify", "--h=-1e-3"],
+                                  ["verify", "--h", "inf"]])
 def test_nonpositive_step_exit2(tmp_path, capsys, argv):
     path = write_cfg(tmp_path, "c.json", base_cfg(2, 2, 1))
     assert main(["--config", path] + argv) == 2
@@ -266,12 +267,77 @@ def test_nonpositive_step_exit2(tmp_path, capsys, argv):
     assert error["type"] == "ParameterError" and "step h" in error["message"]
 
 
-@pytest.mark.parametrize("which", ["flatness", "all"])
-def test_bad_step_fails_before_any_check(tmp_path, capsys, monkeypatch, which):
-    def never(*args, **kwargs):
-        raise AssertionError("ran before --h was checked")
-    monkeypatch.setattr("qims.cli.pfaffian.PfaffianSystem", never)
-    monkeypatch.setattr("qims.cli.weylops.commutator_residual", never)
+@pytest.mark.parametrize("argv", [["check", "flatness", "--h", "1e-5"], ["basis", "--plot", "x"],
+                                  ["series", "--M", "2"], ["check", "all", "--nodes", "8"],
+                                  ["integral", "--no", "8"]])
+def test_flag_the_subcommand_does_not_read_is_rejected(tmp_path, argv):
     path = write_cfg(tmp_path, "c.json", base_cfg(2, 2, 1))
-    assert main(["--config", path, "check", which, "--h", "0"]) == 2
-    assert "step h" in json.loads(capsys.readouterr().out)["error"]["message"]
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", path] + argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("block,key", [(None, "chamber"), ("model", "D"),
+                                       ("parameters", "kapa"), ("tolerances", "rtl")])
+def test_unknown_config_key_exit2(tmp_path, capsys, block, key):
+    cfg = base_cfg(2, 1, 1)
+    (cfg if block is None else cfg.setdefault(block, {}))[key] = "copy_blocks"
+    path = write_cfg(tmp_path, "c.json", cfg)
+    assert main(["--config", path, "basis"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ParameterError" and key in error["message"]
+
+
+@pytest.mark.parametrize("argv,field", [(["check", "commute", "--z", "0.4,0.7"], "z"),
+                                        (["check", "all"], "theta")])
+def test_check_rejects_decimals_before_any_check(tmp_path, capsys, monkeypatch, argv, field):
+    def never(*args, **kwargs):
+        raise AssertionError("a check ran on decimal input")
+    monkeypatch.setattr("qims.cli.weylops.commutator_residual", never)
+    cfg = base_cfg(2, 2, 1)
+    if field == "theta":
+        cfg["parameters"]["theta"] = ["0.25", "0.125"]
+    path = write_cfg(tmp_path, "c.json", cfg)
+    assert main(["--config", path] + argv) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ParameterError" and f"decimal in: {field}" in error["message"]
+
+
+def test_check_flatness_fails_on_any_nonzero_derivative(tmp_path, capsys, monkeypatch):
+    from qims.pfaffian import FlatnessResult
+    monkeypatch.setattr("qims.cli.pfaffian.flatness_residual",
+                        lambda *args: FlatnessResult(F(0), F(1, 10**12)))
+    path = write_cfg(tmp_path, "c.json", base_cfg(2, 2, 1))
+    assert main(["--config", path, "check", "flatness"]) == 1
+    detail = json.loads(capsys.readouterr().out)["checks"]["flatness"]
+    assert detail["derivative_rel"] == {"value": 1e-12, "kind": "float"}
+
+
+def test_check_all_builds_the_restriction_once(tmp_path, capsys, monkeypatch):
+    from qims.pfaffian import PfaffianSystem
+    builds = []
+    init = PfaffianSystem.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(PfaffianSystem, "__init__", counting)
+    cfg = base_cfg(3, 2, 1)
+    cfg["lemma_samples"] = 1
+    path = write_cfg(tmp_path, "c.json", cfg)
+    assert main(["--config", path, "check", "all", "--dmax", "1"]) == 0
+    assert len(builds) == 1
+
+
+def test_readme_commands_run_on_readme_config(tmp_path, monkeypatch):
+    import re
+    import shlex
+    from pathlib import Path
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    config = re.search(r"Example config:\s*```json\n(.*?)```", readme, re.S).group(1)
+    (tmp_path / "run.json").write_text(config, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    lines = [line.split("#")[0] for line in readme.splitlines() if line.startswith("qims ")]
+    assert len(lines) >= 9
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line

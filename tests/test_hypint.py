@@ -338,13 +338,3 @@ def test_phi_index_data_combinatorics():
     empty = PhiIndexData.from_index((0, 0, 0, 0), 3, 2, 3)
     assert empty.A0 == 3 and empty.sign == 1 and empty.multinomial == 1
     assert empty.copy_labels(3) == [None, None, None]
-
-
-def test_copy_chamber_requires_small_L():
-    from qims.hypint import _chain_maps
-    with pytest.raises(ParameterError):
-        _chain_maps(4, 2, "copy_blocks")
-    pos = _chain_maps(3, 2, "copy_blocks")
-    assert pos[(1, 1)] == 0 and pos[(2, 1)] == 1 and pos[(1, 2)] == 2
-    with pytest.raises(ParameterError):
-        _chain_maps(3, 2, "bogus")

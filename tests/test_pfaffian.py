@@ -6,8 +6,8 @@ import pytest
 
 from conftest import random_params, random_z, resonant_params
 from qims.errors import ParameterError, SingularityError, SubspaceError
-from qims.pfaffian import (FlatnessResult, PfaffianSystem, ZPath,
-                           flatness_residual, propagate)
+from qims.pfaffian import (PfaffianSystem, ZPath, cross_derivative, flatness_residual,
+                           propagate)
 from qims.weylops import make_parameters
 
 
@@ -82,12 +82,38 @@ def test_v_restriction_full_basis_no_overflow(L, N, M):
 def test_flatness_exact_commutator_and_derivative():
     system = v_system(2, 2, 1, seed=5)
     z = (F(2, 5), F(3, 7))
-    r = flatness_residual(system, z, 1, 2, h=1e-5)
-    assert r.commutator == 0
-    assert r.derivative_rel < 1e-7
-    # Richardson cross-check: halving h shrinks the central-difference error
-    r2 = flatness_residual(system, z, 1, 2, h=5e-6)
-    assert r2.derivative_rel < max(4e-8, r.derivative_rel)
+    r = flatness_residual(system, z, 1, 2)
+    assert r.commutator == 0 and r.derivative_rel == 0
+    assert isinstance(r.derivative_rel, F)
+
+
+def central_difference(system, z, i, j, h=1e-5):
+    """Float oracle for d M_j / d z_i from matrix_float."""
+    def at(delta):
+        zz = [complex(x) for x in z]
+        zz[i - 1] += delta
+        return system.matrix_float(j, zz)
+    return (at(h) - at(-h)) / (2 * h)
+
+
+@pytest.mark.parametrize("z", [(F(1, 4), F(2, 3)), (0.3 + 0.2j, 0.7 - 0.1j)])
+@pytest.mark.parametrize("i,j", [(1, 2), (2, 1)])
+def test_cross_derivative_matches_central_difference(z, i, j):
+    system = v_system(3, 2, 1, seed=11)
+    exact = np.array(cross_derivative(system, z, i, j), dtype=complex)
+    oracle = central_difference(system, z, i, j)
+    assert np.abs(exact).max() > 0
+    assert np.abs(exact - oracle).max() <= 1e-8 * np.abs(exact).max()
+
+
+def test_flatness_negative_control_asymmetric_K():
+    system = v_system(2, 2, 1, seed=5)
+    z = (F(2, 5), F(3, 7))
+    system._K[1][2][0][0] += 1  # d_2 M_1 gains 1/(z_1 - z_2)^2 at entry (0, 0)
+    r = flatness_residual(system, z, 1, 2)
+    d12, d21 = cross_derivative(system, z, 1, 2), cross_derivative(system, z, 2, 1)
+    scale = max([F(1)] + [abs(x) for d in (d12, d21) for row in d for x in row])
+    assert r.derivative_rel == 1 / (z[0] - z[1]) ** 2 / scale != 0
 
 
 def test_flatness_single_time_trivial():

@@ -1,23 +1,24 @@
 """Finite-dimensional restrictions of the Hamiltonians and ODE transport.
 
 A :class:`PfaffianSystem` holds the matrices M_i(z) of H_i on an invariant
-subspace, with the convention
-
-    (M_i)_{A,B} = coefficient of q^A in H_i q^B,
-
+subspace, with the convention (M_i)_{A,B} = coefficient of q^A in H_i q^B,
 so the coefficient vector c of Psi = sum c_A q^A satisfies
 ``planck * d c / d z_i = M_i(z) c`` verbatim.  (Transpose bugs are the
 likeliest failure mode here; every consumer relies on this one convention.)
 
-z_i H_i depends on z only through the scalars 1/(z_i - 1) and
-z_j/(z_i - z_j), so the system precomputes three families of constant
-matrices and assembles M_i(z) by scalar combination.  Entries of M_i are
-therefore rational in z with denominators dividing
-z_i (z_i - 1) prod_{j != i} (z_i - z_j).
+M_i is stored in residue (dlog) form: partial fractions of
+z_i H_i = W_i + V_i/(z_i - 1) + sum_j K_ij z_j/(z_i - z_j) give
+M_i(z) = sum_p A_{i,p} / (z_i - point p) over the points (0, 1, z_1..z_N),
+indexed p = 0..N+1, with sparse exact residues A_{i,0} = W_i - V_i - sum_j K_ij,
+A_{i,1} = V_i and A_{i,j+1} = K_ij.  Each pair of points but {0, 1} is a
+hyperplane H.  sum_i M_i dz_i is flat at every z iff K_ij = K_ji and Kohno's
+conditions [A_H, sum_{H' ⊇ X} A_H'] = 0 hold for every codimension-2 flat X
+and H through X (T. Kohno, Invent. Math. 82 (1985) 57).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,13 +32,10 @@ from .weylops import Parameters, check_z, flatten, hamiltonian_parts
 
 
 def _columns(flat_op, basis, index_of, what):
-    """Columns of an operator on the span of ``basis``; error on leakage."""
-    D = len(basis)
-    cols = []
+    """An operator on the span of ``basis`` as sparse rows; error on leakage."""
+    rows = [{} for _ in basis]
     for bcol, B in enumerate(basis):
-        out = flat_op.apply_index(B)
-        col = [Fraction(0)] * D
-        for A, c in out.items():
+        for A, c in flat_op.apply_index(B).items():
             row = index_of.get(A)
             if row is None:
                 raise SubspaceError(
@@ -46,13 +44,28 @@ def _columns(flat_op, basis, index_of, what):
                     offending_index=A,
                     coefficient=c,
                 )
-            col[row] = c
-        cols.append(col)
-    return [[cols[b][a] for b in range(D)] for a in range(D)]  # row-major
+            if c:
+                rows[row][bcol] = c
+    return rows
+
+
+def _lin(terms):
+    """Sum of c * row over the (c, row) in ``terms``: a sparse row without zeros."""
+    acc = {}
+    for c, row in terms:
+        for b, x in row.items():
+            acc[b] = acc.get(b, 0) + c * x
+    return {b: x for b, x in acc.items() if x}
+
+
+def _combine(terms):
+    """Sum of c * A over the (c, A) in ``terms``, for sparse-row matrices A."""
+    cs, mats = zip(*terms)
+    return [_lin(zip(cs, rows)) for rows in zip(*mats)]
 
 
 class PfaffianSystem:
-    """Restriction of all H_i to V(M) or F(T), with fast evaluation in z."""
+    """Restriction of all H_i to V(M) or F(T), held as exact residues."""
 
     def __init__(self, params: Parameters, space):
         kind, data = space
@@ -71,124 +84,108 @@ class PfaffianSystem:
             self.basis = enumerate_basis(L, N, M)
         elif kind == "F":
             T = tuple(int(t) for t in data)
+            self.basis = enumerate_basis_FT(L, N, T)  # checks len(T) = L - 1
             for m in range(1, L):
                 if params.kappa[m] != -T[m - 1]:
                     raise ParameterError(
                         f"F(T) requires kappa_{m} = -T_{m} exactly; "
                         f"got {params.kappa[m]} != {-T[m - 1]}"
                     )
-            self.basis = enumerate_basis_FT(L, N, T)
         else:
             raise ParameterError(f"unknown space kind {kind!r}; use ('V', M) or ('F', T)")
-        self.space = (kind, data)
         self.index_of = {A: k for k, A in enumerate(self.basis)}
         self.dim = len(self.basis)
 
-        # constant part matrices: z_i H_i = W_i + V_i/(z_i-1) + sum_j K_ij z_j/(z_i-z_j)
-        self._W = {}
-        self._V = {}
-        self._K = {}
+        def restrict(op, what):
+            return _columns(flatten(op, params), self.basis, self.index_of,
+                            f"H_{i} {what} part on {kind}{data}")
+
+        self.residues = {}  # residues[i][p]: the residue of M_i where z_i meets point p
         for i in range(1, N + 1):
             parts = hamiltonian_parts(i, params)
-            self._W[i] = _columns(flatten(parts["const"], params), self.basis, self.index_of,
-                                  f"H_{i} z-free part on {kind}{data}")
-            self._V[i] = _columns(flatten(parts["pole1"], params), self.basis, self.index_of,
-                                  f"H_{i} 1/(z_i-1) part on {kind}{data}")
-            self._K[i] = {
-                j: _columns(flatten(op, params), self.basis, self.index_of,
-                            f"H_{i} z_{j}/(z_i-z_{j}) part on {kind}{data}")
-                for j, op in parts["cross"].items()
-            }
-        self._float_cache = None
+            W = restrict(parts["const"], "z-free")
+            V = restrict(parts["pole1"], "1/(z_i-1)")
+            K = {j + 1: restrict(op, f"z_{j}/(z_i-z_{j})") for j, op in parts["cross"].items()}
+            A0 = _combine([(1, W), (-1, V)] + [(-1, Kj) for Kj in K.values()])
+            self.residues[i] = {0: A0, 1: V, **K}
 
     def matrix_at(self, i: int, z):
-        """Exact D x D matrix M_i(z) for exact rational z."""
+        """Exact D x D matrix M_i(z) (dense rows) for exact rational z."""
         z = check_z(self.params, z)
-        zi = z[i - 1]
-        D = self.dim
-        W, V = self._W[i], self._V[i]
-        c1 = 1 / (zi - 1)
-        out = [[(W[a][b] + V[a][b] * c1) for b in range(D)] for a in range(D)]
-        for j, K in self._K[i].items():
-            cj = z[j - 1] / (zi - z[j - 1])
-            for a in range(D):
-                Ka = K[a]
-                row = out[a]
-                for b in range(D):
-                    row[b] += Ka[b] * cj
-        inv = 1 / zi
-        return [[x * inv for x in row] for row in out]
+        points, zi = (0, 1) + z, z[i - 1]
+        rows = _combine([(1 / (zi - points[p]), A) for p, A in self.residues[i].items()])
+        zero = 0 * zi  # Fraction, float or complex, as z is
+        return [[row.get(b, zero) for b in range(self.dim)] for row in rows]
 
-    def _floats(self):
-        if self._float_cache is None:
-            conv = lambda mat: np.array([[complex(x) for x in row] for row in mat])
-            self._float_cache = {
-                i: (conv(self._W[i]), conv(self._V[i]),
-                    {j: conv(K) for j, K in self._K[i].items()})
-                for i in self._W
-            }
-        return self._float_cache
+    def residue_array(self, keys):
+        """residues[i][p] for (i, p) in ``keys``, stacked as a complex (len(keys) * D, D) array."""
+        out = np.zeros((len(keys), self.dim, self.dim), dtype=complex)
+        for k, (i, p) in enumerate(keys):
+            for a, row in enumerate(self.residues[i][p]):
+                out[k, a, list(row)] = [complex(x) for x in row.values()]
+        return out.reshape(-1, self.dim)
 
     def matrix_float(self, i: int, z) -> np.ndarray:
         """M_i(z) as a complex numpy array; z may be float or complex."""
         z = [complex(x) for x in z]
-        zi = z[i - 1]
-        if zi == 0 or zi == 1 or any(zi == z[j] for j in range(len(z)) if j != i - 1):
+        points, zi = [0, 1] + z, z[i - 1]
+        if any(zi == points[p] for p in self.residues[i]):
             raise SingularityError(f"z_{i} at a pole for matrix evaluation")
-        W, V, Ks = self._floats()[i]
-        out = W + V / (zi - 1)
-        for j, K in Ks.items():
-            out = out + K * (z[j - 1] / (zi - z[j - 1]))
-        return out / zi
+        return sum(self.residue_array([(i, p)]) / (zi - points[p]) for p in self.residues[i])
 
 
 # --- flatness -------------------------------------------------------------------
 
 class FlatnessResult(NamedTuple):
-    commutator: object      # exact max-abs entry of [M_i(z), M_j(z)]
-    derivative_rel: object  # exact max-abs entry of d_i M_j - d_j M_i, relative
+    commutator: object      # exact worst entry of a Kohno commutator
+    derivative_rel: object  # exact worst max|K_ij - K_ji| / max(1, |K_ij|, |K_ji|)
+    conditions: int         # Kohno commutators checked
 
 
-def _mat_mul_exact(A, B):
-    D = len(A)
-    return [[sum(A[a][k] * B[k][b] for k in range(D)) for b in range(D)] for a in range(D)]
+def _product(A, B):
+    return [_lin((x, B[k]) for k, x in row.items()) for row in A]
 
 
-def _max_abs_exact(A):
-    return max((abs(x) for row in A for x in row), default=Fraction(0))
+def _max_abs(rows):
+    return max((abs(x) for row in rows for x in row.values()), default=Fraction(0))
 
 
-def cross_derivative(system: PfaffianSystem, z, i: int, j: int):
-    """d M_j / d z_i for i != j: exactly K_ji / (z_i - z_j)^2.
+def codim2_flats(N):
+    """Codimension-2 flats as lists of the hyperplanes (point pairs p < q) through
+    them: three points meet, or two disjoint pairs do; 0 and 1 never meet."""
+    hyperplanes = [(p, q) for q in range(2, N + 2) for p in range(q)]
+    flats = [list(itertools.combinations(t, 2))
+             for t in itertools.combinations(range(N + 2), 3) if t[:2] != (0, 1)]
+    flats += [[h, g] for h, g in itertools.combinations(hyperplanes, 2)
+              if not set(h) & set(g)]
+    return flats
 
-    Only the term K_ji z_i/(z_j - z_i) of z_j M_j depends on z_i, and
-    d/dz_i [z_i/(z_j - z_i)] = z_j/(z_j - z_i)^2 cancels the 1/z_j.  Exact
-    for exact z; complex z gives complex entries.
+
+def flatness_residual(system: PfaffianSystem) -> FlatnessResult:
+    """Exact residuals of flatness at every z, from the constant residues.
+
+    The commutator residual is the worst entry of [A_H, sum_{H' ⊇ X} A_H']
+    over every codimension-2 flat X and all but one H through X (the
+    commutators at one X sum to zero).  The derivative residual is the
+    symmetry defect K_ij - K_ji, which is (z_i - z_j)^2 times
+    d_i M_j - d_j M_i.  Zero for both is a proof of flatness at every z.
     """
-    c = 1 / (z[i - 1] - z[j - 1]) ** 2
-    return [[x * c for x in row] for row in system._K[j][i]]
-
-
-def flatness_residual(system: PfaffianSystem, z, i: int, j: int) -> FlatnessResult:
-    """Exact commutator of M_i, M_j and exact cross-derivative d_i M_j - d_j M_i.
-
-    The derivative residual is relative to max(1, |d_i M_j|, |d_j M_i|).
-    Both are exact rationals for exact z, so zero is a proof at z.
-    """
-    if i == j:
-        return FlatnessResult(Fraction(0), Fraction(0))
-    z = check_z(system.params, z)
-    Mi = system.matrix_at(i, z)
-    Mj = system.matrix_at(j, z)
-    comm = _mat_mul_exact(Mi, Mj)
-    rev = _mat_mul_exact(Mj, Mi)
-    D = system.dim
-    comm = [[comm[a][b] - rev[a][b] for b in range(D)] for a in range(D)]
-    dj = cross_derivative(system, z, i, j)
-    di = cross_derivative(system, z, j, i)
-    diff = [[dj[a][b] - di[a][b] for b in range(D)] for a in range(D)]
-    scale = max(1, _max_abs_exact(dj), _max_abs_exact(di))
-    return FlatnessResult(_max_abs_exact(comm), _max_abs_exact(diff) / scale)
+    res = system.residues
+    worst, conditions = Fraction(0), 0
+    for hyperplanes in codim2_flats(system.params.N):
+        # points p < q meet on a hyperplane whose residue is that of z_{q-1} at p
+        As = [res[q - 1][p] for p, q in hyperplanes]
+        total = _combine([(1, A) for A in As])
+        for A in As[:-1]:
+            comm = _combine([(1, _product(A, total)), (-1, _product(total, A))])
+            worst = max(worst, _max_abs(comm))
+        conditions += len(As) - 1
+    asym = Fraction(0)
+    for i, j in itertools.combinations(range(1, system.params.N + 1), 2):
+        Kij, Kji = res[i][j + 1], res[j][i + 1]
+        diff = _combine([(1, Kij), (-1, Kji)])
+        asym = max(asym, _max_abs(diff) / max(1, _max_abs(Kij), _max_abs(Kji)))
+    return FlatnessResult(worst, asym, conditions)
 
 
 # --- paths and transport ----------------------------------------------------------
@@ -279,28 +276,30 @@ def propagate(system: PfaffianSystem, path: ZPath, c0, rtol: float = 1e-10,
     Embedded Dormand-Prince 5(4) with PI-free elementary step control;
     deterministic for fixed inputs and tolerances.  Raises
     :class:`PropagationError` when the step size underflows (e.g. drifting
-    toward a pole), reporting the segment and arclength parameter.
+    toward a pole), reporting the segment and arclength parameter.  Residue
+    (i, p) enters the right-hand side with the weight dz_i / (f0 + s df).
     """
     if path.dim != system.params.N:
         raise ParameterError("path dimension does not match N")
     c = np.asarray(c0, dtype=complex).copy()
     if c.shape != (system.dim,):
         raise ParameterError(f"c0 must have length D={system.dim}")
+    keys = [(i, p) for i, res in system.residues.items() for p in res]
+    n, D = len(keys), system.dim
+    stack = system.residue_array(keys)  # stacked once for every segment
     kappa = complex(system.params.planck)
     n_acc = n_rej = n_rhs = 0
 
     for seg, (wa, wb) in enumerate(zip(path.waypoints, path.waypoints[1:])):
-        dz = [b - a for a, b in zip(wa, wb)]
-        if all(d == 0 for d in dz):
+        if wa == wb:
             continue
+        pa, pb = (0, 1) + wa, (0, 1) + wb
+        coef = np.array([(wb[i - 1] - wa[i - 1]) / kappa for i, _ in keys])
+        f0 = np.array([wa[i - 1] - pa[p] for i, p in keys])
+        df = np.array([wb[i - 1] - pb[p] for i, p in keys]) - f0
 
         def rhs(s, y):
-            z = [a + s * d for a, d in zip(wa, dz)]
-            out = np.zeros_like(y)
-            for i in range(1, system.params.N + 1):
-                if dz[i - 1] != 0:
-                    out = out + dz[i - 1] * (system.matrix_float(i, z) @ y)
-            return out / kappa
+            return (coef / (f0 + s * df)) @ (stack @ y).reshape(n, D)
 
         s = 0.0
         h = 0.1

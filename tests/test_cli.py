@@ -86,6 +86,7 @@ def test_cmd_check_all_small(tmp_path, capsys):
     assert set(payload["checks"]) == {"commute", "braid", "flatness", "subspace",
                                       "garnier", "lemmas"}
     assert payload["checks"]["flatness"]["derivative_rel"] == {"value": 0.0, "kind": "float"}
+    assert payload["checks"]["flatness"]["conditions"] == 6
 
 
 def test_malformed_config_exit2(tmp_path, capsys):
@@ -306,11 +307,54 @@ def test_check_rejects_decimals_before_any_check(tmp_path, capsys, monkeypatch, 
 def test_check_flatness_fails_on_any_nonzero_derivative(tmp_path, capsys, monkeypatch):
     from qims.pfaffian import FlatnessResult
     monkeypatch.setattr("qims.cli.pfaffian.flatness_residual",
-                        lambda *args: FlatnessResult(F(0), F(1, 10**12)))
+                        lambda system: FlatnessResult(F(0), F(1, 10**12), 6))
     path = write_cfg(tmp_path, "c.json", base_cfg(2, 2, 1))
     assert main(["--config", path, "check", "flatness"]) == 1
     detail = json.loads(capsys.readouterr().out)["checks"]["flatness"]
     assert detail["derivative_rel"] == {"value": 1e-12, "kind": "float"}
+    assert detail["commutator"] == {"value": "0/1", "kind": "exact"} and detail["conditions"] == 6
+
+
+def test_check_flatness_reads_no_z(tmp_path, capsys):
+    cfg = base_cfg(3, 3, 1)
+    for z in (["1/2", "1/3", "1/5"], ["0.3", "1", "x"], None):
+        if z is None:
+            del cfg["z"]
+        else:
+            cfg["z"] = z
+        assert main(["--config", write_cfg(tmp_path, "c.json", cfg), "check", "flatness"]) == 0
+        assert json.loads(capsys.readouterr().out)["checks"]["flatness"] == {
+            "passed": True, "commutator": {"value": "0/1", "kind": "exact"},
+            "derivative_rel": {"value": 0.0, "kind": "float"}, "conditions": 26}
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda c: c.pop("z"), "needs 'z'"),
+    (lambda c: c["model"].pop("L"), "needs 'L'"),
+    (lambda c: c["model"].update(N="two"), "model N must be int"),
+    (lambda c: c["parameters"].update(e="9/10"), "'e' must be a list"),
+    (lambda c: c["parameters"].update(planck="1/0"), "cannot parse scalar"),
+    (lambda c: c.update(z=["2/x"]), "cannot parse scalar"),
+    (lambda c: c.update(quadrature={"nodes_per_axis": "32"}), "nodes_per_axis"),
+    (lambda c: c.update(i="first"), "i must be int"),
+    (lambda c: c.update(i=1.5), "i must be int"),
+    (lambda c: c["model"].update(M=1.5), "model M must be int"),
+])
+def test_config_intake_errors_are_parameter_errors(tmp_path, capsys, edit, message):
+    cfg = base_cfg(2, 1, 1)
+    edit(cfg)
+    assert main(["--config", write_cfg(tmp_path, "c.json", cfg), "verify"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ParameterError" and message in error["message"]
+
+
+def test_library_value_error_is_not_a_config_error(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("a bug, not a bad config")
+    monkeypatch.setattr("qims.cli.polyalg.enumerate_basis", broken)
+    path = write_cfg(tmp_path, "c.json", base_cfg(2, 1, 1))
+    with pytest.raises(ValueError, match="a bug"):
+        main(["--config", path, "basis"])
 
 
 def test_check_all_builds_the_restriction_once(tmp_path, capsys, monkeypatch):

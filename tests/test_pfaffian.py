@@ -1,13 +1,15 @@
+import cmath
 import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from conftest import random_params, random_z, resonant_params
+from dense_oracle import DenseSystem, point_flatness, transport_matrix_float
 from qims.errors import ParameterError, SingularityError, SubspaceError
-from qims.pfaffian import (PfaffianSystem, ZPath, cross_derivative, flatness_residual,
-                           propagate)
+from qims.pfaffian import PfaffianSystem, ZPath, codim2_flats, flatness_residual, propagate
 from qims.weylops import make_parameters
 
 
@@ -80,11 +82,20 @@ def test_v_restriction_full_basis_no_overflow(L, N, M):
 
 
 def test_flatness_exact_commutator_and_derivative():
-    system = v_system(2, 2, 1, seed=5)
-    z = (F(2, 5), F(3, 7))
-    r = flatness_residual(system, z, 1, 2)
-    assert r.commutator == 0 and r.derivative_rel == 0
-    assert isinstance(r.derivative_rel, F)
+    r = flatness_residual(v_system(2, 2, 1, seed=5))
+    assert r.commutator == 0 and r.derivative_rel == 0 and r.conditions == 6
+    assert isinstance(r.commutator, F) and isinstance(r.derivative_rel, F)
+
+
+@pytest.mark.parametrize("N,flats,conditions", [(1, 0, 0), (2, 4, 6), (3, 19, 26),
+                                                (4, 55, 71)])
+def test_codim2_flats_counted(N, flats, conditions):
+    # 2 hyperplanes through a flat where two pairs of points meet, 3 where a
+    # triple meets; one commutator per flat is implied by the others
+    found = codim2_flats(N)
+    assert len(found) == flats
+    assert sum(len(hs) - 1 for hs in found) == conditions
+    assert all(len(hs) in (2, 3) and (0, 1) not in hs for hs in found)
 
 
 def central_difference(system, z, i, j, h=1e-5):
@@ -99,37 +110,74 @@ def central_difference(system, z, i, j, h=1e-5):
 @pytest.mark.parametrize("z", [(F(1, 4), F(2, 3)), (0.3 + 0.2j, 0.7 - 0.1j)])
 @pytest.mark.parametrize("i,j", [(1, 2), (2, 1)])
 def test_cross_derivative_matches_central_difference(z, i, j):
-    system = v_system(3, 2, 1, seed=11)
-    exact = np.array(cross_derivative(system, z, i, j), dtype=complex)
-    oracle = central_difference(system, z, i, j)
+    # the dense closed form K_ji/(z_i - z_j)^2 against the residue form's matrix_float
+    params = resonant_params(3, 2, 1, random.Random(11))
+    exact = np.array(DenseSystem(params, 1).cross_derivative(z, i, j), dtype=complex)
+    oracle = central_difference(PfaffianSystem(params, ("V", 1)), z, i, j)
     assert np.abs(exact).max() > 0
     assert np.abs(exact - oracle).max() <= 1e-8 * np.abs(exact).max()
 
 
+def plant(rows, a, b, x):
+    rows[a][b] = rows[a].get(b, 0) + x
+
+
 def test_flatness_negative_control_asymmetric_K():
     system = v_system(2, 2, 1, seed=5)
-    z = (F(2, 5), F(3, 7))
-    system._K[1][2][0][0] += 1  # d_2 M_1 gains 1/(z_1 - z_2)^2 at entry (0, 0)
-    r = flatness_residual(system, z, 1, 2)
-    d12, d21 = cross_derivative(system, z, 1, 2), cross_derivative(system, z, 2, 1)
-    scale = max([F(1)] + [abs(x) for d in (d12, d21) for row in d for x in row])
-    assert r.derivative_rel == 1 / (z[0] - z[1]) ** 2 / scale != 0
+    K12, K21 = system.residues[1][3], system.residues[2][2]
+    plant(K12, 0, 0, 1)  # d_2 M_1 gains 1/(z_1 - z_2)^2 at entry (0, 0)
+    scale = max([F(1)] + [abs(x) for K in (K12, K21) for row in K for x in row.values()])
+    assert flatness_residual(system).derivative_rel == 1 / scale != 0
+
+
+def test_flatness_negative_control_planted_V():
+    system = v_system(2, 2, 2, seed=5)
+    # V_1 enters M_1 as V_1/(z_1 - 1) - V_1/z_1
+    plant(system.residues[1][1], 0, 1, F(1, 5))
+    plant(system.residues[1][0], 0, 1, -F(1, 5))
+    r = flatness_residual(system)
+    assert r.commutator > 0 and isinstance(r.commutator, F) and r.derivative_rel == 0
 
 
 def test_flatness_single_time_trivial():
-    system = v_system(2, 1, 1, seed=6)
-    r = flatness_residual(system, (F(2, 5),), 1, 1)
-    assert r.commutator == 0 and r.derivative_rel == 0.0
+    r = flatness_residual(v_system(2, 1, 1, seed=6))
+    assert r.commutator == 0 and r.derivative_rel == 0 and r.conditions == 0
 
 
 def test_matrices_commute_at_many_exact_points():
     rnd = random.Random(8)
     for (L, N, M) in [(2, 2, 1), (3, 2, 1)]:
-        system = v_system(L, N, M, seed=L + N)
+        dense = DenseSystem(resonant_params(L, N, M, random.Random(L + N)), M)
         for _ in range(20):
-            z = random_z(N, rnd)
-            r = flatness_residual(system, z, 1, 2)
-            assert r.commutator == 0
+            assert point_flatness(dense, random_z(N, rnd), 1, 2) == (0, 0)
+
+
+ORACLE_SIZES = [(2, 2, 2), (2, 3, 2), (3, 2, 2), (3, 3, 2), (4, 2, 1), (2, 4, 1), (3, 3, 1)]
+
+
+@pytest.mark.parametrize("L,N,M", ORACLE_SIZES)
+def test_residue_form_matches_dense_assembly(L, N, M):
+    rnd = random.Random(100 * L + 10 * N + M)
+    params = resonant_params(L, N, M, rnd)
+    system, dense = PfaffianSystem(params, ("V", M)), DenseSystem(params, M)
+    z = random_z(N, rnd)
+    for i in range(1, N + 1):
+        assert system.matrix_at(i, z) == dense.matrix_at(i, z)
+    r = flatness_residual(system)
+    assert r.commutator == 0 and r.derivative_rel == 0
+    assert point_flatness(dense, z, 1, 2) == (0, 0)
+
+
+@pytest.mark.parametrize("L,N,M", ORACLE_SIZES)
+def test_residue_transport_matches_matrix_float_transport(L, N, M):
+    rnd = random.Random(100 * L + 10 * N + M)
+    system = PfaffianSystem(resonant_params(L, N, M, rnd), ("V", M))
+    z = [float(x) for x in random_z(N, rnd)]
+    waypoints = [z, [x + 0.03 + 0.05j * (k + 1) for k, x in enumerate(z)]]
+    c0 = np.array([rnd.uniform(-1, 1) for _ in range(system.dim)], dtype=complex)
+    got = propagate(system, ZPath(waypoints), c0, rtol=1e-12, atol=1e-14)
+    want = transport_matrix_float(system, waypoints, c0, rtol=1e-12, atol=1e-14)
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
 def test_zpath_guards():
@@ -220,3 +268,30 @@ def test_matrix_float_matches_exact():
     err = max(abs(complex(exact[a][b]) - approx[a, b])
               for a in range(system.dim) for b in range(system.dim))
     assert err < 1e-12
+
+
+def circle(center, radius=0.1, n=16):
+    return [center + radius * cmath.exp(2j * cmath.pi * k / n) for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("L,N,M,key,planck", [
+    (2, 1, 2, (1, 0), 1), (3, 1, 1, (1, 0), 2), (2, 1, 4, (1, 0), 2),
+    (2, 1, 2, (1, 1), 2), (3, 1, 1, (1, 1), 1), (2, 1, 4, (1, 1), 2),
+    (2, 2, 1, (1, 3), 1), (2, 2, 2, (1, 3), 2)])
+def test_monodromy_about_one_hyperplane(L, N, M, key, planck):
+    # a loop about one hyperplane H alone has eigenvalues exp(2 pi i lambda / planck)
+    # for lambda in spec(A_H), whatever integrator carries the solutions round
+    system = v_system(L, N, M, seed=17 + L + M, planck=planck)
+    if N == 1:
+        loop = [(z,) for z in circle(key[1])]
+    else:  # z_1 - z_2 winds once about 0 while z_1 + z_2 stays put
+        loop = [(0.5 + w / 2, 0.5 - w / 2) for w in circle(0)]
+    D = system.dim
+    T = np.column_stack([propagate(system, ZPath(loop), e, rtol=1e-11, atol=1e-13)
+                         for e in np.eye(D)])
+    want = np.exp(2j * np.pi * np.linalg.eigvals(system.residue_array([key])) / planck)
+    cost = np.abs(want[:, None] - np.linalg.eigvals(T)[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    # measured 3e-13 to 2.4e-10: the eigenvalues of T amplify its rtol-relative
+    # error by their condition number, which reaches 300 at L2M4 about z = 1
+    assert cost[rows, cols].max() <= 1e-8

@@ -30,19 +30,21 @@ NUMERIC_ERRORS = (ConvergenceError, PropagationError, SingularityError, ChamberE
 
 
 def parse_scalar(x):
-    """Loss-free scalar intake: 'p/q' strings stay exact, decimals go float."""
+    """Loss-free scalar intake: 'p/q' strings stay exact, finite decimals go
+    float; NaN and infinities are rejected."""
     if isinstance(x, bool):
         raise ParameterError(f"boolean is not a scalar: {x!r}")
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, float):
+    if isinstance(x, float) and math.isfinite(x):
         return x
     if isinstance(x, str):
         s = x.strip()
         try:
             if "/" in s or ("." not in s and "e" not in s and "E" not in s):
                 return Fraction(s)
-            return float(s)
+            if math.isfinite(float(s)):
+                return float(s)
         except (ValueError, ZeroDivisionError):
             pass
     raise ParameterError(f"cannot parse scalar {x!r}")
@@ -73,6 +75,14 @@ def convert(kind, x, what):
         return kind(x)
     except (TypeError, ValueError, OverflowError):
         raise ParameterError(f"{what} must be {kind.__name__}, got {x!r}") from None
+
+
+def positive(x, what):
+    """``float(x)`` if it is finite and > 0, else a ParameterError naming ``what``."""
+    x = convert(float, x, what)
+    if not (math.isfinite(x) and x > 0):
+        raise ParameterError(f"{what} must be finite and positive, got {x}")
+    return x
 
 
 def need_list(block, key, where="config"):
@@ -120,7 +130,7 @@ def load_config(path):
 # Every key some subcommand reads, per config block (None: the top level), so
 # one config serves every subcommand.
 CONFIG_KEYS = {
-    None: {"model", "parameters", "z", "i", "h", "order", "lemma_samples", "path", "c0",
+    None: {"model", "parameters", "z", "i", "order", "lemma_samples", "path", "c0",
            "quadrature", "tolerances"},
     "model": {"L", "N", "M", "T"},
     "parameters": {"e", "kappa", "theta", "theta0", "hbar", "planck"},
@@ -215,14 +225,6 @@ def get_quad(cfg, args):
         if isinstance(v, bool) or not isinstance(v, QUAD_TYPES[k]):
             raise ParameterError(f"quadrature {k} has the wrong type: {v!r}")
     return QuadratureSpec(**q)
-
-
-def get_h(args, default):
-    """The PDE residual's step: --h if given, else ``default``; finite and > 0."""
-    h = args.h if args.h is not None else default
-    if not (math.isfinite(h) and h > 0):
-        raise ParameterError(f"step h must be finite and positive, got {h}")
-    return h
 
 
 def write_output(args, payload):
@@ -351,6 +353,8 @@ def _check_lemmas(cfg, args, params, z, system):
     import random
     rng = random.Random(args.seed if args.seed is not None else 20240)
     nsamples = convert(int, cfg.get("lemma_samples", 10), "lemma_samples")
+    if nsamples < 1:
+        raise ParameterError(f"lemma_samples must be at least 1, got {nsamples}")
     worst = Fraction(0)
     detail = {}
     for lemma in cohomology.LEMMA_IDS:
@@ -416,8 +420,8 @@ def cmd_pfaffian(cfg, args):
         raise ParameterError("pfaffian needs an initial vector 'c0' in the config")
     c0 = np.array([parse_complex(x) for x in need_list(cfg, "c0")])
     tol = cfg.get("tolerances", {})
-    rtol = convert(float, tol.get("rtol", 1e-10), "tolerances rtol")
-    atol = convert(float, tol.get("atol", 1e-12), "tolerances atol")
+    rtol = positive(tol.get("rtol", 1e-10), "tolerances rtol")
+    atol = positive(tol.get("atol", 1e-12), "tolerances atol")
     vec, stats = pfaffian.propagate(system, zpath, c0, rtol=rtol, atol=atol,
                                     with_stats=True)
     payload = {
@@ -467,10 +471,9 @@ def cmd_verify(cfg, args):
     M = get_M(cfg, args)
     quad = get_quad(cfg, args)
     i = get_i(cfg, args, params)
-    h = get_h(args, convert(float, cfg.get("h", 5e-3), "h"))
-    tol = convert(float, cfg.get("tolerances", {}).get("pde", 1e-4), "tolerances pde")
+    tol = positive(cfg.get("tolerances", {}).get("pde", 1e-4), "tolerances pde")
 
-    residual = hypint.pde_residual(params, zf, M, quad, i=i, h=h)
+    residual = hypint.pde_residual(params, zf, M, quad, i=i)
     z_exact = get_z(cfg, args)
     exact_ok = all(isinstance(x, Fraction) for x in z_exact)
     if exact_ok:
@@ -522,11 +525,11 @@ COMMANDS = {
     "pfaffian": (cmd_pfaffian, "M path"),
     "integral": (cmd_integral, "M z nodes seed"),
     "series": (cmd_series, "z"),
-    "verify": (cmd_verify, "M z i nodes seed h plot"),
+    "verify": (cmd_verify, "M z i nodes seed plot"),
 }
 FLAGS = {"L": {"type": int}, "N": {"type": int}, "out": {}, "M": {"type": int}, "z": {},
          "i": {"type": int}, "nodes": {"type": int}, "seed": {"type": int},
-         "dmax": {"type": int, "default": 2}, "h": {"type": float}, "plot": {}, "path": {}}
+         "dmax": {"type": int, "default": 2}, "plot": {}, "path": {}}
 
 
 def build_argparser():

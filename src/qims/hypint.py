@@ -122,7 +122,7 @@ def _check_chamber_point(t, L):
     return t
 
 
-def _check_z_box(z, N):
+def _check_z_box(z, N, i=None):
     z = tuple(float(x) for x in z)
     if len(z) != N:
         raise ChamberError(f"z must have length N={N}")
@@ -130,6 +130,8 @@ def _check_z_box(z, N):
         raise ChamberError(f"z {z} outside the real box (0,1)^N")
     if len(set(z)) != N:
         raise ChamberError("z entries must be pairwise distinct")
+    if i is not None and not 1 <= i <= N:
+        raise ParameterError(f"time index i={i} out of range 1..{N}")
     return z
 
 
@@ -199,11 +201,12 @@ def _coefficient_keys(L, N):
     return [None] + [(n, i) for n in range(1, L) for i in range(1, N + 1)]
 
 
-def _psi1_eval_at(exps: ExponentsM1, z, nodes: int):
-    """Evaluate every coefficient with per-(n)-group Gauss-Jacobi tensor rules."""
+def _psi1_eval_at(exps: ExponentsM1, z, nodes: int, i=None):
+    """Evaluate every coefficient with per-(n)-group Gauss-Jacobi tensor rules,
+    and with a time index i also its d/dz_i on the same nodes."""
     L, N = exps.L, exps.N
     kp = float(exps.planck)
-    coeffs = {}
+    coeffs, derivs = {}, {}
     for n_group in [None] + list(range(1, L)):
         key0 = None if n_group is None else (n_group, 1)
         a, b = _axis_exponents_m1(exps, key0)
@@ -217,14 +220,20 @@ def _psi1_eval_at(exps: ExponentsM1, z, nodes: int):
         W = math.prod(np.ix_(*[w for _, w in rules]))
         T = math.prod(grids)
         base = np.ones_like(T)
-        for i in range(N):
-            base = base * (1.0 - z[i] * T) ** (-float(exps.beta[i]) / kp)
-        if n_group is None:
-            coeffs[None] = float(np.sum(W * base))
-        else:
-            for i in range(1, N + 1):
-                coeffs[(n_group, i)] = -float(np.sum(W * base / (1.0 - z[i - 1] * T)))
-    return coeffs
+        for j in range(N):
+            base = base * (1.0 - z[j] * T) ** (-float(exps.beta[j]) / kp)
+        if i is not None:
+            # d/dz_i log: (beta_i/kappa) r, and one more r on a 1/(1 - z_i T) form
+            r = T / (1.0 - z[i - 1] * T)
+            dw = float(exps.beta[i - 1]) / kp * r
+        for key in [None] if n_group is None else [(n_group, j) for j in range(1, N + 1)]:
+            val = W * base if key is None else W * base / (1.0 - z[key[1] - 1] * T)
+            sign = 1.0 if key is None else -1.0  # c_(n,i) = -int U phi_n^(i)
+            coeffs[key] = sign * float(np.sum(val))
+            if i is not None:
+                derivs[key] = sign * float(np.sum(val * (dw + r if key and key[1] == i else dw)))
+            del val  # one form's array alive at a time
+    return coeffs, derivs
 
 
 @dataclass(frozen=True)
@@ -234,6 +243,7 @@ class IntegralResult:
     coeffs: dict           # key -> value (None / (n,i) for M=1, index tuple for M>=2)
     convergence: float     # relative change under node doubling (or MC std error)
     meta: dict
+    derivative: np.ndarray = None  # dc/dz_i on the same nodes, when i is given
 
 
 def _m1_vector(coeffs, L, N):
@@ -248,20 +258,21 @@ def _m1_vector(coeffs, L, N):
     return basis, vec
 
 
-def eval_psi1(params: Parameters, z, quad: QuadratureSpec) -> IntegralResult:
+def eval_psi1(params: Parameters, z, quad: QuadratureSpec, i=None) -> IntegralResult:
     """Degree-1 coefficient vector c with c_(0) = int U phi_0 and
     c_(n,i) = -int U phi_n^(i), by Gauss-Jacobi tensor quadrature on the cube.
 
     Stability is asserted by node doubling, never assumed.  Any other
-    scheme is rejected.
+    scheme is rejected.  With a time index i the result also carries
+    dc/dz_i, differentiated under the integral on the doubled rule's nodes.
     """
     if quad.scheme != "gauss_jacobi_tensor":
         raise ParameterError(
             f"degree 1 uses scheme 'gauss_jacobi_tensor', got {quad.scheme!r}")
     exps = dictionary_M1(params)
-    z = _check_z_box(z, exps.N)
-    c1 = _psi1_eval_at(exps, z, quad.nodes_per_axis)
-    c2 = _psi1_eval_at(exps, z, 2 * quad.nodes_per_axis)
+    z = _check_z_box(z, exps.N, i)
+    c1, _ = _psi1_eval_at(exps, z, quad.nodes_per_axis)
+    c2, d2 = _psi1_eval_at(exps, z, 2 * quad.nodes_per_axis, i)
     scale = max(abs(v) for v in c2.values())
     change = max(abs(c1[k] - c2[k]) for k in c1) / scale if scale else 0.0
     if change > quad.stabilize_tol:
@@ -270,7 +281,8 @@ def eval_psi1(params: Parameters, z, quad: QuadratureSpec) -> IntegralResult:
             f"doubling {quad.nodes_per_axis} nodes")
     basis, vec = _m1_vector(c2, exps.L, exps.N)
     return IntegralResult(basis, vec, c2, change,
-                          {"scheme": "gauss_jacobi_tensor", "nodes": 2 * quad.nodes_per_axis})
+                          {"scheme": "gauss_jacobi_tensor", "nodes": 2 * quad.nodes_per_axis},
+                          _m1_vector(d2, exps.L, exps.N)[1] if d2 else None)
 
 
 # --- degree-1 series oracle ---------------------------------------------------------
@@ -407,14 +419,17 @@ class _ChainPoint:
         return cls(x, omx, gaps)
 
 
-def _psiM_coeffs(exps: ExponentsM, z, pt: _ChainPoint, logw, basis):
-    """Coefficient integrands summed over points: dict A -> value.
+def _psiM_coeffs(exps: ExponentsM, z, pt: _ChainPoint, logw, basis, i=None):
+    """Coefficient integrands summed over points: dicts A -> value and, with a
+    time index i, A -> d/dz_i of it (empty without one).
 
     logw already contains the quadrature weight and any substitution
     Jacobian; the per-copy 1/t_{L-1} normalization and the symmetric
     weight U go into a shared log-domain base.  Power-law bases enter
     through their (positive) chain gaps.  The rational densities keep their
-    true signs.
+    true signs.  With r(t) = t/(1 - z_i t), d/dz_i adds to the log of the
+    integrand (beta_i/kappa) r(t_{L-1}) per copy and r once more per copy
+    labelled (n, i), at that copy's own t_{L-1}.
     """
     L, N, M = exps.L, exps.N, exps.M
     kp = float(exps.planck)
@@ -436,18 +451,21 @@ def _psiM_coeffs(exps: ExponentsM, z, pt: _ChainPoint, logw, basis):
         an = float(exps.alpha[n - 1]) / kp
         for a in range(1, M + 1):
             logbase += an * np.log(x[..., pos[(n, a)]])
+    dweight = 0.0
     for a in range(1, M + 1):
         tl = x[..., pos[(L - 1, a)]]
-        for i in range(N):
-            logbase += (-float(exps.beta[i]) / kp) * np.log1p(-z[i] * tl)
+        for j in range(N):
+            logbase += (-float(exps.beta[j]) / kp) * np.log1p(-z[j] * tl)
         logbase += (-float(exps.gamma) / kp) * np.log(omx[..., pos[(1, a)]])
         logbase -= np.log(tl)  # per-copy 1/t_{L-1}
+        if i is not None:
+            dweight = dweight + float(exps.beta[i - 1]) / kp * tl / (1.0 - z[i - 1] * tl)
     base = np.exp(logbase)
 
     # per-sigma per-copy form factors;   copy a under sigma has level-n
     # coordinate t_n^(sigma_n(a))
     def copy_factors(sigma):
-        """list over copies a=1..M of (f_0 value, {(n,i): f_n^(i) value})."""
+        """list over copies a=1..M of (f_0 value, {(n,i): f_n^(i) value}, r)."""
         out = []
         for a in range(1, M + 1):
             cidx = [pos[(n, sigma[n - 1][a - 1] + 1)] for n in range(1, L)]
@@ -464,26 +482,32 @@ def _psiM_coeffs(exps: ExponentsM, z, pt: _ChainPoint, logw, basis):
             f0 = math.prod(inv_gaps)
             tl = x[..., cidx[L - 2]]
             fni = {}
-            for i in range(1, N + 1):
-                pref = 1.0 / (1.0 - z[i - 1] * tl)
+            for j in range(1, N + 1):
+                pref = 1.0 / (1.0 - z[j - 1] * tl)
                 for n in range(1, L):
-                    fni[(n, i)] = pref * f0 * gaps[n - 1]
-            out.append((f0, fni))
+                    fni[(n, j)] = pref * f0 * gaps[n - 1]
+            out.append((f0, fni, None if i is None else tl / (1.0 - z[i - 1] * tl)))
         return out
 
     sigmas = list(product(permutations(range(M)), repeat=L - 1))
     info = {A: PhiIndexData.from_index(A, L, N, M) for A in basis}
     acc = {A: 0.0 for A in basis}
+    dacc = {A: 0.0 for A in basis} if i is not None else {}
     for sigma in sigmas:
         facs = copy_factors(sigma)
         for A in basis:
-            dens = None
+            dens, dlog = None, dweight
             for a, label in enumerate(info[A].copy_labels(M)):
-                f0, fni = facs[a]
+                f0, fni, r = facs[a]
                 piece = f0 if label is None else fni[label]
                 dens = piece if dens is None else dens * piece
+                if label is not None and label[1] == i:
+                    dlog = dlog + r
             acc[A] = acc[A] + float(np.sum(base * dens))
-    return {A: info[A].sign * info[A].multinomial * acc[A] for A in basis}
+            if dacc:
+                dacc[A] = dacc[A] + float(np.sum(base * dens * dlog))
+    scale = {A: info[A].sign * info[A].multinomial for A in basis}
+    return ({A: scale[A] * acc[A] for A in basis}, {A: scale[A] * dacc[A] for A in dacc})
 
 
 def _probe_exponent(exps: ExponentsM, z, basis, moves):
@@ -502,7 +526,7 @@ def _probe_exponent(exps: ExponentsM, z, basis, moves):
         logw = np.zeros(1)
         for j in range(K):
             logw += (K - 1 - j) * np.log(v[0, j])  # cube Jacobian
-        c = _psiM_coeffs(exps, z, pt, logw, basis)
+        c, _ = _psiM_coeffs(exps, z, pt, logw, basis)
         worst = max(abs(val) for val in c.values())
         if not math.isfinite(worst):
             raise ConvergenceError(
@@ -545,8 +569,8 @@ def _window_check_M(exps: ExponentsM, z, basis):
     if not float(exps.gamma) / kp < 1:
         raise ConvergenceError("window violated: Re(gamma/kappa) must be below 1")
     # endpoint exponents do not depend on z (z only scales smooth factors), so
-    # probe at a canonical point; downstream Monte Carlo proposals then agree
-    # exactly across nearby z and finite differences see common random numbers
+    # probe at a canonical point; the Monte Carlo proposal built from them is
+    # then the same at every z, and a scan over z sees common random numbers
     zc = tuple(0.15 + 0.7 * j / max(exps.N - 1, 1) if exps.N > 1 else 0.35
                for j in range(exps.N))
     expos = _axis_exponents_numeric(exps, zc, basis)
@@ -574,57 +598,55 @@ def _window_check_M(exps: ExponentsM, z, basis):
     return expos
 
 
-def eval_psiM(params: Parameters, z, M: int, quad: QuadratureSpec) -> IntegralResult:
+def eval_psiM(params: Parameters, z, M: int, quad: QuadratureSpec, i=None) -> IntegralResult:
     """Degree-M coefficient vector c_A over the ordered chamber.
 
     M = 1 delegates to :func:`eval_psi1` (same chamber, trivial
     symmetrization).  For M >= 2 the scheme is a tanh-sinh tensor rule on
     the cube image of the chamber (K = M(L-1) axes, K <= 6) or seeded
     Monte Carlo with sorted-uniform chamber samples; ``gauss_jacobi_tensor``
-    is rejected there.
+    is rejected there.  With a time index i, ``derivative`` is dc/dz_i,
+    differentiated under the integral (z enters only through bounded factors)
+    on the nodes of the returned rule or the same MC samples.
     """
     if M < 1:
         raise ParameterError("M must be a positive integer")
     if M == 1:
-        return eval_psi1(params, z, quad)
+        return eval_psi1(params, z, quad, i)
     if quad.scheme == "gauss_jacobi_tensor":
         raise ParameterError(
             f"degree M={M} uses scheme 'tanh_sinh_tensor' or 'monte_carlo', "
             "got 'gauss_jacobi_tensor'")
     exps = dictionary_M(params, M)
-    z = _check_z_box(z, exps.N)
+    z = _check_z_box(z, exps.N, i)
     basis = tuple(enumerate_basis(exps.L, exps.N, M))
     expos = _window_check_M(exps, z, basis)
     K = (exps.L - 1) * M
 
     if quad.scheme == "monte_carlo":
-        c, sem = _psiM_mc(exps, z, basis, expos, quad.mc_samples, quad.seed)
-        scale = max(abs(v) for v in c.values())
-        conv = sem / scale if scale else 0.0
-        vec = np.array([c[A] for A in basis])
-        return IntegralResult(basis, vec, c, conv,
-                              {"scheme": "monte_carlo", "samples": quad.mc_samples,
-                               "seed": quad.seed, "sem": sem, "chamber": "level_blocks"})
-
-    if K > 6:
-        raise ParameterError(
-            f"tensor quadrature supports M(L-1) <= 6 axes, got {K}; use monte_carlo")
-    c1 = _psiM_tensor(exps, z, basis, quad.nodes_per_axis)
-    c2 = _psiM_tensor(exps, z, basis, int(quad.nodes_per_axis * 1.5) | 1)
-    scale = max(abs(v) for v in c2.values())
-    change = max(abs(c1[A] - c2[A]) for A in basis) / scale if scale else 0.0
-    if change > quad.stabilize_tol:
+        c, err, d = _psiM_mc(exps, z, basis, expos, quad.mc_samples, quad.seed, i)
+        meta = {"scheme": "monte_carlo", "samples": quad.mc_samples, "seed": quad.seed, "sem": err}
+    else:
+        if K > 6:
+            raise ParameterError(
+                f"tensor quadrature supports M(L-1) <= 6 axes, got {K}; use monte_carlo")
+        nodes = int(quad.nodes_per_axis * 1.5) | 1
+        c1, _ = _psiM_tensor(exps, z, basis, quad.nodes_per_axis)
+        c, d = _psiM_tensor(exps, z, basis, nodes, i)
+        err = max(abs(c1[A] - c[A]) for A in basis)
+        meta = {"scheme": "tanh_sinh_tensor", "nodes": nodes}
+    scale = max(abs(v) for v in c.values())
+    conv = err / scale if scale else 0.0
+    if quad.scheme != "monte_carlo" and conv > quad.stabilize_tol:
         raise ConvergenceError(
-            f"quadrature failed to stabilize: relative change {change:.3e} under "
+            f"quadrature failed to stabilize: relative change {conv:.3e} under "
             f"node refinement")
-    vec = np.array([c2[A] for A in basis])
-    return IntegralResult(basis, vec, c2, change,
-                          {"scheme": "tanh_sinh_tensor",
-                           "nodes": int(quad.nodes_per_axis * 1.5) | 1,
-                           "chamber": "level_blocks"})
+    return IntegralResult(basis, np.array([c[A] for A in basis]), c, conv,
+                          {**meta, "chamber": "level_blocks"},
+                          np.array([d[A] for A in basis]) if d else None)
 
 
-def _psiM_tensor(exps: ExponentsM, z, basis, nodes):
+def _psiM_tensor(exps: ExponentsM, z, basis, nodes, i=None):
     K = (exps.L - 1) * exps.M
     xs, omxs, ws = tanh_sinh_01(nodes)
     grids = np.meshgrid(*([xs] * K), indexing="ij")
@@ -636,27 +658,28 @@ def _psiM_tensor(exps: ExponentsM, z, basis, nodes):
         logw += np.log(ws)[(slice(None),) + (None,) * (K - 1 - j)]
         logw += (K - 1 - j) * np.log(v[..., j])  # Jacobian of x_j = prod v
     pt = _ChainPoint.from_cube(v, omv)
-    return _psiM_coeffs(exps, z, pt, logw, basis)
+    return _psiM_coeffs(exps, z, pt, logw, basis, i)
 
 
-def _psiM_mc(exps: ExponentsM, z, basis, expos, nsamples, seed, batches=16):
+def _psiM_mc(exps: ExponentsM, z, basis, expos, nsamples, seed, i=None, batches=16):
     """Importance-sampled Monte Carlo on the cube image of the chamber.
 
     Each cube axis draws from Beta(E0+1, E1+1) with (E0, E1) the measured
     endpoint exponents of the integrand, so the weighted integrand stays
     bounded near every face and the estimator has finite variance.  The
     stream is seeded and evaluated in equal deterministic batches, giving a
-    batch-mean standard error.
+    batch-mean standard error.  Returns the means, that error and, with a
+    time index i, the batch means of dc/dz_i on the same samples.
     """
     K = (exps.L - 1) * exps.M
     # rounding makes the proposal (and hence the sample stream) identical
-    # across nearby z, so finite differences see common random numbers
+    # across nearby z, so a scan over z sees common random numbers
     a = np.array([round(max(e[0], -0.95), 2) + 1.0 for e in expos])
     b = np.array([round(max(e[1], -0.95), 2) + 1.0 for e in expos])
     log_norm = sum(_log_beta(ai, bi) for ai, bi in zip(a, b))
     rng = np.random.default_rng(seed)
     per = max(1, nsamples // batches)
-    per_batch = {A: [] for A in basis}
+    per_batch, dbatch = {A: [] for A in basis}, []
     for _ in range(batches):
         # Beta draws via a Gamma pair keep the small side accurate: near a
         # singular face 1-v must not round to 0
@@ -673,41 +696,27 @@ def _psiM_mc(exps: ExponentsM, z, basis, expos, nsamples, seed, batches=16):
             logw += (K - 1 - j) * np.log(v[:, j])          # cube Jacobian
             logw -= (a[j] - 1.0) * np.log(v[:, j])         # / proposal density
             logw -= (b[j] - 1.0) * np.log(omv[:, j])
-        c = _psiM_coeffs(exps, z, pt, logw, basis)
+        c, d = _psiM_coeffs(exps, z, pt, logw, basis, i)
         for A in basis:
             per_batch[A].append(c[A] / per)
+        dbatch.append(d)
     means = {A: float(np.mean(per_batch[A])) for A in basis}
     sem = max(float(np.std(per_batch[A], ddof=1)) / math.sqrt(batches) for A in basis)
-    return means, sem
+    return means, sem, {A: sum(d[A] for d in dbatch) / per / batches for A in dbatch[0]}
 
 
 # --- differential-system residual ----------------------------------------------------
 
-def pde_residual(params: Parameters, z, M: int, quad: QuadratureSpec, i: int = 1,
-                 h: float = 5e-3):
-    """Relative residual || planck * D_h c - M_i(z) c || / || M_i(z) c ||.
+def pde_residual(params: Parameters, z, M: int, quad: QuadratureSpec, i: int = 1):
+    """Relative residual || planck dc/dz_i - M_i(z) c || / || M_i(z) c ||.
 
-    D_h is the 4th-order central difference in z_i of the quadrature-evaluated
-    coefficients; every stencil point reuses the same nodes (or the same MC
-    sample set), so statistical error largely cancels in the difference.
+    c and dc/dz_i come from one :func:`eval_psiM` call, which differentiates
+    under the integral on the same nodes (or the same MC samples) as c.
     """
     from .pfaffian import PfaffianSystem
 
-    z = tuple(float(x) for x in z)
-    kp = float(params.planck)
-
-    def c_at(zz):
-        return eval_psiM(params, zz, M, quad).vector
-
-    def shifted(delta):
-        out = list(z)
-        out[i - 1] += delta
-        return tuple(out)
-
-    c0 = c_at(z)
-    st = [c_at(shifted(k * h)) for k in (-2, -1, 1, 2)]
-    dc = (st[0] - 8 * st[1] + 8 * st[2] - st[3]) / (12 * h)
-    system = PfaffianSystem(params, ("V", M))
-    rhs = system.matrix_float(i, z).real @ c0
+    res = eval_psiM(params, z, M, quad, i)
+    rhs = PfaffianSystem(params, ("V", M)).matrix_float(i, z).real @ res.vector
     denom = float(np.linalg.norm(rhs))
-    return float(np.linalg.norm(kp * dc - rhs)) / denom if denom else 0.0
+    dc = float(params.planck) * res.derivative
+    return float(np.linalg.norm(dc - rhs)) / denom if denom else 0.0

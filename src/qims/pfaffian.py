@@ -276,8 +276,10 @@ def propagate(system: PfaffianSystem, path: ZPath, c0, rtol: float = 1e-10,
     Embedded Dormand-Prince 5(4) with PI-free elementary step control;
     deterministic for fixed inputs and tolerances.  Raises
     :class:`PropagationError` when the step size underflows (e.g. drifting
-    toward a pole), reporting the segment and arclength parameter.  Residue
-    (i, p) enters the right-hand side with the weight dz_i / (f0 + s df).
+    toward a pole) or the error estimate is not finite (a NaN or infinity in
+    c0, the path or the tolerances), reporting the segment and arclength
+    parameter.  Residue (i, p) enters the right-hand side with the weight
+    dz_i / (f0 + s df).
     """
     if path.dim != system.params.N:
         raise ParameterError("path dimension does not match N")
@@ -320,6 +322,9 @@ def propagate(system: PfaffianSystem, path: ZPath, c0, rtol: float = 1e-10,
             err = c5 - c4
             scale = atol + rtol * np.maximum(np.abs(c), np.abs(c5))
             enorm = math.sqrt(float(np.mean(np.abs(err / scale) ** 2)))
+            if not math.isfinite(enorm):
+                raise PropagationError(
+                    f"non-finite error estimate on segment {seg}", location=(seg, s))
             if enorm <= 1.0:
                 s += h
                 c = c5

@@ -31,6 +31,11 @@ class QuadratureSpec:
             raise ParameterError("nodes_per_axis must be at least 4")
         if self.mc_samples < 1:
             raise ParameterError("mc_samples must be positive")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be nonnegative, got {self.seed}")
+        if not (np.isfinite(self.stabilize_tol) and self.stabilize_tol > 0):
+            raise ParameterError(
+                f"stabilize_tol must be finite and positive, got {self.stabilize_tol}")
 
 
 def gauss_jacobi_01(n: int, a: float, b: float):

@@ -177,8 +177,7 @@ def test_criterion_08_degree1_integral_solves_system():
             z = tuple(0.45 - 0.17 * k for k in range(N))
             out = eval_psi1(params, z, QuadratureSpec(nodes_per_axis=24))
             worst_conv = max(worst_conv, out.convergence)
-            r = pde_residual(params, z, 1, QuadratureSpec(nodes_per_axis=24),
-                             i=1, h=5e-3)
+            r = pde_residual(params, z, 1, QuadratureSpec(nodes_per_axis=24), i=1)
             worst_res = max(worst_res, r)
     dt = time.time() - t0
     report(8, "degree-1 integral solves the system",
@@ -215,7 +214,7 @@ def test_criterion_10a_degree2_tensor():
     params = m_window_params(2, 1, 2)
     q = QuadratureSpec(scheme="tanh_sinh_tensor", nodes_per_axis=81,
                        stabilize_tol=1e-6)
-    r = pde_residual(params, (0.4,), 2, q, h=5e-3)
+    r = pde_residual(params, (0.4,), 2, q)
     dt = time.time() - t0
     report("10a", "degree-2 integral (2-dim tensor)", r < 1e-4 and dt < 300,
            f"(residual {r:.2e}, {dt:.1f}s)")
@@ -236,7 +235,7 @@ def test_criterion_10b_degree2_monte_carlo_4dim():
                              kappa=[2 + th1, F(1, 2), F(1)], theta=[th1],
                              planck=-3)
     q = QuadratureSpec(scheme="monte_carlo", mc_samples=1_000_000, seed=20240)
-    r = pde_residual(params, (0.4,), 2, q, h=1e-2)
+    r = pde_residual(params, (0.4,), 2, q)
     dt = time.time() - t0
     report("10b", "degree-2 integral (4-dim Monte Carlo)", r < 1e-2 and dt < 300,
            f"(residual {r:.2e}, 1e6 samples, seed 20240, {dt:.1f}s)")

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -259,18 +260,48 @@ def test_unknown_quadrature_key_exit2(tmp_path, capsys):
     assert error["type"] == "ParameterError" and "schme" in error["message"]
 
 
-@pytest.mark.parametrize("argv", [["verify", "--h", "0"], ["verify", "--h=-1e-3"],
-                                  ["verify", "--h", "inf"]])
-def test_nonpositive_step_exit2(tmp_path, capsys, argv):
-    path = write_cfg(tmp_path, "c.json", base_cfg(2, 2, 1))
-    assert main(["--config", path] + argv) == 2
+@pytest.mark.parametrize("edit", [lambda c: c.update(tolerances={"rtol": math.nan}),
+                                  lambda c: c.update(tolerances={"atol": math.nan}),
+                                  lambda c: c["c0"].__setitem__(1, math.nan),
+                                  lambda c: c["path"][1].__setitem__(0, math.nan)],
+                         ids=["rtol", "atol", "c0", "path"])
+def test_pfaffian_nan_input_exit2(tmp_path, capsys, edit):
+    # JSON NaN loads as a float; transport used to spin on it without end
+    cfg = base_cfg(2, 2, 1)
+    cfg["path"] = [["0.40", "0.70"], ["0.45", "0.75"]]
+    cfg["c0"] = ["1", "0", "0.5"]
+    edit(cfg)
+    path = write_cfg(tmp_path, "c.json", cfg)
+    assert main(["--config", path, "pfaffian"]) == 2
     error = json.loads(capsys.readouterr().out)["error"]
-    assert error["type"] == "ParameterError" and "step h" in error["message"]
+    assert error["type"] == "ParameterError" and "nan" in error["message"]
+
+
+@pytest.mark.parametrize("command,edit,message", [
+    ("integral", lambda c: c.update(quadrature={"stabilize_tol": math.nan}), "stabilize_tol"),
+    ("verify", lambda c: c.update(tolerances={"pde": math.nan}), "tolerances pde"),
+    ("pfaffian", lambda c: c.update(tolerances={"rtol": -1}), "tolerances rtol"),
+    ("pfaffian", lambda c: c.update(tolerances={"atol": math.inf}), "tolerances atol"),
+    ("integral --M 2 --seed -1", lambda c: c.update(quadrature={"scheme": "monte_carlo"}),
+     "seed"),
+    ("check lemmas", lambda c: c.update(lemma_samples=0), "lemma_samples"),
+    ("integral", lambda c: c.update(z=["1e999"]), "cannot parse scalar"),
+    ("integral", lambda c: c["parameters"].update(planck=math.inf), "cannot parse scalar"),
+])
+def test_invalid_numeric_setting_exit2(tmp_path, capsys, command, edit, message):
+    cfg = base_cfg(2, 1, 1)
+    cfg["path"] = [["0.40"], ["0.45"]]
+    cfg["c0"] = ["1", "0"]
+    edit(cfg)
+    path = write_cfg(tmp_path, "c.json", cfg)
+    assert main(["--config", path] + command.split()) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ParameterError" and message in error["message"]
 
 
 @pytest.mark.parametrize("argv", [["check", "flatness", "--h", "1e-5"], ["basis", "--plot", "x"],
                                   ["series", "--M", "2"], ["check", "all", "--nodes", "8"],
-                                  ["integral", "--no", "8"]])
+                                  ["integral", "--no", "8"], ["verify", "--h", "1e-3"]])
 def test_flag_the_subcommand_does_not_read_is_rejected(tmp_path, argv):
     path = write_cfg(tmp_path, "c.json", base_cfg(2, 2, 1))
     with pytest.raises(SystemExit) as exc:
@@ -279,7 +310,8 @@ def test_flag_the_subcommand_does_not_read_is_rejected(tmp_path, argv):
 
 
 @pytest.mark.parametrize("block,key", [(None, "chamber"), ("model", "D"),
-                                       ("parameters", "kapa"), ("tolerances", "rtl")])
+                                       ("parameters", "kapa"), ("tolerances", "rtl"),
+                                       (None, "h")])
 def test_unknown_config_key_exit2(tmp_path, capsys, block, key):
     cfg = base_cfg(2, 1, 1)
     (cfg if block is None else cfg.setdefault(block, {}))[key] = "copy_blocks"

@@ -271,7 +271,7 @@ def test_psiM_symmetrization_consistency():
     omv = np.stack([O1, O2], axis=-1)
     logw = np.log(np.outer(ws, ws)) + np.log(V1)
     pt = _ChainPoint.from_cube(v, omv)
-    full = _psiM_coeffs(exps, z, pt, logw, ((0,), (1,), (2,)))
+    full, _ = _psiM_coeffs(exps, z, pt, logw, ((0,), (1,), (2,)))
 
     # unsymmetrized single-assignment integrals over the same ordered chamber
     kp = float(exps.planck)
@@ -294,7 +294,7 @@ def test_pde_residual_m1():
     for (L, N) in [(2, 1), (3, 1), (2, 2)]:
         params = m1_window_params(L, N)
         z = tuple(0.45 - 0.17 * k for k in range(N))
-        r = pde_residual(params, z, 1, QuadratureSpec(nodes_per_axis=24), i=1, h=5e-3)
+        r = pde_residual(params, z, 1, QuadratureSpec(nodes_per_axis=24), i=1)
         assert r < 1e-5, (L, N, r)
 
 
@@ -302,7 +302,43 @@ def test_pde_residual_m2_tanh_sinh():
     params = m_window_params(2, 1, 2)
     q = QuadratureSpec(scheme="tanh_sinh_tensor", nodes_per_axis=81,
                        stabilize_tol=1e-4)
-    assert pde_residual(params, (0.4,), 2, q, h=5e-3) < 1e-4
+    assert pde_residual(params, (0.4,), 2, q) < 1e-4
+
+
+def _stencil(params, z, M, quad, i, h=5e-3):
+    """4-point central difference of the coefficients in z_i, on the same
+    nodes or MC samples at every point: the oracle for the derivative that
+    eval_psiM takes under the integral."""
+    def c_at(k):
+        zz = list(z)
+        zz[i - 1] += k * h
+        return eval_psiM(params, tuple(zz), M, quad).vector
+    return (c_at(-2) - 8 * c_at(-1) + 8 * c_at(1) - c_at(2)) / (12 * h)
+
+
+@pytest.mark.parametrize("scheme,L,N,M", [("gauss_jacobi_tensor", L, N, 1)
+                                          for L in (2, 3, 4) for N in (1, 2)]
+                         + [("tanh_sinh_tensor", 2, N, 2) for N in (1, 2)]
+                         + [("monte_carlo", 2, 2, 2)])
+def test_derivative_under_the_integral_matches_stencil(scheme, L, N, M):
+    params = m1_window_params(L, N) if M == 1 else m_window_params(L, N, M)
+    quad = {"gauss_jacobi_tensor": QuadratureSpec(nodes_per_axis=24),
+            "tanh_sinh_tensor": QuadratureSpec(scheme=scheme, nodes_per_axis=81,
+                                               stabilize_tol=1e-4),
+            "monte_carlo": QuadratureSpec(scheme=scheme, mc_samples=20000, seed=7)}[scheme]
+    bound = 1e-6 if scheme == "monte_carlo" else 1e-7
+    z = tuple(0.45 - 0.17 * k for k in range(N))
+    plain = eval_psiM(params, z, M, quad)
+    assert plain.derivative is None
+    for i in range(1, N + 1):
+        res = eval_psiM(params, z, M, quad, i)
+        # asking for the derivative leaves the coefficients bit for bit alone
+        assert np.array_equal(res.vector, plain.vector)
+        want = _stencil(params, z, M, quad, i)
+        gap = np.abs(res.derivative - want).max() / np.abs(want).max()
+        assert gap < bound, (i, gap)
+    with pytest.raises(ParameterError, match="time index"):
+        eval_psiM(params, z, M, quad, N + 1)
 
 
 def test_level_chamber_obstruction_L3_M2():
@@ -319,7 +355,7 @@ def test_level_chamber_obstruction_L3_M2():
     params = make_parameters(3, 1, e=[F(-5, 2), F(3), F(1, 2)],
                              kappa=[2 + th1, F(1, 2), F(1)], theta=[th1], planck=-3)
     q = QuadratureSpec(scheme="monte_carlo", mc_samples=120000, seed=20240)
-    r = pde_residual(params, (0.4,), 2, q, h=1e-2)
+    r = pde_residual(params, (0.4,), 2, q)
     assert r > 0.1
 
 

@@ -1,4 +1,5 @@
 import cmath
+import math
 import random
 from fractions import Fraction as F
 
@@ -8,7 +9,7 @@ from scipy.optimize import linear_sum_assignment
 
 from conftest import random_params, random_z, resonant_params
 from dense_oracle import DenseSystem, point_flatness, transport_matrix_float
-from qims.errors import ParameterError, SingularityError, SubspaceError
+from qims.errors import ParameterError, PropagationError, SingularityError, SubspaceError
 from qims.pfaffian import PfaffianSystem, ZPath, codim2_flats, flatness_residual, propagate
 from qims.weylops import make_parameters
 
@@ -196,6 +197,18 @@ def test_propagate_trivial_cases():
     assert np.array_equal(out, c0)
     out = propagate(system, ZPath([(0.4, 0.7), (0.5, 0.8)]), np.zeros(3))
     assert np.all(out == 0)
+
+
+@pytest.mark.parametrize("c0,end,rtol", [([math.nan, 0, 0], 0.5, 1e-10),
+                                         ([1, 0, 0], math.nan, 1e-10),
+                                         ([1, 0, 0], 0.5, math.nan)])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_propagate_non_finite_input_raises(c0, end, rtol):
+    # a NaN error estimate once grew the step forever instead of failing
+    system = v_system(2, 2, 1, seed=9)
+    with pytest.raises(PropagationError, match="non-finite") as exc:
+        propagate(system, ZPath([(0.4, 0.7), (end, 0.8)]), np.array(c0), rtol=rtol)
+    assert exc.value.location == (0, 0.0)
 
 
 def test_propagate_path_independence():

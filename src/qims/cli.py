@@ -68,9 +68,10 @@ def need(block, key, where="config"):
 
 def convert(kind, x, what):
     """``kind(x)`` for kind int or float, or a ParameterError naming ``what``;
-    int never truncates a fractional number."""
+    int never truncates a fractional number, and a JSON boolean is no number."""
     try:
-        if kind is int and isinstance(x, float) and not x.is_integer():
+        if isinstance(x, bool) or (kind is int and isinstance(x, float)
+                                   and not x.is_integer()):
             raise ValueError
         return kind(x)
     except (TypeError, ValueError, OverflowError):
@@ -358,8 +359,7 @@ def _check_lemmas(cfg, args, params, z, system):
     worst = Fraction(0)
     detail = {}
     for lemma in cohomology.LEMMA_IDS:
-        Lmin = {"l_lt_n": 3, "n_lt_l": 4, "one_lt_l": 3}.get(lemma, 2)
-        L = max(params.L, Lmin)
+        L = max(params.L, cohomology.LEMMA_MIN_L[lemma])
         bad = Fraction(0)
         for _ in range(nsamples):
             s = cohomology.random_lemma_sample(lemma, L, rng)

@@ -17,9 +17,9 @@ exact rational inputs the residual must be exactly zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as _iproduct
 
 import numpy as np
 
@@ -184,35 +184,91 @@ def compare_cohomology_operator(params: Parameters, z, M: int, i: int) -> Cohomo
 
 # --- two-copy rational identity checks ---------------------------------------------
 
-LEMMA_IDS = ("l_lt_n", "n_lt_l", "one_lt_l", "l_eq_n", "l_eq_0", "jacobi", "f0")
+# The smallest L at which each identity has a valid (n, l); the checks run there.
+LEMMA_MIN_L = {"l_lt_n": 3, "n_lt_l": 4, "one_lt_l": 3, "l_eq_n": 2, "l_eq_0": 2,
+               "jacobi": 2, "f0": 2}
+LEMMA_IDS = tuple(LEMMA_MIN_L)
 
 
-def _gaps(c, L):
-    """chain gaps of one copy: [t_0 - t_1, t_1 - t_2, ...] with t_0 = 1."""
-    chain = (Fraction(1),) + tuple(c)
-    return [chain[m - 1] - chain[m] for m in range(1, L)]
+class _Ratio:
+    """An exact rational kept as an unreduced pair of ints: no gcd per step.
+
+    Ratios over an equal denominator add without cross multiplication, which
+    keeps sums over inputs that share one denominator small.
+    """
+
+    __slots__ = ("n", "d")
+
+    def __init__(self, n, d=1):
+        self.n = n
+        self.d = d
+
+    def __add__(a, b):
+        if isinstance(b, int):
+            return _Ratio(a.n + b * a.d, a.d)
+        if a.d == b.d:
+            return _Ratio(a.n + b.n, a.d)
+        return _Ratio(a.n * b.d + b.n * a.d, a.d * b.d)
+
+    __radd__ = __add__
+
+    def __neg__(a):
+        return _Ratio(-a.n, a.d)
+
+    def __sub__(a, b):
+        if isinstance(b, int):
+            return _Ratio(a.n - b * a.d, a.d)
+        if a.d == b.d:
+            return _Ratio(a.n - b.n, a.d)
+        return _Ratio(a.n * b.d - b.n * a.d, a.d * b.d)
+
+    def __rsub__(a, b):
+        return _Ratio(b * a.d - a.n, a.d)
+
+    def __mul__(a, b):
+        if isinstance(b, int):
+            return _Ratio(a.n * b, a.d)
+        return _Ratio(a.n * b.n, a.d * b.d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(a, b):
+        if not b.n:
+            raise ZeroDivisionError("division by zero")
+        return _Ratio(a.n * b.d, a.d * b.n)
+
+    def __rtruediv__(a, b):
+        if not a.n:
+            raise ZeroDivisionError("division by zero")
+        return _Ratio(b * a.d, a.n)
 
 
-def _f0(c, L):
-    out = Fraction(1)
-    for g in _gaps(c, L):
-        out /= g
-    return out
+def _reduced(r):
+    """|r| as a reduced Fraction: the one gcd of a residual."""
+    return abs(Fraction(r.n, r.d))
 
 
-def _fn(c, n, zz, L):
-    out = Fraction(1) / (1 - zz * c[L - 2])
-    for m, g in enumerate(_gaps(c, L), start=1):
-        if m != n:
-            out /= g
-    return out
+def _ratios(*xs):
+    """Exact rationals as ``_Ratio``s over their least common denominator."""
+    xs = [Fraction(x) for x in xs]
+    q = math.lcm(*(x.denominator for x in xs))
+    return [_Ratio(x.numerator * (q // x.denominator), q) for x in xs]
+
+
+def _copy(c, zs):
+    """One copy's ``f0 = 1/prod g_m`` and, for each z in ``zs``, the row
+    ``[f_1(z), ..., f_{L-1}(z)]`` with ``f_n(z) = f0 g_n / (1 - z c_last)``;
+    the g_m are the chain gaps ``t_{m-1} - t_m`` with t_0 = 1."""
+    gaps = [a - b for a, b in zip((1,) + c, c)]
+    f0 = 1 / math.prod(gaps)
+    return f0, [[h * g for g in gaps] for h in (f0 / (1 - z * c[-1]) for z in zs)]
 
 
 def _C(n, c1, c2, L):
     """C(n, 1, 2): copy-1 coordinates against copy-2 partners; t_0^(2) = 1 and
     no partner below the last level."""
-    out = Fraction(0)
-    chain2 = (Fraction(1),) + tuple(c2)
+    out = 0
+    chain2 = (1,) + c2
     for m in range(n, L):
         tm = c1[m - 1]
         term = -1 / (tm - chain2[m - 1]) + 2 / (tm - c2[m - 1])
@@ -224,120 +280,113 @@ def _C(n, c1, c2, L):
     return out
 
 
-def _sym2(expr, t1, t2, L):
-    """Sum expr(c1, c2) over independent per-level copy swaps."""
-    total = Fraction(0)
-    for mask in _iproduct((0, 1), repeat=L - 1):
-        c1 = tuple(t2[m] if mask[m] else t1[m] for m in range(L - 1))
-        c2 = tuple(t1[m] if mask[m] else t2[m] for m in range(L - 1))
-        total += expr(c1, c2)
-    return total
-
-
 def lemma_residual(lemma_id: str, *, L, t1=None, t2=None, zi=None, zj=None,
                    n=None, l=None, t=None):
     """|LHS - RHS| of one displayed identity at an exact sample point.
 
     The inputs are exact rationals; the sides are rational functions, so the
     residual is exactly zero whenever the identity holds.  ``zj = zi`` selects
-    the degenerate clauses (the cross-index lines drop out).
+    the degenerate clauses (the cross-index lines drop out).  Both sides are
+    evaluated on unreduced integer ratios and reduced once, to a Fraction; a
+    zero divisor raises ZeroDivisionError.
     """
+    if lemma_id not in LEMMA_MIN_L:
+        raise ParameterError(f"unknown lemma id {lemma_id!r}; pick one of {LEMMA_IDS}")
+    if lemma_id == "l_lt_n" and not (1 <= l < n <= L - 1):
+        raise ParameterError("l_lt_n requires 1 <= l < n <= L-1")
+    if lemma_id == "n_lt_l" and not (2 <= n < l <= L - 1):
+        raise ParameterError("n_lt_l requires 2 <= n < l <= L-1")
+    if lemma_id in ("l_eq_n", "l_eq_0") and not 1 <= n <= L - 1:
+        raise ParameterError(f"{lemma_id} requires 1 <= n <= L-1")
+    if lemma_id == "one_lt_l":
+        if n not in (None, 1):
+            raise ParameterError("one_lt_l fixes n = 1")
+        n = 1
+        if not 1 < l <= L - 1:
+            raise ParameterError("one_lt_l requires 1 < l <= L-1")
+
     if lemma_id == "jacobi":
+        t, zi, zj = _ratios(t, zi, zj)
         lhs = t / (1 - zi * t)
         rhs = (1 - zj * t) / (zi - zj) * (1 / (1 - zi * t) - 1 / (1 - zj * t))
-        return abs(lhs - rhs)
+        return _reduced(lhs - rhs)
     if lemma_id == "f0":
-        lhs = t1[L - 2] / (1 - zi * t1[L - 2])
-        f0v = _f0(t1, L)
-        rhs = (-f0v + sum(_fn(t1, nn, zi, L) for nn in range(1, L))) / ((zi - 1) * f0v)
-        return abs(lhs - rhs)
+        *c, zi = _ratios(*(t1[m] for m in range(L - 1)), zi)
+        f0, (fi,) = _copy(tuple(c), (zi,))
+        lhs = c[-1] / (1 - zi * c[-1])
+        rhs = (-f0 + sum(fi)) / ((zi - 1) * f0)
+        return _reduced(lhs - rhs)
 
+    # Copy k takes t2 at the levels whose bit is set in k, t1 elsewhere; its
+    # partner is the complement.  Every term of every identity below carries
+    # 1/(c1_last c2_last) = 1/(t1_last t2_last) whatever the swap, so that
+    # factor is left out of the terms and applied once at the end.
     degenerate = zj == zi
-    inv_last = lambda c: 1 / c[L - 2]
+    zs = (zi,) if degenerate or lemma_id == "l_eq_0" else (zi, zj)
+    xs = _ratios(*(t1[m] for m in range(L - 1)), *(t2[m] for m in range(L - 1)), *zs)
+    t1, t2, zs = tuple(xs[:L - 1]), tuple(xs[L - 1:2 * L - 2]), xs[2 * L - 2:]
+    zi, zj = zs[0], zs[-1]
+    full = (1 << (L - 1)) - 1
+    cs = [tuple(t2[m] if k >> m & 1 else t1[m] for m in range(L - 1))
+          for k in range(full + 1)]
+    copies = [_copy(c, zs) for c in cs]
+    # f0, f_m(zi) and f_m(zj) of copy k, 1-based in m
+    f0 = lambda k: copies[k][0]
+    fi = lambda k, m: copies[k][1][0][m - 1]
+    fj = lambda k, m: copies[k][1][-1][m - 1]
 
-    def lhs_expr(fl_label):
-        def expr(c1, c2):
-            fl = _fn(c2, l, zj, L) if fl_label == "fl" else _f0(c2, L)
-            return _C(n, c1, c2, L) * inv_last(c1) * _fn(c1, n, zi, L) * inv_last(c2) * fl
-        return expr
+    def sym2(u, v):
+        """Sum of u(copy 1) v(copy 2) over the per-level swaps."""
+        return sum(u(k) * v(full ^ k) for k in range(full + 1))
+
+    def lhs_with(v):
+        """Sum of C(n, 1, 2) f_n(copy 1, zi) v(copy 2) over the swaps."""
+        return sum(_C(n, cs[k], cs[full ^ k], L) * fi(k, n) * v(full ^ k)
+                   for k in range(full + 1))
 
     if lemma_id == "l_lt_n":
-        if not (1 <= l < n <= L - 1):
-            raise ParameterError("l_lt_n requires 1 <= l < n <= L-1")
-        lhs = _sym2(lhs_expr("fl"), t1, t2, L)
-        rhs = _sym2(lambda c1, c2: inv_last(c1) * _fn(c1, n, zi, L)
-                    * inv_last(c2) * _fn(c2, l, zi, L), t1, t2, L)
+        lhs = lhs_with(lambda k: fj(k, l))
+        rhs = sym2(lambda k: fi(k, n), lambda k: fi(k, l))
         if not degenerate:
-            rhs += zj / (zi - zj) * _sym2(
-                lambda c1, c2: inv_last(c1) * inv_last(c2)
-                * (_fn(c1, n, zi, L) - _fn(c1, n, zj, L))
-                * (_fn(c2, l, zi, L) - _fn(c2, l, zj, L)), t1, t2, L)
-        return abs(lhs - rhs)
-
-    if lemma_id in ("n_lt_l", "one_lt_l"):
-        if lemma_id == "n_lt_l" and not (2 <= n < l <= L - 1):
-            raise ParameterError("n_lt_l requires 2 <= n < l <= L-1")
-        if lemma_id == "one_lt_l":
-            if n not in (None, 1):
-                raise ParameterError("one_lt_l fixes n = 1")
-            n = 1
-            if not 1 < l <= L - 1:
-                raise ParameterError("one_lt_l requires 1 < l <= L-1")
-        lhs = _sym2(lhs_expr("fl"), t1, t2, L)
-        rhs = Fraction(0)
+            rhs += zj / (zi - zj) * sym2(lambda k: fi(k, n) - fj(k, n),
+                                         lambda k: fi(k, l) - fj(k, l))
+    elif lemma_id in ("n_lt_l", "one_lt_l"):
+        lhs = lhs_with(lambda k: fj(k, l))
+        rhs = 0
         if not degenerate:
-            rhs += _sym2(
-                lambda c1, c2: inv_last(c1) * inv_last(c2)
-                * (_fn(c1, n, zi, L) - _fn(c1, n, zj, L))
-                * (zi * _fn(c2, l, zi, L) - zj * _fn(c2, l, zj, L)),
-                t1, t2, L) / (zi - zj)
+            rhs += sym2(lambda k: fi(k, n) - fj(k, n),
+                        lambda k: zi * fi(k, l) - zj * fj(k, l)) / (zi - zj)
         if lemma_id == "one_lt_l":
-            rhs += _sym2(
-                lambda c1, c2: inv_last(c1) * (
-                    _f0(c1, L) - _fn(c1, 1, zi, L)
-                    - zi * sum(_fn(c1, m, zi, L) for m in range(2, L)))
-                * inv_last(c2) * _fn(c2, l, zj, L), t1, t2, L) / (zi - 1)
-        return abs(lhs - rhs)
-
-    if lemma_id == "l_eq_n":
-        lhs = _sym2(lambda c1, c2: _C(n, c1, c2, L) * inv_last(c1)
-                    * _fn(c1, n, zi, L) * inv_last(c2) * _fn(c2, n, zj, L), t1, t2, L)
-        rhs = _sym2(lambda c1, c2: inv_last(c1) * _fn(c1, n, zi, L)
-                    * inv_last(c2) * _fn(c2, n, zi, L), t1, t2, L)
+            rhs += sym2(lambda k: f0(k) - fi(k, 1) - zi * sum(fi(k, m) for m in range(2, L)),
+                        lambda k: fj(k, l)) / (zi - 1)
+    elif lemma_id == "l_eq_n":
+        lhs = lhs_with(lambda k: fj(k, n))
+        rhs = sym2(lambda k: fi(k, n), lambda k: fi(k, n))
         if n != 1:
-            rhs += _sym2(
-                lambda c1, c2: inv_last(c1) * (
-                    -_f0(c1, L)
-                    + sum(_fn(c1, m, zi, L) for m in range(1, n + 1))
-                    + zi * sum(_fn(c1, m, zi, L) for m in range(n + 1, L)))
-                * inv_last(c2) * _fn(c2, n, zj, L), t1, t2, L) / (zi - 1)
+            rhs += sym2(lambda k: -f0(k) + sum(fi(k, m) for m in range(1, n + 1))
+                        + zi * sum(fi(k, m) for m in range(n + 1, L)),
+                        lambda k: fj(k, n)) / (zi - 1)
         if not degenerate:
-            rhs += zj / (zi - zj) * _sym2(
-                lambda c1, c2: inv_last(c1) * inv_last(c2)
-                * (_fn(c1, n, zi, L) - _fn(c1, n, zj, L))
-                * (_fn(c2, n, zi, L) - _fn(c2, n, zj, L)), t1, t2, L)
-        return abs(lhs - rhs)
-
-    if lemma_id == "l_eq_0":
-        lhs = _sym2(lhs_expr("f0"), t1, t2, L)
-        rhs = _sym2(
-            lambda c1, c2: inv_last(c1) * inv_last(c2) * _fn(c1, n, zi, L) * (
-                -(2 if n == 1 else 1) * _f0(c2, L)
-                + zi * sum(_fn(c2, m, zi, L) for m in range(1, L))),
-            t1, t2, L) / (zi - 1)
+            rhs += zj / (zi - zj) * sym2(lambda k: fi(k, n) - fj(k, n),
+                                         lambda k: fi(k, n) - fj(k, n))
+    else:  # l_eq_0
+        lhs = lhs_with(f0)
+        rhs = sym2(lambda k: fi(k, n),
+                   lambda k: -(2 if n == 1 else 1) * f0(k)
+                   + zi * sum(fi(k, m) for m in range(1, L))) / (zi - 1)
         if n == 1:
-            rhs += _sym2(
-                lambda c1, c2: inv_last(c1) * inv_last(c2) * _f0(c2, L) * (
-                    _f0(c1, L) - zi * sum(_fn(c1, m, zi, L) for m in range(2, L))),
-                t1, t2, L) / (zi - 1)
-        return abs(lhs - rhs)
-
-    raise ParameterError(f"unknown lemma id {lemma_id!r}; pick one of {LEMMA_IDS}")
+            rhs += sym2(lambda k: f0(k) - zi * sum(fi(k, m) for m in range(2, L)),
+                        f0) / (zi - 1)
+    return _reduced((lhs - rhs) / (t1[-1] * t2[-1]))
 
 
 def random_lemma_sample(lemma_id: str, L: int, rng):
-    """Exact rational sample with pairwise-distinct coordinates off every
-    singular locus; retried internally by the caller if a division fails."""
+    """Exact rational sample off every singular locus of the identities.
+
+    Every coordinate (the t's, zi, zj) is drawn distinct from the others and
+    lies strictly inside (0, 1), so no gap, difference, 1 - z t or zi - 1 of
+    ``lemma_residual`` is zero and no division there can fail.
+    """
     def rq():
         return Fraction(rng.randint(1, 60), 61) + Fraction(rng.randint(0, 6), 431)
 

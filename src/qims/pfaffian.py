@@ -18,6 +18,7 @@ and H through X (T. Kohno, Invent. Math. 82 (1985) 57).
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -206,9 +207,9 @@ def _segment_min_affine(a, b):
 class ZPath:
     """Piecewise-straight path in z-space avoiding the pole hyperplanes.
 
-    Every point of every segment must keep a distance of at least
-    ``guard`` times the segment length from each hyperplane z_i = 0,
-    z_i = 1 and z_i = z_j.
+    The waypoints must be finite, and every point of every segment must keep
+    a distance of at least ``guard`` times the segment length from each
+    hyperplane z_i = 0, z_i = 1 and z_i = z_j.
     """
 
     waypoints: tuple
@@ -221,6 +222,8 @@ class ZPath:
         N = len(pts[0])
         if any(len(w) != N for w in pts):
             raise ParameterError("all waypoints must have the same dimension")
+        if not all(cmath.isfinite(x) for w in pts for x in w):
+            raise ParameterError(f"waypoints must be finite, got {waypoints!r}")
         object.__setattr__(self, "waypoints", pts)
         object.__setattr__(self, "guard", float(guard))
         for seg, (wa, wb) in enumerate(zip(pts, pts[1:])):

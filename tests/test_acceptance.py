@@ -17,7 +17,7 @@ import pytest
 
 from conftest import (m1_window_params, m_window_params, random_params,
                       random_z, resonant_params, solve_e)
-from qims.cohomology import (LEMMA_IDS, compare_cohomology_operator,
+from qims.cohomology import (LEMMA_IDS, LEMMA_MIN_L, compare_cohomology_operator,
                              lemma_residual, random_lemma_sample)
 from qims.hypint import eval_psi1, eval_psiM, pde_residual, series_psi1
 from qims.pfaffian import PfaffianSystem, ZPath, flatness_residual, propagate
@@ -159,9 +159,8 @@ def test_criterion_07_identities():
     worst = F(0)
     for lemma in LEMMA_IDS:
         rnd = random.Random(1007 + LEMMA_IDS.index(lemma))
-        Lmin = {"l_lt_n": 3, "n_lt_l": 4, "one_lt_l": 3}.get(lemma, 2)
         for _ in range(50):
-            s = random_lemma_sample(lemma, Lmin, rnd)
+            s = random_lemma_sample(lemma, LEMMA_MIN_L[lemma], rnd)
             worst = max(worst, lemma_residual(lemma, **s))
     dt = time.time() - t0
     report(7, "reduction identities", worst == 0 and dt < 30,

@@ -299,6 +299,26 @@ def test_invalid_numeric_setting_exit2(tmp_path, capsys, command, edit, message)
     assert error["type"] == "ParameterError" and message in error["message"]
 
 
+@pytest.mark.parametrize("command,edit,message", [
+    ("series", lambda c: c.update(order=True), "order must be int"),
+    ("check lemmas", lambda c: c.update(lemma_samples=True), "lemma_samples must be int"),
+    ("basis", lambda c: c["model"].update(M=True), "model M must be int"),
+    ("basis", lambda c: c["model"].update(M=None, T=[True]), "model T entry must be int"),
+    ("hamiltonian", lambda c: c.update(i=False), "i must be int"),
+    ("pfaffian", lambda c: c.update(tolerances={"rtol": True}), "tolerances rtol must be float"),
+])
+def test_json_boolean_is_not_a_number_exit2(tmp_path, capsys, command, edit, message):
+    cfg = base_cfg(2, 1, 1)
+    cfg["path"] = [["0.40"], ["0.45"]]
+    cfg["c0"] = ["1", "0"]
+    edit(cfg)
+    cfg["model"] = {k: v for k, v in cfg["model"].items() if v is not None}
+    path = write_cfg(tmp_path, "c.json", cfg)
+    assert main(["--config", path] + command.split()) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ParameterError" and message in error["message"]
+
+
 @pytest.mark.parametrize("argv", [["check", "flatness", "--h", "1e-5"], ["basis", "--plot", "x"],
                                   ["series", "--M", "2"], ["check", "all", "--nodes", "8"],
                                   ["integral", "--no", "8"], ["verify", "--h", "1e-3"]])

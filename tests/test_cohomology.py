@@ -4,10 +4,13 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+import lemma_oracle
 from conftest import m_window_params, random_z, resonant_params
-from qims.cohomology import (LEMMA_IDS, compare_cohomology_operator,
+from qims import cohomology
+from qims.cohomology import (LEMMA_IDS, LEMMA_MIN_L, compare_cohomology_operator,
                              lemma_residual, pfaffian_from_cohomology,
                              random_lemma_sample)
+from qims.errors import ParameterError
 from qims.hypint import dictionary_M, eval_psiM
 from qims.pfaffian import PfaffianSystem
 from qims.polyalg import enumerate_basis, flat_pos
@@ -89,29 +92,75 @@ def test_m1_pfaffian_consistent_with_integral():
     assert resid < 1e-6
 
 
+# the identities with cross-index lines, which drop out at zj = zi
+DEGENERATE = ["l_lt_n", "n_lt_l", "one_lt_l", "l_eq_n"]
+# the identities whose left side carries the two-copy term C(n, 1, 2)
+WITH_C = DEGENERATE + ["l_eq_0"]
+
+
 @pytest.mark.parametrize("lemma", LEMMA_IDS)
 def test_lemma_identities_exact(lemma):
     rnd = random.Random(LEMMA_IDS.index(lemma))
-    Lmin = {"l_lt_n": 3, "n_lt_l": 4, "one_lt_l": 3}.get(lemma, 2)
+    Lmin = LEMMA_MIN_L[lemma]
     for L in (Lmin, Lmin + 1):
         for _ in range(8):
             s = random_lemma_sample(lemma, L, rnd)
             assert lemma_residual(lemma, **s) == 0, (lemma, L, s)
 
 
-@pytest.mark.parametrize("lemma", ["l_lt_n", "n_lt_l", "one_lt_l", "l_eq_n"])
+@pytest.mark.parametrize("lemma", DEGENERATE)
 def test_lemma_degenerate_clauses(lemma):
     rnd = random.Random(5)
-    Lmin = {"l_lt_n": 3, "n_lt_l": 4, "one_lt_l": 3}.get(lemma, 2)
     for _ in range(5):
-        s = random_lemma_sample(lemma, Lmin, rnd)
+        s = random_lemma_sample(lemma, LEMMA_MIN_L[lemma], rnd)
         s["zj"] = s["zi"]
         assert lemma_residual(lemma, **s) == 0
 
 
+@pytest.mark.parametrize("lemma", LEMMA_IDS)
+def test_lemma_kernel_matches_fraction_oracle(lemma):
+    rnd = random.Random(100 + LEMMA_IDS.index(lemma))
+    Lmin = LEMMA_MIN_L[lemma]
+    for L in range(Lmin, Lmin + 3):
+        for _ in range(4):
+            s = random_lemma_sample(lemma, L, rnd)
+            cases = [s, dict(s, zj=s["zi"])] if lemma in DEGENERATE else [s]
+            for x in cases:
+                got = lemma_residual(lemma, **x)
+                assert type(got) is F and got == lemma_oracle.lemma_residual(lemma, **x), \
+                    (lemma, x)
+
+
+@pytest.mark.parametrize("lemma", WITH_C)
+def test_lemma_kernel_matches_oracle_off_the_identity(lemma, monkeypatch):
+    # a constant planted in C(n, 1, 2) of both evaluators breaks the identity;
+    # the nonzero residuals must still agree exactly
+    for module in (cohomology, lemma_oracle):
+        monkeypatch.setattr(module, "_C",
+                            lambda n, c1, c2, L, C=module._C: C(n, c1, c2, L) + 1)
+    rnd = random.Random(7)
+    for L in (LEMMA_MIN_L[lemma], LEMMA_MIN_L[lemma] + 1):
+        s = random_lemma_sample(lemma, L, rnd)
+        got = lemma_residual(lemma, **s)
+        assert got != 0 and got == lemma_oracle.lemma_residual(lemma, **s)
+
+
+@pytest.mark.parametrize("lemma", LEMMA_IDS)
+def test_lemma_zero_divisor_raises(lemma):
+    # zi = 1/t_last puts a pole of f_n(zi) (of 1/(1 - zi t) for jacobi) on the sample
+    s = random_lemma_sample(lemma, LEMMA_MIN_L[lemma] + 1, random.Random(3))
+    s["zi"] = 1 / (s["t"] if lemma == "jacobi" else s["t1"][-1])
+    for evaluate in (lemma_residual, lemma_oracle.lemma_residual):
+        with pytest.raises(ZeroDivisionError):
+            evaluate(lemma, **s)
+
+
 def test_lemma_sample_validation():
-    with pytest.raises(Exception):
+    with pytest.raises(ParameterError, match=r"l_lt_n requires 1 <= l < n <= L-1"):
         lemma_residual("l_lt_n", L=3, n=1, l=1, t1=(F(1, 2), F(1, 3)),
                        t2=(F(1, 5), F(1, 7)), zi=F(1, 11), zj=F(1, 13))
-    with pytest.raises(Exception):
+    with pytest.raises(ParameterError, match=r"l_eq_0 requires 1 <= n <= L-1"):
+        lemma_residual("l_eq_0", L=3, n=0, t1=(F(1, 2), F(1, 3)),
+                       t2=(F(1, 5), F(1, 7)), zi=F(1, 11), zj=F(1, 13))
+    with pytest.raises(ParameterError, match="unknown lemma id 'nonsense'"):
         lemma_residual("nonsense", L=2)

@@ -380,6 +380,12 @@ def lemma_residual(lemma_id: str, *, L, t1=None, t2=None, zi=None, zj=None,
     return _reduced((lhs - rhs) / (t1[-1] * t2[-1]))
 
 
+def _coordinate(rng):
+    """a/61 + b/431 for a in 1..60, b in 0..6, as one Fraction over 61 * 431."""
+    a = rng.randint(1, 60)
+    return Fraction(431 * a + 61 * rng.randint(0, 6), 26291)
+
+
 def random_lemma_sample(lemma_id: str, L: int, rng):
     """Exact rational sample off every singular locus of the identities.
 
@@ -387,13 +393,10 @@ def random_lemma_sample(lemma_id: str, L: int, rng):
     lies strictly inside (0, 1), so no gap, difference, 1 - z t or zi - 1 of
     ``lemma_residual`` is zero and no division there can fail.
     """
-    def rq():
-        return Fraction(rng.randint(1, 60), 61) + Fraction(rng.randint(0, 6), 431)
-
     vals = set()
     def fresh():
         while True:
-            x = rq()
+            x = _coordinate(rng)
             if x not in vals and x != 0 and x != 1:
                 vals.add(x)
                 return x

@@ -9,10 +9,15 @@ factor prod_i (1 - z_i t_{L-1})^{-beta_i/kappa} remains in the integrand.
 
 Degree-M solutions use M copies of each integration level, ordered so all
 level-n copies exceed all level-(n+1) copies and copies decrease within a
-level; the integrand is fully symmetrized over the copy permutations and
-integrated over that single ordered chamber.  Each copy carries a factor
-1/t_{L-1}^(a), matching the degree-1 forms; without it the coefficient
-vector does not satisfy the differential system.
+level, and integrate the symmetrized product of M one-copy forms over that
+single ordered chamber.  Each copy carries a factor 1/t_{L-1}^(a), matching
+the degree-1 forms; without it the coefficient vector does not satisfy the
+differential system.  The symmetrization is a generating function (Aomoto
+& Kita, ch. 2): the sum over copy permutations of the labelled densities
+is a coefficient of a product of M linear forms in y_(n,i), one per copy,
+expanded once for every basis index.  d/dz_i is carried through that
+product as a dual part.  Tensor grids are evaluated in slabs of about
+2^15 points, so memory stays flat as the node count grows.
 
 All power-law bases are positive on the chamber for real z with
 0 < z_i < 1, so principal branches apply throughout and no branch tracking
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -337,47 +343,6 @@ def series_psi1(params: Parameters, z, order: int) -> IntegralResult:
 
 # --- degree-M chamber machinery -----------------------------------------------------
 
-@dataclass(frozen=True)
-class PhiIndexData:
-    """Combinatorics of one degree-M coefficient form.
-
-    ``segments`` lists ((n, i), S_prev, S) with copies S_prev+1..S carrying
-    the (n, i) label; the final ``A0`` copies carry the plain form.  The
-    block lengths plus A0 always sum to M and the multinomial weight is a
-    positive integer.
-    """
-
-    A0: int
-    multinomial: int
-    sign: int
-    segments: tuple
-
-    @classmethod
-    def from_index(cls, A, L, N, M):
-        A0 = M - sum(A)
-        segments = []
-        s = 0
-        for i in range(1, N + 1):
-            for n in range(1, L):
-                cnt = A[flat_pos(n, i, N)]
-                if cnt:
-                    segments.append(((n, i), s, s + cnt))
-                s += cnt
-        mult = math.factorial(M) // math.factorial(A0)
-        for x in A:
-            mult //= math.factorial(x)
-        assert s + A0 == M and mult > 0
-        return cls(A0, mult, (-1) ** (M - A0), tuple(segments))
-
-    def copy_labels(self, M):
-        """label of each copy 1..M: an (n, i) pair or None for the plain form."""
-        out = [None] * M
-        for (label, lo, hi) in self.segments:
-            for a in range(lo, hi):
-                out[a] = label
-        return out
-
-
 class _ChainPoint:
     """Batched chamber points with stable gap evaluation.
 
@@ -426,10 +391,18 @@ def _psiM_coeffs(exps: ExponentsM, z, pt: _ChainPoint, logw, basis, i=None):
     logw already contains the quadrature weight and any substitution
     Jacobian; the per-copy 1/t_{L-1} normalization and the symmetric
     weight U go into a shared log-domain base.  Power-law bases enter
-    through their (positive) chain gaps.  The rational densities keep their
-    true signs.  With r(t) = t/(1 - z_i t), d/dz_i adds to the log of the
-    integrand (beta_i/kappa) r(t_{L-1}) per copy and r once more per copy
-    labelled (n, i), at that copy's own t_{L-1}.
+    through their (positive) chain gaps.
+
+    The symmetrization is a generating function.  A copy whose level-n
+    coordinate is t_n^(c_n) carries the linear form
+    P_c = f_0(c) + sum_(n,j) y_(n,j) f_n^(j)(c), computed once for each of
+    the M^(L-1) choices of c.  Pairing the other levels with level 1 by
+    tau in S_M^(L-2), the sum over all copy permutations of the labelled
+    densities is A_0! prod A! [y^A] prod_b P_(b, tau(b)), so
+    c_A = (-1)^|A| M! sum_tau [y^A] prod_b P_(b, tau(b)), one product
+    expansion for every A at once.  d/dz_i rides along as a dual part:
+    with r(t) = t/(1 - z_i t) at a copy's t_{L-1}, each f_n^(i) gains a
+    factor r, and the weight adds (beta_i/kappa) r per copy.
     """
     L, N, M = exps.L, exps.N, exps.M
     kp = float(exps.planck)
@@ -462,52 +435,58 @@ def _psiM_coeffs(exps: ExponentsM, z, pt: _ChainPoint, logw, basis, i=None):
             dweight = dweight + float(exps.beta[i - 1]) / kp * tl / (1.0 - z[i - 1] * tl)
     base = np.exp(logbase)
 
-    # per-sigma per-copy form factors;   copy a under sigma has level-n
-    # coordinate t_n^(sigma_n(a))
-    def copy_factors(sigma):
-        """list over copies a=1..M of (f_0 value, {(n,i): f_n^(i) value}, r)."""
-        out = []
-        for a in range(1, M + 1):
-            cidx = [pos[(n, sigma[n - 1][a - 1] + 1)] for n in range(1, L)]
-            gaps = []
-            for m in range(1, L):
-                if m == 1:
-                    gaps.append(omx[..., cidx[0]])
-                else:
-                    g = pt.gap(cidx[m - 2], cidx[m - 1])
-                    # pt.gap is the positive chain gap; restore the sign of
-                    # t_{m-1} - t_m when the permuted copy inverts the order
-                    gaps.append(g if cidx[m - 2] < cidx[m - 1] else -g)
-            inv_gaps = [1.0 / g for g in gaps]
-            f0 = math.prod(inv_gaps)
-            tl = x[..., cidx[L - 2]]
-            fni = {}
-            for j in range(1, N + 1):
-                pref = 1.0 / (1.0 - z[j - 1] * tl)
-                for n in range(1, L):
-                    fni[(n, j)] = pref * f0 * gaps[n - 1]
-            out.append((f0, fni, None if i is None else tl / (1.0 - z[i - 1] * tl)))
-        return out
+    # P_c and its dual part as {monomial: array}; the chain gaps between
+    # adjacent levels are always positive, since level n lies above level n+1
+    zero = (0,) * ((L - 1) * N)
+    forms = {}
+    for c in product(range(1, M + 1), repeat=L - 1):
+        cidx = [pos[(n, c[n - 1])] for n in range(1, L)]
+        gaps = [omx[..., cidx[0]]] + [pt.gap(cidx[m - 2], cidx[m - 1]) for m in range(2, L)]
+        f0 = math.prod(1.0 / g for g in gaps)
+        tl = x[..., cidx[-1]]
+        lin, dual = {zero: f0}, {}
+        for j in range(1, N + 1):
+            pref = 1.0 / (1.0 - z[j - 1] * tl)
+            for n in range(1, L):
+                y = tuple(int(k == flat_pos(n, j, N)) for k in range(len(zero)))
+                lin[y] = pref * (f0 * gaps[n - 1])
+                if j == i:
+                    dual[y] = lin[y] * (tl * pref)
+        forms[c] = lin, dual
 
-    sigmas = list(product(permutations(range(M)), repeat=L - 1))
-    info = {A: PhiIndexData.from_index(A, L, N, M) for A in basis}
-    acc = {A: 0.0 for A in basis}
-    dacc = {A: 0.0 for A in basis} if i is not None else {}
-    for sigma in sigmas:
-        facs = copy_factors(sigma)
+    def dot(w, f):  # einsum, not BLAS: the sum's order must not vary with BLAS threads
+        return float(np.einsum("i,i", w.ravel(), f.ravel()))
+
+    acc = dict.fromkeys(basis, 0.0)
+    dacc = dict.fromkeys(basis, 0.0) if i is not None else {}
+    bw = base * dweight if i is not None else None
+    for tau in product(permutations(range(1, M + 1)), repeat=L - 2):
+        poly, dpoly = forms[(1,) + tuple(t[0] for t in tau)]
+        for b in range(2, M + 1):
+            lin, dual = forms[(b,) + tuple(t[b - 1] for t in tau)]
+            # (poly + e dpoly)(lin + e dual), dropping e^2
+            poly, dpoly = (_times(poly, lin, {}),
+                           _times(poly, dual, _times(dpoly, lin, {})))
         for A in basis:
-            dens, dlog = None, dweight
-            for a, label in enumerate(info[A].copy_labels(M)):
-                f0, fni, r = facs[a]
-                piece = f0 if label is None else fni[label]
-                dens = piece if dens is None else dens * piece
-                if label is not None and label[1] == i:
-                    dlog = dlog + r
-            acc[A] = acc[A] + float(np.sum(base * dens))
+            acc[A] += dot(base, poly[A])
             if dacc:
-                dacc[A] = dacc[A] + float(np.sum(base * dens * dlog))
-    scale = {A: info[A].sign * info[A].multinomial for A in basis}
+                dacc[A] += dot(bw, poly[A])
+                if A in dpoly:
+                    dacc[A] += dot(base, dpoly[A])
+    scale = {A: (-1) ** sum(A) * math.factorial(M) for A in basis}
     return ({A: scale[A] * acc[A] for A in basis}, {A: scale[A] * dacc[A] for A in dacc})
+
+
+def _times(poly, lin, out):
+    """Add poly * lin into out, both {monomial: array}; lin is linear in y."""
+    for mono, val in poly.items():
+        for y, f in lin.items():
+            key = tuple(u + v for u, v in zip(mono, y))
+            if key in out:
+                out[key] += val * f  # out holds only fresh products
+            else:
+                out[key] = val * f
+    return out
 
 
 def _probe_exponent(exps: ExponentsM, z, basis, moves):
@@ -545,7 +524,8 @@ def _axis_exponents_numeric(exps: ExponentsM, z, basis):
             for axis in range(K)]
 
 
-def _window_check_M(exps: ExponentsM, z, basis):
+@lru_cache(maxsize=8)
+def _window_check_M(exps: ExponentsM, basis):
     """Integrability window on the concrete ordered chamber.
 
     Within-level collision faces carry (t-t')^(2/kappa) from the weight alone,
@@ -555,7 +535,8 @@ def _window_check_M(exps: ExponentsM, z, basis):
     -1/2 < Re(1/kappa) < 0; no kappa with Re(kappa) > 0 makes the naive
     integral converge there.  The per-axis endpoint exponents of the
     substituted integrand are then measured numerically and must all
-    exceed -1.
+    exceed -1.  Nothing here depends on z, so a scan over z (``verify
+    --plot``) runs the check once.
     """
     kp = float(exps.planck)
     # within-level collisions are codimension-1 faces of this chamber
@@ -573,7 +554,7 @@ def _window_check_M(exps: ExponentsM, z, basis):
     # then the same at every z, and a scan over z sees common random numbers
     zc = tuple(0.15 + 0.7 * j / max(exps.N - 1, 1) if exps.N > 1 else 0.35
                for j in range(exps.N))
-    expos = _axis_exponents_numeric(exps, zc, basis)
+    expos = tuple(_axis_exponents_numeric(exps, zc, basis))
     for axis, (e0, e1) in enumerate(expos):
         for side, expo in ((0, e0), (1, e1)):
             # guard band: an exponent this close to -1 is either measurement
@@ -620,7 +601,7 @@ def eval_psiM(params: Parameters, z, M: int, quad: QuadratureSpec, i=None) -> In
     exps = dictionary_M(params, M)
     z = _check_z_box(z, exps.N, i)
     basis = tuple(enumerate_basis(exps.L, exps.N, M))
-    expos = _window_check_M(exps, z, basis)
+    expos = _window_check_M(exps, basis)
     K = (exps.L - 1) * M
 
     if quad.scheme == "monte_carlo":
@@ -646,19 +627,37 @@ def eval_psiM(params: Parameters, z, M: int, quad: QuadratureSpec, i=None) -> In
                           np.array([d[A] for A in basis]) if d else None)
 
 
+# points per slab of a tensor grid: one _psiM_coeffs call holds a few dozen
+# arrays of this size, whatever the node count
+_SLAB_POINTS = 1 << 15
+
+
 def _psiM_tensor(exps: ExponentsM, z, basis, nodes, i=None):
+    """Tanh-sinh tensor sums of the coefficients (and of d/dz_i) on the cube.
+
+    The nodes^K grid is cut along axis 0 into slabs of about _SLAB_POINTS
+    points; each slab goes through :func:`_psiM_coeffs` on its own and the
+    slab sums are added in slab order.
+    """
     K = (exps.L - 1) * exps.M
     xs, omxs, ws = tanh_sinh_01(nodes)
-    grids = np.meshgrid(*([xs] * K), indexing="ij")
-    ogrids = np.meshgrid(*([omxs] * K), indexing="ij")
-    v = np.stack(grids, axis=-1)
-    omv = np.stack(ogrids, axis=-1)
-    logw = np.zeros_like(v[..., 0])
-    for j in range(K):
-        logw += np.log(ws)[(slice(None),) + (None,) * (K - 1 - j)]
-        logw += (K - 1 - j) * np.log(v[..., j])  # Jacobian of x_j = prod v
-    pt = _ChainPoint.from_cube(v, omv)
-    return _psiM_coeffs(exps, z, pt, logw, basis, i)
+    # per-axis log weight: the rule's and the Jacobian x_j^(K-1-j) of x_j = prod v
+    logws = [np.log(ws) + (K - 1 - j) * np.log(xs) for j in range(K)]
+    rows = max(1, _SLAB_POINTS // nodes ** (K - 1))
+    coeffs = dict.fromkeys(basis, 0.0)
+    derivs = dict.fromkeys(basis, 0.0) if i is not None else {}
+    for lo in range(0, nodes, rows):
+        axes = [slice(lo, lo + rows)] + [slice(None)] * (K - 1)
+        v = np.stack(np.meshgrid(*[xs[a] for a in axes], indexing="ij"), axis=-1)
+        omv = np.stack(np.meshgrid(*[omxs[a] for a in axes], indexing="ij"), axis=-1)
+        logw = np.zeros_like(v[..., 0])
+        for j, a in enumerate(axes):
+            logw += logws[j][a][(slice(None),) + (None,) * (K - 1 - j)]
+        c, d = _psiM_coeffs(exps, z, _ChainPoint.from_cube(v, omv), logw, basis, i)
+        for total, part in ((coeffs, c), (derivs, d)):
+            for A in part:
+                total[A] += part[A]
+    return coeffs, derivs
 
 
 def _psiM_mc(exps: ExponentsM, z, basis, expos, nsamples, seed, i=None, batches=16):

@@ -445,18 +445,24 @@ def ahat_commutator_residual(i, j, params: Parameters, probes, entries=None):
         rng = range(1, L)
         entries = [(m, n, mp, np_) for m in rng for n in rng for mp in rng for np_ in rng]
     hbar = params.hbar
+    # each entry operator and each distinct right side is flattened once
+    ops, rhss = {}, {}
     worst = Fraction(0)
     for (m, n, mp, np_) in entries:
-        a = flatten(ahat_entry(m, n, i), params)
-        b = flatten(ahat_entry(mp, np_, j), params)
-        rhs_terms = []
-        if i == j:
-            if n == mp:
-                rhs_terms.append(ahat_entry(m, np_, i))
-            if np_ == m:
-                rhs_terms.append(Mul(Sc(-1), ahat_entry(mp, n, i)))
+        for key in ((m, n, i), (mp, np_, j)):
+            if key not in ops:
+                ops[key] = flatten(ahat_entry(*key), params)
+        a, b = ops[(m, n, i)], ops[(mp, np_, j)]
+        # the right side depends only on which delta terms survive
+        plus = (m, np_) if i == j and n == mp else None
+        minus = (mp, n) if i == j and np_ == m else None
+        if (plus, minus) not in rhss:
+            rhs_terms = [ahat_entry(*plus, i)] if plus else []
+            if minus:
+                rhs_terms.append(Mul(Sc(-1), ahat_entry(*minus, i)))
+            rhss[(plus, minus)] = flatten(Mul(Sc(hbar), Add(*rhs_terms)), params)
+        rhs = rhss[(plus, minus)]
         # residual = ([a, b] - hbar*rhs)/hbar, the scaled difference first
-        rhs = flatten(Mul(Sc(hbar), Add(*rhs_terms)), params)
         scaled = max((_max_abs(_difference(_commutator(a, b, A), a.den * b.den,
                                            rhs.image(tuple(A)), rhs.den))
                       for A in probes), default=0)

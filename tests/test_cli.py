@@ -188,6 +188,51 @@ def test_byte_identical_reruns(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_byte_identical_integral_reruns(tmp_path):
+    # the slabbed tanh-sinh sums add in a fixed order
+    from qims import hypint
+    params = m_window_params(2, 2, 3)
+    cfg = {"model": {"L": 2, "N": 2, "M": 3},
+           "parameters": {"e": [str(x) for x in params.e],
+                          "kappa": [str(x) for x in params.kappa],
+                          "theta": [str(x) for x in params.theta[1:]],
+                          "planck": str(params.planck)},
+           "z": ["41/101", "21/101"],
+           "quadrature": {"scheme": "tanh_sinh_tensor", "nodes_per_axis": 49,
+                          "stabilize_tol": 1e-6}}
+    path = write_cfg(tmp_path, "c.json", cfg)
+    outs = []
+    for k in range(2):
+        hypint._window_check_M.cache_clear()
+        out = tmp_path / f"out{k}.json"
+        assert main(["--config", path, "integral", "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_verify_plot_runs_the_window_check_once(tmp_path, capsys, monkeypatch):
+    # the window check does not depend on z, so the 13-point scan reuses it
+    from qims import hypint
+    params = m_window_params(2, 1, 2)
+    cfg = {"model": {"L": 2, "N": 1, "M": 2},
+           "parameters": {"e": [str(x) for x in params.e],
+                          "kappa": [str(x) for x in params.kappa],
+                          "theta": [str(params.theta[1])],
+                          "planck": str(params.planck)},
+           "z": ["2/5"],
+           "quadrature": {"scheme": "tanh_sinh_tensor", "nodes_per_axis": 81,
+                          "stabilize_tol": 1e-4}}
+    path = write_cfg(tmp_path, "c.json", cfg)
+    calls = []
+    probe = hypint._axis_exponents_numeric
+    monkeypatch.setattr(hypint, "_axis_exponents_numeric",
+                        lambda *a: calls.append(a) or probe(*a))
+    hypint._window_check_M.cache_clear()
+    assert main(["--config", path, "verify", "--plot", str(tmp_path / "t.svg")]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    assert len(calls) == 1
+
+
 def test_entry_point_subprocess(tmp_path):
     cfg = base_cfg(2, 1, 1)
     path = write_cfg(tmp_path, "c.json", cfg)

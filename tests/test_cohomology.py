@@ -155,6 +155,22 @@ def test_lemma_zero_divisor_raises(lemma):
             evaluate(lemma, **s)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_lemma_sample_coordinates_match_three_fraction_form(seed, monkeypatch):
+    # one Fraction over 61 * 431 gives the values and the rng stream of
+    # Fraction(a, 61) + Fraction(b, 431)
+    def samples():
+        rnd = random.Random(seed)
+        out = [random_lemma_sample(lemma, L, rnd) for lemma in LEMMA_IDS
+               for L in range(LEMMA_MIN_L[lemma], LEMMA_MIN_L[lemma] + 3)]
+        return out, rnd.getstate()
+
+    got = samples()
+    monkeypatch.setattr(cohomology, "_coordinate", lambda rng: F(rng.randint(1, 60), 61)
+                        + F(rng.randint(0, 6), 431))
+    assert got == samples()
+
+
 def test_lemma_sample_validation():
     with pytest.raises(ParameterError, match=r"l_lt_n requires 1 <= l < n <= L-1"):
         lemma_residual("l_lt_n", L=3, n=1, l=1, t1=(F(1, 2), F(1, 3)),

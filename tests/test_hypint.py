@@ -290,6 +290,54 @@ def test_psiM_symmetrization_consistency():
     assert full[(1,)] == pytest.approx(-2 * orbit, rel=1e-12)
 
 
+# (L, N, M) sizes on which the generating-function kernel meets the
+# permutation-sum oracle
+KERNEL_SIZES = [(2, 1, 2), (2, 2, 3), (2, 1, 4), (3, 1, 2), (3, 2, 2), (3, 1, 3), (4, 1, 2)]
+
+
+@pytest.mark.parametrize("L,N,M", KERNEL_SIZES)
+def test_kernel_matches_permutation_sum(L, N, M):
+    from psiM_oracle import psiM_coeffs_oracle
+    from qims.hypint import ExponentsM, _ChainPoint, _psiM_coeffs
+    from qims.polyalg import enumerate_basis
+    rng = np.random.default_rng(100 * L + 10 * N + M)
+    K = (L - 1) * M
+    v = rng.uniform(0.02, 0.98, size=(3, 4, K))  # a 3 x 4 batch of chamber points
+    pt = _ChainPoint.from_cube(v, 1.0 - v)
+    logw = rng.normal(size=(3, 4))
+    exps = ExponentsM(tuple(F(3, 4) + F(n, 5) for n in range(L - 1)),
+                      tuple(F(-2, 7 + 2 * j) for j in range(N)), F(-1, 2), F(2), M)
+    z = tuple(0.45 - 0.17 * k for k in range(N))
+    basis = tuple(enumerate_basis(L, N, M))
+    for i in [None] + list(range(1, N + 1)):
+        c, d = _psiM_coeffs(exps, z, pt, logw, basis, i)
+        want, dwant = psiM_coeffs_oracle(exps, z, pt, logw, basis, i)
+        assert set(d) == set(dwant) == (set() if i is None else set(basis))
+        for A in basis:
+            assert c[A] == pytest.approx(want[A], rel=1e-12, abs=0), (i, A)
+            if i is not None:
+                assert d[A] == pytest.approx(dwant[A], rel=1e-12, abs=0), (i, A)
+
+
+def test_slabbed_tensor_equals_one_slab(monkeypatch):
+    from qims import hypint
+    exps = dictionary_M(m_window_params(2, 1, 3), 3)
+    basis = tuple(hypint.enumerate_basis(2, 1, 3))
+    nodes = 49  # 13 rows of 49^2 points per slab: 3 full slabs and one of 10 rows
+    assert nodes % (hypint._SLAB_POINTS // nodes ** 2) != 0
+    calls = []
+    kernel = hypint._psiM_coeffs
+    monkeypatch.setattr(hypint, "_psiM_coeffs", lambda *a: calls.append(1) or kernel(*a))
+    c, d = hypint._psiM_tensor(exps, (0.4,), basis, nodes, 1)
+    assert len(calls) == 4
+    monkeypatch.setattr(hypint, "_SLAB_POINTS", nodes ** 3)
+    c1, d1 = hypint._psiM_tensor(exps, (0.4,), basis, nodes, 1)
+    assert len(calls) == 5
+    for A in basis:
+        assert c[A] == pytest.approx(c1[A], rel=1e-14, abs=0)
+        assert d[A] == pytest.approx(d1[A], rel=1e-14, abs=0)
+
+
 def test_pde_residual_m1():
     for (L, N) in [(2, 1), (3, 1), (2, 2)]:
         params = m1_window_params(L, N)
@@ -360,7 +408,7 @@ def test_level_chamber_obstruction_L3_M2():
 
 
 def test_phi_index_data_combinatorics():
-    from qims.hypint import PhiIndexData
+    from psiM_oracle import PhiIndexData
     # L=3, N=2, M=3, A with entries (1,0),(0,2) row-major -> A0 = 0
     A = (1, 0, 0, 2)
     info = PhiIndexData.from_index(A, 3, 2, 3)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -162,6 +163,45 @@ def test_ahat_commutators_interior():
     assert ahat_commutator_residual(1, 1, params, probes) == 0
     assert ahat_commutator_residual(2, 2, params, probes,
                                     entries=[(1, 2, 2, 1), (1, 1, 2, 2), (2, 1, 1, 2)]) == 0
+
+
+def _ahat_residual_per_quadruple(i, j, params, probes):
+    """The interior entry relations with every operator compiled again for
+    each (m, n, m', n'): the oracle for the compiled-once sweep."""
+    from qims.weylops import _commutator, _difference, _max_abs
+    rng = range(1, params.L)
+    hbar, worst = params.hbar, F(0)
+    for m, n, mp, np_ in itertools.product(rng, repeat=4):
+        a = flatten(weylops.ahat_entry(m, n, i), params)
+        b = flatten(weylops.ahat_entry(mp, np_, j), params)
+        terms = []
+        if i == j and n == mp:
+            terms.append(weylops.ahat_entry(m, np_, i))
+        if i == j and np_ == m:
+            terms.append(Mul(Sc(-1), weylops.ahat_entry(mp, n, i)))
+        rhs = flatten(Mul(Sc(hbar), Add(*terms)), params)
+        scaled = max(_max_abs(_difference(_commutator(a, b, A), a.den * b.den,
+                                          rhs.image(tuple(A)), rhs.den)) for A in probes)
+        worst = max(worst, scaled * a.unit * b.unit * rhs.unit / abs(hbar))
+    return worst
+
+
+@pytest.mark.parametrize("L", [3, 4])
+def test_ahat_residual_matches_per_quadruple_form(L, monkeypatch):
+    params = random_params(L, 2, random.Random(70 + L))
+    probes = enumerate_basis(L, 2, 2)
+    for i, j in ((1, 1), (1, 2)):
+        assert ahat_commutator_residual(i, j, params, probes) == 0
+        assert _ahat_residual_per_quadruple(i, j, params, probes) == 0
+    # a wrong (1, 2) entry breaks the same-index relations (disjoint indices
+    # still commute); both forms see the same residual
+    entry = weylops.ahat_entry
+    monkeypatch.setattr(weylops, "ahat_entry", lambda m, n, i: Mul(Sc(2), entry(m, n, i))
+                        if (m, n) == (1, 2) else entry(m, n, i))
+    for i, j in ((1, 1), (1, 2)):
+        got = ahat_commutator_residual(i, j, params, probes)
+        assert (got != 0) == (i == j)
+        assert got == _ahat_residual_per_quadruple(i, j, params, probes)
 
 
 def test_braid_relations():

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import sys
@@ -97,8 +98,7 @@ def need_list(block, key, where="config"):
 def emit_scalar(x, tolerance=None):
     """Numbers carry provenance: exact values as 'p/q', floats with tolerance."""
     if isinstance(x, (int, Fraction)):
-        f = Fraction(x)
-        return {"value": f"{f.numerator}/{f.denominator}", "kind": "exact"}
+        return {"value": f"{x.numerator}/{x.denominator}", "kind": "exact"}
     out = {"value": float(getattr(x, "real", x)) if not isinstance(x, complex) else
            [x.real, x.imag], "kind": "float"}
     if tolerance is not None:
@@ -228,8 +228,46 @@ def get_quad(cfg, args):
     return QuadratureSpec(**q)
 
 
+def json_text(payload):
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, written directly.
+
+    With ``indent`` json runs its pure-Python encoder.  The text of a dict whose
+    keys and values are all ``str``, such as a matrix cell, is reused within one
+    call; no other, since {"a": 1} == {"a": True} == {"a": 1.0}."""
+    parts, leaves = [], {}
+
+    def put(x, pad):
+        if isinstance(x, dict):
+            leaf = (pad, *x.items()) if all(
+                type(k) is type(v) is str for k, v in x.items()) else None
+            if leaf in leaves:
+                return parts.append(leaves[leaf])
+            keys = sorted(x)
+            labels = [json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": " for k in keys]
+            values, brackets = [x[k] for k in keys], "{}"
+        elif isinstance(x, (list, tuple)):
+            leaf, labels, values, brackets = None, itertools.repeat(""), x, "[]"
+        else:
+            return parts.append(json.dumps(x))  # a str, number, bool or None, else TypeError
+        if not values:
+            return parts.append(brackets)
+        start, sep, inner = len(parts), ",\n" + pad + "  ", pad + "  "
+        for label, v in zip(labels, values):
+            parts.append(sep + label)
+            put(v, inner)
+        parts[start] = brackets[0] + parts[start][1:]
+        parts.append("\n" + pad + brackets[1])
+        if leaf is not None:
+            leaves[leaf] = parts[start] = "".join(parts[start:])
+            del parts[start + 1:]
+
+    put(payload, "")
+    parts.append("\n")
+    return "".join(parts)
+
+
 def write_output(args, payload):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json_text(payload)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -243,9 +281,8 @@ def write_csv_matrix(path, mat, basis, L, N):
         w = csv.writer(fh)
         w.writerow([index_label(A, L, N) for A in basis])
         for row in mat:
-            w.writerow([f"{Fraction(x).numerator}/{Fraction(x).denominator}"
-                        if isinstance(x, (int, Fraction)) else repr(x)
-                        for x in row])
+            w.writerow([f"{x.numerator}/{x.denominator}" if isinstance(x, (int, Fraction))
+                        else repr(x) for x in row])
 
 
 # --- subcommands ----------------------------------------------------------------

@@ -148,7 +148,7 @@ def _product(A, B):
 
 
 def _max_abs(rows):
-    return max((abs(x) for row in rows for x in row.values()), default=Fraction(0))
+    return max((abs(x) for row in rows for x in row.values()), default=0)
 
 
 def codim2_flats(N):
@@ -170,9 +170,14 @@ def flatness_residual(system: PfaffianSystem) -> FlatnessResult:
     commutators at one X sum to zero).  The derivative residual is the
     symmetry defect K_ij - K_ji, which is (z_i - z_j)^2 times
     d_i M_j - d_j M_i.  Zero for both is a proof of flatness at every z.
+    Both run on the residues cleared to integer rows over one denominator d,
+    so a commutator entry is an integer over d^2.
     """
-    res = system.residues
-    worst, conditions = Fraction(0), 0
+    d = math.lcm(*(x.denominator for r in system.residues.values() for A in r.values()
+                   for row in A for x in row.values()))
+    res = {i: {p: [{b: x.numerator * (d // x.denominator) for b, x in row.items()} for row in A]
+               for p, A in r.items()} for i, r in system.residues.items()}
+    worst, conditions = 0, 0
     for hyperplanes in codim2_flats(system.params.N):
         # points p < q meet on a hyperplane whose residue is that of z_{q-1} at p
         As = [res[q - 1][p] for p, q in hyperplanes]
@@ -185,8 +190,8 @@ def flatness_residual(system: PfaffianSystem) -> FlatnessResult:
     for i, j in itertools.combinations(range(1, system.params.N + 1), 2):
         Kij, Kji = res[i][j + 1], res[j][i + 1]
         diff = _combine([(1, Kij), (-1, Kji)])
-        asym = max(asym, _max_abs(diff) / max(1, _max_abs(Kij), _max_abs(Kji)))
-    return FlatnessResult(worst, asym, conditions)
+        asym = max(asym, Fraction(_max_abs(diff), max(d, _max_abs(Kij), _max_abs(Kji))))
+    return FlatnessResult(Fraction(worst, d * d), asym, conditions)
 
 
 # --- paths and transport ----------------------------------------------------------
@@ -251,9 +256,9 @@ class ZPath:
         return self.waypoints[0] == self.waypoints[-1]
 
 
-# Dormand-Prince 5(4) tableau
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
+# Dormand-Prince 5(4) tableau: stage j is rhs(s + C[j] h, c + h A[j, :j] @ K[:j])
+_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_A = np.array([r + (0.0,) * (7 - len(r)) for r in (
     (),
     (1 / 5,),
     (3 / 40, 9 / 40),
@@ -261,9 +266,9 @@ _DP_A = (
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+)])
+_DP_B5 = _DP_A[6]
+_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
 
 
 class TransportStats(NamedTuple):
@@ -276,6 +281,8 @@ def propagate(system: PfaffianSystem, path: ZPath, c0, rtol: float = 1e-10,
               atol: float = 1e-12, with_stats: bool = False):
     """Integrate planck * dc/dz_i = M_i(z) c along the path.
 
+    ``c0`` is a vector (D,) or a block (D, k), such as ``np.eye(D)``, whose
+    columns share the steps, chosen by the RMS error over the whole block.
     Embedded Dormand-Prince 5(4) with PI-free elementary step control;
     deterministic for fixed inputs and tolerances.  Raises
     :class:`PropagationError` when the step size underflows (e.g. drifting
@@ -286,14 +293,16 @@ def propagate(system: PfaffianSystem, path: ZPath, c0, rtol: float = 1e-10,
     """
     if path.dim != system.params.N:
         raise ParameterError("path dimension does not match N")
-    c = np.asarray(c0, dtype=complex).copy()
-    if c.shape != (system.dim,):
-        raise ParameterError(f"c0 must have length D={system.dim}")
+    c = np.array(c0, dtype=complex)
+    if c.ndim not in (1, 2) or len(c) != system.dim:
+        raise ParameterError(f"c0 must have shape (D,) or (D, k) with D={system.dim}")
+    shape, c = c.shape, c.reshape(-1)
     keys = [(i, p) for i, res in system.residues.items() for p in res]
     n, D = len(keys), system.dim
-    stack = system.residue_array(keys)  # stacked once for every segment
+    flat = system.residue_array(keys).reshape(n, D * D)  # stacked once for every segment
     kappa = complex(system.params.planck)
     n_acc = n_rej = n_rhs = 0
+    K = np.empty((7, c.size), dtype=complex)  # the stages of one step
 
     for seg, (wa, wb) in enumerate(zip(path.waypoints, path.waypoints[1:])):
         if wa == wb:
@@ -304,40 +313,34 @@ def propagate(system: PfaffianSystem, path: ZPath, c0, rtol: float = 1e-10,
         df = np.array([wb[i - 1] - pb[p] for i, p in keys]) - f0
 
         def rhs(s, y):
-            return (coef / (f0 + s * df)) @ (stack @ y).reshape(n, D)
+            return (((coef / (f0 + s * df)) @ flat).reshape(D, D) @ y.reshape(D, -1)).ravel()
 
-        s = 0.0
-        h = 0.1
-        k1 = rhs(s, c)
+        s, h = 0.0, 0.1
+        K[0] = rhs(s, c)
         n_rhs += 1
         while s < 1.0:
             h = min(h, 1.0 - s)
             if h < 1e-14:
                 raise PropagationError(
                     f"step size underflow on segment {seg}", location=(seg, s))
-            ks = [k1]
-            for row, crow in zip(_DP_A[1:], _DP_C[1:]):
-                y = c + h * sum(a * k for a, k in zip(row, ks))
-                ks.append(rhs(s + crow * h, y))
-                n_rhs += 1
-            c5 = c + h * sum(b * k for b, k in zip(_DP_B5, ks))
-            c4 = c + h * sum(b * k for b, k in zip(_DP_B4, ks))
-            err = c5 - c4
+            for j in range(1, 7):
+                K[j] = rhs(s + _DP_C[j] * h, c + h * (_DP_A[j, :j] @ K[:j]))
+            n_rhs += 6
+            c5 = c + h * (_DP_B5 @ K)
             scale = atol + rtol * np.maximum(np.abs(c), np.abs(c5))
-            enorm = math.sqrt(float(np.mean(np.abs(err / scale) ** 2)))
+            enorm = math.sqrt(float(np.mean(np.abs(h * ((_DP_B5 - _DP_B4) @ K) / scale) ** 2)))
             if not math.isfinite(enorm):
                 raise PropagationError(
                     f"non-finite error estimate on segment {seg}", location=(seg, s))
             if enorm <= 1.0:
                 s += h
                 c = c5
-                k1 = ks[6]  # FSAL
+                K[0] = K[6]  # FSAL
                 n_acc += 1
             else:
                 n_rej += 1
             fac = 0.9 * (enorm ** -0.2) if enorm > 0 else 5.0
             h *= min(5.0, max(0.2, fac))
     if with_stats:
-        return c, TransportStats(n_acc, n_rej, n_rhs)
-    return c
-
+        return c.reshape(shape), TransportStats(n_acc, n_rej, n_rhs)
+    return c.reshape(shape)

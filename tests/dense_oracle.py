@@ -5,14 +5,22 @@ constant matrices of z_i H_i = W_i + V_i/(z_i - 1) + sum_j K_ij z_j/(z_i - z_j)
 straight from the operators, as dense row-major lists of Fractions, and
 keeps the checks that work at one point z: the exact commutator
 [M_i(z), M_j(z)] and the exact cross-derivative
-d_i M_j - d_j M_i = (K_ji - K_ij)/(z_i - z_j)^2.
+d_i M_j - d_j M_i = (K_ji - K_ij)/(z_i - z_j)^2.  It also keeps Kohno's
+conditions on the ``Fraction`` residues, the oracle for the integer-cleared
+``flatness_residual``, and the Dormand-Prince step with one stage at a time
+on one vector, the oracle for the array-form ``propagate``.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from qims.errors import PropagationError
+from qims.pfaffian import (FlatnessResult, TransportStats, _combine, _product,
+                           codim2_flats)
 from qims.polyalg import enumerate_basis
 from qims.weylops import flatten, hamiltonian_parts
 
@@ -92,3 +100,93 @@ def transport_matrix_float(system, waypoints, c0, rtol, atol):
                        for i in range(1, N + 1)) / planck
         c = solve_ivp(rhs, (0.0, 1.0), c, method="DOP853", rtol=rtol, atol=atol).y[:, -1]
     return c
+
+
+def fraction_flatness(system):
+    """Kohno's commutators and the symmetry defect K_ij - K_ji on the
+    ``Fraction`` residues, as a ``FlatnessResult``."""
+    def worst_entry(rows):
+        # a planted int entry stays an int; Fraction keeps the quotient below exact
+        return max((Fraction(abs(x)) for row in rows for x in row.values()), default=Fraction(0))
+
+    res = system.residues
+    worst, conditions = Fraction(0), 0
+    for hyperplanes in codim2_flats(system.params.N):
+        As = [res[q - 1][p] for p, q in hyperplanes]
+        total = _combine([(1, A) for A in As])
+        for A in As[:-1]:
+            comm = _combine([(1, _product(A, total)), (-1, _product(total, A))])
+            worst = max(worst, worst_entry(comm))
+        conditions += len(As) - 1
+    asym = Fraction(0)
+    for i, j in itertools.combinations(range(1, system.params.N + 1), 2):
+        Kij, Kji = res[i][j + 1], res[j][i + 1]
+        diff = _combine([(1, Kij), (-1, Kji)])
+        asym = max(asym, worst_entry(diff) / max(1, worst_entry(Kij), worst_entry(Kji)))
+    return FlatnessResult(worst, asym, conditions)
+
+
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+
+
+def propagate_stagewise(system, path, c0, rtol=1e-10, atol=1e-12):
+    """``propagate`` for one vector, each stage and weight summed in a Python
+    loop; returns (c, TransportStats)."""
+    c = np.asarray(c0, dtype=complex).copy()
+    keys = [(i, p) for i, res in system.residues.items() for p in res]
+    n, D = len(keys), system.dim
+    stack = system.residue_array(keys)
+    kappa = complex(system.params.planck)
+    n_acc = n_rej = n_rhs = 0
+    for seg, (wa, wb) in enumerate(zip(path.waypoints, path.waypoints[1:])):
+        if wa == wb:
+            continue
+        pa, pb = (0, 1) + wa, (0, 1) + wb
+        coef = np.array([(wb[i - 1] - wa[i - 1]) / kappa for i, _ in keys])
+        f0 = np.array([wa[i - 1] - pa[p] for i, p in keys])
+        df = np.array([wb[i - 1] - pb[p] for i, p in keys]) - f0
+
+        def rhs(s, y):
+            return (coef / (f0 + s * df)) @ (stack @ y).reshape(n, D)
+
+        s, h = 0.0, 0.1
+        k1 = rhs(s, c)
+        n_rhs += 1
+        while s < 1.0:
+            h = min(h, 1.0 - s)
+            if h < 1e-14:
+                raise PropagationError(f"step size underflow on segment {seg}",
+                                       location=(seg, s))
+            ks = [k1]
+            for row, crow in zip(_DP_A[1:], _DP_C[1:]):
+                y = c + h * sum(a * k for a, k in zip(row, ks))
+                ks.append(rhs(s + crow * h, y))
+                n_rhs += 1
+            c5 = c + h * sum(b * k for b, k in zip(_DP_B5, ks))
+            c4 = c + h * sum(b * k for b, k in zip(_DP_B4, ks))
+            scale = atol + rtol * np.maximum(np.abs(c), np.abs(c5))
+            enorm = math.sqrt(float(np.mean(np.abs((c5 - c4) / scale) ** 2)))
+            if not math.isfinite(enorm):
+                raise PropagationError(f"non-finite error estimate on segment {seg}",
+                                       location=(seg, s))
+            if enorm <= 1.0:
+                s += h
+                c = c5
+                k1 = ks[6]  # FSAL
+                n_acc += 1
+            else:
+                n_rej += 1
+            fac = 0.9 * (enorm ** -0.2) if enorm > 0 else 5.0
+            h *= min(5.0, max(0.2, fac))
+    return c, TransportStats(n_acc, n_rej, n_rhs)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -6,10 +7,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import m_window_params, resonant_params
+from conftest import m1_window_params, m_window_params, resonant_params
 import random
 
-from qims.cli import main, parse_scalar, emit_scalar
+from qims.cli import emit_scalar, main, parse_scalar, write_output
 
 
 def write_cfg(tmp_path, name, payload):
@@ -231,6 +232,60 @@ def test_verify_plot_runs_the_window_check_once(tmp_path, capsys, monkeypatch):
     assert main(["--config", path, "verify", "--plot", str(tmp_path / "t.svg")]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
     assert len(calls) == 1
+
+
+def window_cfg(params, M, z, **extra):
+    return {"model": {"L": params.L, "N": params.N, "M": M},
+            "parameters": {"e": [str(x) for x in params.e],
+                           "kappa": [str(x) for x in params.kappa],
+                           "theta": [str(x) for x in params.theta[1:]],
+                           "planck": str(params.planck)},
+            "z": z, "quadrature": {"nodes_per_axis": 24}, **extra}
+
+
+def loop_cfg():
+    cfg = base_cfg(2, 2, 1)
+    cfg.update(path=[["0.40", "0.70"], ["0.45", "0.75"], ["0.40", "0.70"]], c0=["1", "0", "0.5"])
+    return cfg
+
+
+def lemma_cfg():
+    cfg = base_cfg(2, 2, 1)
+    cfg["lemma_samples"] = 3
+    return cfg
+
+
+@pytest.mark.parametrize("cfg,argv,rc", [
+    (lambda: base_cfg(3, 2, 2), ["basis"], 0),
+    (lambda: base_cfg(2, 1, 3), ["hamiltonian"], 0),
+    (lemma_cfg, ["check", "all", "--dmax", "2"], 0),
+    (loop_cfg, ["pfaffian"], 0),
+    (lambda: window_cfg(m1_window_params(2, 1), 1, ["0.4"]), ["integral"], 0),
+    (lambda: window_cfg(m1_window_params(2, 1), 1, ["0.4"], order=30), ["series"], 0),
+    (lambda: window_cfg(m_window_params(2, 1, 1), 1, ["2/5"], tolerances={"pde": 1e-4}),
+     ["verify"], 0),
+    (lambda: {**base_cfg(2, 1, 1), "z": ["1"]}, ["hamiltonian"], 3),
+    (lambda: {**base_cfg(2, 1, 1), "z": ["2/x"]}, ["hamiltonian"], 2),
+], ids=["basis", "hamiltonian", "check_all", "pfaffian", "integral", "series", "verify",
+        "exit3", "exit2"])
+def test_output_is_the_json_dumps_text(tmp_path, cfg, argv, rc):
+    out = tmp_path / "out.json"
+    assert main(["--config", write_cfg(tmp_path, "c.json", cfg())] + argv
+                + ["--out", str(out)]) == rc
+    text = out.read_bytes()
+    assert text == (json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n").encode()
+
+
+def test_writer_matches_json_dumps_on_edge_payload(tmp_path):
+    # 1, True and 1.0 are hash-equal, so equal leaf dicts need not print alike
+    payload = {"empty": [[], {}, [[]], {"x": {}}, ""], "tuple": (1, (2.5, "3"), ()),
+               "floats": [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, 5e-324, 0.1],
+               "text": ["é ü 中 😀", "\x00\x1f\t\n\"\\/", "\u2028"],
+               "leaves": [{"a": 1}, {"a": True}, {"a": 1.0}, {"a": "1"}, {"a": 1}, {"a": "1"}],
+               "ints": [0, -1, 10 ** 30, True, False, None], "z": {"b": {"a": "1"}, "a": None}}
+    out = tmp_path / "edge.json"
+    write_output(argparse.Namespace(out=str(out)), payload)
+    assert out.read_bytes() == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
 
 
 def test_entry_point_subprocess(tmp_path):

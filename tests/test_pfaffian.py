@@ -8,7 +8,8 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from conftest import random_params, random_z, resonant_params
-from dense_oracle import DenseSystem, point_flatness, transport_matrix_float
+from dense_oracle import (DenseSystem, fraction_flatness, point_flatness,
+                          propagate_stagewise, transport_matrix_float)
 from qims.errors import ParameterError, PropagationError, SingularityError, SubspaceError
 from qims.pfaffian import PfaffianSystem, ZPath, codim2_flats, flatness_residual, propagate
 from qims.weylops import make_parameters
@@ -123,20 +124,37 @@ def plant(rows, a, b, x):
     rows[a][b] = rows[a].get(b, 0) + x
 
 
-def test_flatness_negative_control_asymmetric_K():
+def planted_v_system():
+    system = v_system(2, 2, 2, seed=5)
+    # V_1 enters M_1 as V_1/(z_1 - 1) - V_1/z_1
+    plant(system.residues[1][1], 0, 1, F(1, 5))
+    plant(system.residues[1][0], 0, 1, -F(1, 5))
+    return system
+
+
+def asymmetric_k_system():
     system = v_system(2, 2, 1, seed=5)
+    plant(system.residues[1][3], 0, 0, 1)  # d_2 M_1 gains 1/(z_1 - z_2)^2 at entry (0, 0)
+    return system
+
+
+def small_asymmetric_k_system():
+    # every K entry below 1, so the symmetry defect's max(1, |K_ij|, |K_ji|) is 1
+    system = v_system(2, 2, 1, seed=5)
+    system.residues[1][3] = [{0: F(1, 3)}] + [{} for _ in range(system.dim - 1)]
+    system.residues[2][2] = [{} for _ in range(system.dim)]
+    return system
+
+
+def test_flatness_negative_control_asymmetric_K():
+    system = asymmetric_k_system()
     K12, K21 = system.residues[1][3], system.residues[2][2]
-    plant(K12, 0, 0, 1)  # d_2 M_1 gains 1/(z_1 - z_2)^2 at entry (0, 0)
     scale = max([F(1)] + [abs(x) for K in (K12, K21) for row in K for x in row.values()])
     assert flatness_residual(system).derivative_rel == 1 / scale != 0
 
 
 def test_flatness_negative_control_planted_V():
-    system = v_system(2, 2, 2, seed=5)
-    # V_1 enters M_1 as V_1/(z_1 - 1) - V_1/z_1
-    plant(system.residues[1][1], 0, 1, F(1, 5))
-    plant(system.residues[1][0], 0, 1, -F(1, 5))
-    r = flatness_residual(system)
+    r = flatness_residual(planted_v_system())
     assert r.commutator > 0 and isinstance(r.commutator, F) and r.derivative_rel == 0
 
 
@@ -169,6 +187,49 @@ def test_residue_form_matches_dense_assembly(L, N, M):
     assert point_flatness(dense, z, 1, 2) == (0, 0)
 
 
+def ft_system():
+    params = make_parameters(3, 2, e=[F(1, 2), F(1, 3), F(1, 6)],
+                             kappa=[F(1, 3), F(-2), F(-1)], theta=[F(1, 7), F(2, 9)])
+    return PfaffianSystem(params, ("F", (2, 1)))
+
+
+@pytest.mark.parametrize("build", [
+    *[lambda L=L, N=N, M=M: PfaffianSystem(
+        resonant_params(L, N, M, random.Random(100 * L + 10 * N + M)), ("V", M))
+      for L, N, M in ORACLE_SIZES],
+    ft_system, planted_v_system, asymmetric_k_system, small_asymmetric_k_system],
+    ids=[f"L{L}N{N}M{M}" for L, N, M in ORACLE_SIZES]
+    + ["F21", "planted_V", "asymmetric_K", "small_asymmetric_K"])
+def test_integer_flatness_matches_fraction_oracle(build):
+    system = build()
+    got, want = flatness_residual(system), fraction_flatness(system)
+    assert got == want
+    assert all(type(x) is F for x in got[:2] + want[:2])
+    assert got.conditions == want.conditions == sum(
+        len(hs) - 1 for hs in codim2_flats(system.params.N))
+
+
+def closed_loop(N, rnd):
+    z = [float(x) for x in random_z(N, rnd)]
+    return [z, [x + 0.03 + 0.05j * (k + 1) for k, x in enumerate(z)],
+            [x - 0.02 + 0.04j for x in z], z]
+
+
+@pytest.mark.parametrize("L,N,M", ORACLE_SIZES)
+def test_array_step_matches_stagewise_oracle(L, N, M):
+    # the array form sums the stages in another order: same steps, last digits move
+    rnd = random.Random(100 * L + 10 * N + M)
+    system = PfaffianSystem(resonant_params(L, N, M, rnd), ("V", M))
+    path = ZPath(closed_loop(N, rnd))
+    c0 = np.array([rnd.uniform(-1, 1) for _ in range(system.dim)], dtype=complex)
+    want, want_stats = propagate_stagewise(system, path, c0)
+    # a block of two equal columns has the vector's RMS error, so the same steps
+    for start in (c0, np.column_stack([c0, c0])):
+        got, stats = propagate(system, path, start, with_stats=True)
+        assert stats == want_stats and got.shape == start.shape
+        assert np.abs(got.T - want).max() <= 1e-12 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("L,N,M", ORACLE_SIZES)
 def test_residue_transport_matches_matrix_float_transport(L, N, M):
     rnd = random.Random(100 * L + 10 * N + M)
@@ -197,6 +258,11 @@ def test_propagate_trivial_cases():
     assert np.array_equal(out, c0)
     out = propagate(system, ZPath([(0.4, 0.7), (0.5, 0.8)]), np.zeros(3))
     assert np.all(out == 0)
+    block = np.arange(6.0).reshape(3, 2)
+    assert np.array_equal(propagate(system, ZPath([(0.4, 0.7)]), block), block)
+    for bad in (np.zeros(2), np.zeros((2, 3)), np.zeros((3, 1, 1)), np.float64(1)):
+        with pytest.raises(ParameterError, match="c0 must have shape"):
+            propagate(system, ZPath([(0.4, 0.7)]), bad)
 
 
 @pytest.mark.parametrize("waypoints", [[(0.4, 0.7), (math.nan, 0.8)], [(math.inf, 0.7)],
@@ -306,12 +372,10 @@ def test_monodromy_about_one_hyperplane(L, N, M, key, planck):
         loop = [(z,) for z in circle(key[1])]
     else:  # z_1 - z_2 winds once about 0 while z_1 + z_2 stays put
         loop = [(0.5 + w / 2, 0.5 - w / 2) for w in circle(0)]
-    D = system.dim
-    T = np.column_stack([propagate(system, ZPath(loop), e, rtol=1e-11, atol=1e-13)
-                         for e in np.eye(D)])
+    T = propagate(system, ZPath(loop), np.eye(system.dim), rtol=1e-11, atol=1e-13)
     want = np.exp(2j * np.pi * np.linalg.eigvals(system.residue_array([key])) / planck)
     cost = np.abs(want[:, None] - np.linalg.eigvals(T)[None, :])
     rows, cols = linear_sum_assignment(cost)
-    # measured 3e-13 to 2.4e-10: the eigenvalues of T amplify its rtol-relative
+    # measured 4e-13 to 1.7e-10: the eigenvalues of T amplify its rtol-relative
     # error by their condition number, which reaches 300 at L2M4 about z = 1
     assert cost[rows, cols].max() <= 1e-8

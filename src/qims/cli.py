@@ -504,29 +504,25 @@ def cmd_series(cfg, args):
 
 def cmd_verify(cfg, args):
     params = build_parameters(cfg)
-    zf = get_zf(cfg, args)
+    z = get_z(cfg, args)
+    zf = tuple(float(x) for x in z)
     M = get_M(cfg, args)
     quad = get_quad(cfg, args)
     i = get_i(cfg, args, params)
     tol = positive(cfg.get("tolerances", {}).get("pde", 1e-4), "tolerances pde")
 
     residual = hypint.pde_residual(params, zf, M, quad, i=i)
-    z_exact = get_z(cfg, args)
-    exact_ok = all(isinstance(x, Fraction) for x in z_exact)
-    if exact_ok:
-        cmpres = cohomology.compare_cohomology_operator(params, z_exact, M, i)
-        comparison = {
-            "exact_equal": cmpres.exact_equal,
-            "max_abs_diff": emit_scalar(cmpres.max_abs_diff),
-            "lambda_shift": None if cmpres.lambda_shift is None
-            else emit_scalar(cmpres.lambda_shift),
-        }
-        if not cmpres.exact_equal:
-            comparison["discrepancy"] = emit_matrix(cmpres.discrepancy)
-        cmp_ok = cmpres.exact_equal or cmpres.lambda_shift is not None
-    else:
-        comparison = {"skipped": "z is not exact rational"}
-        cmp_ok = True
+    # residue equality is a proof for every z, so a decimal z compares too
+    cmpres = cohomology.compare_cohomology_operator(params, z, M, i)
+    comparison = {
+        "exact_equal": cmpres.exact_equal,
+        "max_abs_diff": emit_scalar(cmpres.max_abs_diff),
+        "lambda_shift": None if cmpres.lambda_shift is None
+        else emit_scalar(cmpres.lambda_shift),
+    }
+    if not cmpres.exact_equal:
+        comparison["discrepancy"] = emit_matrix(cmpres.discrepancy)
+    cmp_ok = cmpres.exact_equal or cmpres.lambda_shift is not None
 
     if args.plot:
         lo, hi = sorted((0.98 * zf[i - 1], min(1.02 * zf[i - 1], 0.97)))

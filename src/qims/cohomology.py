@@ -1,14 +1,16 @@
-"""Pfaffian rows from the cohomology reduction, plus exact identity checks.
+"""Pfaffian residues from the cohomology reduction, plus exact identity checks.
 
 ``pfaffian_from_cohomology`` assembles, for each degree-M multi-index A, the
 row expressing planck * dc_A/dz_i as a combination of the c_B: the scalar
 bracket on c_A itself plus shifted-index contributions with one raised/
 lowered entry, a raise/lower pair within one time column, a transfer between
-two time columns, and the four-entry double transfer.  A term whose shifted
-target leaves the level set is dropped; such terms always carry a vanishing
-guard entry (the lowered entry was 0, or the raise had no room because
-A_0 = 0), so a nonvanishing coefficient pointing outside the basis would
-indicate a transcription bug and is asserted against.
+two time columns, and the four-entry double transfer.  Each term of
+planck * z_i * dc_A/dz_i is c, c x/(z_i - 1) or c x/(z_i - z_j) with x = z_i
+or the pole, so dividing by z_i leaves constant residues at the points
+(0, 1, z_1..z_N): the assembly takes no z.  A term whose shifted target
+leaves the level set is dropped, whatever its coefficient; exact residue
+equality with the operator restriction (``compare_cohomology_operator``) is
+the check that validates this.
 
 The identity checks evaluate both sides of the two-copy symmetrized
 rational-function identities used to reduce the coboundary terms; with
@@ -21,30 +23,31 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import ParameterError, StructureError
 from .polyalg import enumerate_basis, flat_pos
-from .weylops import Parameters
+from .weylops import Parameters, check_z
 from .hypint import dictionary_M
+from .pfaffian import PfaffianSystem, _combine, _max_abs, residue_sum
 
 
-def _display_row(A, L, N, M, alpha, beta, gamma, z, i):
-    """Coefficients of planck*z_i*dc_A/dz_i on the c_B basis."""
+def _display_row(A, L, N, M, alpha, beta, gamma, i):
+    """Residues {p: {B: coefficient}} of planck*dc_A/dz_i on the c_B basis at
+    the points p of ``PfaffianSystem.residues[i]``."""
     pos = lambda n, j: flat_pos(n, j, N)
     Av = lambda n, j: A[pos(n, j)]
     A0 = M - sum(A)
     di = sum(Av(n, i) for n in range(1, L))
-    zi = z[i - 1]
-    row = {}
+    row = {p: {} for p in range(N + 2) if p != i + 1}
 
-    def add(B, c):
-        if c == 0:
-            return
-        if any(x < 0 for x in B) or sum(B) > M:
+    def add(B, c, p, x_is_pole=False):
+        """Enter the term c x/(z_i - point p) of planck*z_i*dc_A/dz_i, with
+        x = z_i, or x = point p if ``x_is_pole``: x/(z_i (z_i - point p)) is
+        1/(z_i - point p), less 1/z_i if x = point p.  p = 0 is the constant c."""
+        if c == 0 or any(x < 0 for x in B) or sum(B) > M:
             return
         B = tuple(B)
-        row[B] = row.get(B, 0) + c
+        for q, cq in ((p, c), (0, -c)) if x_is_pole else ((p, c),):
+            row[q][B] = row[q].get(B, 0) + cq
 
     def shifted(*moves):
         B = list(A)
@@ -58,128 +61,111 @@ def _display_row(A, L, N, M, alpha, beta, gamma, z, i):
         inner = sum(alpha[m - 1] for m in range(n, L))
         inner += -(L - n) - beta[i - 1] + sum(Av(m, i) for m in range(1, n + 1))
         s -= Av(n, i) * inner
-    s += (A0 * (di - beta[i - 1])
-          - sum(Av(n, i) * Av(n, j) for j in range(1, N + 1) for n in range(1, L))
-          + Av(1, i) * (M - gamma)) / (zi - 1)
+    add(A, s, 0)
+    add(A, A0 * (di - beta[i - 1])
+        - sum(Av(n, i) * Av(n, j) for j in range(1, N + 1) for n in range(1, L))
+        + Av(1, i) * (M - gamma), 1, True)
     for j in range(1, N + 1):
         if j == i:
             continue
-        zj = z[j - 1]
         dj = sum(Av(n, j) for n in range(1, L))
-        s += zj / (zi - zj) * sum(
-            Av(n, i) * (dj + Av(n, j) - beta[j - 1]) - beta[i - 1] * Av(n, j)
-            for n in range(1, L))
-    add(list(A), s)
+        add(A, sum(Av(n, i) * (dj + Av(n, j) - beta[j - 1]) - beta[i - 1] * Av(n, j)
+                   for n in range(1, L)), j + 1, True)
 
     # one entry lowered
     for n in range(1, L):
         coeff = -(A0 + 1) * (
-            sum(Av(n, j) for j in range(1, N + 1)) + (gamma - M if n == 1 else 0)
-        ) / (zi - 1)
-        add(shifted((n, i, -1)), coeff)
+            sum(Av(n, j) for j in range(1, N + 1)) + (gamma - M if n == 1 else 0))
+        add(shifted((n, i, -1)), coeff, 1, True)
 
     # one entry raised
     for n in range(1, L):
-        add(shifted((n, i, +1)), zi / (zi - 1) * (di - beta[i - 1]) * (Av(n, i) + 1))
+        add(shifted((n, i, +1)), (di - beta[i - 1]) * (Av(n, i) + 1), 1)
 
     # raise/lower within column i
     for n in range(1, L):
-        pref = -(sum(Av(n, j) for j in range(1, N + 1))
-                 + (gamma - M if n == 1 else 0)) / (zi - 1)
+        pref = -(sum(Av(n, j) for j in range(1, N + 1)) + (gamma - M if n == 1 else 0))
         for m in range(1, n):
-            add(shifted((m, i, +1), (n, i, -1)), pref * (Av(m, i) + 1))
+            add(shifted((m, i, +1), (n, i, -1)), pref * (Av(m, i) + 1), 1, True)
         for m in range(n + 1, L):
-            add(shifted((m, i, +1), (n, i, -1)), pref * zi * (Av(m, i) + 1))
+            add(shifted((m, i, +1), (n, i, -1)), pref * (Av(m, i) + 1), 1)
 
     # double transfer between columns i and j
     for j in range(1, N + 1):
         if j == i:
             continue
-        zj = z[j - 1]
         for n in range(1, L):
-            pref = (Av(n, j) + 1) / (zi - zj)
+            pref = Av(n, j) + 1
             for m in range(1, n):
                 add(shifted((m, j, -1), (m, i, +1), (n, i, -1), (n, j, +1)),
-                    pref * zj * (Av(m, i) + 1))
+                    pref * (Av(m, i) + 1), j + 1, True)
             for m in range(n + 1, L):
                 add(shifted((m, j, -1), (m, i, +1), (n, i, -1), (n, j, +1)),
-                    pref * zi * (Av(m, i) + 1))
+                    pref * (Av(m, i) + 1), j + 1)
 
     # single transfer j -> i and i -> j
     for j in range(1, N + 1):
         if j == i:
             continue
-        zj = z[j - 1]
         dj = sum(Av(n, j) for n in range(1, L))
         for n in range(1, L):
-            add(shifted((n, j, -1), (n, i, +1)),
-                zi / (zi - zj) * (beta[i - 1] - di) * (Av(n, i) + 1))
+            add(shifted((n, j, -1), (n, i, +1)), (beta[i - 1] - di) * (Av(n, i) + 1), j + 1)
             add(shifted((n, i, -1), (n, j, +1)),
-                zj / (zi - zj) * (beta[j - 1] - dj) * (Av(n, j) + 1))
+                (beta[j - 1] - dj) * (Av(n, j) + 1), j + 1, True)
     return row
 
 
-def pfaffian_from_cohomology(params: Parameters, z, M: int, i: int):
-    """The D x D matrix P_i(z) with planck * dc/dz_i = P_i(z) c, assembled
-    from the shift coefficients of the cohomology reduction; exact for exact
-    rational z."""
+def _residues(params: Parameters, M: int, i: int):
+    """The residues of P_i as sparse rows over the degree-M basis, indexed as
+    ``PfaffianSystem.residues[i]``."""
     exps = dictionary_M(params, M)
     L, N = params.L, params.N
     if not 1 <= i <= N:
         raise StructureError(f"time index {i} out of range")
-    z = tuple(z)
-    exact = all(isinstance(x, (int, Fraction)) for x in z)
-    zt = tuple(Fraction(x) if exact else float(x) for x in z)
-    alpha = list(exps.alpha)
-    beta = list(exps.beta)
-    gamma = exps.gamma
-    if not exact:
-        alpha = [float(x) for x in alpha]
-        beta = [float(x) for x in beta]
-        gamma = float(gamma)
     basis = enumerate_basis(L, N, M)
     idx = {A: k for k, A in enumerate(basis)}
-    D = len(basis)
-    zero = Fraction(0) if exact else 0.0
-    P = [[zero] * D for _ in range(D)]
-    zi = zt[i - 1]
-    for A in basis:
-        row = _display_row(A, L, N, M, alpha, beta, gamma, zt, i)
-        for B, c in row.items():
-            P[idx[A]][idx[B]] += c / zi
-    return P
+    rows = [_display_row(A, L, N, M, exps.alpha, exps.beta, exps.gamma, i) for A in basis]
+    return {p: [{idx[B]: c for B, c in row[p].items() if c} for row in rows] for p in rows[0]}
+
+
+def pfaffian_from_cohomology(params: Parameters, z, M: int, i: int):
+    """The D x D matrix P_i(z) with planck * dc/dz_i = P_i(z) c: the residues
+    of the cohomology reduction summed at z; exact for exact rational z."""
+    residues = _residues(params, M, i)
+    return residue_sum(residues, check_z(params, z), i)
 
 
 @dataclass(frozen=True)
 class CohomologyComparison:
     exact_equal: bool
-    max_abs_diff: object
-    lambda_shift: object          # scalar if P - M is a multiple of identity, else None
-    discrepancy: tuple            # the difference matrix rows (empty when equal)
+    max_abs_diff: object          # worst entry of a residue difference
+    lambda_shift: object          # scalar at z if M_i - P_i is a multiple of identity, else None
+    discrepancy: tuple            # the difference matrix rows at z (empty when equal)
 
 
 def compare_cohomology_operator(params: Parameters, z, M: int, i: int) -> CohomologyComparison:
-    """Exact entrywise comparison of P_i(z) with the operator restriction M_i(z).
+    """Exact residue-by-residue comparison of P_i with the operator restriction M_i.
 
-    Tests exact equality first; if that fails, tests whether the difference
-    is lambda(z) * identity and reports the discrepancy either way (never
-    silently).
+    Equal residues at every point p prove P_i = M_i at every z.  Otherwise the
+    difference is reported, never silently: ``lambda_shift`` is set when each
+    residue difference is lambda_p times the identity (a gauge by a scalar
+    function), as sum_p lambda_p / (z_i - point p) at z, and ``discrepancy``
+    is M_i(z) - P_i(z).
     """
-    from .pfaffian import PfaffianSystem
-
-    P = pfaffian_from_cohomology(params, z, M, i)
-    Mi = PfaffianSystem(params, ("V", M)).matrix_at(i, z)
-    D = len(P)
-    diff = [[Mi[a][b] - P[a][b] for b in range(D)] for a in range(D)]
-    maxdiff = max(abs(x) for row in diff for x in row)
-    if maxdiff == 0:
+    P = _residues(params, M, i)
+    z = check_z(params, z)
+    Mi = PfaffianSystem(params, ("V", M)).residues[i]
+    diff = {p: _combine([(1, Mi[p]), (-1, R)]) for p, R in P.items()}
+    worst = max(_max_abs(R) for R in diff.values())
+    if worst == 0:
         return CohomologyComparison(True, Fraction(0), None, ())
-    offdiag = max((abs(diff[a][b]) for a in range(D) for b in range(D) if a != b),
-                  default=Fraction(0))
+    lams = {p: R[0].get(0, 0) for p, R in diff.items()}
     lam = None
-    if offdiag == 0 and all(diff[a][a] == diff[0][0] for a in range(D)):
-        lam = diff[0][0]
-    return CohomologyComparison(False, maxdiff, lam, tuple(tuple(r) for r in diff))
+    if all(row.keys() <= {a} and row.get(a, 0) == lams[p]
+           for p, R in diff.items() for a, row in enumerate(R)):
+        lam = residue_sum({p: [{0: x}] for p, x in lams.items()}, z, i)[0][0]
+    discrepancy = residue_sum(diff, z, i)
+    return CohomologyComparison(False, worst, lam, tuple(tuple(r) for r in discrepancy))
 
 
 # --- two-copy rational identity checks ---------------------------------------------

@@ -65,6 +65,16 @@ def _combine(terms):
     return [_lin(zip(cs, rows)) for rows in zip(*mats)]
 
 
+def residue_sum(residues_i, z, i):
+    """sum_p R_p / (z_i - point p) over the points (0, 1, z_1..z_N), as dense
+    rows; ``residues_i`` maps p to the sparse rows of R_p, indexed as
+    ``PfaffianSystem.residues[i]``."""
+    points, zi = (0, 1) + tuple(z), z[i - 1]
+    rows = _combine([(1 / (zi - points[p]), R) for p, R in residues_i.items()])
+    zero = 0 * zi  # Fraction, float or complex, as z is
+    return [[row.get(b, zero) for b in range(len(rows))] for row in rows]
+
+
 class PfaffianSystem:
     """Restriction of all H_i to V(M) or F(T), held as exact residues."""
 
@@ -112,11 +122,7 @@ class PfaffianSystem:
 
     def matrix_at(self, i: int, z):
         """Exact D x D matrix M_i(z) (dense rows) for exact rational z."""
-        z = check_z(self.params, z)
-        points, zi = (0, 1) + z, z[i - 1]
-        rows = _combine([(1 / (zi - points[p]), A) for p, A in self.residues[i].items()])
-        zero = 0 * zi  # Fraction, float or complex, as z is
-        return [[row.get(b, zero) for b in range(self.dim)] for row in rows]
+        return residue_sum(self.residues[i], check_z(self.params, z), i)
 
     def residue_array(self, keys):
         """residues[i][p] for (i, p) in ``keys``, stacked as a complex (len(keys) * D, D) array."""

@@ -178,6 +178,24 @@ def test_cmd_verify_and_plot(tmp_path, capsys):
     assert text.startswith("<svg") and "polyline" in text
 
 
+def test_cmd_verify_compares_at_decimal_z(tmp_path, capsys):
+    # residue equality holds for every z, so a float z is compared, not skipped
+    params = m_window_params(2, 1, 1, gamma=F(-1, 2))
+    cfg = {
+        "model": {"L": 2, "N": 1, "M": 1},
+        "parameters": {"e": [str(x) for x in params.e],
+                       "kappa": [str(x) for x in params.kappa],
+                       "theta": [str(params.theta[1])],
+                       "planck": str(params.planck)},
+        "z": ["0.4"],
+        "quadrature": {"nodes_per_axis": 24},
+    }
+    assert main(["--config", write_cfg(tmp_path, "c.json", cfg), "verify"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["cohomology_vs_operator"]["exact_equal"] is True
+    assert payload["passed"] is True
+
+
 def test_byte_identical_reruns(tmp_path):
     cfg = base_cfg(2, 1, 1)
     path = write_cfg(tmp_path, "c.json", cfg)

@@ -17,7 +17,7 @@ from qims.polyalg import enumerate_basis, flat_pos
 from qims.quadrature import QuadratureSpec
 
 
-CONFIGS = [(2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1), (3, 2, 2)]
+CONFIGS = [(2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1), (3, 2, 2), (2, 2, 2), (4, 1, 1)]
 
 
 @pytest.mark.parametrize("L,N,M", CONFIGS)
@@ -29,6 +29,64 @@ def test_cohomology_equals_operator_exactly(L, N, M):
         for i in range(1, N + 1):
             cmp = compare_cohomology_operator(params, z, M, i)
             assert cmp.exact_equal, (L, N, M, i, cmp.max_abs_diff)
+
+
+def plant(monkeypatch, edit):
+    """Run ``edit(A, residues)`` on the residues of every row of the cohomology side."""
+    display_row = cohomology._display_row
+
+    def planted(A, *args):
+        residues = display_row(A, *args)
+        edit(A, residues)
+        return residues
+
+    monkeypatch.setattr(cohomology, "_display_row", planted)
+
+
+def test_planted_entry_is_reported_not_absorbed(monkeypatch):
+    # 1/5 added to one off-diagonal entry of the point-1 residue of P_1
+    rnd = random.Random(41)
+    L, N, M = 2, 1, 2
+    params = resonant_params(L, N, M, rnd, dict_m=True)
+    basis = enumerate_basis(L, N, M)
+
+    def entry(A, res):
+        if A == basis[0]:
+            res[1][basis[1]] = res[1].get(basis[1], 0) + F(1, 5)
+
+    plant(monkeypatch, entry)
+    z = random_z(N, rnd)
+    cmp = compare_cohomology_operator(params, z, M, 1)
+    assert cmp.exact_equal is False
+    assert cmp.max_abs_diff == F(1, 5)
+    assert cmp.lambda_shift is None
+    expected = [[F(0)] * len(basis) for _ in basis]
+    expected[0][1] = -F(1, 5) / (z[0] - 1)
+    assert [list(r) for r in cmp.discrepancy] == expected
+
+
+def test_scalar_shift_is_reported_as_lambda(monkeypatch):
+    # P_1 shifted by -lambda_p I at each point p, so M_1 - P_1 = lambda(z) I
+    rnd = random.Random(43)
+    L, N, M, i = 2, 2, 1, 1
+    params = resonant_params(L, N, M, rnd, dict_m=True)
+    lam = {0: F(2, 3), 1: F(-1, 7), 3: F(5, 11)}  # the points 0, 1 and z_2
+
+    def shift(A, res):
+        for p, x in lam.items():
+            res[p][A] = res[p].get(A, 0) - x
+
+    plant(monkeypatch, shift)
+    z = random_z(N, rnd)
+    points = (0, 1) + z
+    expected = sum(x / (z[i - 1] - points[p]) for p, x in lam.items())
+    cmp = compare_cohomology_operator(params, z, M, i)
+    assert cmp.exact_equal is False
+    assert cmp.max_abs_diff == F(2, 3)
+    assert cmp.lambda_shift == expected and type(cmp.lambda_shift) is F
+    D = len(enumerate_basis(L, N, M))
+    assert [list(r) for r in cmp.discrepancy] == \
+        [[expected if a == b else 0 for b in range(D)] for a in range(D)]
 
 
 def test_diagonal_entry_matches_scalar_bracket():

@@ -107,7 +107,17 @@ def emit_scalar(x, tolerance=None):
 
 
 def emit_matrix(mat, tolerance=None):
-    return [[emit_scalar(x, tolerance) for x in row] for row in mat]
+    """Rows of ``emit_scalar`` cells; equal exact cells share one dict."""
+    exact = {}
+
+    def cell(x):
+        if not isinstance(x, (int, Fraction)):
+            return emit_scalar(x, tolerance)
+        if x not in exact:
+            exact[x] = emit_scalar(x)
+        return exact[x]
+
+    return [[cell(x) for x in row] for row in mat]
 
 
 def index_label(A, L, N):
@@ -231,15 +241,15 @@ def get_quad(cfg, args):
 def json_text(payload):
     """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, written directly.
 
-    With ``indent`` json runs its pure-Python encoder.  The text of a dict whose
-    keys and values are all ``str``, such as a matrix cell, is reused within one
-    call; no other, since {"a": 1} == {"a": True} == {"a": 1.0}."""
+    With ``indent`` json runs its pure-Python encoder.  A dict that appears more
+    than once, such as a shared matrix cell, is written once per indent and its
+    text reused; the cache keys on identity, since {"a": 1} == {"a": True}
+    == {"a": 1.0} print differently.  The payload must not change meanwhile."""
     parts, leaves = [], {}
 
     def put(x, pad):
         if isinstance(x, dict):
-            leaf = (pad, *x.items()) if all(
-                type(k) is type(v) is str for k, v in x.items()) else None
+            leaf = (pad, id(x))
             if leaf in leaves:
                 return parts.append(leaves[leaf])
             keys = sorted(x)

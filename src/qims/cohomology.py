@@ -27,7 +27,7 @@ from .errors import ParameterError, StructureError
 from .polyalg import enumerate_basis, flat_pos
 from .weylops import Parameters, check_z
 from .hypint import dictionary_M
-from .pfaffian import PfaffianSystem, _combine, _max_abs, residue_sum
+from .pfaffian import _combine, _max_abs, residue_sum, restricted_residues
 
 
 def _display_row(A, L, N, M, alpha, beta, gamma, i):
@@ -154,7 +154,8 @@ def compare_cohomology_operator(params: Parameters, z, M: int, i: int) -> Cohomo
     """
     P = _residues(params, M, i)
     z = check_z(params, z)
-    Mi = PfaffianSystem(params, ("V", M)).residues[i]
+    basis = enumerate_basis(params.L, params.N, M)
+    Mi = restricted_residues(params, i, basis, {A: k for k, A in enumerate(basis)}, f"V{M}")
     diff = {p: _combine([(1, Mi[p]), (-1, R)]) for p, R in P.items()}
     worst = max(_max_abs(R) for R in diff.values())
     if worst == 0:

@@ -16,8 +16,12 @@ differential system.  The symmetrization is a generating function (Aomoto
 & Kita, ch. 2): the sum over copy permutations of the labelled densities
 is a coefficient of a product of M linear forms in y_(n,i), one per copy,
 expanded once for every basis index.  d/dz_i is carried through that
-product as a dual part.  Tensor grids are evaluated in slabs of about
-2^15 points, so memory stays flat as the node count grows.
+product as a dual part.  On a tensor grid each chain coordinate and gap
+is an outer product of 1-D node factors, so the grid is never stacked:
+per-axis node arrays broadcast, and every factor keeps only the axes it
+depends on.  Full-size arrays (the weight and the expanded products) are
+built one slab of about 2^15 points at a time, so memory stays flat as the
+node count grows.
 
 All power-law bases are positive on the chamber for real z with
 0 < z_i < 1, so principal branches apply throughout and no branch tracking
@@ -222,9 +226,8 @@ def _psi1_eval_at(exps: ExponentsM1, z, nodes: int, i=None):
                     f"nonconvergent exponent window: axis exponents ({float(ak)}, "
                     f"{float(bk)}) for coefficient group {n_group}")
         rules = [gauss_jacobi_01(nodes, float(ak), float(bk)) for ak, bk in zip(a, b)]
-        grids = np.meshgrid(*[u for u, _ in rules], indexing="ij")
         W = math.prod(np.ix_(*[w for _, w in rules]))
-        T = math.prod(grids)
+        T = math.prod(np.ix_(*[u for u, _ in rules]))
         base = np.ones_like(T)
         for j in range(N):
             base = base * (1.0 - z[j] * T) ** (-float(exps.beta[j]) / kp)
@@ -346,47 +349,38 @@ def series_psi1(params: Parameters, z, order: int) -> IntegralResult:
 class _ChainPoint:
     """Batched chamber points with stable gap evaluation.
 
-    x[..., p] holds chain coordinate p (descending).  ``gap(p, r)`` returns
-    x_p - x_r; on the tensor path these come from the cube variables without
-    cancellation, on the MC path directly.
+    Built from the cube variables v_0..v_(K-1) and their complements, given
+    per axis as arrays that broadcast against each other: one axis each on
+    a tensor slab, the columns of a (P, K) batch for sampled points.
+    ``x[p]`` = v_0 ... v_p is chain coordinate p (descending), ``omx[p]`` is
+    1 - x_p and ``gap(p, r)`` is x_p - x_r, all without cancellation; each
+    keeps only the axes it depends on.
     """
 
-    def __init__(self, x, omx, gaps=None):
-        self.x = x
-        self.omx = omx
-        self._gaps = gaps
+    def __init__(self, v, omv):
+        K = len(v)
+        self.x, self.omx = [v[0]], [omv[0]]
+        for j in range(1, K):
+            self.x.append(self.x[j - 1] * v[j])
+            self.omx.append(self.omx[j - 1] + self.x[j - 1] * omv[j])
+        self._gaps = {}
+        for p in range(K - 1):
+            prod, omprod = 1.0, 0.0
+            for r in range(p + 1, K):
+                omprod = omprod + prod * omv[r]
+                prod = prod * v[r]
+                self._gaps[(p, r)] = self.x[p] * omprod
 
     def gap(self, p, r):
         if p == r:
             raise ValueError("no gap between a coordinate and itself")
-        if p > r:
-            p, r = r, p
-        if self._gaps is not None:
-            return self._gaps[(p, r)]
-        return self.x[..., p] - self.x[..., r]
-
-    @classmethod
-    def from_cube(cls, v, omv):
-        K = v.shape[-1]
-        x = np.cumprod(v, axis=-1)
-        omx = np.empty_like(x)
-        omx[..., 0] = omv[..., 0]
-        for j in range(1, K):
-            omx[..., j] = omx[..., j - 1] + x[..., j - 1] * omv[..., j]
-        gaps = {}
-        for p in range(K):
-            prod = np.ones_like(v[..., 0])
-            omprod = np.zeros_like(v[..., 0])
-            for r in range(p + 1, K):
-                omprod = omprod + prod * omv[..., r]
-                prod = prod * v[..., r]
-                gaps[(p, r)] = x[..., p] * omprod
-        return cls(x, omx, gaps)
+        return self._gaps[(min(p, r), max(p, r))]
 
 
-def _psiM_coeffs(exps: ExponentsM, z, pt: _ChainPoint, logw, basis, i=None):
+def _psiM_coeffs(exps: ExponentsM, z, pt: _ChainPoint, logw, basis, i=None, pointwise=False):
     """Coefficient integrands summed over points: dicts A -> value and, with a
-    time index i, A -> d/dz_i of it (empty without one).
+    time index i, A -> d/dz_i of it (empty without one).  With ``pointwise``
+    each value is the array of per-point terms instead of their sum.
 
     logw already contains the quadrature weight and any substitution
     Jacobian; the per-copy 1/t_{L-1} normalization and the symmetric
@@ -423,13 +417,13 @@ def _psiM_coeffs(exps: ExponentsM, z, pt: _ChainPoint, logw, basis, i=None):
     for n in range(1, L):
         an = float(exps.alpha[n - 1]) / kp
         for a in range(1, M + 1):
-            logbase += an * np.log(x[..., pos[(n, a)]])
+            logbase += an * np.log(x[pos[(n, a)]])
     dweight = 0.0
     for a in range(1, M + 1):
-        tl = x[..., pos[(L - 1, a)]]
+        tl = x[pos[(L - 1, a)]]
         for j in range(N):
             logbase += (-float(exps.beta[j]) / kp) * np.log1p(-z[j] * tl)
-        logbase += (-float(exps.gamma) / kp) * np.log(omx[..., pos[(1, a)]])
+        logbase += (-float(exps.gamma) / kp) * np.log(omx[pos[(1, a)]])
         logbase -= np.log(tl)  # per-copy 1/t_{L-1}
         if i is not None:
             dweight = dweight + float(exps.beta[i - 1]) / kp * tl / (1.0 - z[i - 1] * tl)
@@ -441,9 +435,9 @@ def _psiM_coeffs(exps: ExponentsM, z, pt: _ChainPoint, logw, basis, i=None):
     forms = {}
     for c in product(range(1, M + 1), repeat=L - 1):
         cidx = [pos[(n, c[n - 1])] for n in range(1, L)]
-        gaps = [omx[..., cidx[0]]] + [pt.gap(cidx[m - 2], cidx[m - 1]) for m in range(2, L)]
+        gaps = [omx[cidx[0]]] + [pt.gap(cidx[m - 2], cidx[m - 1]) for m in range(2, L)]
         f0 = math.prod(1.0 / g for g in gaps)
-        tl = x[..., cidx[-1]]
+        tl = x[cidx[-1]]
         lin, dual = {zero: f0}, {}
         for j in range(1, N + 1):
             pref = 1.0 / (1.0 - z[j - 1] * tl)
@@ -455,7 +449,8 @@ def _psiM_coeffs(exps: ExponentsM, z, pt: _ChainPoint, logw, basis, i=None):
         forms[c] = lin, dual
 
     def dot(w, f):  # einsum, not BLAS: the sum's order must not vary with BLAS threads
-        return float(np.einsum("i,i", w.ravel(), f.ravel()))
+        f = np.broadcast_to(f, w.shape)
+        return w * f if pointwise else float(np.einsum("i,i", w.ravel(), f.ravel()))
 
     acc = dict.fromkeys(basis, 0.0)
     dacc = dict.fromkeys(basis, 0.0) if i is not None else {}
@@ -489,39 +484,40 @@ def _times(poly, lin, out):
     return out
 
 
-def _probe_exponent(exps: ExponentsM, z, basis, moves):
-    """Fitted power of the cube integrand as the listed (axis, side) faces
-    are approached together; +inf when the integrand vanishes there."""
-    K = (exps.L - 1) * exps.M
-    vals = []
-    for eps in (1e-4, 5e-5):
-        v = np.full((1, K), 0.5)
-        for axis, side in moves:
-            v[0, axis] = eps if side == 0 else 1.0 - eps
-        omv = 1.0 - v
-        for axis, side in moves:
-            omv[0, axis] = 1.0 - eps if side == 0 else eps
-        pt = _ChainPoint.from_cube(v, omv)
-        logw = np.zeros(1)
-        for j in range(K):
-            logw += (K - 1 - j) * np.log(v[0, j])  # cube Jacobian
-        c, _ = _psiM_coeffs(exps, z, pt, logw, basis)
-        worst = max(abs(val) for val in c.values())
-        if not math.isfinite(worst):
-            raise ConvergenceError(
-                f"integrand overflow while probing faces {moves}")
-        vals.append(worst)
-    if vals[0] == 0.0 and vals[1] == 0.0:
-        return math.inf
-    return (math.log(vals[0]) - math.log(vals[1])) / math.log(2.0)
-
-
 def _axis_exponents_numeric(exps: ExponentsM, z, basis):
-    """Measured per-axis endpoint exponents (v -> 0 and v -> 1 separately)."""
+    """Measured endpoint exponents of the cube integrand, all in one kernel
+    call: per axis (v -> 0 and v -> 1 separately), then at every corner
+    where 2 or 3 faces meet.
+
+    Each probe approaches its faces together at two distances and fits the
+    power.  Returns a list of (faces, exponent), per-axis probes first, with
+    exponent +inf where the integrand vanishes there and None where it
+    overflows.
+    """
     K = (exps.L - 1) * exps.M
-    return [tuple(_probe_exponent(exps, z, basis, [(axis, side)])
-                  for side in (0, 1))
-            for axis in range(K)]
+    probes = [[(axis, side)] for axis in range(K) for side in (0, 1)]
+    probes += [list(zip(axes, sides)) for c in (2, 3) for axes in combinations(range(K), c)
+               for sides in product((0, 1), repeat=c)]
+    epss = (1e-4, 5e-5)
+    v = np.full((len(epss) * len(probes), K), 0.5)
+    omv = np.full_like(v, 0.5)
+    for k, (eps, faces) in enumerate(product(epss, probes)):
+        for axis, side in faces:
+            v[k, axis], omv[k, axis] = (eps, 1.0 - eps) if side == 0 else (1.0 - eps, eps)
+    logw = np.zeros(len(v))
+    for j in range(K):
+        logw += (K - 1 - j) * np.log(v[:, j])  # cube Jacobian
+    c, _ = _psiM_coeffs(exps, z, _ChainPoint(v.T, omv.T), logw, basis, pointwise=True)
+    worst = np.max(np.abs([c[A] for A in basis]), axis=0).reshape(len(epss), -1)
+    out = []
+    for faces, (w0, w1) in zip(probes, worst.T):
+        if not (math.isfinite(w0) and math.isfinite(w1)):
+            out.append((faces, None))
+        elif w0 == 0.0 and w1 == 0.0:
+            out.append((faces, math.inf))
+        else:
+            out.append((faces, (math.log(w0) - math.log(w1)) / math.log(2.0)))
+    return out
 
 
 @lru_cache(maxsize=8)
@@ -554,7 +550,16 @@ def _window_check_M(exps: ExponentsM, basis):
     # then the same at every z, and a scan over z sees common random numbers
     zc = tuple(0.15 + 0.7 * j / max(exps.N - 1, 1) if exps.N > 1 else 0.35
                for j in range(exps.N))
-    expos = tuple(_axis_exponents_numeric(exps, zc, basis))
+    K = (exps.L - 1) * exps.M
+    measured = _axis_exponents_numeric(exps, zc, basis)
+
+    def finite(faces, expo):
+        if expo is None:
+            raise ConvergenceError(f"integrand overflow while probing faces {faces}")
+        return expo
+
+    per_axis = [finite(faces, expo) for faces, expo in measured[:2 * K]]
+    expos = tuple(zip(per_axis[0::2], per_axis[1::2]))
     for axis, (e0, e1) in enumerate(expos):
         for side, expo in ((0, e0), (1, e1)):
             # guard band: an exponent this close to -1 is either measurement
@@ -565,17 +570,10 @@ def _window_check_M(exps: ExponentsM, basis):
                     f"side {side}")
     # composite faces: a codimension-c corner integrates rho^(E + c - 1) drho,
     # so it needs E > -c; per-axis probes cannot see these
-    K = (exps.L - 1) * exps.M
-    for c in (2, 3):
-        if K < c:
-            continue
-        for axes in combinations(range(K), c):
-            for sides in product((0, 1), repeat=c):
-                expo = _probe_exponent(exps, zc, basis, list(zip(axes, sides)))
-                if expo <= -c + 0.05:
-                    raise ConvergenceError(
-                        f"nonconvergent corner exponent {expo:.3f} at faces "
-                        f"{list(zip(axes, sides))}")
+    for faces, expo in measured[2 * K:]:
+        if finite(faces, expo) <= -len(faces) + 0.05:
+            raise ConvergenceError(
+                f"nonconvergent corner exponent {expo:.3f} at faces {faces}")
     return expos
 
 
@@ -636,8 +634,9 @@ def _psiM_tensor(exps: ExponentsM, z, basis, nodes, i=None):
     """Tanh-sinh tensor sums of the coefficients (and of d/dz_i) on the cube.
 
     The nodes^K grid is cut along axis 0 into slabs of about _SLAB_POINTS
-    points; each slab goes through :func:`_psiM_coeffs` on its own and the
-    slab sums are added in slab order.
+    points; each slab goes through :func:`_psiM_coeffs` on its own, its cube
+    variables given as one broadcasting array per axis, and the slab sums
+    are added in slab order.
     """
     K = (exps.L - 1) * exps.M
     xs, omxs, ws = tanh_sinh_01(nodes)
@@ -647,13 +646,14 @@ def _psiM_tensor(exps: ExponentsM, z, basis, nodes, i=None):
     coeffs = dict.fromkeys(basis, 0.0)
     derivs = dict.fromkeys(basis, 0.0) if i is not None else {}
     for lo in range(0, nodes, rows):
-        axes = [slice(lo, lo + rows)] + [slice(None)] * (K - 1)
-        v = np.stack(np.meshgrid(*[xs[a] for a in axes], indexing="ij"), axis=-1)
-        omv = np.stack(np.meshgrid(*[omxs[a] for a in axes], indexing="ij"), axis=-1)
-        logw = np.zeros_like(v[..., 0])
+        # axis j of the slab as an array that broadcasts along axis j only
+        axes = [(slice(lo, lo + rows),) + (None,) * (K - 1)]
+        axes += [(slice(None),) + (None,) * (K - 1 - j) for j in range(1, K)]
+        v, omv = [xs[a] for a in axes], [omxs[a] for a in axes]
+        logw = np.zeros(np.broadcast_shapes(*(u.shape for u in v)))
         for j, a in enumerate(axes):
-            logw += logws[j][a][(slice(None),) + (None,) * (K - 1 - j)]
-        c, d = _psiM_coeffs(exps, z, _ChainPoint.from_cube(v, omv), logw, basis, i)
+            logw += logws[j][a]
+        c, d = _psiM_coeffs(exps, z, _ChainPoint(v, omv), logw, basis, i)
         for total, part in ((coeffs, c), (derivs, d)):
             for A in part:
                 total[A] += part[A]
@@ -689,12 +689,13 @@ def _psiM_mc(exps: ExponentsM, z, basis, expos, nsamples, seed, i=None, batches=
         omv = g2 / tot
         good = np.all((v > 0.0) & (omv > 0.0), axis=1)
         v, omv = v[good], omv[good]
-        pt = _ChainPoint.from_cube(v, omv)
+        pt = _ChainPoint(v.T, omv.T)
         logw = np.full(v.shape[0], log_norm)
+        logv, logomv = np.log(v), np.log(omv)
         for j in range(K):
-            logw += (K - 1 - j) * np.log(v[:, j])          # cube Jacobian
-            logw -= (a[j] - 1.0) * np.log(v[:, j])         # / proposal density
-            logw -= (b[j] - 1.0) * np.log(omv[:, j])
+            logw += (K - 1 - j) * logv[:, j]          # cube Jacobian
+            logw -= (a[j] - 1.0) * logv[:, j]         # / proposal density
+            logw -= (b[j] - 1.0) * logomv[:, j]
         c, d = _psiM_coeffs(exps, z, pt, logw, basis, i)
         for A in basis:
             per_batch[A].append(c[A] / per)

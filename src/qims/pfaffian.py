@@ -75,13 +75,29 @@ def residue_sum(residues_i, z, i):
     return [[row.get(b, zero) for b in range(len(rows))] for row in rows]
 
 
+def restricted_residues(params: Parameters, i: int, basis, index_of, space: str):
+    """The residues {p: sparse rows} of H_i restricted to the span of ``basis``
+    (``index_of`` maps each element to its position), indexed as
+    ``PfaffianSystem.residues[i]``; ``space`` names the span in leakage errors."""
+    if any(not isinstance(x, (int, Fraction)) for x in params.e + params.kappa + params.theta):
+        raise ParameterError("restriction requires exact-rational parameters")
+    parts = hamiltonian_parts(i, params)
+
+    def restrict(op, what):
+        return _columns(flatten(op, params), basis, index_of, f"H_{i} {what} part on {space}")
+
+    W = restrict(parts["const"], "z-free")
+    V = restrict(parts["pole1"], "1/(z_i-1)")
+    K = {j + 1: restrict(op, f"z_{j}/(z_i-z_{j})") for j, op in parts["cross"].items()}
+    A0 = _combine([(1, W), (-1, V)] + [(-1, Kj) for Kj in K.values()])
+    return {0: A0, 1: V, **K}
+
+
 class PfaffianSystem:
     """Restriction of all H_i to V(M) or F(T), held as exact residues."""
 
     def __init__(self, params: Parameters, space):
         kind, data = space
-        if any(not isinstance(x, (int, Fraction)) for x in params.e + params.kappa + params.theta):
-            raise ParameterError("restriction requires exact-rational parameters")
         self.params = params
         L, N = params.L, params.N
         if kind == "V":
@@ -106,19 +122,10 @@ class PfaffianSystem:
             raise ParameterError(f"unknown space kind {kind!r}; use ('V', M) or ('F', T)")
         self.index_of = {A: k for k, A in enumerate(self.basis)}
         self.dim = len(self.basis)
-
-        def restrict(op, what):
-            return _columns(flatten(op, params), self.basis, self.index_of,
-                            f"H_{i} {what} part on {kind}{data}")
-
-        self.residues = {}  # residues[i][p]: the residue of M_i where z_i meets point p
-        for i in range(1, N + 1):
-            parts = hamiltonian_parts(i, params)
-            W = restrict(parts["const"], "z-free")
-            V = restrict(parts["pole1"], "1/(z_i-1)")
-            K = {j + 1: restrict(op, f"z_{j}/(z_i-z_{j})") for j, op in parts["cross"].items()}
-            A0 = _combine([(1, W), (-1, V)] + [(-1, Kj) for Kj in K.values()])
-            self.residues[i] = {0: A0, 1: V, **K}
+        # residues[i][p]: the residue of M_i where z_i meets point p
+        self.residues = {i: restricted_residues(params, i, self.basis, self.index_of,
+                                                f"{kind}{data}")
+                         for i in range(1, N + 1)}
 
     def matrix_at(self, i: int, z):
         """Exact D x D matrix M_i(z) (dense rows) for exact rational z."""

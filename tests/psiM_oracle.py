@@ -1,10 +1,16 @@
-"""Oracle for the degree-M integrand: the literal permutation sum.
+"""Oracles for the degree-M integrand and its chamber points.
 
 ``qims.hypint._psiM_coeffs`` symmetrizes the M copies of the one-copy forms
 by a generating-function product.  This module sums over all M!^(L-1) copy
 permutations instead, one basis index at a time, with the multinomial
 weight of each index from :class:`PhiIndexData`.  The base (the symmetric
 weight U) is built as in the kernel; only the symmetrization differs.
+
+``qims.hypint._ChainPoint`` builds chain coordinates and gaps from per-axis
+arrays that broadcast; :func:`from_cube` builds them from a stacked
+``(..., K)`` grid by a cumulative product.  :func:`probe_exponent` fits one
+window-probe exponent from two one-point kernel calls, where
+``hypint._axis_exponents_numeric`` evaluates every probe point in one batch.
 """
 
 import math
@@ -13,7 +19,69 @@ from itertools import permutations, product
 
 import numpy as np
 
+from qims.errors import ConvergenceError
+from qims.hypint import _psiM_coeffs
 from qims.polyalg import flat_pos
+
+
+class StackedChainPoint:
+    """Chain points of a stacked cube grid: ``x[p]``, ``omx[p]`` and
+    ``gap(p, r)`` as views into ``(..., K)`` arrays."""
+
+    def __init__(self, x, omx, gaps):
+        self.x = np.moveaxis(x, -1, 0)
+        self.omx = np.moveaxis(omx, -1, 0)
+        self._gaps = gaps
+
+    def gap(self, p, r):
+        return self._gaps[(min(p, r), max(p, r))]
+
+
+def from_cube(v, omv):
+    """Chain points of the stacked cube variables ``v`` (..., K) and their
+    complements: x = cumprod(v), 1 - x_j = 1 - x_(j-1) + x_(j-1) (1 - v_j)
+    and x_p - x_r = x_p (1 - v_(p+1) ... v_r), accumulated factor by factor."""
+    K = v.shape[-1]
+    x = np.cumprod(v, axis=-1)
+    omx = np.empty_like(x)
+    omx[..., 0] = omv[..., 0]
+    for j in range(1, K):
+        omx[..., j] = omx[..., j - 1] + x[..., j - 1] * omv[..., j]
+    gaps = {}
+    for p in range(K):
+        prod = np.ones_like(v[..., 0])
+        omprod = np.zeros_like(v[..., 0])
+        for r in range(p + 1, K):
+            omprod = omprod + prod * omv[..., r]
+            prod = prod * v[..., r]
+            gaps[(p, r)] = x[..., p] * omprod
+    return StackedChainPoint(x, omx, gaps)
+
+
+def probe_exponent(exps, z, basis, moves):
+    """Fitted power of the cube integrand as the listed (axis, side) faces
+    are approached together, from one kernel call per distance; +inf when
+    the integrand vanishes there."""
+    K = (exps.L - 1) * exps.M
+    vals = []
+    for eps in (1e-4, 5e-5):
+        v = np.full((1, K), 0.5)
+        for axis, side in moves:
+            v[0, axis] = eps if side == 0 else 1.0 - eps
+        omv = 1.0 - v
+        for axis, side in moves:
+            omv[0, axis] = 1.0 - eps if side == 0 else eps
+        logw = np.zeros(1)
+        for j in range(K):
+            logw += (K - 1 - j) * np.log(v[0, j])  # cube Jacobian
+        c, _ = _psiM_coeffs(exps, z, from_cube(v, omv), logw, basis)
+        worst = max(abs(val) for val in c.values())
+        if not math.isfinite(worst):
+            raise ConvergenceError(f"integrand overflow while probing faces {moves}")
+        vals.append(worst)
+    if vals[0] == 0.0 and vals[1] == 0.0:
+        return math.inf
+    return (math.log(vals[0]) - math.log(vals[1])) / math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -91,13 +159,13 @@ def psiM_coeffs_oracle(exps, z, pt, logw, basis, i=None):
     for n in range(1, L):
         an = float(exps.alpha[n - 1]) / kp
         for a in range(1, M + 1):
-            logbase += an * np.log(x[..., pos[(n, a)]])
+            logbase += an * np.log(x[pos[(n, a)]])
     dweight = 0.0
     for a in range(1, M + 1):
-        tl = x[..., pos[(L - 1, a)]]
+        tl = x[pos[(L - 1, a)]]
         for j in range(N):
             logbase += (-float(exps.beta[j]) / kp) * np.log1p(-z[j] * tl)
-        logbase += (-float(exps.gamma) / kp) * np.log(omx[..., pos[(1, a)]])
+        logbase += (-float(exps.gamma) / kp) * np.log(omx[pos[(1, a)]])
         logbase -= np.log(tl)  # per-copy 1/t_{L-1}
         if i is not None:
             dweight = dweight + float(exps.beta[i - 1]) / kp * tl / (1.0 - z[i - 1] * tl)
@@ -113,7 +181,7 @@ def psiM_coeffs_oracle(exps, z, pt, logw, basis, i=None):
             gaps = []
             for m in range(1, L):
                 if m == 1:
-                    gaps.append(omx[..., cidx[0]])
+                    gaps.append(omx[cidx[0]])
                 else:
                     g = pt.gap(cidx[m - 2], cidx[m - 1])
                     # pt.gap is the positive chain gap; restore the sign of
@@ -121,7 +189,7 @@ def psiM_coeffs_oracle(exps, z, pt, logw, basis, i=None):
                     gaps.append(g if cidx[m - 2] < cidx[m - 1] else -g)
             inv_gaps = [1.0 / g for g in gaps]
             f0 = math.prod(inv_gaps)
-            tl = x[..., cidx[L - 2]]
+            tl = x[cidx[L - 2]]
             fni = {}
             for j in range(1, N + 1):
                 pref = 1.0 / (1.0 - z[j - 1] * tl)

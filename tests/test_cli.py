@@ -10,7 +10,7 @@ import pytest
 from conftest import m1_window_params, m_window_params, resonant_params
 import random
 
-from qims.cli import emit_scalar, main, parse_scalar, write_output
+from qims.cli import emit_matrix, emit_scalar, json_text, main, parse_scalar, write_output
 
 
 def write_cfg(tmp_path, name, payload):
@@ -304,6 +304,15 @@ def test_writer_matches_json_dumps_on_edge_payload(tmp_path):
     out = tmp_path / "edge.json"
     write_output(argparse.Namespace(out=str(out)), payload)
     assert out.read_bytes() == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+
+def test_equal_exact_cells_share_one_dict_and_print_alike():
+    rows = emit_matrix([[F(0), 0, F(1, 2)], [F(1, 2), 0.5, F(0)]])
+    assert rows[0][0] is rows[0][1] is rows[1][2] and rows[0][2] is rows[1][0]
+    assert rows[1][1] == {"value": 0.5, "kind": "float"}
+    # one shared dict at two indents, next to hash-equal dicts that print apart
+    payload = {"m": rows, "c": rows[0][0], "f": [{"a": 1}, {"a": True}, {"a": 1.0}]}
+    assert json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_entry_point_subprocess(tmp_path):

@@ -31,6 +31,20 @@ def test_cohomology_equals_operator_exactly(L, N, M):
             assert cmp.exact_equal, (L, N, M, i, cmp.max_abs_diff)
 
 
+def test_comparison_restricts_only_the_compared_hamiltonian(monkeypatch):
+    from qims import pfaffian
+    L, N, M, i = 3, 3, 2, 2
+    params = resonant_params(L, N, M, random.Random(5), dict_m=True)
+    built, parts = [], []
+    monkeypatch.setattr(pfaffian.PfaffianSystem, "__init__",
+                        lambda *a: built.append(a) or pytest.fail("built a PfaffianSystem"))
+    hamiltonian_parts = pfaffian.hamiltonian_parts
+    monkeypatch.setattr(pfaffian, "hamiltonian_parts",
+                        lambda j, p: parts.append(j) or hamiltonian_parts(j, p))
+    assert compare_cohomology_operator(params, random_z(N, random.Random(6)), M, i).exact_equal
+    assert built == [] and parts == [i]
+
+
 def plant(monkeypatch, edit):
     """Run ``edit(A, residues)`` on the residues of every row of the cohomology side."""
     display_row = cohomology._display_row

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import m1_window_params, m_window_params, resonant_params, solve_e
 from qims.errors import ChamberError, ConvergenceError, ParameterError
-from qims.hypint import (dictionary_M, dictionary_M1, eval_psi1, eval_psiM,
+from qims.hypint import (ExponentsM, dictionary_M, dictionary_M1, eval_psi1, eval_psiM,
                          forms_M1, pde_residual, series_psi1, weight_M1)
 from qims.quadrature import QuadratureSpec
 from qims.weylops import make_parameters
@@ -259,7 +259,8 @@ def test_psiM_symmetrization_consistency():
     # coefficients whose block density is already symmetric: full Sym equals
     # the group order times the unsymmetrized ordered-chamber integral; the
     # mixed coefficient equals the sum of its separately-integrated orbit
-    from qims.hypint import _ChainPoint, _psiM_coeffs, dictionary_M
+    from psiM_oracle import from_cube
+    from qims.hypint import _psiM_coeffs, dictionary_M
     from qims.quadrature import tanh_sinh_01
     params = m_window_params(2, 1, 2)
     exps = dictionary_M(params, 2)
@@ -270,13 +271,13 @@ def test_psiM_symmetrization_consistency():
     v = np.stack([V1, V2], axis=-1)
     omv = np.stack([O1, O2], axis=-1)
     logw = np.log(np.outer(ws, ws)) + np.log(V1)
-    pt = _ChainPoint.from_cube(v, omv)
+    pt = from_cube(v, omv)
     full, _ = _psiM_coeffs(exps, z, pt, logw, ((0,), (1,), (2,)))
 
     # unsymmetrized single-assignment integrals over the same ordered chamber
     kp = float(exps.planck)
-    t1, t2 = pt.x[..., 0], pt.x[..., 1]
-    om1, om2 = pt.omx[..., 0], pt.omx[..., 1]
+    t1, t2 = pt.x[0], pt.x[1]
+    om1, om2 = pt.omx[0], pt.omx[1]
     base = np.exp(logw + (2 / kp) * np.log(pt.gap(0, 1))
                   + float(exps.alpha[0]) / kp * (np.log(t1) + np.log(t2))
                   - float(exps.beta[0]) / kp * (np.log1p(-z[0] * t1) + np.log1p(-z[0] * t2))
@@ -295,15 +296,20 @@ def test_psiM_symmetrization_consistency():
 KERNEL_SIZES = [(2, 1, 2), (2, 2, 3), (2, 1, 4), (3, 1, 2), (3, 2, 2), (3, 1, 3), (4, 1, 2)]
 
 
+def kernel_exps(L, N, M):
+    return ExponentsM(tuple(F(3, 4) + F(n, 5) for n in range(L - 1)),
+                      tuple(F(-2, 7 + 2 * j) for j in range(N)), F(-1, 2), F(2), M)
+
+
 @pytest.mark.parametrize("L,N,M", KERNEL_SIZES)
 def test_kernel_matches_permutation_sum(L, N, M):
-    from psiM_oracle import psiM_coeffs_oracle
-    from qims.hypint import ExponentsM, _ChainPoint, _psiM_coeffs
+    from psiM_oracle import from_cube, psiM_coeffs_oracle
+    from qims.hypint import ExponentsM, _psiM_coeffs
     from qims.polyalg import enumerate_basis
     rng = np.random.default_rng(100 * L + 10 * N + M)
     K = (L - 1) * M
     v = rng.uniform(0.02, 0.98, size=(3, 4, K))  # a 3 x 4 batch of chamber points
-    pt = _ChainPoint.from_cube(v, 1.0 - v)
+    pt = from_cube(v, 1.0 - v)
     logw = rng.normal(size=(3, 4))
     exps = ExponentsM(tuple(F(3, 4) + F(n, 5) for n in range(L - 1)),
                       tuple(F(-2, 7 + 2 * j) for j in range(N)), F(-1, 2), F(2), M)
@@ -317,6 +323,113 @@ def test_kernel_matches_permutation_sum(L, N, M):
             assert c[A] == pytest.approx(want[A], rel=1e-12, abs=0), (i, A)
             if i is not None:
                 assert d[A] == pytest.approx(dwant[A], rel=1e-12, abs=0), (i, A)
+
+
+def _assert_same_chain(pt, want, shape, K):
+    for p in range(K):
+        assert np.array_equal(np.broadcast_to(pt.x[p], shape), want.x[p]), p
+        assert np.array_equal(np.broadcast_to(pt.omx[p], shape), want.omx[p]), p
+        for r in range(p + 1, K):
+            assert np.array_equal(np.broadcast_to(pt.gap(p, r), shape), want.gap(p, r)), (p, r)
+            assert pt.gap(r, p) is pt.gap(p, r)
+
+
+@pytest.mark.parametrize("K", [2, 3, 4, 5, 6])
+def test_broadcast_slab_chain_point_equals_stacked_grid(K, monkeypatch):
+    # the chain points and weights _psiM_tensor hands the kernel, slab by slab,
+    # against the stacked meshgrid and cumprod of the same slab
+    from psiM_oracle import from_cube
+    from qims import hypint
+    from qims.quadrature import tanh_sinh_01
+    exps = ExponentsM((F(3, 4),), (F(-2, 7),), F(-1, 2), F(2), K)
+    basis = tuple(hypint.enumerate_basis(2, 1, K))
+    nodes = 5
+    monkeypatch.setattr(hypint, "_SLAB_POINTS", 2 * nodes ** (K - 1))  # slabs of 2, 2, 1 rows
+    seen = []
+    monkeypatch.setattr(hypint, "_psiM_coeffs", lambda exps, z, pt, logw, basis, i:
+                        seen.append((pt, logw)) or (dict.fromkeys(basis, 0.0), {}))
+    hypint._psiM_tensor(exps, (0.4,), basis, nodes)
+    xs, omxs, ws = tanh_sinh_01(nodes)
+    assert len(seen) == 3
+    for lo, (pt, logw) in zip((0, 2, 4), seen):
+        axes = [xs[lo:lo + 2]] + [xs] * (K - 1)
+        v = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        omv = np.stack(np.meshgrid(*[omxs[lo:lo + 2]] + [omxs] * (K - 1), indexing="ij"),
+                       axis=-1)
+        _assert_same_chain(pt, from_cube(v, omv), v.shape[:-1], K)
+        want = np.zeros(v.shape[:-1])
+        for j in range(K):
+            rows = slice(lo, lo + 2) if j == 0 else slice(None)
+            want += (np.log(ws) + (K - 1 - j) * np.log(xs))[rows][
+                (slice(None),) + (None,) * (K - 1 - j)]
+        assert np.array_equal(logw, want)
+        # x_p and 1 - x_p vary along axes 0..p only
+        for p in range(K):
+            assert pt.x[p].shape == pt.omx[p].shape == v.shape[:p + 1] + (1,) * (K - 1 - p)
+
+
+@pytest.mark.parametrize("L,N,M", KERNEL_SIZES)
+def test_kernel_on_broadcast_grid_equals_stacked_grid(L, N, M):
+    # the same values summed in the same order, so equal to the last bit
+    from psiM_oracle import from_cube
+    from qims.hypint import _ChainPoint, _psiM_coeffs
+    from qims.polyalg import enumerate_basis
+    K = (L - 1) * M
+    rng = np.random.default_rng(10 * K + N)
+    axes = [np.sort(rng.uniform(0.02, 0.98, size=4)) for _ in range(K)]
+    v = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    per_axis = [u[(slice(None),) + (None,) * (K - 1 - j)] for j, u in enumerate(axes)]
+    logw = rng.normal(size=v.shape[:-1])
+    exps = kernel_exps(L, N, M)
+    z = tuple(0.45 - 0.17 * k for k in range(N))
+    basis = tuple(enumerate_basis(L, N, M))
+    for i in (None, N):
+        got = _psiM_coeffs(exps, z, _ChainPoint(per_axis, [1.0 - u for u in per_axis]),
+                           logw, basis, i)
+        assert got == _psiM_coeffs(exps, z, from_cube(v, 1.0 - v), logw, basis, i)
+
+
+def test_batch_chain_point_equals_stacked_grid():
+    # Monte Carlo and the window probes pass the columns of a (P, K) batch
+    from psiM_oracle import from_cube
+    from qims.hypint import _ChainPoint
+    rng = np.random.default_rng(7)
+    v = rng.uniform(0.0, 1.0, size=(500, 5))
+    omv = 1.0 - v
+    _assert_same_chain(_ChainPoint(v.T, omv.T), from_cube(v, omv), (500,), 5)
+
+
+@pytest.mark.parametrize("L,N,M", KERNEL_SIZES)
+def test_batched_probe_exponents_match_one_point_probes(L, N, M):
+    from psiM_oracle import probe_exponent
+    from qims.hypint import _axis_exponents_numeric
+    from qims.polyalg import enumerate_basis
+    exps = kernel_exps(L, N, M)
+    z = tuple(0.45 - 0.17 * k for k in range(N))
+    basis = tuple(enumerate_basis(L, N, M))
+    K = (L - 1) * M
+    measured = _axis_exponents_numeric(exps, z, basis)
+    assert [faces for faces, _ in measured[:2 * K]] == [
+        [(axis, side)] for axis in range(K) for side in (0, 1)]
+    assert len(measured) == 2 * K + 4 * math.comb(K, 2) + 8 * math.comb(K, 3)
+    for faces, expo in measured:
+        assert expo == probe_exponent(exps, z, basis, faces), faces
+
+
+def test_window_check_is_one_kernel_call(monkeypatch):
+    from qims import hypint
+    exps = dictionary_M(m_window_params(2, 2, 3), 3)
+    basis = tuple(hypint.enumerate_basis(2, 2, 3))
+    calls = []
+    kernel = hypint._psiM_coeffs
+    monkeypatch.setattr(hypint, "_psiM_coeffs",
+                        lambda *a, **k: calls.append(1) or kernel(*a, **k))
+    hypint._window_check_M.cache_clear()
+    try:
+        hypint._window_check_M(exps, basis)
+    finally:
+        hypint._window_check_M.cache_clear()
+    assert len(calls) == 1
 
 
 def test_slabbed_tensor_equals_one_slab(monkeypatch):

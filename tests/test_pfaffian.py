@@ -11,7 +11,9 @@ from conftest import random_params, random_z, resonant_params
 from dense_oracle import (DenseSystem, fraction_flatness, point_flatness,
                           propagate_stagewise, transport_matrix_float)
 from qims.errors import ParameterError, PropagationError, SingularityError, SubspaceError
-from qims.pfaffian import PfaffianSystem, ZPath, codim2_flats, flatness_residual, propagate
+from qims.pfaffian import (PfaffianSystem, ZPath, codim2_flats, flatness_residual, propagate,
+                           restricted_residues)
+from qims.polyalg import enumerate_basis
 from qims.weylops import make_parameters
 
 
@@ -185,6 +187,17 @@ def test_residue_form_matches_dense_assembly(L, N, M):
     r = flatness_residual(system)
     assert r.commutator == 0 and r.derivative_rel == 0
     assert point_flatness(dense, z, 1, 2) == (0, 0)
+
+
+@pytest.mark.parametrize("L,N,M", ORACLE_SIZES)
+def test_one_index_restriction_equals_the_system_residues(L, N, M):
+    # compare_cohomology_operator restricts one H_i through this helper
+    params = resonant_params(L, N, M, random.Random(100 * L + 10 * N + M))
+    system = PfaffianSystem(params, ("V", M))
+    basis = enumerate_basis(L, N, M)
+    index_of = {A: k for k, A in enumerate(basis)}
+    for i in range(1, N + 1):
+        assert restricted_residues(params, i, basis, index_of, f"V{M}") == system.residues[i]
 
 
 def ft_system():

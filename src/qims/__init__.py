@@ -16,8 +16,8 @@ from .weylops import (Parameters, make_parameters, apply, flatten, hamiltonian,
                       Q, P, Sc, Add, Mul)
 from .pfaffian import PfaffianSystem, ZPath, flatness_residual, propagate
 from .quadrature import QuadratureSpec
-from .hypint import (ExponentsM, ExponentsM1, dictionary_M, dictionary_M1, eval_psi1,
-                     eval_psiM, forms_M1, pde_residual, series_psi1, weight_M1)
+from .hypint import (ExponentsM, dictionary_M, eval_psi1, eval_psiM, pde_residual,
+                     series_psi1)
 from .cohomology import (LEMMA_IDS, compare_cohomology_operator, lemma_residual,
                          pfaffian_from_cohomology, random_lemma_sample)
 

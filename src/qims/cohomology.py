@@ -117,14 +117,19 @@ def _display_row(A, L, N, M, alpha, beta, gamma, i):
 
 def _residues(params: Parameters, M: int, i: int):
     """The residues of P_i as sparse rows over the degree-M basis, indexed as
-    ``PfaffianSystem.residues[i]``."""
+    ``PfaffianSystem.residues[i]``.  The reduction assumes kappa_n = 1 for
+    2 <= n <= L-1 at every M, degree 1 included."""
     exps = dictionary_M(params, M)
     L, N = params.L, params.N
+    for n in range(2, L):
+        if params.kappa[n] != 1:
+            raise ParameterError(
+                f"the cohomology reduction requires kappa_{n} = 1, got {params.kappa[n]}")
     if not 1 <= i <= N:
         raise StructureError(f"time index {i} out of range")
     basis = enumerate_basis(L, N, M)
     idx = {A: k for k, A in enumerate(basis)}
-    rows = [_display_row(A, L, N, M, exps.alpha, exps.beta, exps.gamma, i) for A in basis]
+    rows = [_display_row(A, L, N, M, exps.alpha, exps.beta, exps.gamma[0], i) for A in basis]
     return {p: [{idx[B]: c for B, c in row[p].items() if c} for row in rows] for p in rows[0]}
 
 

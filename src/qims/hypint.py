@@ -1,11 +1,20 @@
 """Hypergeometric integral solutions evaluated over one explicit chamber.
 
-The degree-1 solution integrates a weight U(t) against the rational forms
-phi_0, phi_n^(i) over the nested simplex 0 < t_{L-1} < ... < t_1 < 1
-(t_0 = 1).  The substitution t_n = t_{n-1} u_n maps this chamber onto the
-unit cube and turns every singular factor into a per-axis Jacobi weight
-u^a (1-u)^b, which Gauss-Jacobi nodes absorb exactly; only the analytic
-factor prod_i (1 - z_i t_{L-1})^{-beta_i/kappa} remains in the integrand.
+One exponent dictionary (``dictionary_M``) serves every degree M >= 1.
+At M = 1 the weight is U = prod t_n^(alpha_n/kappa)
+prod_i (1 - z_i t_{L-1})^(-beta_i/kappa) prod_n (t_{n-1} - t_n)^(-gamma_n/kappa)
+with t_0 = 1.  At M >= 2 each copy carries the t_n, (1 - z_i t_{L-1}) and
+(1 - t_1) factors, each pair of copies on adjacent levels n, n+1 the gap
+factor with gamma_{n+1} = 1, and each pair within a level (t - t')^(2/kappa).
+Every result is the coefficient vector over the degree-M basis, in basis
+order, whatever the scheme.
+
+The degree-1 solution integrates U against the rational forms phi_0,
+phi_n^(i) over the nested simplex 0 < t_{L-1} < ... < t_1 < 1.  The
+substitution t_n = t_{n-1} u_n maps this chamber onto the unit cube and
+turns every singular factor into a per-axis Jacobi weight u^a (1-u)^b,
+which Gauss-Jacobi nodes absorb exactly; only the analytic factor
+prod_i (1 - z_i t_{L-1})^{-beta_i/kappa} remains in the integrand.
 
 Degree-M solutions use M copies of each integration level, ordered so all
 level-n copies exceed all level-(n+1) copies and copies decrease within a
@@ -23,6 +32,8 @@ depends on.  Full-size arrays (the weight and the expanded products) are
 built one slab of about 2^15 points at a time, so memory stays flat as the
 node count grows.
 
+Every quadrature result is checked by node refinement (Gauss-Jacobi
+doubles the nodes, tanh-sinh takes 1.5x as many), never assumed stable.
 All power-law bases are positive on the chamber for real z with
 0 < z_i < 1, so principal branches apply throughout and no branch tracking
 is needed.  Complex z is out of scope for quadrature (ODE transport covers
@@ -46,34 +57,16 @@ from .quadrature import QuadratureSpec, gauss_jacobi_01, tanh_sinh_01
 from .weylops import Parameters
 
 
-# --- parameter dictionaries -------------------------------------------------------
+# --- parameter dictionary ---------------------------------------------------------
 
 @dataclass(frozen=True)
-class ExponentsM1:
-    """Weight exponents of the degree-1 integral: U = prod t_n^(alpha_n/k)
-    * prod (1-z_i t_{L-1})^(-beta_i/k) * prod (t_{n-1}-t_n)^(-gamma_n/k)."""
+class ExponentsM:
+    """Weight exponents of the degree-M integral: alpha_n on t_n, beta_i on
+    (1 - z_i t_{L-1}), gamma_1 on (1 - t_1) and gamma_n on (t_{n-1} - t_n)."""
 
     alpha: tuple
     beta: tuple
     gamma: tuple
-    planck: object
-
-    @property
-    def L(self):
-        return len(self.alpha) + 1
-
-    @property
-    def N(self):
-        return len(self.beta)
-
-
-@dataclass(frozen=True)
-class ExponentsM:
-    """Weight exponents of the degree-M integral (single gamma on (1 - t_1))."""
-
-    alpha: tuple
-    beta: tuple
-    gamma: object
     planck: object
     M: int
 
@@ -86,56 +79,30 @@ class ExponentsM:
         return len(self.beta)
 
 
-def dictionary_M1(params: Parameters) -> ExponentsM1:
-    """alpha_n = e_{n+1} - e_n + kappa_{n+1}, beta_i = -theta_i, gamma_n = kappa_n,
-    with e_L = e_0 and kappa_L = 1; requires the degree-1 resonance."""
-    if params.resonance_V != 1:
-        raise ParameterError(
-            f"degree-1 dictionary requires kappa_0 - sum(theta) = 1, got {params.resonance_V}")
-    L = params.L
-    e = params.e + (params.e[0],)
-    kap = params.kappa + (Fraction(1),)
-    alpha = tuple(e[n + 1] - e[n] + kap[n + 1] for n in range(1, L))
-    beta = tuple(-t for t in params.theta[1:])
-    gamma = tuple(params.kappa[n] for n in range(1, L))
-    return ExponentsM1(alpha, beta, gamma, params.planck)
-
-
 def dictionary_M(params: Parameters, M: int) -> ExponentsM:
-    """alpha_n = e_{n+1} - e_n + 1, beta_i = -theta_i, gamma = kappa_1 + M - 1;
-    requires kappa_0 - sum(theta) = M and kappa_n = 1 for 2 <= n <= L-1."""
+    """alpha_n = e_{n+1} - e_n + kappa_{n+1}, beta_i = -theta_i,
+    gamma_1 = kappa_1 + M - 1 and gamma_n = kappa_n, with e_L = e_0 and
+    kappa_L = 1; requires kappa_0 - sum(theta) = M, and for M >= 2 also
+    kappa_n = 1 for 2 <= n <= L-1."""
     if params.resonance_V != M:
         raise ParameterError(
             f"degree-M dictionary requires kappa_0 - sum(theta) = M, got "
             f"{params.resonance_V} != {M}")
-    for n in range(2, params.L):
+    for n in range(2, params.L if M >= 2 else 2):
         if params.kappa[n] != 1:
             raise ParameterError(
                 f"degree-M dictionary requires kappa_{n} = 1, got {params.kappa[n]}")
     L = params.L
     e = params.e + (params.e[0],)
-    alpha = tuple(e[n + 1] - e[n] + 1 for n in range(1, L))
+    kap = params.kappa + (Fraction(1),)
+    alpha = tuple(e[n + 1] - e[n] + kap[n + 1] for n in range(1, L))
     beta = tuple(-t for t in params.theta[1:])
-    gamma = params.kappa[1] + M - 1
+    gamma = (params.kappa[1] + M - 1,) + params.kappa[2:]
     return ExponentsM(alpha, beta, gamma, params.planck, M)
 
 
-# --- pointwise weight and forms ----------------------------------------------------
-
-def _check_chamber_point(t, L):
-    t = tuple(float(x) for x in t)
-    if len(t) != L - 1:
-        raise ChamberError(f"t must have length L-1={L - 1}")
-    chain = (1.0,) + t
-    if any(not (chain[k + 1] < chain[k]) for k in range(L - 1)) or not t[-1] > 0.0:
-        raise ChamberError(f"point {t} outside the chamber 0 < t_(L-1) < ... < t_1 < 1")
-    return t
-
-
 def _check_z_box(z, N, i=None):
-    z = tuple(float(x) for x in z)
-    if len(z) != N:
-        raise ChamberError(f"z must have length N={N}")
+    z = _z_of_length(z, N)
     if any(not (0.0 < zi < 1.0) for zi in z):
         raise ChamberError(f"z {z} outside the real box (0,1)^N")
     if len(set(z)) != N:
@@ -145,86 +112,59 @@ def _check_z_box(z, N, i=None):
     return z
 
 
-def weight_M1(t, z, exps: ExponentsM1) -> float:
-    """U(t) at an interior chamber point; positive real (principal powers)."""
-    L, N = exps.L, exps.N
-    t = _check_chamber_point(t, L)
-    z = _check_z_box(z, N)
-    kp = float(exps.planck)
-    chain = (1.0,) + t
-    out = 0.0
-    for n in range(1, L):
-        out += float(exps.alpha[n - 1]) / kp * math.log(t[n - 1])
-        out += -float(exps.gamma[n - 1]) / kp * math.log(chain[n - 1] - chain[n])
-    for i in range(N):
-        out += -float(exps.beta[i]) / kp * math.log(1.0 - z[i] * t[-1])
-    return math.exp(out)
-
-
-def forms_M1(t, z):
-    """Densities of the basis forms against dt_1 ^ ... ^ dt_{L-1}.
-
-    Returns (phi_0, phi) with phi[n-1][i-1] the density of phi_n^(i):
-    phi_0 = 1/(t_{L-1} prod (t_{n-1}-t_n)) and
-    phi_n^(i) = 1/((1-z_i t_{L-1}) t_{L-1}) prod_{m != n} 1/(t_{m-1}-t_m).
-    """
-    L = len(t) + 1
-    N = len(z)
-    t = _check_chamber_point(t, L)
+def _z_of_length(z, N):
     z = tuple(float(x) for x in z)
-    chain = (1.0,) + t
-    gaps = [chain[m - 1] - chain[m] for m in range(1, L)]
-    phi0 = 1.0 / (t[-1] * math.prod(gaps))
-    phi = [[1.0 / ((1.0 - z[i] * t[-1]) * t[-1] * math.prod(
-        g for m, g in enumerate(gaps, start=1) if m != n))
-        for i in range(N)] for n in range(1, L)]
-    return phi0, phi
+    if len(z) != N:
+        raise ParameterError(f"z must have length N={N}")
+    return z
 
 
 # --- degree-1 evaluation ------------------------------------------------------------
 
-def _axis_exponents_m1(exps: ExponentsM1, key):
-    """Exact per-axis cube exponents (a_k, b_k) for one coefficient.
-
-    key is None for the constant coefficient or (n, i) for -phi_n^(i).
-    Includes the substitution Jacobian and the form density.
-    """
-    L = exps.L
+def _axis_exponents_m1(exps: ExponentsM, n):
+    """Exact per-axis cube exponents (a_k, b_k) of the degree-1 coefficients
+    of phi_n^(i) (n >= 1, any i) or of phi_0 (n = 0), after checking that
+    every one exceeds -1.  Includes the substitution Jacobian and the form
+    density."""
     a, b = [], []
-    for k in range(1, L):
+    for k in range(1, exps.L):
         ak = sum(exps.alpha[k - 1:], Fraction(0))
         ak -= sum(exps.gamma[k:], Fraction(0))
         ak = ak / exps.planck - 1
         bk = -exps.gamma[k - 1] / exps.planck - 1
-        if key is not None:
-            n = key[0]
-            if k <= n - 1:
-                ak += 1
-            if k == n:
-                bk += 1
+        # phi_n has one gap t_{n-1} - t_n = u_1...u_{n-1} (1 - u_n) more than phi_0
+        if k <= n - 1:
+            ak += 1
+        if k == n:
+            bk += 1
+        if not (ak > -1 and bk > -1):
+            raise ConvergenceError(
+                f"nonconvergent exponent window: axis exponents ({float(ak)}, "
+                f"{float(bk)}) for the coefficients of phi_{n}")
         a.append(ak)
         b.append(bk)
     return a, b
 
 
-def _coefficient_keys(L, N):
-    return [None] + [(n, i) for n in range(1, L) for i in range(1, N + 1)]
+def _m1_form(A, N):
+    """(n, i) of the form phi_n^(i) behind the degree-1 index A; (0, None) for phi_0."""
+    if not any(A):
+        return 0, None
+    p = A.index(1)
+    return p // N + 1, p % N + 1
 
 
-def _psi1_eval_at(exps: ExponentsM1, z, nodes: int, i=None):
-    """Evaluate every coefficient with per-(n)-group Gauss-Jacobi tensor rules,
-    and with a time index i also its d/dz_i on the same nodes."""
+def _psi1_eval_at(exps: ExponentsM, z, nodes: int, basis, i=None):
+    """Every coefficient in basis order, by one Gauss-Jacobi tensor rule per
+    level n of the forms, and with a time index i also its d/dz_i on the same
+    nodes (None without one)."""
     L, N = exps.L, exps.N
     kp = float(exps.planck)
-    coeffs, derivs = {}, {}
-    for n_group in [None] + list(range(1, L)):
-        key0 = None if n_group is None else (n_group, 1)
-        a, b = _axis_exponents_m1(exps, key0)
-        for ak, bk in zip(a, b):
-            if not (ak > -1 and bk > -1):
-                raise ConvergenceError(
-                    f"nonconvergent exponent window: axis exponents ({float(ak)}, "
-                    f"{float(bk)}) for coefficient group {n_group}")
+    forms = [_m1_form(A, N) for A in basis]
+    vec = np.zeros(len(basis))
+    dvec = np.zeros(len(basis)) if i is not None else None
+    for n in range(L):
+        a, b = _axis_exponents_m1(exps, n)
         rules = [gauss_jacobi_01(nodes, float(ak), float(bk)) for ak, bk in zip(a, b)]
         W = math.prod(np.ix_(*[w for _, w in rules]))
         T = math.prod(np.ix_(*[u for u, _ in rules]))
@@ -235,36 +175,25 @@ def _psi1_eval_at(exps: ExponentsM1, z, nodes: int, i=None):
             # d/dz_i log: (beta_i/kappa) r, and one more r on a 1/(1 - z_i T) form
             r = T / (1.0 - z[i - 1] * T)
             dw = float(exps.beta[i - 1]) / kp * r
-        for key in [None] if n_group is None else [(n_group, j) for j in range(1, N + 1)]:
-            val = W * base if key is None else W * base / (1.0 - z[key[1] - 1] * T)
-            sign = 1.0 if key is None else -1.0  # c_(n,i) = -int U phi_n^(i)
-            coeffs[key] = sign * float(np.sum(val))
+        for k, (m, j) in enumerate(forms):
+            if m != n:
+                continue
+            val = W * base if j is None else W * base / (1.0 - z[j - 1] * T)
+            sign = 1.0 if j is None else -1.0  # c_(n,i) = -int U phi_n^(i)
+            vec[k] = sign * float(np.sum(val))
             if i is not None:
-                derivs[key] = sign * float(np.sum(val * (dw + r if key and key[1] == i else dw)))
+                dvec[k] = sign * float(np.sum(val * (dw + r if j == i else dw)))
             del val  # one form's array alive at a time
-    return coeffs, derivs
+    return vec, dvec
 
 
 @dataclass(frozen=True)
 class IntegralResult:
     basis: tuple           # multi-indices, graded-lex
     vector: np.ndarray     # coefficients in basis order
-    coeffs: dict           # key -> value (None / (n,i) for M=1, index tuple for M>=2)
-    convergence: float     # relative change under node doubling (or MC std error)
+    convergence: float     # relative change under node refinement, MC std error or series tail
     meta: dict
-    derivative: np.ndarray = None  # dc/dz_i on the same nodes, when i is given
-
-
-def _m1_vector(coeffs, L, N):
-    basis = tuple(enumerate_basis(L, N, 1))
-    idx = {A: k for k, A in enumerate(basis)}
-    vec = np.zeros(len(basis))
-    vec[idx[(0,) * ((L - 1) * N)]] = coeffs[None]
-    for (n, i), v in ((k, v) for k, v in coeffs.items() if k is not None):
-        A = [0] * ((L - 1) * N)
-        A[flat_pos(n, i, N)] = 1
-        vec[idx[tuple(A)]] = v
-    return basis, vec
+    derivative: np.ndarray = None  # dc/dz_i in basis order on the same nodes, when i is given
 
 
 def eval_psi1(params: Parameters, z, quad: QuadratureSpec, i=None) -> IntegralResult:
@@ -278,20 +207,20 @@ def eval_psi1(params: Parameters, z, quad: QuadratureSpec, i=None) -> IntegralRe
     if quad.scheme != "gauss_jacobi_tensor":
         raise ParameterError(
             f"degree 1 uses scheme 'gauss_jacobi_tensor', got {quad.scheme!r}")
-    exps = dictionary_M1(params)
+    exps = dictionary_M(params, 1)
     z = _check_z_box(z, exps.N, i)
-    c1, _ = _psi1_eval_at(exps, z, quad.nodes_per_axis)
-    c2, d2 = _psi1_eval_at(exps, z, 2 * quad.nodes_per_axis, i)
-    scale = max(abs(v) for v in c2.values())
-    change = max(abs(c1[k] - c2[k]) for k in c1) / scale if scale else 0.0
+    basis = tuple(enumerate_basis(exps.L, exps.N, 1))
+    c1, _ = _psi1_eval_at(exps, z, quad.nodes_per_axis, basis)
+    c2, d2 = _psi1_eval_at(exps, z, 2 * quad.nodes_per_axis, basis, i)
+    scale = float(np.max(np.abs(c2)))
+    change = float(np.max(np.abs(c1 - c2))) / scale if scale else 0.0
     if change > quad.stabilize_tol:
         raise ConvergenceError(
             f"quadrature failed to stabilize: relative change {change:.3e} after "
             f"doubling {quad.nodes_per_axis} nodes")
-    basis, vec = _m1_vector(c2, exps.L, exps.N)
-    return IntegralResult(basis, vec, c2, change,
+    return IntegralResult(basis, c2, change,
                           {"scheme": "gauss_jacobi_tensor", "nodes": 2 * quad.nodes_per_axis},
-                          _m1_vector(d2, exps.L, exps.N)[1] if d2 else None)
+                          d2)
 
 
 # --- degree-1 series oracle ---------------------------------------------------------
@@ -301,7 +230,8 @@ def _log_beta(x, y):
 
 
 def series_psi1(params: Parameters, z, order: int) -> IntegralResult:
-    """Term-by-term integration of the cube integrand (N = 1 only, |z| < 1).
+    """Term-by-term integration of the cube integrand (N = 1 only, z = (z_1,)
+    with |z_1| < 1).
 
     Expands the analytic factor (1 - z T)^(-s) in powers of zT and integrates
     each term as a product of Beta functions; entirely independent of the
@@ -311,22 +241,20 @@ def series_psi1(params: Parameters, z, order: int) -> IntegralResult:
         raise ParameterError("the series oracle is defined for N = 1")
     if order < 0:
         raise ParameterError("order must be nonnegative")
-    exps = dictionary_M1(params)
-    zv = float(z[0]) if isinstance(z, (tuple, list)) else float(z)
+    exps = dictionary_M(params, 1)
+    (zv,) = _z_of_length(z, 1)
     if abs(zv) >= 1:
         raise ParameterError(f"series requires |z| < 1, got {zv}")
     kp = float(exps.planck)
-    coeffs = {}
+    basis = tuple(enumerate_basis(exps.L, 1, 1))
+    vec = np.zeros(len(basis))
     tails = []
-    for key in _coefficient_keys(exps.L, 1):
-        a, b = _axis_exponents_m1(exps, key)
-        for ak, bk in zip(a, b):
-            if not (ak > -1 and bk > -1):
-                raise ConvergenceError(
-                    f"nonconvergent exponent window for coefficient {key}")
+    for slot, A in enumerate(basis):
+        n, _ = _m1_form(A, 1)
+        a, b = _axis_exponents_m1(exps, n)
         # (1 - zT)^(-beta/kappa) = sum_k (beta/kappa)_k (zT)^k / k!, one extra
         # power of 1/(1 - zT) for the degree-1 coefficients
-        s = float(exps.beta[0]) / kp + (1.0 if key is not None else 0.0)
+        s = float(exps.beta[0]) / kp + (1.0 if n else 0.0)
         total = 0.0
         term = math.nan
         poch = 1.0
@@ -336,11 +264,9 @@ def series_psi1(params: Parameters, z, order: int) -> IntegralResult:
             term = poch * zv ** k / math.factorial(k) * math.exp(logterm)
             total += term
             poch *= s + k
-        sign = -1.0 if key is not None else 1.0
-        coeffs[key] = sign * total
+        vec[slot] = -total if n else total
         tails.append(abs(term) / max(abs(total), 1e-300))
-    basis, vec = _m1_vector(coeffs, exps.L, 1)
-    return IntegralResult(basis, vec, coeffs, max(tails),
+    return IntegralResult(basis, vec, max(tails),
                           {"scheme": "series", "order": order, "tail_bound": max(tails)})
 
 
@@ -423,7 +349,7 @@ def _psiM_coeffs(exps: ExponentsM, z, pt: _ChainPoint, logw, basis, i=None, poin
         tl = x[pos[(L - 1, a)]]
         for j in range(N):
             logbase += (-float(exps.beta[j]) / kp) * np.log1p(-z[j] * tl)
-        logbase += (-float(exps.gamma) / kp) * np.log(omx[pos[(1, a)]])
+        logbase += (-float(exps.gamma[0]) / kp) * np.log(omx[pos[(1, a)]])
         logbase -= np.log(tl)  # per-copy 1/t_{L-1}
         if i is not None:
             dweight = dweight + float(exps.beta[i - 1]) / kp * tl / (1.0 - z[i - 1] * tl)
@@ -491,8 +417,8 @@ def _axis_exponents_numeric(exps: ExponentsM, z, basis):
 
     Each probe approaches its faces together at two distances and fits the
     power.  Returns a list of (faces, exponent), per-axis probes first, with
-    exponent +inf where the integrand vanishes there and None where it
-    overflows.
+    exponent None where the probe value at either distance is 0 or not
+    finite: an underflow or overflow leaves the power unmeasurable.
     """
     K = (exps.L - 1) * exps.M
     probes = [[(axis, side)] for axis in range(K) for side in (0, 1)]
@@ -511,12 +437,9 @@ def _axis_exponents_numeric(exps: ExponentsM, z, basis):
     worst = np.max(np.abs([c[A] for A in basis]), axis=0).reshape(len(epss), -1)
     out = []
     for faces, (w0, w1) in zip(probes, worst.T):
-        if not (math.isfinite(w0) and math.isfinite(w1)):
-            out.append((faces, None))
-        elif w0 == 0.0 and w1 == 0.0:
-            out.append((faces, math.inf))
-        else:
-            out.append((faces, (math.log(w0) - math.log(w1)) / math.log(2.0)))
+        measurable = 0.0 < w0 < math.inf and 0.0 < w1 < math.inf
+        out.append((faces, (math.log(w0) - math.log(w1)) / math.log(2.0)
+                    if measurable else None))
     return out
 
 
@@ -543,8 +466,8 @@ def _window_check_M(exps: ExponentsM, basis):
         raise ConvergenceError(
             "window violated: adjacent-level collision faces need "
             f"Re(1/kappa) < 0 for L >= 3, got 1/kappa = {1.0 / kp}")
-    if not float(exps.gamma) / kp < 1:
-        raise ConvergenceError("window violated: Re(gamma/kappa) must be below 1")
+    if not float(exps.gamma[0]) / kp < 1:
+        raise ConvergenceError("window violated: Re(gamma_1/kappa) must be below 1")
     # endpoint exponents do not depend on z (z only scales smooth factors), so
     # probe at a canonical point; the Monte Carlo proposal built from them is
     # then the same at every z, and a scan over z sees common random numbers
@@ -555,7 +478,8 @@ def _window_check_M(exps: ExponentsM, basis):
 
     def finite(faces, expo):
         if expo is None:
-            raise ConvergenceError(f"integrand overflow while probing faces {faces}")
+            raise ConvergenceError(
+                f"integrand underflows or overflows while probing faces {faces}")
         return expo
 
     per_axis = [finite(faces, expo) for faces, expo in measured[:2 * K]]
@@ -620,10 +544,13 @@ def eval_psiM(params: Parameters, z, M: int, quad: QuadratureSpec, i=None) -> In
         raise ConvergenceError(
             f"quadrature failed to stabilize: relative change {conv:.3e} under "
             f"node refinement")
-    return IntegralResult(basis, np.array([c[A] for A in basis]), c, conv,
+    return IntegralResult(basis, np.array([c[A] for A in basis]), conv,
                           {**meta, "chamber": "level_blocks"},
                           np.array([d[A] for A in basis]) if d else None)
 
+
+# equal seeded Monte Carlo batches behind the batch-mean standard error
+_MC_BATCHES = 16
 
 # points per slab of a tensor grid: one _psiM_coeffs call holds a few dozen
 # arrays of this size, whatever the node count
@@ -660,7 +587,7 @@ def _psiM_tensor(exps: ExponentsM, z, basis, nodes, i=None):
     return coeffs, derivs
 
 
-def _psiM_mc(exps: ExponentsM, z, basis, expos, nsamples, seed, i=None, batches=16):
+def _psiM_mc(exps: ExponentsM, z, basis, expos, nsamples, seed, i=None):
     """Importance-sampled Monte Carlo on the cube image of the chamber.
 
     Each cube axis draws from Beta(E0+1, E1+1) with (E0, E1) the measured
@@ -677,9 +604,9 @@ def _psiM_mc(exps: ExponentsM, z, basis, expos, nsamples, seed, i=None, batches=
     b = np.array([round(max(e[1], -0.95), 2) + 1.0 for e in expos])
     log_norm = sum(_log_beta(ai, bi) for ai, bi in zip(a, b))
     rng = np.random.default_rng(seed)
-    per = max(1, nsamples // batches)
+    per = max(1, nsamples // _MC_BATCHES)
     per_batch, dbatch = {A: [] for A in basis}, []
-    for _ in range(batches):
+    for _ in range(_MC_BATCHES):
         # Beta draws via a Gamma pair keep the small side accurate: near a
         # singular face 1-v must not round to 0
         g1 = rng.gamma(np.broadcast_to(a, (per, K)))
@@ -701,8 +628,8 @@ def _psiM_mc(exps: ExponentsM, z, basis, expos, nsamples, seed, i=None, batches=
             per_batch[A].append(c[A] / per)
         dbatch.append(d)
     means = {A: float(np.mean(per_batch[A])) for A in basis}
-    sem = max(float(np.std(per_batch[A], ddof=1)) / math.sqrt(batches) for A in basis)
-    return means, sem, {A: sum(d[A] for d in dbatch) / per / batches for A in dbatch[0]}
+    sem = max(float(np.std(per_batch[A], ddof=1)) / math.sqrt(_MC_BATCHES) for A in basis)
+    return means, sem, {A: sum(d[A] for d in dbatch) / per / _MC_BATCHES for A in dbatch[0]}
 
 
 # --- differential-system residual ----------------------------------------------------

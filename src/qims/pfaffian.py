@@ -226,14 +226,13 @@ class ZPath:
     """Piecewise-straight path in z-space avoiding the pole hyperplanes.
 
     The waypoints must be finite, and every point of every segment must keep
-    a distance of at least ``guard`` times the segment length from each
-    hyperplane z_i = 0, z_i = 1 and z_i = z_j.
+    a distance of at least ``_POLE_GUARD`` times the segment length from
+    each hyperplane z_i = 0, z_i = 1 and z_i = z_j.
     """
 
     waypoints: tuple
-    guard: float = float(_POLE_GUARD)
 
-    def __init__(self, waypoints, guard=float(_POLE_GUARD)):
+    def __init__(self, waypoints):
         pts = tuple(tuple(complex(x) for x in w) for w in waypoints)
         if len(pts) < 1:
             raise ParameterError("a path needs at least one waypoint")
@@ -243,10 +242,9 @@ class ZPath:
         if not all(cmath.isfinite(x) for w in pts for x in w):
             raise ParameterError(f"waypoints must be finite, got {waypoints!r}")
         object.__setattr__(self, "waypoints", pts)
-        object.__setattr__(self, "guard", float(guard))
         for seg, (wa, wb) in enumerate(zip(pts, pts[1:])):
             seglen = math.sqrt(sum(abs(x - y) ** 2 for x, y in zip(wa, wb)))
-            floor = self.guard * seglen
+            floor = float(_POLE_GUARD) * seglen
             for k in range(N):
                 a, b = wa[k], wb[k] - wa[k]
                 dists = [_segment_min_affine(a, b), _segment_min_affine(a - 1, b)]

@@ -51,11 +51,11 @@ def gauss_jacobi_01(n: int, a: float, b: float):
     return u, w * 0.5 ** (a + b + 1.0)
 
 
-def tanh_sinh_01(n: int, tmax: float = 4.0):
-    """Tanh-sinh rule on (0,1): returns (x, 1-x, w) with both endpoint
-    distances carried explicitly so integrands can evaluate singular factors
-    without cancellation."""
-    t = np.linspace(-tmax, tmax, n)
+def tanh_sinh_01(n: int):
+    """Tanh-sinh rule on (0,1) with n nodes on t in [-4, 4]: returns
+    (x, 1-x, w) with both endpoint distances carried explicitly so integrands
+    can evaluate singular factors without cancellation."""
+    t = np.linspace(-4.0, 4.0, n)
     h = t[1] - t[0]
     u = 0.5 * np.pi * np.sinh(t)
     x = expit(2.0 * u)

@@ -79,3 +79,12 @@ def m_window_params(L, N, M, gamma=F(-1, 2), planck=2):
     kappa = [M + sum(theta), kappa1] + [F(1)] * (L - 2)
     e = solve_e(alphas, [F(1)] * (L - 2))
     return make_parameters(L, N, e=e, kappa=kappa, theta=theta, planck=planck)
+
+
+def underflow_params(alpha):
+    """L2N1 at degree 2 (planck 2) with alpha_1 = alpha: for alpha = 150 the
+    integrand underflows to 0 at both window-probe distances of the v_0 -> 0
+    face, for alpha = 156 only at the nearer one."""
+    th = F(2, 7)
+    return make_parameters(2, 1, e=solve_e([F(alpha)], []), kappa=[2 + th, F(-3, 2)],
+                           theta=[th], planck=2)

@@ -19,7 +19,6 @@ from itertools import permutations, product
 
 import numpy as np
 
-from qims.errors import ConvergenceError
 from qims.hypint import _psiM_coeffs
 from qims.polyalg import flat_pos
 
@@ -60,8 +59,8 @@ def from_cube(v, omv):
 
 def probe_exponent(exps, z, basis, moves):
     """Fitted power of the cube integrand as the listed (axis, side) faces
-    are approached together, from one kernel call per distance; +inf when
-    the integrand vanishes there."""
+    are approached together, from one kernel call per distance; None when
+    the probe value at either distance is 0 or not finite."""
     K = (exps.L - 1) * exps.M
     vals = []
     for eps in (1e-4, 5e-5):
@@ -75,12 +74,9 @@ def probe_exponent(exps, z, basis, moves):
         for j in range(K):
             logw += (K - 1 - j) * np.log(v[0, j])  # cube Jacobian
         c, _ = _psiM_coeffs(exps, z, from_cube(v, omv), logw, basis)
-        worst = max(abs(val) for val in c.values())
-        if not math.isfinite(worst):
-            raise ConvergenceError(f"integrand overflow while probing faces {moves}")
-        vals.append(worst)
-    if vals[0] == 0.0 and vals[1] == 0.0:
-        return math.inf
+        vals.append(max(abs(val) for val in c.values()))
+    if not all(0.0 < w < math.inf for w in vals):
+        return None
     return (math.log(vals[0]) - math.log(vals[1])) / math.log(2.0)
 
 
@@ -165,7 +161,7 @@ def psiM_coeffs_oracle(exps, z, pt, logw, basis, i=None):
         tl = x[pos[(L - 1, a)]]
         for j in range(N):
             logbase += (-float(exps.beta[j]) / kp) * np.log1p(-z[j] * tl)
-        logbase += (-float(exps.gamma) / kp) * np.log(omx[pos[(1, a)]])
+        logbase += (-float(exps.gamma[0]) / kp) * np.log(omx[pos[(1, a)]])
         logbase -= np.log(tl)  # per-copy 1/t_{L-1}
         if i is not None:
             dweight = dweight + float(exps.beta[i - 1]) / kp * tl / (1.0 - z[i - 1] * tl)

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import m1_window_params, m_window_params, resonant_params
+from conftest import m1_window_params, m_window_params, resonant_params, underflow_params
 import random
 
 from qims.cli import emit_matrix, emit_scalar, json_text, main, parse_scalar, write_output
@@ -261,6 +261,22 @@ def window_cfg(params, M, z, **extra):
             "z": z, "quadrature": {"nodes_per_axis": 24}, **extra}
 
 
+def test_underflowing_window_probe_exit3(tmp_path, capsys):
+    cfg = window_cfg(underflow_params(150), 2, ["0.4"],
+                     quadrature={"scheme": "monte_carlo", "mc_samples": 20000})
+    assert main(["--config", write_cfg(tmp_path, "c.json", cfg), "integral"]) == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ConvergenceError" and "underflows" in error["message"]
+
+
+def test_verify_m1_needs_unit_interior_kappa_exit2(tmp_path, capsys):
+    # the quadrature takes kappa_2 != 1 at degree 1; the cohomology comparison does not
+    cfg = window_cfg(m1_window_params(3, 1), 1, ["2/5"])
+    assert main(["--config", write_cfg(tmp_path, "c.json", cfg), "verify"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ParameterError" and "kappa_2" in error["message"]
+
+
 def loop_cfg():
     cfg = base_cfg(2, 2, 1)
     cfg.update(path=[["0.40", "0.70"], ["0.45", "0.75"], ["0.40", "0.70"]], c0=["1", "0", "0.5"])
@@ -414,6 +430,8 @@ def test_pfaffian_nan_input_exit2(tmp_path, capsys, edit):
     ("check lemmas", lambda c: c.update(lemma_samples=0), "lemma_samples"),
     ("integral", lambda c: c.update(z=["1e999"]), "cannot parse scalar"),
     ("integral", lambda c: c["parameters"].update(planck=math.inf), "cannot parse scalar"),
+    ("integral", lambda c: c.update(z=["0.4", "0.3"]), "z must have length N=1"),
+    ("series", lambda c: c.update(z=["0.4", "0.3"]), "z must have length N=1"),
 ])
 def test_invalid_numeric_setting_exit2(tmp_path, capsys, command, edit, message):
     cfg = base_cfg(2, 1, 1)

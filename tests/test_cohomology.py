@@ -127,7 +127,7 @@ def test_diagonal_entry_matches_scalar_bracket():
         s += (A0 * (di - beta_i)
               - sum(A[flat_pos(n, i, N)] * A[flat_pos(n, j, N)]
                     for j in range(1, N + 1) for n in range(1, L))
-              + A[flat_pos(1, i, N)] * (M - exps.gamma)) / (zi - 1)
+              + A[flat_pos(1, i, N)] * (M - exps.gamma[0])) / (zi - 1)
         for j in range(1, N + 1):
             if j == i:
                 continue
@@ -162,6 +162,15 @@ def test_m1_pfaffian_consistent_with_integral():
     resid = np.linalg.norm(float(params.planck) * dc - P @ cs[0]) / \
         np.linalg.norm(P @ cs[0])
     assert resid < 1e-6
+
+
+def test_reduction_requires_unit_interior_kappa_at_degree_one():
+    # the degree-1 dictionary takes any kappa_2; the reduction does not
+    from conftest import m1_window_params
+    params = m1_window_params(3, 1)
+    assert params.kappa[2] != 1 and dictionary_M(params, 1).gamma[1] == params.kappa[2]
+    with pytest.raises(ParameterError, match="kappa_2"):
+        compare_cohomology_operator(params, (F(2, 5),), 1, 1)
 
 
 # the identities with cross-index lines, which drop out at zj = zi

@@ -5,47 +5,54 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import m1_window_params, m_window_params, resonant_params, solve_e
-from qims.errors import ChamberError, ConvergenceError, ParameterError
-from qims.hypint import (ExponentsM, dictionary_M, dictionary_M1, eval_psi1, eval_psiM,
-                         forms_M1, pde_residual, series_psi1, weight_M1)
+from conftest import (m1_window_params, m_window_params, resonant_params, solve_e,
+                      underflow_params)
+from qims.errors import ConvergenceError, ParameterError
+from qims.hypint import ExponentsM, dictionary_M, eval_psi1, eval_psiM, pde_residual, series_psi1
 from qims.quadrature import QuadratureSpec
 from qims.weylops import make_parameters
 
 
 def test_dictionary_m1_values():
     params = m1_window_params(2, 1)
-    exps = dictionary_M1(params)
+    exps = dictionary_M(params, 1)
     # L=2: alpha_1 = e_0 - e_1 + 1 (e_2 = e_0, kappa_2 = 1)
     assert exps.alpha[0] == params.e[0] - params.e[1] + 1
     assert exps.beta[0] == -params.theta[1]
-    assert exps.gamma[0] == params.kappa[1]
+    assert exps.gamma == (params.kappa[1],)
 
 
 def test_dictionary_m1_round_trip():
-    params = m1_window_params(3, 2)
-    exps = dictionary_M1(params)
-    e, kap = params.e + (params.e[0],), params.kappa + (F(1),)
-    for n in range(1, 3):
-        assert exps.alpha[n - 1] == e[n + 1] - e[n] + kap[n + 1]
-    assert exps.gamma == params.kappa[1:]
+    # at M = 1 the degree-M dictionary is the degree-1 formula for general
+    # kappa_n: alpha_n = e_{n+1} - e_n + kappa_{n+1}, gamma_n = kappa_n
+    for L, N in [(3, 2), (4, 1)]:
+        params = m1_window_params(L, N)
+        assert all(k != 1 for k in params.kappa[2:])
+        exps = dictionary_M(params, 1)
+        e, kap = params.e + (params.e[0],), params.kappa + (F(1),)
+        assert exps.alpha == tuple(e[n + 1] - e[n] + kap[n + 1] for n in range(1, L))
+        assert exps.beta == tuple(-t for t in params.theta[1:])
+        assert exps.gamma == params.kappa[1:]
+        assert exps.M == 1
 
 
 def test_dictionary_m1_requires_resonance():
     rnd = random.Random(3)
     params = resonant_params(2, 1, 2, rnd)
     with pytest.raises(ParameterError):
-        dictionary_M1(params)
+        dictionary_M(params, 1)
 
 
 def test_dictionary_m_values_and_m1_consistency():
-    params = m_window_params(3, 1, 1, gamma=F(-1, 3))
-    dM = dictionary_M(params, 1)
-    d1 = dictionary_M1(params)
-    assert dM.alpha == d1.alpha          # kappa_n = 1 for n >= 2
-    assert dM.beta == d1.beta
-    assert dM.gamma == d1.gamma[0]       # gamma = kappa_1 + M - 1 = kappa_1
-    assert all(g == 1 for g in d1.gamma[1:])
+    # gamma_1 = kappa_1 + M - 1 at every M; with kappa_2 = 1 the interior
+    # alpha and gamma are those of the M = 1 formula
+    for M in (1, 2, 3):
+        params = m_window_params(3, 1, M, gamma=F(-1, 3))
+        exps = dictionary_M(params, M)
+        e = params.e + (params.e[0],)
+        assert exps.alpha == tuple(e[n + 1] - e[n] + 1 for n in (1, 2))
+        assert exps.beta == (-params.theta[1],)
+        assert exps.gamma == (params.kappa[1] + M - 1, F(1)) == (F(-1, 3), F(1))
 
 
 def test_dictionary_m_violations_named():
@@ -58,51 +65,6 @@ def test_dictionary_m_violations_named():
     params = resonant_params(2, 1, 2, rnd, dict_m=True)
     with pytest.raises(ParameterError):
         dictionary_M(params, 3)
-
-
-def test_weight_m1_trivial_and_single_factor():
-    exps0 = dictionary_M1(m1_window_params(2, 1))
-    zero = type(exps0)((F(0),), (F(0),), (F(0),), exps0.planck)
-    assert weight_M1((0.5,), (0.5,), zero) == pytest.approx(1.0)
-    one = type(exps0)((exps0.planck,), (F(0),), (F(0),), exps0.planck)
-    assert weight_M1((0.5,), (0.5,), one) == pytest.approx(0.5)
-
-
-def test_weight_m1_log_domain_oracle():
-    params = m1_window_params(3, 1)
-    exps = dictionary_M1(params)
-    t, z = (0.7, 0.3), (0.45,)
-    kp = float(exps.planck)
-    logs = (float(exps.alpha[0]) / kp * math.log(0.7)
-            + float(exps.alpha[1]) / kp * math.log(0.3)
-            - float(exps.beta[0]) / kp * math.log(1 - 0.45 * 0.3)
-            - float(exps.gamma[0]) / kp * math.log(1 - 0.7)
-            - float(exps.gamma[1]) / kp * math.log(0.7 - 0.3))
-    assert weight_M1(t, z, exps) == pytest.approx(math.exp(logs), rel=1e-14)
-
-
-def test_weight_m1_chamber_violation():
-    exps = dictionary_M1(m1_window_params(3, 1))
-    with pytest.raises(ChamberError):
-        weight_M1((0.3, 0.7), (0.4,), exps)
-    with pytest.raises(ChamberError):
-        weight_M1((0.7, 0.3), (1.4,), exps)
-
-
-def test_forms_m1_L2():
-    phi0, phi = forms_M1((0.4,), (0.3,))
-    assert phi0 == pytest.approx(1 / (0.4 * 0.6))
-    assert phi[0][0] == pytest.approx(1 / ((1 - 0.3 * 0.4) * 0.4))
-
-
-def test_forms_m1_structure():
-    # (1 - z_i t_{L-1}) * phi_n^(i) has no i-dependence
-    phi0, phi = forms_M1((0.7, 0.3), (0.45, 0.2))
-    for n in range(2):
-        vals = {round((1 - z * 0.3) * phi[n][i], 12)
-                for i, z in enumerate((0.45, 0.2))}
-        assert len(vals) == 1
-    assert phi0 > 0 and all(v > 0 for row in phi for v in row)
 
 
 @pytest.mark.parametrize("L,N", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2)])
@@ -120,7 +82,7 @@ def test_psi1_beta_zero_z_independent():
                              theta=[F(0)], planck=2)
     a = eval_psi1(params, (0.3,), QuadratureSpec(nodes_per_axis=24))
     b = eval_psi1(params, (0.6,), QuadratureSpec(nodes_per_axis=24))
-    assert abs(a.coeffs[None] - b.coeffs[None]) < 1e-10 * abs(a.coeffs[None])
+    assert abs(a.vector[0] - b.vector[0]) < 1e-10 * abs(a.vector[0])
 
 
 def test_psi1_window_violation_raises():
@@ -147,21 +109,21 @@ def test_series_z0_beta_product():
     params = m1_window_params(3, 1)
     ser = series_psi1(params, (0.0,), 0)
     from scipy.special import gammaln
-    from qims.hypint import _axis_exponents_m1, dictionary_M1
-    exps = dictionary_M1(params)
-    a, b = _axis_exponents_m1(exps, None)
+    from qims.hypint import _axis_exponents_m1
+    a, b = _axis_exponents_m1(dictionary_M(params, 1), 0)
     expect = math.exp(sum(
         gammaln(float(ak) + 1) + gammaln(float(bk) + 1) - gammaln(float(ak + bk) + 2)
         for ak, bk in zip(a, b)))
-    assert ser.coeffs[None] == pytest.approx(expect, rel=1e-13)
+    assert not any(ser.basis[0])  # the constant coefficient comes first
+    assert ser.vector[0] == pytest.approx(expect, rel=1e-13)
     quad = eval_psi1(params, (1e-12,), QuadratureSpec(nodes_per_axis=32))
-    assert quad.coeffs[None] == pytest.approx(expect, rel=1e-9)
+    assert quad.vector[0] == pytest.approx(expect, rel=1e-9)
 
 
 def test_series_gauss_2f1_oracle():
     from scipy.special import gammaln, hyp2f1
     params = m1_window_params(2, 1)
-    exps = dictionary_M1(params)
+    exps = dictionary_M(params, 1)
     kp = float(exps.planck)
     a = float(exps.alpha[0]) / kp - 1
     b = -float(exps.gamma[0]) / kp - 1
@@ -169,7 +131,7 @@ def test_series_gauss_2f1_oracle():
     for z in (0.2, 0.45):
         expect = math.exp(gammaln(a + 1) + gammaln(b + 1) - gammaln(a + b + 2)) \
             * hyp2f1(r, a + 1, a + b + 2, z)
-        got = series_psi1(params, (z,), 80).coeffs[None]
+        got = series_psi1(params, (z,), 80).vector[0]
         assert got == pytest.approx(expect, rel=1e-10)
 
 
@@ -178,9 +140,9 @@ def test_series_ratio_rational_structure():
     # function of k of degree <= L: fit on early ratios, predict later ones
     L = 3
     params = m1_window_params(L, 1)
-    from qims.hypint import _axis_exponents_m1, _log_beta, dictionary_M1
-    exps = dictionary_M1(params)
-    a, b = _axis_exponents_m1(exps, None)
+    from qims.hypint import _axis_exponents_m1, _log_beta
+    exps = dictionary_M(params, 1)
+    a, b = _axis_exponents_m1(exps, 0)
     kp = float(exps.planck)
     s = float(exps.beta[0]) / kp
     terms = []
@@ -260,7 +222,7 @@ def test_psiM_symmetrization_consistency():
     # the group order times the unsymmetrized ordered-chamber integral; the
     # mixed coefficient equals the sum of its separately-integrated orbit
     from psiM_oracle import from_cube
-    from qims.hypint import _psiM_coeffs, dictionary_M
+    from qims.hypint import _psiM_coeffs
     from qims.quadrature import tanh_sinh_01
     params = m_window_params(2, 1, 2)
     exps = dictionary_M(params, 2)
@@ -281,7 +243,7 @@ def test_psiM_symmetrization_consistency():
     base = np.exp(logw + (2 / kp) * np.log(pt.gap(0, 1))
                   + float(exps.alpha[0]) / kp * (np.log(t1) + np.log(t2))
                   - float(exps.beta[0]) / kp * (np.log1p(-z[0] * t1) + np.log1p(-z[0] * t2))
-                  - float(exps.gamma) / kp * (np.log(om1) + np.log(om2))
+                  - float(exps.gamma[0]) / kp * (np.log(om1) + np.log(om2))
                   - np.log(t1) - np.log(t2))
     f0_1, f0_2 = 1 / om1, 1 / om2
     f1_1, f1_2 = 1 / (1 - z[0] * t1), 1 / (1 - z[0] * t2)
@@ -298,21 +260,21 @@ KERNEL_SIZES = [(2, 1, 2), (2, 2, 3), (2, 1, 4), (3, 1, 2), (3, 2, 2), (3, 1, 3)
 
 def kernel_exps(L, N, M):
     return ExponentsM(tuple(F(3, 4) + F(n, 5) for n in range(L - 1)),
-                      tuple(F(-2, 7 + 2 * j) for j in range(N)), F(-1, 2), F(2), M)
+                      tuple(F(-2, 7 + 2 * j) for j in range(N)),
+                      (F(-1, 2),) + (F(1),) * (L - 2), F(2), M)
 
 
 @pytest.mark.parametrize("L,N,M", KERNEL_SIZES)
 def test_kernel_matches_permutation_sum(L, N, M):
     from psiM_oracle import from_cube, psiM_coeffs_oracle
-    from qims.hypint import ExponentsM, _psiM_coeffs
+    from qims.hypint import _psiM_coeffs
     from qims.polyalg import enumerate_basis
     rng = np.random.default_rng(100 * L + 10 * N + M)
     K = (L - 1) * M
     v = rng.uniform(0.02, 0.98, size=(3, 4, K))  # a 3 x 4 batch of chamber points
     pt = from_cube(v, 1.0 - v)
     logw = rng.normal(size=(3, 4))
-    exps = ExponentsM(tuple(F(3, 4) + F(n, 5) for n in range(L - 1)),
-                      tuple(F(-2, 7 + 2 * j) for j in range(N)), F(-1, 2), F(2), M)
+    exps = kernel_exps(L, N, M)
     z = tuple(0.45 - 0.17 * k for k in range(N))
     basis = tuple(enumerate_basis(L, N, M))
     for i in [None] + list(range(1, N + 1)):
@@ -341,7 +303,7 @@ def test_broadcast_slab_chain_point_equals_stacked_grid(K, monkeypatch):
     from psiM_oracle import from_cube
     from qims import hypint
     from qims.quadrature import tanh_sinh_01
-    exps = ExponentsM((F(3, 4),), (F(-2, 7),), F(-1, 2), F(2), K)
+    exps = ExponentsM((F(3, 4),), (F(-2, 7),), (F(-1, 2),), F(2), K)
     basis = tuple(hypint.enumerate_basis(2, 1, K))
     nodes = 5
     monkeypatch.setattr(hypint, "_SLAB_POINTS", 2 * nodes ** (K - 1))  # slabs of 2, 2, 1 rows
@@ -449,6 +411,20 @@ def test_slabbed_tensor_equals_one_slab(monkeypatch):
     for A in basis:
         assert c[A] == pytest.approx(c1[A], rel=1e-14, abs=0)
         assert d[A] == pytest.approx(d1[A], rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("alpha", [150, 156])
+@pytest.mark.parametrize("quad", [QuadratureSpec(scheme="monte_carlo", mc_samples=20000, seed=3),
+                                  QuadratureSpec(scheme="tanh_sinh_tensor", nodes_per_axis=41)],
+                         ids=["monte_carlo", "tanh_sinh"])
+def test_underflowing_window_probe_is_unmeasurable(alpha, quad):
+    from qims.hypint import _axis_exponents_numeric
+    params = underflow_params(alpha)
+    exps = dictionary_M(params, 2)
+    basis = ((0,), (1,), (2,))
+    assert _axis_exponents_numeric(exps, (0.35,), basis)[0] == ([(0, 0)], None)
+    with pytest.raises(ConvergenceError, match=r"underflows or overflows .* \[\(0, 0\)\]"):
+        eval_psiM(params, (0.4,), 2, quad)
 
 
 def test_pde_residual_m1():

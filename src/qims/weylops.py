@@ -150,7 +150,7 @@ def _expand(node, params: Parameters):
             out.extend(_expand(ch, params))
         return out
     if tag == "*":
-        terms = [(Fraction(1), ())]
+        terms = [(1, ())]
         for ch in node[1]:
             rhs = _expand(ch, params)
             terms = [(a * b, ga + gb) for a, ga in terms for b, gb in rhs]
@@ -160,7 +160,7 @@ def _expand(node, params: Parameters):
         if not (0 <= m <= L - 1 and 0 <= i <= N):
             raise StructureError(f"generator index ({m},{i}) out of range for (L,N)=({L},{N})")
         if m >= 1 and i >= 1:
-            return [(Fraction(1), ((tag, m, i),))]
+            return [(1, ((tag, m, i),))]
         if tag == "p" and i >= 1:  # p_0^(i) = -1
             return [(Fraction(-1), ())]
         if tag == "q" and m >= 1:  # q_m^(0) = -1
@@ -169,11 +169,11 @@ def _expand(node, params: Parameters):
             return [(Fraction(-1), ())]
         if tag == "q" and m == 0 and i >= 1:
             out = [(params.theta[i], ())]
-            out += [(Fraction(1), (("q", mm, i), ("p", mm, i))) for mm in range(1, L)]
+            out += [(1, (("q", mm, i), ("p", mm, i))) for mm in range(1, L)]
             return out
         if tag == "p" and m >= 1 and i == 0:
             out = [(params.kappa[m], ())]
-            out += [(Fraction(1), (("q", m, j), ("p", m, j))) for j in range(1, N + 1)]
+            out += [(1, (("q", m, j), ("p", m, j))) for j in range(1, N + 1)]
             return out
         # q_0^(0)
         out = [(params.kappa[0] - sum(params.theta[1:]), ())]
@@ -201,10 +201,11 @@ class FlatOp:
     multiplies by a product of factors ``A[k] + offset``, one per ``p``;
     that falling-factorial weight is zero exactly when some ``p`` meets a
     zero exponent.  The kernel groups terms by shift, so every output
-    monomial is one sum of ``int`` products.
+    monomial is one sum of ``int`` products.  Each monomial's image is
+    computed once per operator and kept for the operator's lifetime.
     """
 
-    __slots__ = ("L", "N", "terms", "den", "unit", "_kernel")
+    __slots__ = ("L", "N", "terms", "den", "unit", "_kernel", "_images")
 
     def __init__(self, L, N, hbar, terms):
         self.L = L
@@ -218,7 +219,9 @@ class FlatOp:
         merged = {}
         for c, gens in terms:
             ops = tuple((g[0] == "p", flat_pos(g[1], g[2], N)) for g in reversed(gens))
-            merged[ops] = merged.get(ops, 0) + c * hbar ** sum(p for p, _ in ops)
+            if hbar != 1:
+                c = c * hbar ** sum(p for p, _ in ops)
+            merged[ops] = merged.get(ops, 0) + c
         merged = {ops: c for ops, c in merged.items() if c != 0}
         if "float" in kinds:
             self.den = 1
@@ -242,9 +245,19 @@ class FlatOp:
             group[factors] = group.get(factors, 0) + c
         self._kernel = [(shift, [(c, f) for f, c in group.items() if c != 0])
                         for shift, group in kernel.items()]
+        self._images = {}
 
-    def image(self, A) -> dict:
-        """``den`` times the image of q^A, as {index: numerator}."""
+    def image(self, A: tuple) -> dict:
+        """``den`` times the image of q^A, as {index: numerator}.
+
+        The map is computed on the first call for ``A`` and the same object
+        is returned on every later one, so no caller may mutate it."""
+        img = self._images.get(A)
+        if img is None:
+            img = self._images[A] = self._image(A)
+        return img
+
+    def _image(self, A) -> dict:
         img = {}
         for shift, group in self._kernel:
             s = 0
@@ -378,7 +391,10 @@ def _max_abs(terms: dict):
 
 
 def _subtract(out: dict, terms: dict) -> dict:
-    """out - terms, computed in place on ``out``; zero coefficients are dropped."""
+    """out - terms, computed in place on ``out``; zero coefficients are dropped.
+
+    ``terms`` is only read and may be a cached image; ``out`` must be a dict
+    the caller owns, never one returned by ``FlatOp.image``."""
     for B, c in terms.items():
         s = out.get(B, 0) - c
         if s == 0:
@@ -389,7 +405,8 @@ def _subtract(out: dict, terms: dict) -> dict:
 
 
 def _difference(x: dict, x_den, y: dict, y_den) -> dict:
-    """x/x_den - y/y_den over the denominator x_den*y_den, as numerators."""
+    """x/x_den - y/y_den over the denominator x_den*y_den, as numerators in a
+    new dict; ``x`` and ``y`` are only read."""
     return _subtract({B: c * y_den for B, c in x.items()},
                      {B: c * x_den for B, c in y.items()})
 
@@ -545,6 +562,7 @@ def garnier_example_residual(i: int, params: Parameters, z, probes):
 
     lambda_i(z) is read off the constant probe; the return value is the
     largest coefficient of (generic - example - lambda_i) q^A over all probes.
+    The cached images are only read: each difference is a new dict.
     """
     z = check_z(params, z)
     zi = z[i - 1]

@@ -78,6 +78,46 @@ def test_cmd_check_commute_pass(tmp_path, capsys):
     assert payload["checks"]["commute"]["residual"]["value"] == "0/1"
 
 
+def test_commute_computes_each_image_once(tmp_path, capsys, monkeypatch):
+    # every H_k is shared by its pairs and keeps its images, so the uncached
+    # body runs once per distinct (operator, monomial)
+    from qims.weylops import FlatOp
+    calls = []
+    body = FlatOp._image
+    monkeypatch.setattr(FlatOp, "_image", lambda op, A: calls.append((id(op), A)) or body(op, A))
+    path = write_cfg(tmp_path, "c.json", base_cfg(3, 3, 1))
+    assert main(["--config", path, "check", "commute", "--dmax", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"]["commute"]["pairs"] == 3
+    assert calls and len(calls) == len(set(calls))
+
+
+def test_commute_at_one_time_has_no_pair(tmp_path, capsys, monkeypatch):
+    from qims import weylops
+
+    def no_build(*args):
+        raise AssertionError("N = 1 has no pair to build a Hamiltonian for")
+    monkeypatch.setattr(weylops, "hamiltonian_flat", no_build)
+    cfg = base_cfg(3, 1, 1)
+    path = write_cfg(tmp_path, "c.json", cfg)
+    assert main(["--config", path, "check", "commute"]) == 0
+    commute = json.loads(capsys.readouterr().out)["checks"]["commute"]
+    assert commute["pairs"] == 0 and commute["passed"] is True
+    assert commute["residual"]["value"] == "0/1"
+    cfg["z"] = ["1"]  # a pole
+    assert main(["--config", write_cfg(tmp_path, "p.json", cfg), "check", "commute"]) == 3
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "SingularityError"
+
+
+def test_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    path = write_cfg(tmp_path, "c.json", base_cfg(2, 2, 1))
+    probes = []
+    for argv in (["--dmax", "3"], []):
+        assert main(["--config", path, "check", "commute", *argv]) == 0
+        probes.append(json.loads(capsys.readouterr().out)["checks"]["commute"]["probes"])
+    # degree <= 3 and <= 2 monomials in two variables
+    assert probes == [10, 6]
+
+
 def test_cmd_check_all_small(tmp_path, capsys):
     cfg = base_cfg(2, 2, 1)
     cfg["lemma_samples"] = 3
@@ -269,8 +309,12 @@ def test_underflowing_window_probe_exit3(tmp_path, capsys):
     assert error["type"] == "ConvergenceError" and "underflows" in error["message"]
 
 
-def test_verify_m1_needs_unit_interior_kappa_exit2(tmp_path, capsys):
-    # the quadrature takes kappa_2 != 1 at degree 1; the cohomology comparison does not
+def test_verify_m1_needs_unit_interior_kappa_exit2(tmp_path, capsys, monkeypatch):
+    # the quadrature takes kappa_2 != 1 at degree 1; the cohomology comparison
+    # does not, and rejects it before any quadrature runs
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("pde_residual ran before the domain check")
+    monkeypatch.setattr("qims.cli.hypint.pde_residual", no_quadrature)
     cfg = window_cfg(m1_window_params(3, 1), 1, ["2/5"])
     assert main(["--config", write_cfg(tmp_path, "c.json", cfg), "verify"]) == 2
     error = json.loads(capsys.readouterr().out)["error"]

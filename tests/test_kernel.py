@@ -58,6 +58,23 @@ def test_kernel_matches_written_order(model, data):
             assert op.apply_index(A, c0) == oracle.apply_index(A, c0)
 
 
+@settings(max_examples=20, deadline=None)
+@given(models(), st.data())
+def test_cached_images_match_written_order(model, data):
+    # a sweep fills each operator's image cache; what it keeps must be what a
+    # fresh operator and the written-order oracle compute
+    params, z, probes = model
+    probes = [tuple(A) for A in probes]
+    for tree in operator_trees(data.draw, params, z):
+        op, oracle = flatten(tree, params), written_order(tree, params)
+        weylops._commutator_max(op, op, probes)
+        first = {A: op.image(A) for A in probes}
+        fresh = flatten(tree, params)
+        for A in probes:
+            assert op.apply_index(A) == oracle.apply_index(A)
+            assert op.image(A) == first[A] == fresh.image(A)
+
+
 @settings(max_examples=10, deadline=None)
 @given(models())
 def test_commutator_residual_matches_written_order(model):

@@ -108,14 +108,14 @@ def emit_scalar(x, tolerance=None):
 
 def emit_matrix(mat, tolerance=None):
     """Rows of ``emit_scalar`` cells; equal exact cells share one dict."""
-    exact = {}
+    exact = {}  # on (numerator, denominator): a Fraction's hash takes an inverse
 
     def cell(x):
         if not isinstance(x, (int, Fraction)):
             return emit_scalar(x, tolerance)
-        if x not in exact:
-            exact[x] = emit_scalar(x)
-        return exact[x]
+        if (key := (x.numerator, x.denominator)) not in exact:
+            exact[key] = emit_scalar(x)
+        return exact[key]
 
     return [[cell(x) for x in row] for row in mat]
 

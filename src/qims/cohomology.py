@@ -373,9 +373,9 @@ def lemma_residual(lemma_id: str, *, L, t1=None, t2=None, zi=None, zj=None,
 
 
 def _coordinate(rng):
-    """a/61 + b/431 for a in 1..60, b in 0..6, as one Fraction over 61 * 431."""
+    """26291 (a/61 + b/431) for a in 1..60, b in 0..6: an int in 431..26226."""
     a = rng.randint(1, 60)
-    return Fraction(431 * a + 61 * rng.randint(0, 6), 26291)
+    return 431 * a + 61 * rng.randint(0, 6)
 
 
 def random_lemma_sample(lemma_id: str, L: int, rng):
@@ -385,13 +385,13 @@ def random_lemma_sample(lemma_id: str, L: int, rng):
     lies strictly inside (0, 1), so no gap, difference, 1 - z t or zi - 1 of
     ``lemma_residual`` is zero and no division there can fail.
     """
-    vals = set()
+    drawn = set()  # the integers of _coordinate, one per value
     def fresh():
         while True:
-            x = _coordinate(rng)
-            if x not in vals and x != 0 and x != 1:
-                vals.add(x)
-                return x
+            n = _coordinate(rng)
+            if n not in drawn:
+                drawn.add(n)
+                return Fraction(n, 26291)
 
     sample = {"L": L}
     if lemma_id == "jacobi":

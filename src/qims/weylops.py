@@ -133,69 +133,67 @@ def Mul(*children):
     return ("*", tuple(children))
 
 
-def _expand(node, params: Parameters):
-    """Expand a tree into a list of (coefficient, generator string) terms.
+def _pair(x):
+    """A scalar leaf as (numerator, denominator); float and complex as (x, 1)."""
+    return (x, 1) if isinstance(x, (float, complex)) else (x.numerator, x.denominator)
 
-    Generator strings are tuples of interior ('q'|'p', m, i) factors in the
-    written (left-to-right) order.  Derived boundary nodes are substituted
-    here, so downstream application only ever sees interior generators.
+
+def _expand(node, params: Parameters):
+    """Expand a tree into a list of ((numerator, denominator), string) terms.
+
+    Strings are tuples of interior ``(is_p, flat index)`` factors in
+    application (rightmost-first) order; exact coefficients are unreduced
+    ``int`` pairs.  Derived boundary nodes are substituted here, so
+    downstream application only ever sees interior generators.
     """
     L, N = params.L, params.N
     tag = node[0]
     if tag == "s":
-        return [(node[1], ())]
+        return [(_pair(node[1]), ())]
     if tag == "+":
-        out = []
-        for ch in node[1]:
-            out.extend(_expand(ch, params))
-        return out
+        return [t for ch in node[1] for t in _expand(ch, params)]
     if tag == "*":
-        terms = [(1, ())]
+        terms, exact = [((1, 1), ())], True
         for ch in node[1]:
             rhs = _expand(ch, params)
-            terms = [(a * b, ga + gb) for a, ga in terms for b, gb in rhs]
+            exact = exact and all(type(n) is int for (n, _), _ in rhs)
+            if exact:
+                terms = [((an * bn, ad * bd), gb + ga)
+                         for (an, ad), ga in terms for (bn, bd), gb in rhs]
+            else:  # a float or complex factor: round as Fraction products do
+                terms = [((an * bn, ad * bd) if type(an) is type(bn) is int else
+                          ((an if ad == 1 else an / ad) * (bn if bd == 1 else bn / bd), 1),
+                          gb + ga) for (an, ad), ga in terms for (bn, bd), gb in rhs]
         return terms
     if tag in ("q", "p"):
         m, i = node[1], node[2]
         if not (0 <= m <= L - 1 and 0 <= i <= N):
             raise StructureError(f"generator index ({m},{i}) out of range for (L,N)=({L},{N})")
         if m >= 1 and i >= 1:
-            return [(1, ((tag, m, i),))]
-        if tag == "p" and i >= 1:  # p_0^(i) = -1
-            return [(Fraction(-1), ())]
-        if tag == "q" and m >= 1:  # q_m^(0) = -1
-            return [(Fraction(-1), ())]
-        if tag == "p" and m == 0 and i == 0:  # p_0^(0) = -1
-            return [(Fraction(-1), ())]
-        if tag == "q" and m == 0 and i >= 1:
-            out = [(params.theta[i], ())]
-            out += [(1, (("q", mm, i), ("p", mm, i))) for mm in range(1, L)]
-            return out
-        if tag == "p" and m >= 1 and i == 0:
-            out = [(params.kappa[m], ())]
-            out += [(1, (("q", m, j), ("p", m, j))) for j in range(1, N + 1)]
-            return out
-        # q_0^(0)
-        out = [(params.kappa[0] - sum(params.theta[1:]), ())]
-        out += [
-            (Fraction(-1), (("q", mm, j), ("p", mm, j)))
-            for j in range(1, N + 1)
-            for mm in range(1, L)
-        ]
-        return out
+            return [((1, 1), ((tag == "p", flat_pos(m, i, N)),))]
+        if (tag == "p") == (m == 0):  # p_0^(i), q_m^(0) and p_0^(0) are -1
+            return [((-1, 1), ())]
+        if tag == "q" and i >= 1:  # q_0^(i)
+            const, sign, qps = params.theta[i], 1, [(mm, i) for mm in range(1, L)]
+        elif tag == "p":  # p_m^(0)
+            const, sign, qps = params.kappa[m], 1, [(m, j) for j in range(1, N + 1)]
+        else:  # q_0^(0)
+            const, sign = params.resonance_V, -1
+            qps = [(mm, j) for j in range(1, N + 1) for mm in range(1, L)]
+        ks = [flat_pos(mm, j, N) for mm, j in qps]  # q_mm^(j) p_mm^(j): p acts first
+        return [(_pair(const), ())] + [((sign, 1), ((True, k), (False, k))) for k in ks]
     raise StructureError(f"unknown node tag {tag!r}")
 
 
 class FlatOp:
     """An operator compiled to an exact integer kernel.
 
-    Compilation merges equal generator strings, folds ``hbar`` into each
-    coefficient once per ``p`` factor and drops zero terms.  ``terms`` lists
-    the surviving ``(numerator, string)`` pairs, each string pre-flattened in
-    application (rightmost-first) order; the true coefficient of a term is
-    ``numerator / den``.  For exact operators ``den`` is the least common
-    denominator and every numerator is an ``int``; for float or complex
-    operators ``den = 1`` and the numerators keep their type.
+    Compiling the terms of ``_expand`` folds ``hbar`` into each coefficient
+    once per ``p``, merges equal strings and drops zeros; ``terms`` lists the
+    ``(numerator, string)`` pairs left, a term's coefficient being
+    ``numerator / den``.  Exact operators merge in ``int``s over the lcm of
+    the denominators, then divide by the gcd of it and the sums, so ``den``
+    is the least common denominator; float or complex ones have ``den = 1``.
 
     A string acting on q^A moves the exponents by a fixed shift and
     multiplies by a product of factors ``A[k] + offset``, one per ``p``;
@@ -208,28 +206,30 @@ class FlatOp:
     __slots__ = ("L", "N", "terms", "den", "unit", "_kernel", "_images")
 
     def __init__(self, L, N, hbar, terms):
-        self.L = L
-        self.N = N
-        kinds = {scalar_kind(c) for c, _ in terms} | {scalar_kind(hbar)}
-        if "float" in kinds and "exact" in kinds:
-            anycomplex = any(isinstance(c, complex) for c, _ in terms)
-            conv = complex if anycomplex else float
-            terms = [(conv(c) if scalar_kind(c) == "exact" else c, g) for c, g in terms]
-            hbar = conv(hbar) if scalar_kind(hbar) == "exact" else hbar
+        self.L, self.N = L, N
         merged = {}
-        for c, gens in terms:
-            ops = tuple((g[0] == "p", flat_pos(g[1], g[2], N)) for g in reversed(gens))
+        if scalar_kind(hbar) == "exact" and all(type(n) is int for (n, _), _ in terms):
             if hbar != 1:
-                c = c * hbar ** sum(p for p, _ in ops)
-            merged[ops] = merged.get(ops, 0) + c
-        merged = {ops: c for ops, c in merged.items() if c != 0}
-        if "float" in kinds:
-            self.den = 1
+                hn, hd = hbar.numerator, hbar.denominator
+                terms = [((n * hn ** k, d * hd ** k), ops) for (n, d), ops in terms
+                         for k in [sum(p for p, _ in ops)]]
+            D = math.lcm(*{d for (_, d), _ in terms})
+            for (n, d), ops in terms:
+                merged[ops] = merged.get(ops, 0) + n * (D // d)
+            g = math.gcd(D, *merged.values())
+            self.den = D // g
+            self.terms = [(c // g, ops) for ops, c in merged.items() if c]
         else:
-            self.den = math.lcm(*(Fraction(c).denominator for c in merged.values()))
-            merged = {ops: int(c * self.den) for ops, c in merged.items()}
+            conv = complex if any(isinstance(n, complex) for (n, _), _ in terms) else float
+            hbar = conv(hbar) if scalar_kind(hbar) == "exact" else hbar
+            for (n, d), ops in terms:
+                c = conv(n / d) if type(n) is int else n
+                if hbar != 1:
+                    c = c * hbar ** sum(p for p, _ in ops)
+                merged[ops] = merged.get(ops, 0) + c
+            self.den = 1
+            self.terms = [(c, ops) for ops, c in merged.items() if c != 0]
         self.unit = Fraction(1, self.den)
-        self.terms = [(c, ops) for ops, c in merged.items()]
 
         kernel = {}
         for c, ops in self.terms:

@@ -5,6 +5,10 @@ used before it was compiled to unreduced integer ratios: every term of every
 swap recomputes its copy's gaps, ``f0`` and ``f_n`` from the coordinates, and
 every step reduces by a gcd.  The tests compare the kernel with it exactly.
 It assumes a valid sample; argument checks live in the kernel.
+
+``random_lemma_sample`` is the sampler before it drew integers: each
+coordinate is ``Fraction(a, 61) + Fraction(b, 431)``, deduplicated as a
+``Fraction``.  The tests require the same samples and ``rng`` stream.
 """
 
 from fractions import Fraction
@@ -144,3 +148,37 @@ def lemma_residual(lemma_id, *, L, t1=None, t2=None, zi=None, zj=None,
         return abs(lhs - rhs)
 
     raise ValueError(f"unknown lemma id {lemma_id!r}")
+
+
+def random_lemma_sample(lemma_id, L, rng):
+    """Exact rational sample off every singular locus of the identities."""
+    vals = set()
+
+    def fresh():
+        while True:
+            x = Fraction(rng.randint(1, 60), 61) + Fraction(rng.randint(0, 6), 431)
+            if x not in vals and x != 0 and x != 1:
+                vals.add(x)
+                return x
+
+    sample = {"L": L}
+    if lemma_id == "jacobi":
+        sample.update(t=fresh(), zi=fresh(), zj=fresh())
+        return sample
+    sample["t1"] = tuple(fresh() for _ in range(L - 1))
+    sample["zi"] = fresh()
+    if lemma_id == "f0":
+        return sample
+    sample["t2"] = tuple(fresh() for _ in range(L - 1))
+    sample["zj"] = fresh()
+    if lemma_id == "l_lt_n":
+        n = rng.randint(2, L - 1)
+        sample.update(n=n, l=rng.randint(1, n - 1))
+    elif lemma_id == "n_lt_l":
+        n = rng.randint(2, L - 2)
+        sample.update(n=n, l=rng.randint(n + 1, L - 1))
+    elif lemma_id == "one_lt_l":
+        sample.update(l=rng.randint(2, L - 1))
+    elif lemma_id in ("l_eq_n", "l_eq_0"):
+        sample.update(n=rng.randint(1, L - 1))
+    return sample

@@ -375,6 +375,19 @@ def test_equal_exact_cells_share_one_dict_and_print_alike():
     assert json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def test_shared_cells_print_the_json_dumps_bytes():
+    # the shape of a restricted Hamiltonian at large M: 151 x 151, 98% zero,
+    # with int 0 and Fraction(0) cells both printing "0/1"
+    rnd = random.Random(11)
+    mat = [[F(rnd.randint(-9, 9), rnd.randint(1, 4)) if rnd.random() < 0.02
+            else rnd.choice([0, F(0)]) for _ in range(151)] for _ in range(151)]
+    payload = {"dimension": 151, "matrix": emit_matrix(mat)}
+    text = json_text(payload)
+    assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    plain = {"dimension": 151, "matrix": [[emit_scalar(x) for x in row] for row in mat]}
+    assert text == json.dumps(plain, indent=2, sort_keys=True) + "\n"
+
+
 def test_entry_point_subprocess(tmp_path):
     cfg = base_cfg(2, 1, 1)
     path = write_cfg(tmp_path, "c.json", cfg)

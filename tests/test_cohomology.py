@@ -236,20 +236,19 @@ def test_lemma_zero_divisor_raises(lemma):
             evaluate(lemma, **s)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_lemma_sample_coordinates_match_three_fraction_form(seed, monkeypatch):
-    # one Fraction over 61 * 431 gives the values and the rng stream of
-    # Fraction(a, 61) + Fraction(b, 431)
-    def samples():
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 777, 20240])
+def test_lemma_sample_coordinates_match_three_fraction_form(seed):
+    # integer draws over 61 * 431 give the samples and the rng stream of the
+    # sampler that adds Fraction(a, 61) + Fraction(b, 431) and dedupes Fractions
+    def samples(sample):
         rnd = random.Random(seed)
-        out = [random_lemma_sample(lemma, L, rnd) for lemma in LEMMA_IDS
-               for L in range(LEMMA_MIN_L[lemma], LEMMA_MIN_L[lemma] + 3)]
+        out = [sample(lemma, L, rnd) for lemma in LEMMA_IDS
+               for L in range(LEMMA_MIN_L[lemma], LEMMA_MIN_L[lemma] + 3)
+               for _ in range(3)]
         return out, rnd.getstate()
 
-    got = samples()
-    monkeypatch.setattr(cohomology, "_coordinate", lambda rng: F(rng.randint(1, 60), 61)
-                        + F(rng.randint(0, 6), 431))
-    assert got == samples()
+    got, want = samples(random_lemma_sample), samples(lemma_oracle.random_lemma_sample)
+    assert got == want
 
 
 def test_lemma_sample_validation():

@@ -16,7 +16,7 @@ from qims.polyalg import enumerate_basis
 from qims.weylops import (Add, Mul, Q, Sc, ahat_entry, flatten,
                           garnier_example_operator, hamiltonian, make_parameters,
                           omega_tree)
-from written_order import commutator, written_order
+from written_order import commutator, fraction_compile, written_order
 
 
 @st.composite
@@ -56,6 +56,38 @@ def test_kernel_matches_written_order(model, data):
         assert len(op.terms) <= len(oracle.terms)
         for A in probes:
             assert op.apply_index(A, c0) == oracle.apply_index(A, c0)
+
+
+def inexact(params, z, kind, hbar):
+    """The model with float parameters and z, or with complex z."""
+    if kind == "float":
+        params = make_parameters(params.L, params.N, e=[float(x) for x in params.e],
+                                 kappa=[float(x) for x in params.kappa],
+                                 theta=[float(x) for x in params.theta[1:]], hbar=hbar)
+        return params, tuple(float(x) for x in z)
+    return params, tuple(complex(x, (k + 1) / 10) for k, x in enumerate(z))
+
+
+@settings(max_examples=40, deadline=None)
+@given(models(), st.data())
+def test_integer_pair_compile_matches_fraction_compile(model, data):
+    # the same den, terms in the same order and the same kernel as merging the
+    # Fraction expansion, for exact, float and complex coefficients alike
+    params, z, _ = model
+    kind = data.draw(st.sampled_from(["exact", "float", "complex"]))
+    if kind != "exact":
+        hbar = data.draw(st.sampled_from([params.hbar, float(params.hbar)]))
+        params, z = inexact(params, z, kind, hbar)
+    trees = operator_trees(data.draw, params, z)
+    zero = Add(trees[0], Mul(Sc(-1), trees[0]))
+    for tree in trees + [zero]:
+        op = flatten(tree, params)
+        den, terms, kernel = fraction_compile(tree, params)
+        assert (op.den, op.terms, op._kernel) == (den, terms, kernel)
+        assert [type(c) for c, _ in op.terms] == [type(c) for c, _ in terms]
+        assert isinstance(op.den, int)
+    if kind == "exact":  # op is T - T: every term cancels
+        assert op.den == 1 and op.terms == [] and op._kernel == []
 
 
 @settings(max_examples=20, deadline=None)

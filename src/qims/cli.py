@@ -107,17 +107,22 @@ def emit_scalar(x, tolerance=None):
 
 
 def emit_matrix(mat, tolerance=None):
-    """Rows of ``emit_scalar`` cells; equal exact cells share one dict."""
+    """Rows of ``emit_scalar`` cells; equal exact cells share one dict.  A cell is
+    looked up by ``id`` first, so an object in many cells, such as the shared zero
+    of ``matrix_at``, is converted once; the ids hold only while ``mat`` lives."""
     exact = {}  # on (numerator, denominator): a Fraction's hash takes an inverse
+    by_id = {}
 
     def cell(x):
         if not isinstance(x, (int, Fraction)):
-            return emit_scalar(x, tolerance)
-        if (key := (x.numerator, x.denominator)) not in exact:
-            exact[key] = emit_scalar(x)
-        return exact[key]
+            out = emit_scalar(x, tolerance)
+        elif (out := exact.get(key := (x.numerator, x.denominator))) is None:
+            out = exact[key] = emit_scalar(x)
+        by_id[id(x)] = out
+        return out
 
-    return [[cell(x) for x in row] for row in mat]
+    get = by_id.get  # a cell dict is never empty, so never falsy
+    return [[get(id(x)) or cell(x) for x in row] for row in mat]
 
 
 def index_label(A, L, N):

@@ -27,7 +27,7 @@ from .errors import ParameterError, StructureError
 from .polyalg import enumerate_basis, flat_pos
 from .weylops import Parameters, check_z
 from .hypint import dictionary_M
-from .pfaffian import _combine, _max_abs, residue_sum, restricted_residues
+from .pfaffian import _cleared, _combine_residues, _max_abs, residue_sum, restricted_residues
 
 
 def _display_row(A, L, N, M, alpha, beta, gamma, i):
@@ -116,7 +116,7 @@ def _display_row(A, L, N, M, alpha, beta, gamma, i):
 
 
 def _residues(params: Parameters, M: int, i: int):
-    """The residues of P_i as sparse rows over the degree-M basis, indexed as
+    """The residues of P_i over the degree-M basis, in the form and indexing of
     ``PfaffianSystem.residues[i]``.  The reduction assumes kappa_n = 1 for
     2 <= n <= L-1 at every M, degree 1 included."""
     exps = dictionary_M(params, M)
@@ -130,7 +130,8 @@ def _residues(params: Parameters, M: int, i: int):
     basis = enumerate_basis(L, N, M)
     idx = {A: k for k, A in enumerate(basis)}
     rows = [_display_row(A, L, N, M, exps.alpha, exps.beta, exps.gamma[0], i) for A in basis]
-    return {p: [{idx[B]: c for B, c in row[p].items() if c} for row in rows] for p in rows[0]}
+    return {p: _cleared([{idx[B]: c for B, c in row[p].items()} for row in rows])
+            for p in rows[0]}
 
 
 def pfaffian_from_cohomology(params: Parameters, z, M: int, i: int):
@@ -161,16 +162,14 @@ def compare_cohomology_operator(params: Parameters, z, M: int, i: int) -> Cohomo
     z = check_z(params, z)
     basis = enumerate_basis(params.L, params.N, M)
     Mi = restricted_residues(params, i, basis, {A: k for k, A in enumerate(basis)}, f"V{M}")
-    diff = {p: _combine([(1, Mi[p]), (-1, R)]) for p, R in P.items()}
-    worst = max(_max_abs(R) for R in diff.values())
-    if worst == 0:
+    if all(Mi[p] == R for p, R in P.items()):  # both in lowest terms
         return CohomologyComparison(True, Fraction(0), None, ())
-    lams = {p: R[0].get(0, 0) for p, R in diff.items()}
-    lam = None
-    if all(row.keys() <= {a} and row.get(a, 0) == lams[p]
-           for p, R in diff.items() for a, row in enumerate(R)):
-        lam = residue_sum({p: [{0: x}] for p, x in lams.items()}, z, i)[0][0]
+    diff = {p: _combine_residues([(1, Mi[p]), (-1, R)]) for p, R in P.items()}
+    worst = max(Fraction(_max_abs(rows), den) for den, rows in diff.values())
     discrepancy = residue_sum(diff, z, i)
+    scalar = all(row.keys() <= {a} and row.get(a, 0) == rows[0].get(0, 0)
+                 for den, rows in diff.values() for a, row in enumerate(rows))
+    lam = discrepancy[0][0] if scalar else None  # lambda(z) I is the whole difference
     return CohomologyComparison(False, worst, lam, tuple(tuple(r) for r in discrepancy))
 
 
@@ -242,7 +241,7 @@ def _reduced(r):
 
 def _ratios(*xs):
     """Exact rationals as ``_Ratio``s over their least common denominator."""
-    xs = [Fraction(x) for x in xs]
+    xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in xs]
     q = math.lcm(*(x.denominator for x in xs))
     return [_Ratio(x.numerator * (q // x.denominator), q) for x in xs]
 

@@ -9,7 +9,7 @@ likeliest failure mode here; every consumer relies on this one convention.)
 M_i is stored in residue (dlog) form: partial fractions of
 z_i H_i = W_i + V_i/(z_i - 1) + sum_j K_ij z_j/(z_i - z_j) give
 M_i(z) = sum_p A_{i,p} / (z_i - point p) over the points (0, 1, z_1..z_N),
-indexed p = 0..N+1, with sparse exact residues A_{i,0} = W_i - V_i - sum_j K_ij,
+indexed p = 0..N+1, with exact residues A_{i,0} = W_i - V_i - sum_j K_ij,
 A_{i,1} = V_i and A_{i,j+1} = K_ij.  Each pair of points but {0, 1} is a
 hyperplane H.  sum_i M_i dz_i is flat at every z iff K_ij = K_ji and Kohno's
 conditions [A_H, sum_{H' ⊇ X} A_H'] = 0 hold for every codimension-2 flat X
@@ -33,21 +33,21 @@ from .weylops import Parameters, check_z, flatten, hamiltonian_parts
 
 
 def _columns(flat_op, basis, index_of, what):
-    """An operator on the span of ``basis`` as sparse rows; error on leakage."""
+    """An operator on the span of ``basis`` as a residue ``(den, rows)``; error on leakage."""
     rows = [{} for _ in basis]
     for bcol, B in enumerate(basis):
-        for A, c in flat_op.apply_index(B).items():
+        for A, c in flat_op.image(B).items():
             row = index_of.get(A)
             if row is None:
+                c = Fraction(c, flat_op.den)
                 raise SubspaceError(
                     f"{what}: image of basis element {B} has out-of-space "
                     f"coefficient {c} at {A}",
                     offending_index=A,
                     coefficient=c,
                 )
-            if c:
-                rows[row][bcol] = c
-    return rows
+            rows[row][bcol] = c
+    return _lowest(flat_op.den, rows)
 
 
 def _lin(terms):
@@ -65,21 +65,53 @@ def _combine(terms):
     return [_lin(zip(cs, rows)) for rows in zip(*mats)]
 
 
+def _lowest(den, rows):
+    """The residue ``(den, rows)`` with the gcd of ``den`` and every entry divided out."""
+    g = math.gcd(den, *(x for row in rows for x in row.values()))
+    return den // g, ([{b: x // g for b, x in row.items()} for row in rows] if g > 1 else rows)
+
+
+def _cleared(rows):
+    """Sparse rows of exact rationals as a residue ``(den, int rows)``."""
+    d = math.lcm(*(x.denominator for row in rows for x in row.values()))
+    return d, [{b: x.numerator * (d // x.denominator) for b, x in row.items() if x}
+               for row in rows]
+
+
+def _combine_residues(terms):
+    """Sum of c * R over the (c, R) in ``terms``, for int c and residues R."""
+    d = math.lcm(*(den for _, (den, _) in terms))
+    return _lowest(d, _combine([(c * (d // den), rows) for c, (den, rows) in terms]))
+
+
 def residue_sum(residues_i, z, i):
     """sum_p R_p / (z_i - point p) over the points (0, 1, z_1..z_N), as dense
-    rows; ``residues_i`` maps p to the sparse rows of R_p, indexed as
-    ``PfaffianSystem.residues[i]``."""
+    rows of Fractions (floats or complexes for a decimal z) that share one zero
+    object; ``residues_i`` maps p to R_p, indexed as ``PfaffianSystem.residues[i]``."""
     points, zi = (0, 1) + tuple(z), z[i - 1]
-    rows = _combine([(1 / (zi - points[p]), R) for p, R in residues_i.items()])
     zero = 0 * zi  # Fraction, float or complex, as z is
-    return [[row.get(b, zero) for b in range(len(rows))] for row in rows]
+    ws = [(1 / (zi - points[p]), den, R) for p, (den, R) in residues_i.items()]
+    if all(type(w) is Fraction for w, _, _ in ws):  # one int sum per entry over q
+        ws = [(w / den, R) for w, den, R in ws]
+        q = math.lcm(*(w.denominator for w, _ in ws))
+        rows = [{b: Fraction(x, q) for b, x in row.items()}
+                for row in _combine([(w.numerator * (q // w.denominator), R) for w, R in ws])]
+    else:
+        rows = _combine([(w, [{b: x / den for b, x in row.items()} for row in R])
+                         for w, den, R in ws])
+    out = [[zero] * len(rows) for _ in rows]
+    for dense, row in zip(out, rows):
+        for b, x in row.items():
+            dense[b] = x
+    return out
 
 
 def restricted_residues(params: Parameters, i: int, basis, index_of, space: str):
-    """The residues {p: sparse rows} of H_i restricted to the span of ``basis``
+    """The residues {p: (den, rows)} of H_i restricted to the span of ``basis``
     (``index_of`` maps each element to its position), indexed as
     ``PfaffianSystem.residues[i]``; ``space`` names the span in leakage errors."""
-    if any(not isinstance(x, (int, Fraction)) for x in params.e + params.kappa + params.theta):
+    if any(not isinstance(x, (int, Fraction))
+           for x in params.e + params.kappa + params.theta + (params.hbar,)):
         raise ParameterError("restriction requires exact-rational parameters")
     parts = hamiltonian_parts(i, params)
 
@@ -89,12 +121,16 @@ def restricted_residues(params: Parameters, i: int, basis, index_of, space: str)
     W = restrict(parts["const"], "z-free")
     V = restrict(parts["pole1"], "1/(z_i-1)")
     K = {j + 1: restrict(op, f"z_{j}/(z_i-z_{j})") for j, op in parts["cross"].items()}
-    A0 = _combine([(1, W), (-1, V)] + [(-1, Kj) for Kj in K.values()])
+    A0 = _combine_residues([(1, W), (-1, V)] + [(-1, Kj) for Kj in K.values()])
     return {0: A0, 1: V, **K}
 
 
 class PfaffianSystem:
-    """Restriction of all H_i to V(M) or F(T), held as exact residues."""
+    """Restriction of all H_i to V(M) or F(T), held as exact residues.
+
+    ``residues[i][p]``, the residue of M_i where z_i meets point p, is a pair
+    ``(den, rows)`` of sparse ``{column: int}`` rows without zeros over their
+    least positive common denominator, so equal residues are equal pairs."""
 
     def __init__(self, params: Parameters, space):
         kind, data = space
@@ -122,7 +158,6 @@ class PfaffianSystem:
             raise ParameterError(f"unknown space kind {kind!r}; use ('V', M) or ('F', T)")
         self.index_of = {A: k for k, A in enumerate(self.basis)}
         self.dim = len(self.basis)
-        # residues[i][p]: the residue of M_i where z_i meets point p
         self.residues = {i: restricted_residues(params, i, self.basis, self.index_of,
                                                 f"{kind}{data}")
                          for i in range(1, N + 1)}
@@ -133,11 +168,12 @@ class PfaffianSystem:
 
     def residue_array(self, keys):
         """residues[i][p] for (i, p) in ``keys``, stacked as a complex (len(keys) * D, D) array."""
-        out = np.zeros((len(keys), self.dim, self.dim), dtype=complex)
+        out = np.zeros((len(keys), self.dim, self.dim))
         for k, (i, p) in enumerate(keys):
-            for a, row in enumerate(self.residues[i][p]):
-                out[k, a, list(row)] = [complex(x) for x in row.values()]
-        return out.reshape(-1, self.dim)
+            for a, row in enumerate(self.residues[i][p][1]):
+                out[k, a, list(row)] = list(row.values())
+        dens = np.array([self.residues[i][p][0] for i, p in keys], dtype=float)
+        return (out / dens[:, None, None]).astype(complex).reshape(-1, self.dim)
 
     def matrix_float(self, i: int, z) -> np.ndarray:
         """M_i(z) as a complex numpy array; z may be float or complex."""
@@ -183,13 +219,13 @@ def flatness_residual(system: PfaffianSystem) -> FlatnessResult:
     commutators at one X sum to zero).  The derivative residual is the
     symmetry defect K_ij - K_ji, which is (z_i - z_j)^2 times
     d_i M_j - d_j M_i.  Zero for both is a proof of flatness at every z.
-    Both run on the residues cleared to integer rows over one denominator d,
-    so a commutator entry is an integer over d^2.
+    Both run on the residues scaled to integer rows over the lcm d of their
+    denominators, so a commutator entry is an integer over d^2.
     """
-    d = math.lcm(*(x.denominator for r in system.residues.values() for A in r.values()
-                   for row in A for x in row.values()))
-    res = {i: {p: [{b: x.numerator * (d // x.denominator) for b, x in row.items()} for row in A]
-               for p, A in r.items()} for i, r in system.residues.items()}
+    d = math.lcm(*(den for r in system.residues.values() for den, _ in r.values()))
+    res = {i: {p: rows if den == d else [{b: x * (d // den) for b, x in row.items()}
+                                         for row in rows]
+               for p, (den, rows) in r.items()} for i, r in system.residues.items()}
     worst, conditions = 0, 0
     for hyperplanes in codim2_flats(system.params.N):
         # points p < q meet on a hyperplane whose residue is that of z_{q-1} at p
@@ -323,19 +359,20 @@ def propagate(system: PfaffianSystem, path: ZPath, c0, rtol: float = 1e-10,
         f0 = np.array([wa[i - 1] - pa[p] for i, p in keys])
         df = np.array([wb[i - 1] - pb[p] for i, p in keys]) - f0
 
-        def rhs(s, y):
-            return (((coef / (f0 + s * df)) @ flat).reshape(D, D) @ y.reshape(D, -1)).ravel()
+        def matrices(s):  # M at each of the arclengths s, as (len(s), D, D)
+            return ((coef / (f0 + s[:, None] * df)) @ flat).reshape(-1, D, D)
 
         s, h = 0.0, 0.1
-        K[0] = rhs(s, c)
+        K[0] = (matrices(np.zeros(1))[0] @ c.reshape(D, -1)).ravel()
         n_rhs += 1
         while s < 1.0:
             h = min(h, 1.0 - s)
             if h < 1e-14:
                 raise PropagationError(
                     f"step size underflow on segment {seg}", location=(seg, s))
+            Ms = matrices(s + _DP_C[1:] * h)  # every stage time is known up front
             for j in range(1, 7):
-                K[j] = rhs(s + _DP_C[j] * h, c + h * (_DP_A[j, :j] @ K[:j]))
+                K[j] = (Ms[j - 1] @ (c + h * (_DP_A[j, :j] @ K[:j])).reshape(D, -1)).ravel()
             n_rhs += 6
             c5 = c + h * (_DP_B5 @ K)
             scale = atol + rtol * np.maximum(np.abs(c), np.abs(c5))

@@ -5,10 +5,12 @@ constant matrices of z_i H_i = W_i + V_i/(z_i - 1) + sum_j K_ij z_j/(z_i - z_j)
 straight from the operators, as dense row-major lists of Fractions, and
 keeps the checks that work at one point z: the exact commutator
 [M_i(z), M_j(z)] and the exact cross-derivative
-d_i M_j - d_j M_i = (K_ji - K_ij)/(z_i - z_j)^2.  It also keeps Kohno's
-conditions on the ``Fraction`` residues, the oracle for the integer-cleared
-``flatness_residual``, and the Dormand-Prince step with one stage at a time
-on one vector, the oracle for the array-form ``propagate``.
+d_i M_j - d_j M_i = (K_ji - K_ij)/(z_i - z_j)^2.  It also keeps the residues
+built as sparse rows of ``Fraction``s, the oracle for the integer rows of
+``PfaffianSystem.residues``; Kohno's conditions on those ``Fraction``
+residues, the oracle for ``flatness_residual``; and the Dormand-Prince step
+with one stage at a time on one vector, the oracle for the array-form
+``propagate``.
 """
 
 import itertools
@@ -18,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from qims.errors import PropagationError
+from qims.errors import PropagationError, SubspaceError
 from qims.pfaffian import (FlatnessResult, TransportStats, _combine, _product,
                            codim2_flats)
 from qims.polyalg import enumerate_basis
@@ -102,16 +104,62 @@ def transport_matrix_float(system, waypoints, c0, rtol, atol):
     return c
 
 
-def fraction_flatness(system):
-    """Kohno's commutators and the symmetry defect K_ij - K_ji on the
-    ``Fraction`` residues, as a ``FlatnessResult``."""
+def fraction_columns(flat_op, basis, index_of, what):
+    """An operator on the span of ``basis`` as sparse rows of ``Fraction``s;
+    error on leakage."""
+    rows = [{} for _ in basis]
+    for bcol, B in enumerate(basis):
+        for A, c in flat_op.apply_index(B).items():
+            row = index_of.get(A)
+            if row is None:
+                raise SubspaceError(
+                    f"{what}: image of basis element {B} has out-of-space "
+                    f"coefficient {c} at {A}",
+                    offending_index=A,
+                    coefficient=c,
+                )
+            if c:
+                rows[row][bcol] = c
+    return rows
+
+
+def fraction_restriction(params, i, basis, index_of, space):
+    """The residues {p: Fraction rows} of H_i on the span of ``basis``, indexed
+    as ``PfaffianSystem.residues[i]``."""
+    parts = hamiltonian_parts(i, params)
+
+    def restrict(op, what):
+        return fraction_columns(flatten(op, params), basis, index_of,
+                                f"H_{i} {what} part on {space}")
+
+    W = restrict(parts["const"], "z-free")
+    V = restrict(parts["pole1"], "1/(z_i-1)")
+    K = {j + 1: restrict(op, f"z_{j}/(z_i-z_{j})") for j, op in parts["cross"].items()}
+    A0 = _combine([(1, W), (-1, V)] + [(-1, Kj) for Kj in K.values()])
+    return {0: A0, 1: V, **K}
+
+
+def fraction_residues(system):
+    """``fraction_restriction`` of every H_i on the basis of ``system``."""
+    return {i: fraction_restriction(system.params, i, system.basis, system.index_of, "oracle")
+            for i in system.residues}
+
+
+def fractions(residue):
+    """A residue ``(den, rows)`` as sparse rows of ``Fraction``s."""
+    den, rows = residue
+    return [{b: Fraction(x, den) for b, x in row.items()} for row in rows]
+
+
+def fraction_flatness(N, res):
+    """Kohno's commutators and the symmetry defect K_ij - K_ji on the residues
+    ``res`` = {i: {p: Fraction rows}}, as a ``FlatnessResult``."""
     def worst_entry(rows):
         # a planted int entry stays an int; Fraction keeps the quotient below exact
         return max((Fraction(abs(x)) for row in rows for x in row.values()), default=Fraction(0))
 
-    res = system.residues
     worst, conditions = Fraction(0), 0
-    for hyperplanes in codim2_flats(system.params.N):
+    for hyperplanes in codim2_flats(N):
         As = [res[q - 1][p] for p, q in hyperplanes]
         total = _combine([(1, A) for A in As])
         for A in As[:-1]:
@@ -119,7 +167,7 @@ def fraction_flatness(system):
             worst = max(worst, worst_entry(comm))
         conditions += len(As) - 1
     asym = Fraction(0)
-    for i, j in itertools.combinations(range(1, system.params.N + 1), 2):
+    for i, j in itertools.combinations(range(1, N + 1), 2):
         Kij, Kji = res[i][j + 1], res[j][i + 1]
         diff = _combine([(1, Kij), (-1, Kji)])
         asym = max(asym, worst_entry(diff) / max(1, worst_entry(Kij), worst_entry(Kji)))

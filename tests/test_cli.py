@@ -61,6 +61,16 @@ def test_cmd_hamiltonian_json_exact(tmp_path, capsys):
     assert cell["kind"] == "exact" and "/" in cell["value"] or cell["value"].lstrip("-").isdigit()
 
 
+def test_cmd_hamiltonian_rejects_decimal_hbar_exit2(tmp_path, capsys):
+    # the restriction is exact only: a decimal hbar once ran a float restriction, exit 0
+    cfg = base_cfg(2, 1, 1)
+    cfg["parameters"]["hbar"] = "1.0"
+    assert main(["--config", write_cfg(tmp_path, "c.json", cfg), "hamiltonian"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ParameterError"
+    assert "restriction requires exact-rational parameters" in error["message"]
+
+
 def test_cmd_hamiltonian_csv(tmp_path):
     cfg = write_cfg(tmp_path, "c.json", base_cfg(2, 1, 1))
     out = tmp_path / "m.csv"

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -29,6 +30,11 @@ def test_cohomology_equals_operator_exactly(L, N, M):
         for i in range(1, N + 1):
             cmp = compare_cohomology_operator(params, z, M, i)
             assert cmp.exact_equal, (L, N, M, i, cmp.max_abs_diff)
+    for i in range(1, N + 1):
+        # lowest terms, as the operator side, so equal residues are equal pairs
+        for den, rows in cohomology._residues(params, M, i).values():
+            nums = [x for row in rows for x in row.values()]
+            assert den > 0 and all(nums) and math.gcd(den, *nums) == 1
 
 
 def test_comparison_restricts_only_the_compared_hamiltonian(monkeypatch):

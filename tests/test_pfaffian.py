@@ -8,11 +8,12 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from conftest import random_params, random_z, resonant_params
-from dense_oracle import (DenseSystem, fraction_flatness, point_flatness,
-                          propagate_stagewise, transport_matrix_float)
+from dense_oracle import (DenseSystem, fraction_columns, fraction_flatness, fraction_residues,
+                          fractions, point_flatness, propagate_stagewise,
+                          transport_matrix_float)
 from qims.errors import ParameterError, PropagationError, SingularityError, SubspaceError
-from qims.pfaffian import (PfaffianSystem, ZPath, codim2_flats, flatness_residual, propagate,
-                           restricted_residues)
+from qims.pfaffian import (PfaffianSystem, ZPath, _cleared, codim2_flats, flatness_residual,
+                           propagate, restricted_residues)
 from qims.polyalg import enumerate_basis
 from qims.weylops import make_parameters
 
@@ -58,6 +59,23 @@ def test_overflow_detection_carries_index():
     with pytest.raises(SubspaceError) as exc:
         _columns(op, basis, {A: k for k, A in enumerate(basis)}, "probe")
     assert exc.value.offending_index is not None
+    # the integer rows report what the Fraction oracle reports
+    with pytest.raises(SubspaceError) as want:
+        fraction_columns(op, basis, {A: k for k, A in enumerate(basis)}, "probe")
+    assert str(exc.value) == str(want.value)
+    assert exc.value.offending_index == want.value.offending_index
+    assert exc.value.coefficient == want.value.coefficient
+    assert type(exc.value.coefficient) is F
+
+
+def test_columns_reduce_to_lowest_terms():
+    # (1/2) q p maps q^2 to q^2: den 2 times the entry is 2, which the residue divides out
+    from qims.pfaffian import _columns
+    from qims.weylops import Mul, P, Q, Sc, flatten
+    params = resonant_params(2, 1, 1, random.Random(4))
+    op = flatten(Mul(Sc(F(1, 2)), Q(1, 1), P(1, 1)), params)
+    assert op.den == 2 and op.image((2,)) == {(2,): 2}
+    assert _columns(op, [(2,)], {(2,): 0}, "probe") == (1, [{0: 1}])
 
 
 def test_ft_restriction():
@@ -122,41 +140,51 @@ def test_cross_derivative_matches_central_difference(z, i, j):
     assert np.abs(exact - oracle).max() <= 1e-8 * np.abs(exact).max()
 
 
-def plant(rows, a, b, x):
+def plant(system, frac, i, p, a, b, x):
+    """Add x to entry (a, b) of residue (i, p) in the Fraction residues ``frac``
+    and store that residue re-cleared in ``system``."""
+    rows = frac[i][p]
     rows[a][b] = rows[a].get(b, 0) + x
+    system.residues[i][p] = _cleared(rows)
+
+
+def with_oracle(system):
+    return system, fraction_residues(system)
 
 
 def planted_v_system():
-    system = v_system(2, 2, 2, seed=5)
+    system, frac = with_oracle(v_system(2, 2, 2, seed=5))
     # V_1 enters M_1 as V_1/(z_1 - 1) - V_1/z_1
-    plant(system.residues[1][1], 0, 1, F(1, 5))
-    plant(system.residues[1][0], 0, 1, -F(1, 5))
-    return system
+    plant(system, frac, 1, 1, 0, 1, F(1, 5))
+    plant(system, frac, 1, 0, 0, 1, -F(1, 5))
+    return system, frac
 
 
 def asymmetric_k_system():
-    system = v_system(2, 2, 1, seed=5)
-    plant(system.residues[1][3], 0, 0, 1)  # d_2 M_1 gains 1/(z_1 - z_2)^2 at entry (0, 0)
-    return system
+    system, frac = with_oracle(v_system(2, 2, 1, seed=5))
+    plant(system, frac, 1, 3, 0, 0, 1)  # d_2 M_1 gains 1/(z_1 - z_2)^2 at entry (0, 0)
+    return system, frac
 
 
 def small_asymmetric_k_system():
     # every K entry below 1, so the symmetry defect's max(1, |K_ij|, |K_ji|) is 1
-    system = v_system(2, 2, 1, seed=5)
-    system.residues[1][3] = [{0: F(1, 3)}] + [{} for _ in range(system.dim - 1)]
-    system.residues[2][2] = [{} for _ in range(system.dim)]
-    return system
+    system, frac = with_oracle(v_system(2, 2, 1, seed=5))
+    frac[1][3] = [{0: F(1, 3)}] + [{} for _ in range(system.dim - 1)]
+    frac[2][2] = [{} for _ in range(system.dim)]
+    for i, p in ((1, 3), (2, 2)):
+        system.residues[i][p] = _cleared(frac[i][p])
+    return system, frac
 
 
 def test_flatness_negative_control_asymmetric_K():
-    system = asymmetric_k_system()
-    K12, K21 = system.residues[1][3], system.residues[2][2]
+    system, frac = asymmetric_k_system()
+    K12, K21 = frac[1][3], frac[2][2]
     scale = max([F(1)] + [abs(x) for K in (K12, K21) for row in K for x in row.values()])
     assert flatness_residual(system).derivative_rel == 1 / scale != 0
 
 
 def test_flatness_negative_control_planted_V():
-    r = flatness_residual(planted_v_system())
+    r = flatness_residual(planted_v_system()[0])
     assert r.commutator > 0 and isinstance(r.commutator, F) and r.derivative_rel == 0
 
 
@@ -200,22 +228,42 @@ def test_one_index_restriction_equals_the_system_residues(L, N, M):
         assert restricted_residues(params, i, basis, index_of, f"V{M}") == system.residues[i]
 
 
-def ft_system():
+def ft_system(T=(2, 1)):
     params = make_parameters(3, 2, e=[F(1, 2), F(1, 3), F(1, 6)],
-                             kappa=[F(1, 3), F(-2), F(-1)], theta=[F(1, 7), F(2, 9)])
-    return PfaffianSystem(params, ("F", (2, 1)))
+                             kappa=[F(1, 3), F(-T[0]), F(-T[1])], theta=[F(1, 7), F(2, 9)])
+    return PfaffianSystem(params, ("F", T))
+
+
+def oracle_system(L, N, M):
+    return PfaffianSystem(resonant_params(L, N, M, random.Random(100 * L + 10 * N + M)),
+                          ("V", M))
 
 
 @pytest.mark.parametrize("build", [
-    *[lambda L=L, N=N, M=M: PfaffianSystem(
-        resonant_params(L, N, M, random.Random(100 * L + 10 * N + M)), ("V", M))
-      for L, N, M in ORACLE_SIZES],
-    ft_system, planted_v_system, asymmetric_k_system, small_asymmetric_k_system],
+    *[lambda L=L, N=N, M=M: oracle_system(L, N, M) for L, N, M in ORACLE_SIZES],
+    lambda: ft_system((2, 2))], ids=[f"L{L}N{N}M{M}" for L, N, M in ORACLE_SIZES] + ["F22"])
+def test_integer_residues_match_fraction_oracle(build):
+    system = build()
+    want = fraction_residues(system)
+    assert system.residues.keys() == want.keys()
+    for i, res in system.residues.items():
+        assert res.keys() == want[i].keys()
+        for p, (den, rows) in res.items():
+            assert fractions((den, rows)) == want[i][p]
+            # lowest terms: equal residues are equal pairs
+            assert den > 0 and all(x for row in rows for x in row.values())
+            assert math.gcd(den, *(x for row in rows for x in row.values())) == 1
+
+
+@pytest.mark.parametrize("build", [
+    *[lambda L=L, N=N, M=M: with_oracle(oracle_system(L, N, M)) for L, N, M in ORACLE_SIZES],
+    lambda: with_oracle(ft_system()), planted_v_system, asymmetric_k_system,
+    small_asymmetric_k_system],
     ids=[f"L{L}N{N}M{M}" for L, N, M in ORACLE_SIZES]
     + ["F21", "planted_V", "asymmetric_K", "small_asymmetric_K"])
 def test_integer_flatness_matches_fraction_oracle(build):
-    system = build()
-    got, want = flatness_residual(system), fraction_flatness(system)
+    system, frac = build()
+    got, want = flatness_residual(system), fraction_flatness(system.params.N, frac)
     assert got == want
     assert all(type(x) is F for x in got[:2] + want[:2])
     assert got.conditions == want.conditions == sum(

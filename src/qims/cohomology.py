@@ -27,7 +27,8 @@ from .errors import ParameterError, StructureError
 from .polyalg import enumerate_basis, flat_pos
 from .weylops import Parameters, check_z
 from .hypint import dictionary_M
-from .pfaffian import _cleared, _combine_residues, _max_abs, residue_sum, restricted_residues
+from .pfaffian import (_cleared, _combine_residues, _max_abs, require_exact, residue_sum,
+                       restricted_residues)
 
 
 def _display_row(A, L, N, M, alpha, beta, gamma, i):
@@ -119,6 +120,7 @@ def _residues(params: Parameters, M: int, i: int):
     """The residues of P_i over the degree-M basis, in the form and indexing of
     ``PfaffianSystem.residues[i]``.  The reduction assumes kappa_n = 1 for
     2 <= n <= L-1 at every M, degree 1 included."""
+    require_exact(params)
     exps = dictionary_M(params, M)
     L, N = params.L, params.N
     for n in range(2, L):

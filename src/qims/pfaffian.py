@@ -106,13 +106,18 @@ def residue_sum(residues_i, z, i):
     return out
 
 
+def require_exact(params: Parameters):
+    """Reject decimal parameters before an exact residue is built from them."""
+    if any(not isinstance(x, (int, Fraction))
+           for x in params.e + params.kappa + params.theta + (params.hbar,)):
+        raise ParameterError("restriction requires exact-rational parameters")
+
+
 def restricted_residues(params: Parameters, i: int, basis, index_of, space: str):
     """The residues {p: (den, rows)} of H_i restricted to the span of ``basis``
     (``index_of`` maps each element to its position), indexed as
     ``PfaffianSystem.residues[i]``; ``space`` names the span in leakage errors."""
-    if any(not isinstance(x, (int, Fraction))
-           for x in params.e + params.kappa + params.theta + (params.hbar,)):
-        raise ParameterError("restriction requires exact-rational parameters")
+    require_exact(params)
     parts = hamiltonian_parts(i, params)
 
     def restrict(op, what):

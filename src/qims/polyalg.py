@@ -4,8 +4,9 @@ Monomials in the variables ``q_m^(i)`` (level m = 1..L-1, time index
 i = 1..N) are indexed by flat row-major tuples of nonnegative integers:
 position ``(m-1)*N + (i-1)`` holds the exponent of ``q_m^(i)``.
 
-Coefficients are either exact (``int``/``Fraction``) or floating
-(``float``/``complex``); the two kinds never mix inside one polynomial.
+The algebra is exact: coefficients are ``int`` or ``Fraction``, and a
+decimal (``float`` or ``complex``) coefficient is rejected with a
+:class:`~qims.errors.ParameterError`.
 """
 
 from __future__ import annotations
@@ -90,17 +91,14 @@ def enumerate_basis_FT(L: int, N: int, T) -> list[Index]:
     return out
 
 
-_EXACT_TYPES = (int, Fraction)
-_FLOAT_TYPES = (float, complex)
-
-
-def scalar_kind(x) -> str:
-    if isinstance(x, bool):
-        raise StructureError("bool is not a scalar")
-    if isinstance(x, _EXACT_TYPES):
-        return "exact"
-    if isinstance(x, _FLOAT_TYPES):
-        return "float"
+def check_exact(x):
+    """``x`` if it is an ``int`` or ``Fraction``; a decimal is a ParameterError,
+    any other type a StructureError."""
+    if type(x) is int or type(x) is Fraction:
+        return x
+    if isinstance(x, (float, complex)):
+        raise ParameterError(f"the algebra is exact and takes no decimal scalar {x!r}; "
+                             "give exact rationals ('p/q' strings or integers)")
     raise StructureError(f"unsupported scalar type {type(x).__name__}")
 
 
@@ -111,30 +109,24 @@ class Polynomial:
     Instances are immutable after construction.
     """
 
-    __slots__ = ("L", "N", "terms", "kind")
+    __slots__ = ("L", "N", "terms")
 
-    def __init__(self, L: int, N: int, terms=None, kind=None):
+    def __init__(self, L: int, N: int, terms=None):
         self.L = L
         self.N = N
         clean = {}
-        k = kind
         nvars = (L - 1) * N
         for A, c in (terms or {}).items():
-            ck = scalar_kind(c)
-            if k is None:
-                k = ck
-            elif k != ck:
-                raise StructureError("mixed exact and floating coefficients")
+            check_exact(c)
             if len(A) != nvars or any(e < 0 for e in A):
                 raise StructureError(f"bad exponent tuple {A} for (L,N)=({L},{N})")
             if c != 0:
                 clean[tuple(A)] = c
         self.terms = clean
-        self.kind = k or "exact"
 
     @classmethod
-    def zero(cls, L: int, N: int, kind: str = "exact") -> "Polynomial":
-        return cls(L, N, {}, kind=kind)
+    def zero(cls, L: int, N: int) -> "Polynomial":
+        return cls(L, N)
 
     @classmethod
     def monomial(cls, L: int, N: int, A: Index, coeff=1) -> "Polynomial":
@@ -147,8 +139,6 @@ class Polynomial:
     def _check_context(self, other: "Polynomial"):
         if (self.L, self.N) != (other.L, other.N):
             raise StructureError("operands live in different (L, N) contexts")
-        if self.terms and other.terms and self.kind != other.kind:
-            raise StructureError("mixed exact and floating polynomials")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_context(other)
@@ -159,7 +149,7 @@ class Polynomial:
                 out.pop(A, None)
             else:
                 out[A] = s
-        return Polynomial(self.L, self.N, out, kind=self.kind if self.terms else other.kind)
+        return Polynomial(self.L, self.N, out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + other.scale(-1)
@@ -175,21 +165,15 @@ class Polynomial:
                     out.pop(C, None)
                 else:
                     out[C] = s
-        return Polynomial(self.L, self.N, out, kind=self.kind if self.terms else other.kind)
+        return Polynomial(self.L, self.N, out)
 
     def scale(self, c) -> "Polynomial":
-        if c == 0:
-            return Polynomial.zero(self.L, self.N, self.kind)
-        if self.terms and scalar_kind(c) != self.kind:
-            raise StructureError("scalar kind does not match polynomial kind")
+        check_exact(c)
         return Polynomial(self.L, self.N, {A: c * v for A, v in self.terms.items()})
 
     def coefficient(self, A: Index):
-        """Coefficient of q^A; the appropriate zero when absent."""
-        c = self.terms.get(tuple(A))
-        if c is not None:
-            return c
-        return Fraction(0) if self.kind == "exact" else 0.0
+        """Coefficient of q^A; ``Fraction(0)`` when absent."""
+        return self.terms.get(tuple(A), Fraction(0))
 
     def degree(self) -> int:
         if not self.terms:
@@ -198,9 +182,7 @@ class Polynomial:
 
     def max_abs(self):
         """Largest coefficient magnitude (0 for the zero polynomial)."""
-        if not self.terms:
-            return Fraction(0) if self.kind == "exact" else 0.0
-        return max(abs(c) for c in self.terms.values())
+        return max((abs(c) for c in self.terms.values()), default=Fraction(0))
 
     def __eq__(self, other):
         return (

@@ -20,11 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParameterError, SingularityError, StructureError
-from .polyalg import Polynomial, flat_pos, scalar_kind
+from .polyalg import Polynomial, check_exact, flat_pos
 
 
 def to_scalar(x):
-    """Coerce ints to Fraction so exactness is the default; pass floats through."""
+    """Coerce ints to Fraction so exactness is the default; floats pass through
+    for the numeric layers, and the exact operator algebra rejects them."""
     if isinstance(x, bool):
         raise StructureError("bool is not a scalar")
     if isinstance(x, int):
@@ -72,12 +73,13 @@ class Parameters:
         self._check_relation(sum(self.kappa), sum(self.theta), "sum(kappa) = sum(theta)")
         if self.planck == 0:
             raise ParameterError("planck constant must be nonzero")
+        if self.hbar == 0:
+            raise ParameterError("hbar must be nonzero")
 
     @staticmethod
     def _check_relation(lhs, rhs, name):
         diff = lhs - rhs
-        exact = scalar_kind(lhs) == "exact" and scalar_kind(rhs) == "exact"
-        if (diff != 0) if exact else (abs(diff) > 1e-9):
+        if (diff != 0) if isinstance(diff, Fraction) else (abs(diff) > 1e-9):
             raise ParameterError(f"parameter relation violated: {name} (off by {diff})")
 
     @property
@@ -92,23 +94,13 @@ def make_parameters(L, N, *, e, kappa, theta, theta0=None, hbar=1, planck=1) -> 
     ``theta`` lists theta_1..theta_N.  Passing ``theta0`` explicitly turns
     derivation into a consistency check.
     """
-    e = tuple(to_scalar(x) for x in e)
     kappa = tuple(to_scalar(x) for x in kappa)
     theta = tuple(to_scalar(x) for x in theta)
     if len(theta) != N:
         raise ParameterError(f"theta must list theta_1..theta_N (length {N})")
-    derived = sum(kappa) - sum(theta)
-    if theta0 is not None:
-        theta0 = to_scalar(theta0)
-        exact = scalar_kind(theta0) == "exact" and scalar_kind(derived) == "exact"
-        bad = (theta0 != derived) if exact else (abs(theta0 - derived) > 1e-9)
-        if bad:
-            raise ParameterError(
-                f"explicit theta_0={theta0} violates sum(kappa) = sum(theta) "
-                f"(constraint requires {derived})"
-            )
-        derived = theta0
-    return Parameters(L, N, e, kappa, (derived,) + theta, hbar=hbar, planck=planck)
+    if theta0 is None:
+        theta0 = sum(kappa) - sum(theta)
+    return Parameters(L, N, tuple(e), kappa, (theta0,) + theta, hbar=hbar, planck=planck)
 
 
 # --- operator expression trees -------------------------------------------------
@@ -134,16 +126,17 @@ def Mul(*children):
 
 
 def _pair(x):
-    """A scalar leaf as (numerator, denominator); float and complex as (x, 1)."""
-    return (x, 1) if isinstance(x, (float, complex)) else (x.numerator, x.denominator)
+    """An exact scalar as (numerator, denominator); a decimal is a ParameterError."""
+    x = check_exact(x)
+    return x.numerator, x.denominator
 
 
 def _expand(node, params: Parameters):
     """Expand a tree into a list of ((numerator, denominator), string) terms.
 
     Strings are tuples of interior ``(is_p, flat index)`` factors in
-    application (rightmost-first) order; exact coefficients are unreduced
-    ``int`` pairs.  Derived boundary nodes are substituted here, so
+    application (rightmost-first) order; coefficients are unreduced ``int``
+    pairs.  Derived boundary nodes are substituted here, so
     downstream application only ever sees interior generators.
     """
     L, N = params.L, params.N
@@ -153,17 +146,11 @@ def _expand(node, params: Parameters):
     if tag == "+":
         return [t for ch in node[1] for t in _expand(ch, params)]
     if tag == "*":
-        terms, exact = [((1, 1), ())], True
+        terms = [((1, 1), ())]
         for ch in node[1]:
             rhs = _expand(ch, params)
-            exact = exact and all(type(n) is int for (n, _), _ in rhs)
-            if exact:
-                terms = [((an * bn, ad * bd), gb + ga)
-                         for (an, ad), ga in terms for (bn, bd), gb in rhs]
-            else:  # a float or complex factor: round as Fraction products do
-                terms = [((an * bn, ad * bd) if type(an) is type(bn) is int else
-                          ((an if ad == 1 else an / ad) * (bn if bd == 1 else bn / bd), 1),
-                          gb + ga) for (an, ad), ga in terms for (bn, bd), gb in rhs]
+            terms = [((an * bn, ad * bd), gb + ga)
+                     for (an, ad), ga in terms for (bn, bd), gb in rhs]
         return terms
     if tag in ("q", "p"):
         m, i = node[1], node[2]
@@ -191,9 +178,9 @@ class FlatOp:
     Compiling the terms of ``_expand`` folds ``hbar`` into each coefficient
     once per ``p``, merges equal strings and drops zeros; ``terms`` lists the
     ``(numerator, string)`` pairs left, a term's coefficient being
-    ``numerator / den``.  Exact operators merge in ``int``s over the lcm of
-    the denominators, then divide by the gcd of it and the sums, so ``den``
-    is the least common denominator; float or complex ones have ``den = 1``.
+    ``numerator / den``.  Terms merge in ``int``s over the lcm of the
+    denominators, then divide by the gcd of it and the sums, so ``den`` is
+    the least common denominator.  A decimal ``hbar`` is a ParameterError.
 
     A string acting on q^A moves the exponents by a fixed shift and
     multiplies by a product of factors ``A[k] + offset``, one per ``p``;
@@ -207,28 +194,17 @@ class FlatOp:
 
     def __init__(self, L, N, hbar, terms):
         self.L, self.N = L, N
+        hn, hd = _pair(hbar)
+        if (hn, hd) != (1, 1):
+            terms = [((n * hn ** k, d * hd ** k), ops) for (n, d), ops in terms
+                     for k in [sum(p for p, _ in ops)]]
+        D = math.lcm(*{d for (_, d), _ in terms})
         merged = {}
-        if scalar_kind(hbar) == "exact" and all(type(n) is int for (n, _), _ in terms):
-            if hbar != 1:
-                hn, hd = hbar.numerator, hbar.denominator
-                terms = [((n * hn ** k, d * hd ** k), ops) for (n, d), ops in terms
-                         for k in [sum(p for p, _ in ops)]]
-            D = math.lcm(*{d for (_, d), _ in terms})
-            for (n, d), ops in terms:
-                merged[ops] = merged.get(ops, 0) + n * (D // d)
-            g = math.gcd(D, *merged.values())
-            self.den = D // g
-            self.terms = [(c // g, ops) for ops, c in merged.items() if c]
-        else:
-            conv = complex if any(isinstance(n, complex) for (n, _), _ in terms) else float
-            hbar = conv(hbar) if scalar_kind(hbar) == "exact" else hbar
-            for (n, d), ops in terms:
-                c = conv(n / d) if type(n) is int else n
-                if hbar != 1:
-                    c = c * hbar ** sum(p for p, _ in ops)
-                merged[ops] = merged.get(ops, 0) + c
-            self.den = 1
-            self.terms = [(c, ops) for ops, c in merged.items() if c != 0]
+        for (n, d), ops in terms:
+            merged[ops] = merged.get(ops, 0) + n * (D // d)
+        g = math.gcd(D, *merged.values())
+        self.den = D // g
+        self.terms = [(c // g, ops) for ops, c in merged.items() if c]
         self.unit = Fraction(1, self.den)
 
         kernel = {}
@@ -303,13 +279,14 @@ def flatten(op, params: Parameters) -> FlatOp:
 
 
 def apply(op, f: Polynomial, params: Parameters) -> Polynomial:
-    """Apply an operator expression to a polynomial (exact for exact scalars)."""
+    """Apply an operator expression to a polynomial, exactly; a decimal scalar
+    in the tree or in ``params.hbar`` is a ParameterError."""
     return flatten(op, params)(f)
 
 
 # --- Hamiltonians ---------------------------------------------------------------
 
-def check_z(params: Parameters, z, i=None):
+def check_z(params: Parameters, z):
     """Reject z at a pole: any z_i in {0, 1} or a collision z_i = z_j."""
     z = tuple(to_scalar(x) for x in z)
     if len(z) != params.N:

@@ -331,6 +331,26 @@ def test_verify_m1_needs_unit_interior_kappa_exit2(tmp_path, capsys, monkeypatch
     assert error["type"] == "ParameterError" and "kappa_2" in error["message"]
 
 
+def test_verify_rejects_decimal_parameters_exit2(tmp_path, capsys):
+    # the cohomology residues are exact, so a decimal e is a configuration error
+    cfg = base_cfg(2, 1, 1)
+    cfg["parameters"]["e"] = ["0.9", "-0.4"]
+    assert main(["--config", write_cfg(tmp_path, "c.json", cfg), "verify"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ParameterError"
+    assert "restriction requires exact-rational parameters" in error["message"]
+
+
+@pytest.mark.parametrize("which", ["braid", "all"])
+def test_zero_hbar_exit2(tmp_path, capsys, which):
+    # the entry commutator relations divide by hbar, so hbar = 0 is a configuration error
+    cfg = base_cfg(2, 1, 1)
+    cfg["parameters"]["hbar"] = "0"
+    assert main(["--config", write_cfg(tmp_path, "c.json", cfg), "check", which]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ParameterError" and "hbar must be nonzero" in error["message"]
+
+
 def loop_cfg():
     cfg = base_cfg(2, 2, 1)
     cfg.update(path=[["0.40", "0.70"], ["0.45", "0.75"], ["0.40", "0.70"]], c0=["1", "0", "0.5"])

@@ -1,21 +1,23 @@
 """The compiled integer kernel of ``FlatOp`` against the written-order oracle.
 
 Random exact parameters, operators and probe monomials: every compiled
-image must equal the one the uncompiled written-order loop computes, with
-exact equality for rational inputs and within 1e-12 for float inputs.
+image must equal, exactly, the one the uncompiled written-order loop
+computes.  The compile is exact only: a decimal scalar is a ParameterError.
 """
 
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_params, random_z
 from qims import weylops
-from qims.polyalg import enumerate_basis
-from qims.weylops import (Add, Mul, Q, Sc, ahat_entry, flatten,
-                          garnier_example_operator, hamiltonian, make_parameters,
-                          omega_tree)
+from qims.errors import ParameterError
+from qims.polyalg import Polynomial, enumerate_basis
+from qims.weylops import (Add, Mul, P, Q, Sc, ahat_entry, apply, flatten,
+                          garnier_example_operator, hamiltonian, hamiltonian_flat,
+                          make_parameters, omega_tree)
 from written_order import commutator, fraction_compile, written_order
 
 
@@ -58,26 +60,12 @@ def test_kernel_matches_written_order(model, data):
             assert op.apply_index(A, c0) == oracle.apply_index(A, c0)
 
 
-def inexact(params, z, kind, hbar):
-    """The model with float parameters and z, or with complex z."""
-    if kind == "float":
-        params = make_parameters(params.L, params.N, e=[float(x) for x in params.e],
-                                 kappa=[float(x) for x in params.kappa],
-                                 theta=[float(x) for x in params.theta[1:]], hbar=hbar)
-        return params, tuple(float(x) for x in z)
-    return params, tuple(complex(x, (k + 1) / 10) for k, x in enumerate(z))
-
-
 @settings(max_examples=40, deadline=None)
 @given(models(), st.data())
 def test_integer_pair_compile_matches_fraction_compile(model, data):
     # the same den, terms in the same order and the same kernel as merging the
-    # Fraction expansion, for exact, float and complex coefficients alike
+    # Fraction expansion
     params, z, _ = model
-    kind = data.draw(st.sampled_from(["exact", "float", "complex"]))
-    if kind != "exact":
-        hbar = data.draw(st.sampled_from([params.hbar, float(params.hbar)]))
-        params, z = inexact(params, z, kind, hbar)
     trees = operator_trees(data.draw, params, z)
     zero = Add(trees[0], Mul(Sc(-1), trees[0]))
     for tree in trees + [zero]:
@@ -86,8 +74,8 @@ def test_integer_pair_compile_matches_fraction_compile(model, data):
         assert (op.den, op.terms, op._kernel) == (den, terms, kernel)
         assert [type(c) for c, _ in op.terms] == [type(c) for c, _ in terms]
         assert isinstance(op.den, int)
-    if kind == "exact":  # op is T - T: every term cancels
-        assert op.den == 1 and op.terms == [] and op._kernel == []
+    # op is T - T: every term cancels
+    assert op.den == 1 and op.terms == [] and op._kernel == []
 
 
 @settings(max_examples=20, deadline=None)
@@ -117,25 +105,6 @@ def test_commutator_residual_matches_written_order(model):
     wb = written_order(hamiltonian(j, params, z), params)
     assert all(commutator(wa, wb, A) == {} for A in probes)
     assert weylops._commutator_max(a, b, probes) == 0
-
-
-def test_float_parameters_match_written_order():
-    # den = 1 path: float coefficients keep their type through the kernel
-    rnd = random.Random(3)
-    exact = random_params(3, 2, rnd, hbar=F(3, 2))
-    params = make_parameters(3, 2, e=[float(x) for x in exact.e],
-                             kappa=[float(x) for x in exact.kappa],
-                             theta=[float(x) for x in exact.theta[1:]], hbar=1.5)
-    z = (0.31, 0.67)
-    for tree in (hamiltonian(1, params, z), omega_tree(1, 2, 3), ahat_entry(0, 1, 2)):
-        op, oracle = flatten(tree, params), written_order(tree, params)
-        assert op.den == 1
-        for A in enumerate_basis(3, 2, 2):
-            got, want = op.apply_index(A), oracle.apply_index(A)
-            assert all(isinstance(c, float) for c in got.values())
-            for B in set(got) | set(want):
-                assert abs(got.get(B, 0.0) - want.get(B, 0.0)) <= 1e-12 * max(
-                    1.0, abs(want.get(B, 0.0)))
 
 
 def test_perturbed_pair_reports_oracle_residual():
@@ -172,3 +141,30 @@ def test_hams_dict_reused_at_another_point():
     assert weylops.commutator_residual(1, 2, params, z1, probes, hams=hams) == want != 0
     assert weylops.commutator_residual(1, 2, params, z2, probes, hams=hams) == 0
     assert len(hams) == 4
+
+
+def test_decimal_scalars_are_rejected():
+    # a decimal or complex scalar in a tree, in the parameters, in hbar or in z
+    # is a ParameterError wherever it reaches the exact algebra
+    rnd = random.Random(3)
+    exact = random_params(3, 2, rnd, hbar=F(3, 2))
+    decimal = make_parameters(3, 2, e=[float(x) for x in exact.e],
+                              kappa=[float(x) for x in exact.kappa],
+                              theta=[float(x) for x in exact.theta[1:]])
+    decimal_hbar = make_parameters(3, 2, e=exact.e, kappa=exact.kappa,
+                                   theta=exact.theta[1:], hbar=1.5)
+    f = Polynomial.one(3, 2)
+    for build in (lambda: flatten(Mul(Sc(0.5), Q(1, 1)), exact),
+                  lambda: flatten(Add(Sc(1j), P(2, 2)), exact),
+                  lambda: flatten(Q(0, 1), decimal),  # theta_1 enters the expansion
+                  lambda: flatten(Mul(Q(1, 1), P(1, 1)), decimal_hbar),
+                  lambda: flatten(Q(1, 1), decimal_hbar),  # no p: hbar still checked
+                  lambda: apply(Mul(Sc(0.25), Q(1, 2)), f, exact),
+                  lambda: hamiltonian_flat(1, exact, (0.31, 0.67)),
+                  lambda: hamiltonian_flat(2, exact, (0.31 + 0.1j, 0.67)),
+                  lambda: hamiltonian_flat(1, decimal, random_z(2, rnd)),
+                  lambda: Polynomial(3, 2, {(0, 0, 0, 0): 0.5}),
+                  lambda: Polynomial(3, 2, {(1, 0, 0, 0): F(1), (0, 0, 0, 0): 2j}),
+                  lambda: f.scale(0.5)):
+        with pytest.raises(ParameterError, match="exact"):
+            build()

@@ -89,15 +89,20 @@ def test_poly_coefficient_of_missing_and_scale():
     assert q.coefficient((0,)) == F(1, 6)
 
 
-def test_poly_mixed_kind_rejected():
+def test_poly_rejects_decimal_coefficients():
+    # coefficients are exact only: a decimal is a ParameterError, a non-number
+    # a StructureError
     p = Polynomial(2, 1, {(0,): F(1)})
-    q = Polynomial(2, 1, {(0,): 0.5})
-    with pytest.raises(StructureError):
-        _ = p + q
-    with pytest.raises(StructureError):
-        Polynomial(2, 1, {(0,): F(1), (1,): 0.5})
-    with pytest.raises(StructureError):
-        p.scale(0.5)
+    for build in (lambda: Polynomial(2, 1, {(0,): 0.5}),
+                  lambda: Polynomial(2, 1, {(0,): F(1), (1,): 0.5j}),
+                  lambda: p.scale(0.5),
+                  lambda: p.scale(0.0)):
+        with pytest.raises(ParameterError, match="decimal"):
+            build()
+    for bad in (True, "1/2", None):
+        with pytest.raises(StructureError):
+            Polynomial(2, 1, {(0,): bad})
+    assert p.coefficient((1,)) == F(0) and Polynomial.zero(2, 1).max_abs() == F(0)
 
 
 coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=7)

@@ -31,6 +31,14 @@ def test_parameter_constraints_enforced():
                         theta=[F(1)], planck=0)
 
 
+@pytest.mark.parametrize("hbar", [0, F(0), 0.0])
+def test_zero_hbar_rejected(hbar):
+    # [p, q] = hbar = 0 leaves the entry commutator relations nothing to divide by
+    with pytest.raises(ParameterError, match="hbar must be nonzero"):
+        make_parameters(2, 1, e=[F(1, 4), F(1, 4)], kappa=[F(1), F(1)],
+                        theta=[F(1)], hbar=hbar)
+
+
 def test_theta0_derived_and_checked(p21):
     assert p21.theta[0] == F(2, 7) + F(3, 5) - F(1, 11)
     q = make_parameters(2, 1, e=[F(1, 3), F(1, 6)], kappa=[F(2, 7), F(3, 5)],

@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from qims.errors import StructureError
-from qims.polyalg import flat_pos, scalar_kind
+from qims.polyalg import flat_pos
 
 
 def expand(node, params):
@@ -71,18 +71,6 @@ def expand(node, params):
     raise StructureError(f"unknown node tag {tag!r}")
 
 
-def _convert(terms, hbar):
-    """Mixed exact and float scalars: the exact ones become float, or complex
-    when any coefficient is complex."""
-    kinds = {scalar_kind(c) for c, _ in terms} | {scalar_kind(hbar)}
-    if "float" in kinds and "exact" in kinds:
-        anycomplex = any(isinstance(c, complex) for c, _ in terms)
-        conv = complex if anycomplex else float
-        terms = [(conv(c) if scalar_kind(c) == "exact" else c, g) for c, g in terms]
-        hbar = conv(hbar) if scalar_kind(hbar) == "exact" else hbar
-    return terms, hbar, "float" in kinds
-
-
 def _flat(gens, N):
     """A named written-order string as (is_p, flat index) in application order."""
     return tuple((g[0] == "p", flat_pos(g[1], g[2], N)) for g in reversed(gens))
@@ -91,19 +79,16 @@ def _flat(gens, N):
 def fraction_compile(tree, params):
     """``(den, terms, kernel)`` of the tree, merged in ``Fraction`` arithmetic."""
     N = params.N
-    terms, hbar, inexact = _convert(expand(tree, params), params.hbar)
+    hbar = params.hbar
     merged = {}
-    for c, gens in terms:
+    for c, gens in expand(tree, params):
         ops = _flat(gens, N)
         if hbar != 1:
             c = c * hbar ** sum(p for p, _ in ops)
         merged[ops] = merged.get(ops, 0) + c
     merged = {ops: c for ops, c in merged.items() if c != 0}
-    if inexact:
-        den = 1
-    else:
-        den = math.lcm(*(Fraction(c).denominator for c in merged.values()))
-        merged = {ops: int(c * den) for ops, c in merged.items()}
+    den = math.lcm(*(Fraction(c).denominator for c in merged.values()))
+    merged = {ops: int(c * den) for ops, c in merged.items()}
     terms = [(c, ops) for ops, c in merged.items()]
     kernel = {}
     for c, ops in terms:
@@ -130,7 +115,7 @@ class WrittenOrderOp:
     def __init__(self, L, N, hbar, terms):
         self.L = L
         self.N = N
-        terms, self.hbar, _ = _convert(terms, hbar)
+        self.hbar = hbar
         # store generator strings pre-flattened in application (rightmost-first) order
         self.terms = [(c, _flat(gens, N)) for c, gens in terms]
 

@@ -249,8 +249,14 @@ def json_text(payload):
     With ``indent`` json runs its pure-Python encoder.  A dict that appears more
     than once, such as a shared matrix cell, is written once per indent and its
     text reused; the cache keys on identity, since {"a": 1} == {"a": True}
-    == {"a": 1.0} print differently.  The payload must not change meanwhile."""
+    == {"a": 1.0} print differently.  A list of dicts, such as a matrix row, is
+    joined in one go from its cells' texts.  The payload must not change
+    meanwhile."""
     parts, leaves = [], {}
+
+    def text_of(x, pad):
+        put(x, pad)
+        return parts.pop()
 
     def put(x, pad):
         if isinstance(x, dict):
@@ -267,6 +273,9 @@ def json_text(payload):
         if not values:
             return parts.append(brackets)
         start, sep, inner = len(parts), ",\n" + pad + "  ", pad + "  "
+        if leaf is None and all(isinstance(v, dict) for v in values):
+            texts = [leaves.get((inner, id(v))) or text_of(v, inner) for v in values]
+            return parts.append("[\n" + inner + sep.join(texts) + "\n" + pad + "]")
         for label, v in zip(labels, values):
             parts.append(sep + label)
             put(v, inner)

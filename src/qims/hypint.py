@@ -28,9 +28,14 @@ expanded once for every basis index.  d/dz_i is carried through that
 product as a dual part.  On a tensor grid each chain coordinate and gap
 is an outer product of 1-D node factors, so the grid is never stacked:
 per-axis node arrays broadcast, and every factor keeps only the axes it
-depends on.  Full-size arrays (the weight and the expanded products) are
-built one slab of about 2^15 points at a time, so memory stays flat as the
-node count grows.
+depends on.  Only the copy at the last chain position depends on the
+deepest axis, so the weight times each term of its form is summed over
+that axis first, and one contraction pairs those sums with the expanded
+product of the other copies, which never reaches full size.  Full-size
+arrays (the weight and its products with the last copy's form) are built
+one slab of about 2^15 points at a time, so memory stays flat as the node
+count grows.  Monte Carlo draws each cube axis from a Kumaraswamy law
+whose endpoint powers match the integrand's measured ones.
 
 Every quadrature result is checked by node refinement (Gauss-Jacobi
 doubles the nodes, tanh-sinh takes 1.5x as many), never assumed stable.
@@ -44,16 +49,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from operator import mul
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ChamberError, ConvergenceError, ParameterError
 from .polyalg import enumerate_basis, flat_pos
-from .quadrature import QuadratureSpec, gauss_jacobi_01, tanh_sinh_01
+from .quadrature import MC_BATCHES, QuadratureSpec, gauss_jacobi_01, tanh_sinh_01
 from .weylops import Parameters
 
 
@@ -226,6 +231,8 @@ def eval_psi1(params: Parameters, z, quad: QuadratureSpec, i=None) -> IntegralRe
 # --- degree-1 series oracle ---------------------------------------------------------
 
 def _log_beta(x, y):
+    from scipy.special import gammaln
+
     return gammaln(x) + gammaln(y) - gammaln(x + y)
 
 
@@ -311,89 +318,134 @@ def _psiM_coeffs(exps: ExponentsM, z, pt: _ChainPoint, logw, basis, i=None, poin
     logw already contains the quadrature weight and any substitution
     Jacobian; the per-copy 1/t_{L-1} normalization and the symmetric
     weight U go into a shared log-domain base.  Power-law bases enter
-    through their (positive) chain gaps.
+    through their (positive) chain gaps, and each chain factor's log and
+    reciprocal is taken once.
 
     The symmetrization is a generating function.  A copy whose level-n
     coordinate is t_n^(c_n) carries the linear form
-    P_c = f_0(c) + sum_(n,j) y_(n,j) f_n^(j)(c), computed once for each of
-    the M^(L-1) choices of c.  Pairing the other levels with level 1 by
-    tau in S_M^(L-2), the sum over all copy permutations of the labelled
-    densities is A_0! prod A! [y^A] prod_b P_(b, tau(b)), so
+    P_c = f_0(c) + sum_(n,j) y_(n,j) f_n^(j)(c).  Pairing the other levels
+    with level 1 by tau in S_M^(L-2), the sum over all copy permutations of
+    the labelled densities is A_0! prod A! [y^A] prod_b P_(b, tau(b)), so
     c_A = (-1)^|A| M! sum_tau [y^A] prod_b P_(b, tau(b)), one product
     expansion for every A at once.  d/dz_i rides along as a dual part:
     with r(t) = t/(1 - z_i t) at a copy's t_{L-1}, each f_n^(i) gains a
     factor r, and the weight adds (beta_i/kappa) r per copy.
+
+    The copy whose t_{L-1} sits at the last chain position is the only one
+    that depends on the deepest axis.  The other copies' product is
+    expanded on its own arrays; the base times each term of the last copy's
+    form is summed over the axes along which that product has length 1,
+    and one contraction pairs the two.  The axes are read off the array
+    shapes, so a (P, K) batch contracts nothing.
     """
     L, N, M = exps.L, exps.N, exps.M
     kp = float(exps.planck)
     # chain position of t_n^(a): all level-n copies exceed all level-(n+1)
     # copies, copies descending within a level
     pos = {(n, a): (n - 1) * M + (a - 1) for n in range(1, L) for a in range(1, M + 1)}
+    tls = [pos[(L - 1, a)] for a in range(1, M + 1)]  # chain positions of the t_{L-1}
     x, omx = pt.x, pt.omx
+    rz = {(j, p): 1.0 / (1.0 - z[j] * x[p]) for j in range(N) for p in tls}
 
+    # the chain gaps between adjacent levels are always positive, since level
+    # n lies above level n+1
+    adjacent = [(pos[(n, a)], pos[(n + 1, b_)])
+                for n in range(1, L - 1) for a in range(1, M + 1) for b_ in range(1, M + 1)]
+
+    # (exponent, base) of every power in U and in the per-copy 1/t_{L-1}
+    powers = [(2.0 / kp, pt.gap(pos[(n, a)], pos[(n, b_)]))
+              for n in range(1, L) for a in range(1, M + 1) for b_ in range(a + 1, M + 1)]
+    powers += [(-1.0 / kp, pt.gap(*pq)) for pq in adjacent]
+    powers += [(float(exps.alpha[n - 1]) / kp - (n == L - 1), x[p]) for (n, a), p in pos.items()]
+    powers += [(-float(exps.gamma[0]) / kp, omx[pos[(1, a)]]) for a in range(1, M + 1)]
+    powers += [(float(exps.beta[j]) / kp, val) for (j, p), val in rz.items()]
     logbase = np.array(logw, copy=True)
-    for n in range(1, L):
-        for a in range(1, M + 1):
-            for b_ in range(a + 1, M + 1):
-                logbase += (2.0 / kp) * np.log(pt.gap(pos[(n, a)], pos[(n, b_)]))
-    for n in range(1, L - 1):
-        for a in range(1, M + 1):
-            for b_ in range(1, M + 1):
-                logbase += (-1.0 / kp) * np.log(pt.gap(pos[(n, a)], pos[(n + 1, b_)]))
-    for n in range(1, L):
-        an = float(exps.alpha[n - 1]) / kp
-        for a in range(1, M + 1):
-            logbase += an * np.log(x[pos[(n, a)]])
-    dweight = 0.0
-    for a in range(1, M + 1):
-        tl = x[pos[(L - 1, a)]]
-        for j in range(N):
-            logbase += (-float(exps.beta[j]) / kp) * np.log1p(-z[j] * tl)
-        logbase += (-float(exps.gamma[0]) / kp) * np.log(omx[pos[(1, a)]])
-        logbase -= np.log(tl)  # per-copy 1/t_{L-1}
-        if i is not None:
-            dweight = dweight + float(exps.beta[i - 1]) / kp * tl / (1.0 - z[i - 1] * tl)
-    base = np.exp(logbase)
+    for e, g in powers:
+        logbase += e * np.log(g)
+    base = np.exp(logbase, out=logbase)
 
-    # P_c and its dual part as {monomial: array}; the chain gaps between
-    # adjacent levels are always positive, since level n lies above level n+1
+    # the reciprocal gaps of the forms: 1/(1 - t_1) and 1/(t_n - t_(n+1))
+    recip = {pq: 1.0 / pt.gap(*pq) for pq in adjacent}
+    recip.update({p: 1.0 / omx[p] for p in range(M)})
     zero = (0,) * ((L - 1) * N)
-    forms = {}
-    for c in product(range(1, M + 1), repeat=L - 1):
-        cidx = [pos[(n, c[n - 1])] for n in range(1, L)]
-        gaps = [omx[cidx[0]]] + [pt.gap(cidx[m - 2], cidx[m - 1]) for m in range(2, L)]
-        f0 = math.prod(1.0 / g for g in gaps)
-        tl = x[cidx[-1]]
-        lin, dual = {zero: f0}, {}
-        for j in range(1, N + 1):
-            pref = 1.0 / (1.0 - z[j - 1] * tl)
-            for n in range(1, L):
-                y = tuple(int(k == flat_pos(n, j, N)) for k in range(len(zero)))
-                lin[y] = pref * (f0 * gaps[n - 1])
-                if j == i:
-                    dual[y] = lin[y] * (tl * pref)
-        forms[c] = lin, dual
+    ykey = {(n, j): tuple(int(k == flat_pos(n, j, N)) for k in range(len(zero)))
+            for n in range(1, L) for j in range(1, N + 1)}
 
-    def dot(w, f):  # einsum, not BLAS: the sum's order must not vary with BLAS threads
-        f = np.broadcast_to(f, w.shape)
-        return w * f if pointwise else float(np.einsum("i,i", w.ravel(), f.ravel()))
+    def form(c):
+        """P_c as {monomial: array}."""
+        cidx = [pos[(n, c[n - 1])] for n in range(1, L)]
+        rg = [recip[cidx[0]]] + [recip[pq] for pq in zip(cidx, cidx[1:])]
+        lin = {zero: reduce(mul, rg)}
+        for j in range(1, N + 1):
+            pref = rz[(j - 1, cidx[-1])]
+            for n in range(1, L):
+                rest = rg[:n - 1] + rg[n:]  # f_n^(j) lacks the gap t_(n-1) - t_n
+                lin[ykey[(n, j)]] = pref * reduce(mul, rest) if rest else pref
+        return lin
 
     acc = dict.fromkeys(basis, 0.0)
     dacc = dict.fromkeys(basis, 0.0) if i is not None else {}
-    bw = base * dweight if i is not None else None
+    if i is not None:
+        iy = {ykey[(n, i)] for n in range(1, L)}
+        r = {p: x[p] * rz[(i - 1, p)] for p in tls}
+        dweight = sum(float(exps.beta[i - 1]) / kp * r[p] for p in tls)
+        bw = base * dweight
+        bwi = base * (dweight + r[tls[-1]])  # an f^(i) term of the last copy gains its own r
+    forms, sums = {}, {}
     for tau in product(permutations(range(1, M + 1)), repeat=L - 2):
-        poly, dpoly = forms[(1,) + tuple(t[0] for t in tau)]
-        for b in range(2, M + 1):
-            lin, dual = forms[(b,) + tuple(t[b - 1] for t in tau)]
+        copies = [(b,) + tuple(t[b - 1] for t in tau) for b in range(1, M + 1)]
+        poly = dpoly = None
+        for c in copies:
+            if c[-1] == M:
+                last = c
+                continue
+            if c not in forms:
+                lin = form(c)
+                forms[c] = lin, ({y: lin[y] * r[pos[(L - 1, c[-1])]] for y in iy}
+                                 if dacc else {})
+            lin, dual = forms[c]
             # (poly + e dpoly)(lin + e dual), dropping e^2
-            poly, dpoly = (_times(poly, lin, {}),
-                           _times(poly, dual, _times(dpoly, lin, {})))
-        for A in basis:
-            acc[A] += dot(base, poly[A])
+            poly, dpoly = (lin, dual) if poly is None else (
+                _times(poly, lin, {}), _times(poly, dual, _times(dpoly, lin, {})))
+        if poly is None:  # M = 1: the last copy alone
+            poly, dpoly = {zero: 1.0}, {}
+        rows = list(poly.values()) + list(dpoly.values())
+        if last not in sums:
+            shape = np.broadcast_shapes(*(np.shape(v) for v in rows))
+            shape = (1,) * (base.ndim - len(shape)) + shape
+            axes = () if pointwise else tuple(
+                ax for ax, (k, n) in enumerate(zip(shape, base.shape)) if k == 1 < n)
+            lin = form(last)
+            terms = [(base, f) for f in lin.values()]
             if dacc:
-                dacc[A] += dot(bw, poly[A])
-                if A in dpoly:
-                    dacc[A] += dot(base, dpoly[A])
+                terms += [(bwi if y in iy else bw, f) for y, f in lin.items()]
+            S = np.empty((len(terms),) + tuple(1 if ax in axes else n
+                                               for ax, n in enumerate(base.shape)))
+            for col, (w, f) in zip(S, terms):
+                if axes:
+                    np.sum(w * f, axis=axes, keepdims=True, out=col)
+                else:
+                    np.multiply(w, f, out=col)
+            sums[last] = list(lin), S
+        ys, S = sums[last]
+        R = np.empty((len(rows),) + S.shape[1:])
+        for row, v in zip(R, rows):
+            row[...] = v
+        # einsum, not BLAS: the sum's order must not vary with BLAS threads
+        G = np.einsum("mr,yr->myr" if pointwise else "mr,yr->my",
+                      R.reshape(len(R), -1), S.reshape(len(S), -1))
+        for m, mono in enumerate(poly):
+            for k, y in enumerate(ys):
+                A = tuple(u + v for u, v in zip(mono, y))
+                if A in acc:
+                    acc[A] += G[m, k]
+                    if dacc:  # d(poly . lin) = poly . (bw lin + base dual) + dpoly . lin
+                        dacc[A] += G[m, len(ys) + k]
+        for m, mono in enumerate(dpoly, len(poly)):
+            for k, y in enumerate(ys):
+                A = tuple(u + v for u, v in zip(mono, y))
+                if A in dacc:
+                    dacc[A] += G[m, k]
     scale = {A: (-1) ** sum(A) * math.factorial(M) for A in basis}
     return ({A: scale[A] * acc[A] for A in basis}, {A: scale[A] * dacc[A] for A in dacc})
 
@@ -507,10 +559,11 @@ def eval_psiM(params: Parameters, z, M: int, quad: QuadratureSpec, i=None) -> In
     M = 1 delegates to :func:`eval_psi1` (same chamber, trivial
     symmetrization).  For M >= 2 the scheme is a tanh-sinh tensor rule on
     the cube image of the chamber (K = M(L-1) axes, K <= 6) or seeded
-    Monte Carlo with sorted-uniform chamber samples; ``gauss_jacobi_tensor``
-    is rejected there.  With a time index i, ``derivative`` is dc/dz_i,
-    differentiated under the integral (z enters only through bounded factors)
-    on the nodes of the returned rule or the same MC samples.
+    Monte Carlo with a per-axis Kumaraswamy proposal (see :func:`_psiM_mc`);
+    ``gauss_jacobi_tensor`` is rejected there.  With a time index i,
+    ``derivative`` is dc/dz_i, differentiated under the integral (z enters
+    only through bounded factors) on the nodes of the returned rule or the
+    same MC samples.
     """
     if M < 1:
         raise ParameterError("M must be a positive integer")
@@ -549,10 +602,7 @@ def eval_psiM(params: Parameters, z, M: int, quad: QuadratureSpec, i=None) -> In
                           np.array([d[A] for A in basis]) if d else None)
 
 
-# equal seeded Monte Carlo batches behind the batch-mean standard error
-_MC_BATCHES = 16
-
-# points per slab of a tensor grid: one _psiM_coeffs call holds a few dozen
+# points per slab of a tensor grid: one _psiM_coeffs call holds about a dozen
 # arrays of this size, whatever the node count
 _SLAB_POINTS = 1 << 15
 
@@ -587,49 +637,59 @@ def _psiM_tensor(exps: ExponentsM, z, basis, nodes, i=None):
     return coeffs, derivs
 
 
+def _kumaraswamy_inverse(u, a, b):
+    """Kumaraswamy(a, b) quantile of u in (0, 1) with its logs: returns
+    (v, 1 - v, log v, log(1 - v^a)) for the CDF 1 - (1 - v^a)^b.
+
+    log(1 - v^a) = log(1 - u)/b, and log v^a = log(1 - e^(log(1 - v^a))) by
+    the log1mexp branch (Maechler 2012); v and 1 - v then come from exp and
+    expm1 of log v, so neither cancels near a face."""
+    log1mva = np.log1p(-u) / b
+    cut = -math.log(2.0)  # each branch sees only arguments on its side of the cut
+    logva = np.where(log1mva >= cut, np.log(-np.expm1(np.maximum(log1mva, cut))),
+                     np.log1p(-np.exp(np.minimum(log1mva, cut))))
+    logv = logva / a
+    return np.exp(logv), -np.expm1(logv), logv, log1mva
+
+
 def _psiM_mc(exps: ExponentsM, z, basis, expos, nsamples, seed, i=None):
     """Importance-sampled Monte Carlo on the cube image of the chamber.
 
-    Each cube axis draws from Beta(E0+1, E1+1) with (E0, E1) the measured
-    endpoint exponents of the integrand, so the weighted integrand stays
+    Each cube axis draws from Kumaraswamy(a, b) by inversion of one uniform,
+    with a = E0 + 1 and b = E1 + 1 from the measured endpoint exponents
+    (E0, E1) of the integrand.  Its density a b v^(a-1) (1 - v^a)^(b-1) has
+    the endpoint powers of Beta(a, b), so the weighted integrand stays
     bounded near every face and the estimator has finite variance.  The
-    stream is seeded and evaluated in equal deterministic batches, giving a
-    batch-mean standard error.  Returns the means, that error and, with a
-    time index i, the batch means of dc/dz_i on the same samples.
+    seeded stream is evaluated in MC_BATCHES deterministic batches whose
+    sizes differ by at most one, exactly ``nsamples`` points in all.
+    Returns the totals over all points divided by ``nsamples``, the
+    standard error of the batch means and, with a time index i, the same
+    estimate of dc/dz_i on the same samples.
     """
     K = (exps.L - 1) * exps.M
     # rounding makes the proposal (and hence the sample stream) identical
     # across nearby z, so a scan over z sees common random numbers
     a = np.array([round(max(e[0], -0.95), 2) + 1.0 for e in expos])
     b = np.array([round(max(e[1], -0.95), 2) + 1.0 for e in expos])
-    log_norm = sum(_log_beta(ai, bi) for ai, bi in zip(a, b))
     rng = np.random.default_rng(seed)
-    per = max(1, nsamples // _MC_BATCHES)
-    per_batch, dbatch = {A: [] for A in basis}, []
-    for _ in range(_MC_BATCHES):
-        # Beta draws via a Gamma pair keep the small side accurate: near a
-        # singular face 1-v must not round to 0
-        g1 = rng.gamma(np.broadcast_to(a, (per, K)))
-        g2 = rng.gamma(np.broadcast_to(b, (per, K)))
-        tot = g1 + g2
-        v = g1 / tot
-        omv = g2 / tot
-        good = np.all((v > 0.0) & (omv > 0.0), axis=1)
-        v, omv = v[good], omv[good]
-        pt = _ChainPoint(v.T, omv.T)
-        logw = np.full(v.shape[0], log_norm)
-        logv, logomv = np.log(v), np.log(omv)
+    total, dtotal, means = dict.fromkeys(basis, 0.0), None, {A: [] for A in basis}
+    for k in range(MC_BATCHES):
+        per = nsamples // MC_BATCHES + (k < nsamples % MC_BATCHES)
+        # midpoints of a 2^-52 grid: uniform on the open interval (0, 1)
+        u = (rng.integers(0, 1 << 52, size=(K, per)) + 0.5) * 2.0 ** -52
+        v, omv, logv, log1mva = _kumaraswamy_inverse(u, a[:, None], b[:, None])
+        # cube Jacobian over the proposal density
+        logw = np.full(per, -float(np.sum(np.log(a * b))))
         for j in range(K):
-            logw += (K - 1 - j) * logv[:, j]          # cube Jacobian
-            logw -= (a[j] - 1.0) * logv[:, j]         # / proposal density
-            logw -= (b[j] - 1.0) * logomv[:, j]
-        c, d = _psiM_coeffs(exps, z, pt, logw, basis, i)
+            logw += (K - 1 - j - (a[j] - 1.0)) * logv[j] - (b[j] - 1.0) * log1mva[j]
+        c, d = _psiM_coeffs(exps, z, _ChainPoint(v, omv), logw, basis, i)
         for A in basis:
-            per_batch[A].append(c[A] / per)
-        dbatch.append(d)
-    means = {A: float(np.mean(per_batch[A])) for A in basis}
-    sem = max(float(np.std(per_batch[A], ddof=1)) / math.sqrt(_MC_BATCHES) for A in basis)
-    return means, sem, {A: sum(d[A] for d in dbatch) / per / _MC_BATCHES for A in dbatch[0]}
+            total[A] += c[A]
+            means[A].append(c[A] / per)
+        dtotal = d if dtotal is None else {A: dtotal[A] + d[A] for A in d}
+    sem = max(float(np.std(means[A], ddof=1)) / math.sqrt(MC_BATCHES) for A in basis)
+    return ({A: total[A] / nsamples for A in basis}, sem,
+            {A: dtotal[A] / nsamples for A in dtotal})
 
 
 # --- differential-system residual ----------------------------------------------------

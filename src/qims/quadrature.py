@@ -1,7 +1,9 @@
-"""Quadrature engines: Gauss-Jacobi on [0,1], tanh-sinh, and sorted-uniform MC.
+"""Quadrature engines: Gauss-Jacobi on [0,1], tanh-sinh, and the Monte Carlo spec.
 
 All reductions sum numpy arrays in a fixed (pairwise) order, so results are
 bit-reproducible for a fixed spec; the Monte Carlo stream is seeded.
+``scipy.special`` is imported by the rules that use it, so the exact
+commands never load it.
 """
 
 from __future__ import annotations
@@ -9,11 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, roots_jacobi
 
 from .errors import ParameterError
 
 SCHEMES = ("gauss_jacobi_tensor", "tanh_sinh_tensor", "monte_carlo")
+
+# seeded Monte Carlo batches behind the batch-mean standard error, and so
+# the fewest samples a spec may ask for
+MC_BATCHES = 16
 
 
 @dataclass(frozen=True)
@@ -29,8 +34,9 @@ class QuadratureSpec:
             raise ParameterError(f"unknown scheme {self.scheme!r}; pick one of {SCHEMES}")
         if self.nodes_per_axis < 4:
             raise ParameterError("nodes_per_axis must be at least 4")
-        if self.mc_samples < 1:
-            raise ParameterError("mc_samples must be positive")
+        if self.mc_samples < MC_BATCHES:
+            raise ParameterError(
+                f"mc_samples must be at least {MC_BATCHES}, got {self.mc_samples}")
         if self.seed < 0:
             raise ParameterError(f"seed must be nonnegative, got {self.seed}")
         if not (np.isfinite(self.stabilize_tol) and self.stabilize_tol > 0):
@@ -44,6 +50,8 @@ def gauss_jacobi_01(n: int, a: float, b: float):
     Requires a > -1 and b > -1; the singular endpoint weight is absorbed
     into the quadrature weights.
     """
+    from scipy.special import roots_jacobi
+
     if not (a > -1 and b > -1):
         raise ParameterError(f"Jacobi weight exponents must exceed -1, got ({a}, {b})")
     x, w = roots_jacobi(n, b, a)  # scipy weight: (1-x)^alpha (1+x)^beta on [-1,1]
@@ -55,6 +63,8 @@ def tanh_sinh_01(n: int):
     """Tanh-sinh rule on (0,1) with n nodes on t in [-4, 4]: returns
     (x, 1-x, w) with both endpoint distances carried explicitly so integrands
     can evaluate singular factors without cancellation."""
+    from scipy.special import expit
+
     t = np.linspace(-4.0, 4.0, n)
     h = t[1] - t[0]
     u = 0.5 * np.pi * np.sinh(t)

@@ -396,6 +396,16 @@ def test_writer_matches_json_dumps_on_edge_payload(tmp_path):
     assert out.read_bytes() == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
 
 
+def test_writer_joins_lists_of_dicts_like_json_dumps():
+    # rows of dicts are joined whole; a list that turns out to hold a non-dict
+    # after some dicts were written falls back to the item-by-item writer
+    shared = {"v": "0/1", "k": "exact"}
+    payload = {"rows": [[{}, {"a": {}}, {}], [shared, shared], ({"c": 1}, shared),
+                        [shared, {"b": [1]}, 2, shared], [[shared], shared]],
+               "nested": [{"x": [{"y": shared}, shared]}, shared]}
+    assert json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def test_equal_exact_cells_share_one_dict_and_print_alike():
     rows = emit_matrix([[F(0), 0, F(1, 2)], [F(1, 2), 0.5, F(0)]])
     assert rows[0][0] is rows[0][1] is rows[1][2] and rows[0][2] is rows[1][0]
@@ -426,6 +436,21 @@ def test_entry_point_subprocess(tmp_path):
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dimension"] == 2
 
+
+
+def test_exact_commands_do_not_load_scipy(tmp_path):
+    # scipy.special is most of the import time, and only quadrature uses it
+    path = write_cfg(tmp_path, "c.json", base_cfg(2, 2, 1))
+    script = (
+        "import contextlib, io, sys\n"
+        "from qims.cli import main\n"
+        "for argv in (['check', 'commute'], ['hamiltonian', '--i', '1']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        assert main(['--config', {path!r}] + argv) == 0, argv\n"
+        "print('scipy.special' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_pfaffian_path_file_any_name(tmp_path, capsys):
@@ -515,6 +540,8 @@ def test_pfaffian_nan_input_exit2(tmp_path, capsys, edit):
     ("integral --M 2 --seed -1", lambda c: c.update(quadrature={"scheme": "monte_carlo"}),
      "seed"),
     ("check lemmas", lambda c: c.update(lemma_samples=0), "lemma_samples"),
+    ("integral --M 2", lambda c: c.update(quadrature={"scheme": "monte_carlo",
+                                                      "mc_samples": 5}), "mc_samples"),
     ("integral", lambda c: c.update(z=["1e999"]), "cannot parse scalar"),
     ("integral", lambda c: c["parameters"].update(planck=math.inf), "cannot parse scalar"),
     ("integral", lambda c: c.update(z=["0.4", "0.3"]), "z must have length N=1"),

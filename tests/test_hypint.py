@@ -217,6 +217,84 @@ def test_psiM_mc_matches_tanh_sinh():
     assert rel < 5e-3
 
 
+def test_psiM_mc_matches_tanh_sinh_at_benchmark_size():
+    # the size of the benchmark's Monte Carlo job, L2N2M3
+    params = m_window_params(2, 2, 3)
+    z = (0.4, 0.2)
+    ts = eval_psiM(params, z, 3,
+                   QuadratureSpec(scheme="tanh_sinh_tensor", nodes_per_axis=61,
+                                  stabilize_tol=1e-4))
+    mc = eval_psiM(params, z, 3,
+                   QuadratureSpec(scheme="monte_carlo", mc_samples=200000, seed=20240))
+    rel = np.abs(ts.vector - mc.vector).max() / np.abs(ts.vector).max()
+    assert rel < 5e-3
+
+
+@pytest.mark.parametrize("u", [1e-12, 0.5, 1 - 2.0 ** -40])
+@pytest.mark.parametrize("a", [0.05, 0.37, 2.5])
+@pytest.mark.parametrize("b", [0.05, 0.37, 2.5])
+def test_kumaraswamy_inverse_matches_mpmath(u, a, b):
+    import mpmath
+    from qims.hypint import _kumaraswamy_inverse
+    v, omv, logv, log1mva = _kumaraswamy_inverse(np.array([u]), a, b)
+    with mpmath.workdps(1000):  # enough digits for 1 - v ~ 1e-240 by plain subtraction
+        # the quantile of the CDF 1 - (1 - v^a)^b, and its complement
+        u, a, b = mpmath.mpf(u), mpmath.mpf(a), mpmath.mpf(b)
+        want_v = (1 - (1 - u) ** (1 / b)) ** (1 / a)
+        want_omv = 1 - want_v
+        want_logv = mpmath.log(want_v)
+        want_log1mva = mpmath.log(1 - u) / b
+    assert v[0] == pytest.approx(float(want_v), rel=1e-12, abs=0)
+    assert omv[0] == pytest.approx(float(want_omv), rel=1e-12, abs=0)
+    assert logv[0] == pytest.approx(float(want_logv), rel=1e-12, abs=0)
+    assert log1mva[0] == pytest.approx(float(want_log1mva), rel=1e-12, abs=0)
+
+
+def test_kumaraswamy_inverse_at_the_ends_of_the_uniform_grid():
+    # the sampler's uniforms run from 2^-53 to 1 - 2^-53; neither branch of
+    # the log1mexp split may see an argument from the other side
+    from qims.hypint import _kumaraswamy_inverse
+    u = np.array([2.0 ** -53, 1 - 2.0 ** -53])
+    for a in (0.05, 0.37, 2.5):
+        for b in (0.05, 0.37, 2.5):
+            v, omv, logv, log1mva = _kumaraswamy_inverse(u, a, b)
+            assert np.all(np.isfinite(logv)) and np.all(np.isfinite(log1mva))
+            assert np.all((0 <= v) & (v <= 1) & (0 <= omv) & (omv <= 1))
+            assert logv[0] < logv[1] < 0 and log1mva[1] < log1mva[0] < 0
+
+
+@pytest.mark.parametrize("i", [None, 1])
+def test_psiM_mc_evaluates_exactly_mc_samples(monkeypatch, i):
+    # 1000 samples once ran as 16 batches of 62, 992 points in all
+    from qims import hypint
+    params = m_window_params(2, 1, 2)
+    exps = dictionary_M(params, 2)
+    basis = tuple(hypint.enumerate_basis(2, 1, 2))
+    hypint._window_check_M(exps, basis)  # cached, so the spy sees only the samples
+    calls = []
+    kernel = hypint._psiM_coeffs
+    monkeypatch.setattr(hypint, "_psiM_coeffs", lambda exps, z, pt, *a: calls.append(
+        (np.shape(pt.x[-1])[0], kernel(exps, z, pt, *a))) or calls[-1][1])
+    q = QuadratureSpec(scheme="monte_carlo", mc_samples=1000, seed=1)
+    res = eval_psiM(params, (0.4,), 2, q, i)
+    sizes = [n for n, _ in calls]
+    assert sum(sizes) == 1000 and len(sizes) == 16 and max(sizes) - min(sizes) <= 1
+    assert res.meta["samples"] == 1000
+    # the estimate is the kernel's sums over all batches, divided by the sample count
+    want = [sum(c[A] for _, (c, _) in calls) / 1000 for A in basis]
+    assert np.allclose(res.vector, want, rtol=1e-15, atol=0)
+    if i is not None:
+        dwant = [sum(d[A] for _, (_, d) in calls) / 1000 for A in basis]
+        assert np.allclose(res.derivative, dwant, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("n", [0, 5, 15])
+def test_fewer_mc_samples_than_batches_rejected(n):
+    with pytest.raises(ParameterError, match="mc_samples must be at least 16"):
+        QuadratureSpec(scheme="monte_carlo", mc_samples=n)
+    QuadratureSpec(scheme="monte_carlo", mc_samples=16)
+
+
 def test_psiM_symmetrization_consistency():
     # coefficients whose block density is already symmetric: full Sym equals
     # the group order times the unsymmetrized ordered-chamber integral; the
@@ -332,7 +410,8 @@ def test_broadcast_slab_chain_point_equals_stacked_grid(K, monkeypatch):
 
 @pytest.mark.parametrize("L,N,M", KERNEL_SIZES)
 def test_kernel_on_broadcast_grid_equals_stacked_grid(L, N, M):
-    # the same values summed in the same order, so equal to the last bit
+    # the same values; the broadcast layout sums the deepest axis first, so
+    # the two round differently
     from psiM_oracle import from_cube
     from qims.hypint import _ChainPoint, _psiM_coeffs
     from qims.polyalg import enumerate_basis
@@ -346,9 +425,40 @@ def test_kernel_on_broadcast_grid_equals_stacked_grid(L, N, M):
     z = tuple(0.45 - 0.17 * k for k in range(N))
     basis = tuple(enumerate_basis(L, N, M))
     for i in (None, N):
-        got = _psiM_coeffs(exps, z, _ChainPoint(per_axis, [1.0 - u for u in per_axis]),
-                           logw, basis, i)
-        assert got == _psiM_coeffs(exps, z, from_cube(v, 1.0 - v), logw, basis, i)
+        c, d = _psiM_coeffs(exps, z, _ChainPoint(per_axis, [1.0 - u for u in per_axis]),
+                            logw, basis, i)
+        want, dwant = _psiM_coeffs(exps, z, from_cube(v, 1.0 - v), logw, basis, i)
+        assert set(d) == set(dwant) == (set() if i is None else set(basis))
+        for A in basis:
+            assert c[A] == pytest.approx(want[A], rel=1e-13, abs=0), (i, A)
+            if i is not None:
+                assert d[A] == pytest.approx(dwant[A], rel=1e-13, abs=0), (i, A)
+
+
+@pytest.mark.parametrize("L,N,M", KERNEL_SIZES)
+def test_kernel_on_broadcast_grid_matches_permutation_sum(L, N, M):
+    # the contraction over the deepest axis against the symmetrization written out
+    from psiM_oracle import from_cube, psiM_coeffs_oracle
+    from qims.hypint import _ChainPoint, _psiM_coeffs
+    from qims.polyalg import enumerate_basis
+    K = (L - 1) * M
+    rng = np.random.default_rng(20 * K + N)
+    axes = [np.sort(rng.uniform(0.02, 0.98, size=4)) for _ in range(K)]
+    v = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    per_axis = [u[(slice(None),) + (None,) * (K - 1 - j)] for j, u in enumerate(axes)]
+    logw = rng.normal(size=v.shape[:-1])
+    exps = kernel_exps(L, N, M)
+    z = tuple(0.45 - 0.17 * k for k in range(N))
+    basis = tuple(enumerate_basis(L, N, M))
+    for i in [None] + list(range(1, N + 1)):
+        c, d = _psiM_coeffs(exps, z, _ChainPoint(per_axis, [1.0 - u for u in per_axis]),
+                            logw, basis, i)
+        want, dwant = psiM_coeffs_oracle(exps, z, from_cube(v, 1.0 - v), logw, basis, i)
+        assert set(d) == set(dwant) == (set() if i is None else set(basis))
+        for A in basis:
+            assert c[A] == pytest.approx(want[A], rel=1e-12, abs=0), (i, A)
+            if i is not None:
+                assert d[A] == pytest.approx(dwant[A], rel=1e-12, abs=0), (i, A)
 
 
 def test_batch_chain_point_equals_stacked_grid():

@@ -246,48 +246,34 @@ def get_quad(cfg, args):
 def json_text(payload):
     """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, written directly.
 
-    With ``indent`` json runs its pure-Python encoder.  A dict that appears more
-    than once, such as a shared matrix cell, is written once per indent and its
+    With ``indent`` json runs its pure-Python encoder.  Each dict and list is
+    joined in one go from its entries' texts.  A dict that appears more than
+    once, such as a shared matrix cell, is written once per indent and its
     text reused; the cache keys on identity, since {"a": 1} == {"a": True}
-    == {"a": 1.0} print differently.  A list of dicts, such as a matrix row, is
-    joined in one go from its cells' texts.  The payload must not change
-    meanwhile."""
-    parts, leaves = [], {}
+    == {"a": 1.0} print differently.  The payload must not change meanwhile."""
+    leaves = {}
 
-    def text_of(x, pad):
-        put(x, pad)
-        return parts.pop()
-
-    def put(x, pad):
+    def text(x, pad):
         if isinstance(x, dict):
-            leaf = (pad, id(x))
-            if leaf in leaves:
-                return parts.append(leaves[leaf])
-            keys = sorted(x)
-            labels = [json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": " for k in keys]
-            values, brackets = [x[k] for k in keys], "{}"
-        elif isinstance(x, (list, tuple)):
-            leaf, labels, values, brackets = None, itertools.repeat(""), x, "[]"
-        else:
-            return parts.append(json.dumps(x))  # a str, number, bool or None, else TypeError
-        if not values:
-            return parts.append(brackets)
-        start, sep, inner = len(parts), ",\n" + pad + "  ", pad + "  "
-        if leaf is None and all(isinstance(v, dict) for v in values):
-            texts = [leaves.get((inner, id(v))) or text_of(v, inner) for v in values]
-            return parts.append("[\n" + inner + sep.join(texts) + "\n" + pad + "]")
-        for label, v in zip(labels, values):
-            parts.append(sep + label)
-            put(v, inner)
-        parts[start] = brackets[0] + parts[start][1:]
-        parts.append("\n" + pad + brackets[1])
-        if leaf is not None:
-            leaves[leaf] = parts[start] = "".join(parts[start:])
-            del parts[start + 1:]
+            leaf, inner = (pad, id(x)), pad + "  "
+            if leaf not in leaves:
+                entries = [json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": "
+                           + text(x[k], inner) for k in sorted(x)]
+                leaves[leaf] = wrap(entries, pad, "{}")
+            return leaves[leaf]
+        if isinstance(x, (list, tuple)):
+            inner = pad + "  "
+            # a cached cell's text is read here, without a call per cell
+            return wrap([leaves.get((inner, id(v))) or text(v, inner) for v in x], pad, "[]")
+        return json.dumps(x)  # a str, number, bool or None, else TypeError
 
-    put(payload, "")
-    parts.append("\n")
-    return "".join(parts)
+    def wrap(entries, pad, brackets):
+        if not entries:
+            return brackets
+        return (brackets[0] + "\n" + pad + "  " + (",\n" + pad + "  ").join(entries)
+                + "\n" + pad + brackets[1])
+
+    return text(payload, "") + "\n"
 
 
 def write_output(args, payload):

@@ -49,10 +49,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from operator import mul
 
 import numpy as np
 
@@ -375,12 +374,12 @@ def _psiM_coeffs(exps: ExponentsM, z, pt: _ChainPoint, logw, basis, i=None, poin
         """P_c as {monomial: array}."""
         cidx = [pos[(n, c[n - 1])] for n in range(1, L)]
         rg = [recip[cidx[0]]] + [recip[pq] for pq in zip(cidx, cidx[1:])]
-        lin = {zero: reduce(mul, rg)}
+        lin = {zero: math.prod(rg)}
         for j in range(1, N + 1):
             pref = rz[(j - 1, cidx[-1])]
             for n in range(1, L):
                 rest = rg[:n - 1] + rg[n:]  # f_n^(j) lacks the gap t_(n-1) - t_n
-                lin[ykey[(n, j)]] = pref * reduce(mul, rest) if rest else pref
+                lin[ykey[(n, j)]] = pref * math.prod(rest)
         return lin
 
     acc = dict.fromkeys(basis, 0.0)
@@ -643,12 +642,15 @@ def _kumaraswamy_inverse(u, a, b):
 
     log(1 - v^a) = log(1 - u)/b, and log v^a = log(1 - e^(log(1 - v^a))) by
     the log1mexp branch (Maechler 2012); v and 1 - v then come from exp and
-    expm1 of log v, so neither cancels near a face."""
+    expm1 of log v, so neither cancels near a face.  log v is clipped to
+    [log tiny, -5e-324], so neither v nor 1 - v rounds to 0 at the ends of
+    the uniform grid (at a = 0.05, log v would fall below -745 there)."""
     log1mva = np.log1p(-u) / b
     cut = -math.log(2.0)  # each branch sees only arguments on its side of the cut
     logva = np.where(log1mva >= cut, np.log(-np.expm1(np.maximum(log1mva, cut))),
                      np.log1p(-np.exp(np.minimum(log1mva, cut))))
-    logv = logva / a
+    fin = np.finfo(float)
+    logv = np.clip(logva / a, math.log(fin.tiny), -fin.smallest_subnormal)
     return np.exp(logv), -np.expm1(logv), logv, log1mva
 
 

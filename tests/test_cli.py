@@ -397,8 +397,8 @@ def test_writer_matches_json_dumps_on_edge_payload(tmp_path):
 
 
 def test_writer_joins_lists_of_dicts_like_json_dumps():
-    # rows of dicts are joined whole; a list that turns out to hold a non-dict
-    # after some dicts were written falls back to the item-by-item writer
+    # every list is joined from its entries' texts, cached dict cells read
+    # directly: rows of empty, nested, shared and non-dict entries, and tuples
     shared = {"v": "0/1", "k": "exact"}
     payload = {"rows": [[{}, {"a": {}}, {}], [shared, shared], ({"c": 1}, shared),
                         [shared, {"b": [1]}, 2, shared], [[shared], shared]],

@@ -252,14 +252,15 @@ def test_kumaraswamy_inverse_matches_mpmath(u, a, b):
 
 def test_kumaraswamy_inverse_at_the_ends_of_the_uniform_grid():
     # the sampler's uniforms run from 2^-53 to 1 - 2^-53; neither branch of
-    # the log1mexp split may see an argument from the other side
+    # the log1mexp split may see an argument from the other side, and at
+    # a = 0.05, b = 2.5 the unclipped v = exp(log v) would underflow to 0
     from qims.hypint import _kumaraswamy_inverse
     u = np.array([2.0 ** -53, 1 - 2.0 ** -53])
     for a in (0.05, 0.37, 2.5):
         for b in (0.05, 0.37, 2.5):
             v, omv, logv, log1mva = _kumaraswamy_inverse(u, a, b)
             assert np.all(np.isfinite(logv)) and np.all(np.isfinite(log1mva))
-            assert np.all((0 <= v) & (v <= 1) & (0 <= omv) & (omv <= 1))
+            assert np.all((0 < v) & (v <= 1) & (0 < omv) & (omv <= 1))
             assert logv[0] < logv[1] < 0 and log1mva[1] < log1mva[0] < 0
 
 

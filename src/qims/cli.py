@@ -434,12 +434,7 @@ def cmd_check(cfg, args):
     # only commute and garnier hold at a point; the other checks do not read z
     z = get_z(cfg, args) if args.z is not None or {"commute", "garnier"} & set(names) else ()
     # the checks read every scalar but planck, and float noise is never exactly 0
-    fields = {"z": z, "e": params.e, "kappa": params.kappa, "theta": params.theta,
-              "hbar": [params.hbar]}
-    inexact = [k for k, xs in fields.items() if not all(isinstance(x, Fraction) for x in xs)]
-    if inexact:
-        raise ParameterError("check proves identities exactly and needs exact rationals "
-                             f"('p/q' strings or integers); decimal in: {', '.join(inexact)}")
+    pfaffian.require_exact(params, z)
     # one restriction shared by the checks of this command, built on first use
     system = functools.cache(lambda: pfaffian.PfaffianSystem(params, get_space(cfg, args)))
     report = {}

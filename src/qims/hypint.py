@@ -10,11 +10,14 @@ Every result is the coefficient vector over the degree-M basis, in basis
 order, whatever the scheme.
 
 The degree-1 solution integrates U against the rational forms phi_0,
-phi_n^(i) over the nested simplex 0 < t_{L-1} < ... < t_1 < 1.  The
-substitution t_n = t_{n-1} u_n maps this chamber onto the unit cube and
-turns every singular factor into a per-axis Jacobi weight u^a (1-u)^b,
-which Gauss-Jacobi nodes absorb exactly; only the analytic factor
-prod_i (1 - z_i t_{L-1})^{-beta_i/kappa} remains in the integrand.
+phi_n^(i) over the nested simplex 0 < t_{L-1} < ... < t_1 < 1, the M = 1
+case of the degree-M chamber below, and runs through the same kernel.  The
+substitution t_n = t_{n-1} u_n maps the chamber onto the unit cube and
+turns every singular factor of phi_0 into a per-axis Jacobi weight
+u^a (1-u)^b; each phi_n^(i) adds one gap factor, a polynomial in the cube
+variables.  So one Gauss-Jacobi tensor rule with the exact phi_0 exponents
+serves every coefficient, its log weights dividing u^a (1-u)^b back out
+because the kernel evaluates the whole integrand.
 
 Degree-M solutions use M copies of each integration level, ordered so all
 level-n copies exceed all level-(n+1) copies and copies decrease within a
@@ -123,7 +126,7 @@ def _z_of_length(z, N):
     return z
 
 
-# --- degree-1 evaluation ------------------------------------------------------------
+# --- degree-1 exponents and forms ---------------------------------------------------
 
 def _axis_exponents_m1(exps: ExponentsM, n):
     """Exact per-axis cube exponents (a_k, b_k) of the degree-1 coefficients
@@ -158,39 +161,6 @@ def _m1_form(A, N):
     return p // N + 1, p % N + 1
 
 
-def _psi1_eval_at(exps: ExponentsM, z, nodes: int, basis, i=None):
-    """Every coefficient in basis order, by one Gauss-Jacobi tensor rule per
-    level n of the forms, and with a time index i also its d/dz_i on the same
-    nodes (None without one)."""
-    L, N = exps.L, exps.N
-    kp = float(exps.planck)
-    forms = [_m1_form(A, N) for A in basis]
-    vec = np.zeros(len(basis))
-    dvec = np.zeros(len(basis)) if i is not None else None
-    for n in range(L):
-        a, b = _axis_exponents_m1(exps, n)
-        rules = [gauss_jacobi_01(nodes, float(ak), float(bk)) for ak, bk in zip(a, b)]
-        W = math.prod(np.ix_(*[w for _, w in rules]))
-        T = math.prod(np.ix_(*[u for u, _ in rules]))
-        base = np.ones_like(T)
-        for j in range(N):
-            base = base * (1.0 - z[j] * T) ** (-float(exps.beta[j]) / kp)
-        if i is not None:
-            # d/dz_i log: (beta_i/kappa) r, and one more r on a 1/(1 - z_i T) form
-            r = T / (1.0 - z[i - 1] * T)
-            dw = float(exps.beta[i - 1]) / kp * r
-        for k, (m, j) in enumerate(forms):
-            if m != n:
-                continue
-            val = W * base if j is None else W * base / (1.0 - z[j - 1] * T)
-            sign = 1.0 if j is None else -1.0  # c_(n,i) = -int U phi_n^(i)
-            vec[k] = sign * float(np.sum(val))
-            if i is not None:
-                dvec[k] = sign * float(np.sum(val * (dw + r if j == i else dw)))
-            del val  # one form's array alive at a time
-    return vec, dvec
-
-
 @dataclass(frozen=True)
 class IntegralResult:
     basis: tuple           # multi-indices, graded-lex
@@ -202,29 +172,8 @@ class IntegralResult:
 
 def eval_psi1(params: Parameters, z, quad: QuadratureSpec, i=None) -> IntegralResult:
     """Degree-1 coefficient vector c with c_(0) = int U phi_0 and
-    c_(n,i) = -int U phi_n^(i), by Gauss-Jacobi tensor quadrature on the cube.
-
-    Stability is asserted by node doubling, never assumed.  Any other
-    scheme is rejected.  With a time index i the result also carries
-    dc/dz_i, differentiated under the integral on the doubled rule's nodes.
-    """
-    if quad.scheme != "gauss_jacobi_tensor":
-        raise ParameterError(
-            f"degree 1 uses scheme 'gauss_jacobi_tensor', got {quad.scheme!r}")
-    exps = dictionary_M(params, 1)
-    z = _check_z_box(z, exps.N, i)
-    basis = tuple(enumerate_basis(exps.L, exps.N, 1))
-    c1, _ = _psi1_eval_at(exps, z, quad.nodes_per_axis, basis)
-    c2, d2 = _psi1_eval_at(exps, z, 2 * quad.nodes_per_axis, basis, i)
-    scale = float(np.max(np.abs(c2)))
-    change = float(np.max(np.abs(c1 - c2))) / scale if scale else 0.0
-    if change > quad.stabilize_tol:
-        raise ConvergenceError(
-            f"quadrature failed to stabilize: relative change {change:.3e} after "
-            f"doubling {quad.nodes_per_axis} nodes")
-    return IntegralResult(basis, c2, change,
-                          {"scheme": "gauss_jacobi_tensor", "nodes": 2 * quad.nodes_per_axis},
-                          d2)
+    c_(n,i) = -int U phi_n^(i): :func:`eval_psiM` at M = 1."""
+    return eval_psiM(params, z, 1, quad, i)
 
 
 # --- degree-1 series oracle ---------------------------------------------------------
@@ -263,13 +212,13 @@ def series_psi1(params: Parameters, z, order: int) -> IntegralResult:
         s = float(exps.beta[0]) / kp + (1.0 if n else 0.0)
         total = 0.0
         term = math.nan
-        poch = 1.0
+        ratio = 1.0  # (s)_k / k!, carried as one float: k! alone overflows a float at k = 171
         for k in range(order + 1):
             logterm = sum(
                 _log_beta(float(ak) + k + 1.0, float(bk) + 1.0) for ak, bk in zip(a, b))
-            term = poch * zv ** k / math.factorial(k) * math.exp(logterm)
+            term = ratio * zv ** k * math.exp(logterm)
             total += term
-            poch *= s + k
+            ratio *= (s + k) / (k + 1)
         vec[slot] = -total if n else total
         tails.append(abs(term) / max(abs(total), 1e-300))
     return IntegralResult(basis, vec, max(tails),
@@ -346,15 +295,16 @@ def _psiM_coeffs(exps: ExponentsM, z, pt: _ChainPoint, logw, basis, i=None, poin
     x, omx = pt.x, pt.omx
     rz = {(j, p): 1.0 / (1.0 - z[j] * x[p]) for j in range(N) for p in tls}
 
-    # the chain gaps between adjacent levels are always positive, since level
-    # n lies above level n+1
-    adjacent = [(pos[(n, a)], pos[(n + 1, b_)])
-                for n in range(1, L - 1) for a in range(1, M + 1) for b_ in range(1, M + 1)]
+    # the chain gaps t_n - t_(n+1) between adjacent levels, always positive
+    # since level n lies above level n+1, each with its weight exponent
+    # -gamma_(n+1)/kappa (-1/kappa at M >= 2, where gamma_(n+1) = 1)
+    adjacent = {(pos[(n, a)], pos[(n + 1, b_)]): -float(exps.gamma[n]) / kp
+                for n in range(1, L - 1) for a in range(1, M + 1) for b_ in range(1, M + 1)}
 
     # (exponent, base) of every power in U and in the per-copy 1/t_{L-1}
     powers = [(2.0 / kp, pt.gap(pos[(n, a)], pos[(n, b_)]))
               for n in range(1, L) for a in range(1, M + 1) for b_ in range(a + 1, M + 1)]
-    powers += [(-1.0 / kp, pt.gap(*pq)) for pq in adjacent]
+    powers += [(e, pt.gap(*pq)) for pq, e in adjacent.items()]
     powers += [(float(exps.alpha[n - 1]) / kp - (n == L - 1), x[p]) for (n, a), p in pos.items()]
     powers += [(-float(exps.gamma[0]) / kp, omx[pos[(1, a)]]) for a in range(1, M + 1)]
     powers += [(float(exps.beta[j]) / kp, val) for (j, p), val in rz.items()]
@@ -555,27 +505,29 @@ def _window_check_M(exps: ExponentsM, basis):
 def eval_psiM(params: Parameters, z, M: int, quad: QuadratureSpec, i=None) -> IntegralResult:
     """Degree-M coefficient vector c_A over the ordered chamber.
 
-    M = 1 delegates to :func:`eval_psi1` (same chamber, trivial
-    symmetrization).  For M >= 2 the scheme is a tanh-sinh tensor rule on
-    the cube image of the chamber (K = M(L-1) axes, K <= 6) or seeded
-    Monte Carlo with a per-axis Kumaraswamy proposal (see :func:`_psiM_mc`);
-    ``gauss_jacobi_tensor`` is rejected there.  With a time index i,
-    ``derivative`` is dc/dz_i, differentiated under the integral (z enters
-    only through bounded factors) on the nodes of the returned rule or the
-    same MC samples.
+    M = 1 takes a Gauss-Jacobi tensor rule whose per-axis weights are the
+    exact endpoint exponents of phi_0 (:func:`_axis_exponents_m1`); every
+    phi_n^(i) is a polynomial times that weight.  For M >= 2 the scheme is
+    a tanh-sinh tensor rule or seeded Monte Carlo with a per-axis
+    Kumaraswamy proposal (see :func:`_psiM_mc`) built from the measured
+    endpoint exponents.  A tensor rule covers K = M(L-1) <= 6 cube axes and
+    is checked by node refinement.  With a time index i, ``derivative`` is
+    dc/dz_i, differentiated under the integral (z enters only through
+    bounded factors) on the nodes of the finer rule or the same MC samples.
     """
     if M < 1:
         raise ParameterError("M must be a positive integer")
-    if M == 1:
-        return eval_psi1(params, z, quad, i)
-    if quad.scheme == "gauss_jacobi_tensor":
+    schemes = ("gauss_jacobi_tensor",) if M == 1 else ("tanh_sinh_tensor", "monte_carlo")
+    if quad.scheme not in schemes:
         raise ParameterError(
-            f"degree M={M} uses scheme 'tanh_sinh_tensor' or 'monte_carlo', "
-            "got 'gauss_jacobi_tensor'")
+            f"degree M={M} uses scheme {' or '.join(map(repr, schemes))}, got {quad.scheme!r}")
     exps = dictionary_M(params, M)
     z = _check_z_box(z, exps.N, i)
     basis = tuple(enumerate_basis(exps.L, exps.N, M))
-    expos = _window_check_M(exps, basis)
+    if M == 1:
+        expos = tuple(zip(*_axis_exponents_m1(exps, 0)))
+    else:
+        expos = _window_check_M(exps, basis)
     K = (exps.L - 1) * M
 
     if quad.scheme == "monte_carlo":
@@ -583,13 +535,13 @@ def eval_psiM(params: Parameters, z, M: int, quad: QuadratureSpec, i=None) -> In
         meta = {"scheme": "monte_carlo", "samples": quad.mc_samples, "seed": quad.seed, "sem": err}
     else:
         if K > 6:
-            raise ParameterError(
-                f"tensor quadrature supports M(L-1) <= 6 axes, got {K}; use monte_carlo")
-        nodes = int(quad.nodes_per_axis * 1.5) | 1
-        c1, _ = _psiM_tensor(exps, z, basis, quad.nodes_per_axis)
-        c, d = _psiM_tensor(exps, z, basis, nodes, i)
+            raise ParameterError(f"tensor quadrature supports M(L-1) <= 6 axes, got {K}"
+                                 + ("; use monte_carlo" if M >= 2 else ""))
+        nodes = 2 * quad.nodes_per_axis if M == 1 else int(quad.nodes_per_axis * 1.5) | 1
+        c1, _ = _psiM_tensor(exps, z, basis, _axis_rules(quad.scheme, quad.nodes_per_axis, expos))
+        c, d = _psiM_tensor(exps, z, basis, _axis_rules(quad.scheme, nodes, expos), i)
         err = max(abs(c1[A] - c[A]) for A in basis)
-        meta = {"scheme": "tanh_sinh_tensor", "nodes": nodes}
+        meta = {"scheme": quad.scheme, "nodes": nodes}
     scale = max(abs(v) for v in c.values())
     conv = err / scale if scale else 0.0
     if quad.scheme != "monte_carlo" and conv > quad.stabilize_tol:
@@ -597,7 +549,7 @@ def eval_psiM(params: Parameters, z, M: int, quad: QuadratureSpec, i=None) -> In
             f"quadrature failed to stabilize: relative change {conv:.3e} under "
             f"node refinement")
     return IntegralResult(basis, np.array([c[A] for A in basis]), conv,
-                          {**meta, "chamber": "level_blocks"},
+                          {**meta, "chamber": "level_blocks"} if M >= 2 else meta,
                           np.array([d[A] for A in basis]) if d else None)
 
 
@@ -606,18 +558,39 @@ def eval_psiM(params: Parameters, z, M: int, quad: QuadratureSpec, i=None) -> In
 _SLAB_POINTS = 1 << 15
 
 
-def _psiM_tensor(exps: ExponentsM, z, basis, nodes, i=None):
-    """Tanh-sinh tensor sums of the coefficients (and of d/dz_i) on the cube.
+def _axis_rules(scheme, nodes, expos):
+    """Per-axis rules (v, 1 - v, log weight) of a tensor scheme on the
+    K = len(expos) cube axes; each log weight holds the rule's and the
+    Jacobian v_j^(K-1-j) of x_j = v_0 ... v_j.
 
-    The nodes^K grid is cut along axis 0 into slabs of about _SLAB_POINTS
-    points; each slab goes through :func:`_psiM_coeffs` on its own, its cube
-    variables given as one broadcasting array per axis, and the slab sums
-    are added in slab order.
+    A Gauss-Jacobi axis absorbs u^a (1-u)^b with (a, b) = expos[j] into its
+    weights and divides it back out of its log weight, since the kernel
+    evaluates the whole integrand; tanh-sinh ignores ``expos``.
     """
-    K = (exps.L - 1) * exps.M
-    xs, omxs, ws = tanh_sinh_01(nodes)
-    # per-axis log weight: the rule's and the Jacobian x_j^(K-1-j) of x_j = prod v
-    logws = [np.log(ws) + (K - 1 - j) * np.log(xs) for j in range(K)]
+    K = len(expos)
+    if scheme == "tanh_sinh_tensor":
+        xs, omxs, ws = tanh_sinh_01(nodes)
+        return [(xs, omxs, np.log(ws) + (K - 1 - j) * np.log(xs)) for j in range(K)]
+    rules = []
+    for j, (a, b) in enumerate(expos):
+        u, w = gauss_jacobi_01(nodes, float(a), float(b))
+        omu = 1.0 - u
+        rules.append((u, omu, np.log(w) + (K - 1 - j - float(a)) * np.log(u)
+                      - float(b) * np.log(omu)))
+    return rules
+
+
+def _psiM_tensor(exps: ExponentsM, z, basis, rules, i=None):
+    """Tensor sums of the coefficients (and of d/dz_i) on the cube, for the
+    per-axis rules of :func:`_axis_rules`.
+
+    The grid is cut along axis 0 into slabs of about _SLAB_POINTS points;
+    each slab goes through :func:`_psiM_coeffs` on its own, its cube
+    variables and log weights given as one broadcasting array per axis, and
+    the slab sums are added in slab order.
+    """
+    K = len(rules)
+    nodes = len(rules[0][0])
     rows = max(1, _SLAB_POINTS // nodes ** (K - 1))
     coeffs = dict.fromkeys(basis, 0.0)
     derivs = dict.fromkeys(basis, 0.0) if i is not None else {}
@@ -625,10 +598,10 @@ def _psiM_tensor(exps: ExponentsM, z, basis, nodes, i=None):
         # axis j of the slab as an array that broadcasts along axis j only
         axes = [(slice(lo, lo + rows),) + (None,) * (K - 1)]
         axes += [(slice(None),) + (None,) * (K - 1 - j) for j in range(1, K)]
-        v, omv = [xs[a] for a in axes], [omxs[a] for a in axes]
+        v, omv, logws = ([rule[k][a] for rule, a in zip(rules, axes)] for k in range(3))
         logw = np.zeros(np.broadcast_shapes(*(u.shape for u in v)))
-        for j, a in enumerate(axes):
-            logw += logws[j][a]
+        for lw in logws:
+            logw += lw
         c, d = _psiM_coeffs(exps, z, _ChainPoint(v, omv), logw, basis, i)
         for total, part in ((coeffs, c), (derivs, d)):
             for A in part:

@@ -106,11 +106,16 @@ def residue_sum(residues_i, z, i):
     return out
 
 
-def require_exact(params: Parameters):
-    """Reject decimal parameters before an exact residue is built from them."""
-    if any(not isinstance(x, (int, Fraction))
-           for x in params.e + params.kappa + params.theta + (params.hbar,)):
-        raise ParameterError("restriction requires exact-rational parameters")
+def require_exact(params: Parameters, z=()):
+    """Reject decimal input to an exact computation, naming every decimal field
+    among z, e, kappa, theta and hbar (planck never enters one)."""
+    fields = {"z": z, "e": params.e, "kappa": params.kappa, "theta": params.theta,
+              "hbar": (params.hbar,)}
+    inexact = [k for k, xs in fields.items()
+               if not all(isinstance(x, (int, Fraction)) for x in xs)]
+    if inexact:
+        raise ParameterError("exact arithmetic needs exact rationals ('p/q' strings or "
+                             f"integers); decimal in: {', '.join(inexact)}")
 
 
 def restricted_residues(params: Parameters, i: int, basis, index_of, space: str):

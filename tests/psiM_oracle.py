@@ -6,6 +6,11 @@ permutations instead, one basis index at a time, with the multinomial
 weight of each index from :class:`PhiIndexData`.  The base (the symmetric
 weight U) is built as in the kernel; only the symmetrization differs.
 
+:func:`psi1_eval_at` is the degree-1 reference: one Gauss-Jacobi tensor
+rule per level n of the forms phi_n^(i), each absorbing that level's own
+exact endpoint exponents, where ``qims.hypint.eval_psiM`` puts every
+degree-1 form on the one rule of phi_0.
+
 ``qims.hypint._ChainPoint`` builds chain coordinates and gaps from per-axis
 arrays that broadcast; :func:`from_cube` builds them from a stacked
 ``(..., K)`` grid by a cumulative product.  :func:`probe_exponent` fits one
@@ -19,8 +24,9 @@ from itertools import permutations, product
 
 import numpy as np
 
-from qims.hypint import _psiM_coeffs
+from qims.hypint import _axis_exponents_m1, _m1_form, _psiM_coeffs
 from qims.polyalg import flat_pos
+from qims.quadrature import gauss_jacobi_01
 
 
 class StackedChainPoint:
@@ -213,3 +219,35 @@ def psiM_coeffs_oracle(exps, z, pt, logw, basis, i=None):
                 dacc[A] = dacc[A] + float(np.sum(base * dens * dlog))
     scale = {A: info[A].sign * info[A].multinomial for A in basis}
     return ({A: scale[A] * acc[A] for A in basis}, {A: scale[A] * dacc[A] for A in dacc})
+
+
+def psi1_eval_at(exps, z, nodes, basis, i=None):
+    """Every degree-1 coefficient in basis order, by one Gauss-Jacobi tensor
+    rule per level n of the forms, and with a time index i also its d/dz_i
+    on the same nodes (None without one)."""
+    L, N = exps.L, exps.N
+    kp = float(exps.planck)
+    forms = [_m1_form(A, N) for A in basis]
+    vec = np.zeros(len(basis))
+    dvec = np.zeros(len(basis)) if i is not None else None
+    for n in range(L):
+        a, b = _axis_exponents_m1(exps, n)
+        rules = [gauss_jacobi_01(nodes, float(ak), float(bk)) for ak, bk in zip(a, b)]
+        W = math.prod(np.ix_(*[w for _, w in rules]))
+        T = math.prod(np.ix_(*[u for u, _ in rules]))
+        base = np.ones_like(T)
+        for j in range(N):
+            base = base * (1.0 - z[j] * T) ** (-float(exps.beta[j]) / kp)
+        if i is not None:
+            # d/dz_i log: (beta_i/kappa) r, and one more r on a 1/(1 - z_i T) form
+            r = T / (1.0 - z[i - 1] * T)
+            dw = float(exps.beta[i - 1]) / kp * r
+        for k, (m, j) in enumerate(forms):
+            if m != n:
+                continue
+            val = W * base if j is None else W * base / (1.0 - z[j - 1] * T)
+            sign = 1.0 if j is None else -1.0  # c_(n,i) = -int U phi_n^(i)
+            vec[k] = sign * float(np.sum(val))
+            if i is not None:
+                dvec[k] = sign * float(np.sum(val * (dw + r if j == i else dw)))
+    return vec, dvec

@@ -67,8 +67,7 @@ def test_cmd_hamiltonian_rejects_decimal_hbar_exit2(tmp_path, capsys):
     cfg["parameters"]["hbar"] = "1.0"
     assert main(["--config", write_cfg(tmp_path, "c.json", cfg), "hamiltonian"]) == 2
     error = json.loads(capsys.readouterr().out)["error"]
-    assert error["type"] == "ParameterError"
-    assert "restriction requires exact-rational parameters" in error["message"]
+    assert error["type"] == "ParameterError" and "decimal in: hbar" in error["message"]
 
 
 def test_cmd_hamiltonian_csv(tmp_path):
@@ -319,6 +318,33 @@ def test_underflowing_window_probe_exit3(tmp_path, capsys):
     assert error["type"] == "ConvergenceError" and "underflows" in error["message"]
 
 
+def test_series_beyond_float_factorials(tmp_path, capsys):
+    # k! alone overflows a float from k = 171
+    params = m1_window_params(2, 1)
+    out = {}
+    for order in (60, 200):
+        cfg = window_cfg(params, 1, ["0.4"], order=order)
+        assert main(["--config", write_cfg(tmp_path, "c.json", cfg), "series"]) == 0
+        out[order] = json.loads(capsys.readouterr().out)
+    coarse = [c["value"] for c in out[60]["coefficients"]]
+    fine = [c["value"] for c in out[200]["coefficients"]]
+    scale = max(abs(v) for v in fine)
+    assert max(abs(a - b) for a, b in zip(coarse, fine)) <= out[60]["tail_bound"] * scale
+    assert out[200]["tail_bound"] < out[60]["tail_bound"]
+
+
+def test_integral_m1_beyond_six_axes_exit2(tmp_path, capsys, monkeypatch):
+    # the degree-1 grid at L = 8 (7 axes of 48 nodes) would take 8 GiB
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a tensor grid was built")
+    monkeypatch.setattr("qims.hypint._psiM_tensor", no_grid)
+    cfg = window_cfg(m1_window_params(8, 1), 1, ["0.4"])
+    assert main(["--config", write_cfg(tmp_path, "c.json", cfg), "integral"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert (error["type"], error["message"]) == (
+        "ParameterError", "tensor quadrature supports M(L-1) <= 6 axes, got 7")
+
+
 def test_verify_m1_needs_unit_interior_kappa_exit2(tmp_path, capsys, monkeypatch):
     # the quadrature takes kappa_2 != 1 at degree 1; the cohomology comparison
     # does not, and rejects it before any quadrature runs
@@ -337,8 +363,7 @@ def test_verify_rejects_decimal_parameters_exit2(tmp_path, capsys):
     cfg["parameters"]["e"] = ["0.9", "-0.4"]
     assert main(["--config", write_cfg(tmp_path, "c.json", cfg), "verify"]) == 2
     error = json.loads(capsys.readouterr().out)["error"]
-    assert error["type"] == "ParameterError"
-    assert "restriction requires exact-rational parameters" in error["message"]
+    assert error["type"] == "ParameterError" and "decimal in: e" in error["message"]
 
 
 @pytest.mark.parametrize("which", ["braid", "all"])
@@ -613,6 +638,22 @@ def test_check_rejects_decimals_before_any_check(tmp_path, capsys, monkeypatch, 
     assert main(["--config", path] + argv) == 2
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["type"] == "ParameterError" and f"decimal in: {field}" in error["message"]
+
+
+@pytest.mark.parametrize("cfg,argv", [(lambda: base_cfg(2, 1, 1), ["check", "all"]),
+                                      (lambda: base_cfg(2, 1, 1), ["hamiltonian"]),
+                                      (loop_cfg, ["pfaffian"]),
+                                      (lambda: base_cfg(2, 1, 1), ["verify"])],
+                         ids=["check", "hamiltonian", "pfaffian", "verify"])
+def test_exact_subcommands_reject_a_decimal_with_one_message(tmp_path, capsys, cfg, argv):
+    # one exactness gate serves every exact subcommand, whatever it computes
+    cfg = cfg()
+    cfg["parameters"]["e"] = ["0.9", "-0.4"]
+    assert main(["--config", write_cfg(tmp_path, "c.json", cfg)] + argv) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert (error["type"], error["message"]) == (
+        "ParameterError",
+        "exact arithmetic needs exact rationals ('p/q' strings or integers); decimal in: e")
 
 
 def test_check_flatness_fails_on_any_nonzero_derivative(tmp_path, capsys, monkeypatch):

@@ -178,6 +178,48 @@ def test_series_requires_domain():
         series_psi1(params2, (0.4, 0.2), 10)
 
 
+@pytest.mark.parametrize("L,N", [(L, N) for L in (2, 3, 4) for N in (1, 2)])
+def test_m1_one_grid_matches_per_level_oracle(L, N):
+    # every degree-1 form on the one phi_0 Gauss-Jacobi grid, through the
+    # degree-M kernel, against one grid per form level (kappa_n != 1 for L >= 3)
+    from psiM_oracle import psi1_eval_at
+    from qims.polyalg import enumerate_basis
+    params = m1_window_params(L, N)
+    exps = dictionary_M(params, 1)
+    assert all(k != 1 for k in params.kappa[1:])
+    z = tuple(0.45 - 0.17 * k for k in range(N))
+    basis = tuple(enumerate_basis(L, N, 1))
+    for i in range(1, N + 1):
+        res = eval_psiM(params, z, 1, QuadratureSpec(nodes_per_axis=32), i)
+        assert res.basis == basis and res.meta == {"scheme": "gauss_jacobi_tensor", "nodes": 64}
+        want, dwant = psi1_eval_at(exps, z, 64, basis, i)
+        assert np.abs(res.vector - want).max() <= 1e-10 * np.abs(want).max(), i
+        assert np.abs(res.derivative - dwant).max() <= 1e-10 * np.abs(dwant).max(), i
+
+
+def test_m1_unit_adjacent_exponent_misses_the_oracle():
+    # control: an adjacent-level gap raised to -1/kappa, right at M >= 2
+    # where gamma_2 = 1, is wrong here; the gap is the only place the kernel
+    # reads gamma_2, so that kernel is this one run with gamma_2 = 1 on the
+    # grid of the true exponents
+    from dataclasses import replace
+    from psiM_oracle import psi1_eval_at
+    from qims import hypint
+    exps = dictionary_M(m1_window_params(3, 1), 1)
+    assert exps.gamma[1] != 1
+    basis = tuple(hypint.enumerate_basis(3, 1, 1))
+    rules = hypint._axis_rules("gauss_jacobi_tensor", 64,
+                               tuple(zip(*hypint._axis_exponents_m1(exps, 0))))
+    want, _ = psi1_eval_at(exps, (0.4,), 64, basis)
+
+    def gap(kernel_exps):
+        c, _ = hypint._psiM_tensor(kernel_exps, (0.4,), basis, rules)
+        return max(abs(c[A] - w) for A, w in zip(basis, want)) / np.abs(want).max()
+
+    assert gap(exps) <= 1e-10
+    assert gap(replace(exps, gamma=(exps.gamma[0], F(1)))) > 1e-2
+
+
 def test_psiM_m1_delegates_exactly():
     params = m1_window_params(3, 1)
     q = QuadratureSpec(nodes_per_axis=24)
@@ -389,7 +431,8 @@ def test_broadcast_slab_chain_point_equals_stacked_grid(K, monkeypatch):
     seen = []
     monkeypatch.setattr(hypint, "_psiM_coeffs", lambda exps, z, pt, logw, basis, i:
                         seen.append((pt, logw)) or (dict.fromkeys(basis, 0.0), {}))
-    hypint._psiM_tensor(exps, (0.4,), basis, nodes)
+    hypint._psiM_tensor(exps, (0.4,), basis,
+                        hypint._axis_rules("tanh_sinh_tensor", nodes, [(0, 0)] * K))
     xs, omxs, ws = tanh_sinh_01(nodes)
     assert len(seen) == 3
     for lo, (pt, logw) in zip((0, 2, 4), seen):
@@ -514,10 +557,11 @@ def test_slabbed_tensor_equals_one_slab(monkeypatch):
     calls = []
     kernel = hypint._psiM_coeffs
     monkeypatch.setattr(hypint, "_psiM_coeffs", lambda *a: calls.append(1) or kernel(*a))
-    c, d = hypint._psiM_tensor(exps, (0.4,), basis, nodes, 1)
+    rules = hypint._axis_rules("tanh_sinh_tensor", nodes, [(0, 0)] * 3)
+    c, d = hypint._psiM_tensor(exps, (0.4,), basis, rules, 1)
     assert len(calls) == 4
     monkeypatch.setattr(hypint, "_SLAB_POINTS", nodes ** 3)
-    c1, d1 = hypint._psiM_tensor(exps, (0.4,), basis, nodes, 1)
+    c1, d1 = hypint._psiM_tensor(exps, (0.4,), basis, rules, 1)
     assert len(calls) == 5
     for A in basis:
         assert c[A] == pytest.approx(c1[A], rel=1e-14, abs=0)

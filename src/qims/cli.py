@@ -429,6 +429,9 @@ CHECKS = {
 
 
 def cmd_check(cfg, args):
+    for flag, x in (("dmax", args.dmax), ("seed", args.seed)):
+        if x is not None and x < 0:
+            raise ParameterError(f"--{flag} must be nonnegative, got {x}")
     params = build_parameters(cfg)
     names = list(CHECKS) if args.which == "all" else [args.which]
     # only commute and garnier hold at a point; the other checks do not read z

@@ -511,9 +511,12 @@ def eval_psiM(params: Parameters, z, M: int, quad: QuadratureSpec, i=None) -> In
     a tanh-sinh tensor rule or seeded Monte Carlo with a per-axis
     Kumaraswamy proposal (see :func:`_psiM_mc`) built from the measured
     endpoint exponents.  A tensor rule covers K = M(L-1) <= 6 cube axes and
-    is checked by node refinement.  With a time index i, ``derivative`` is
-    dc/dz_i, differentiated under the integral (z enters only through
-    bounded factors) on the nodes of the finer rule or the same MC samples.
+    fails on a relative change above ``stabilize_tol`` under node refinement.
+    Monte Carlo never fails on its error or reads that bound: ``convergence``
+    is its standard error over max |c_A| (``meta["sem"]`` unscaled).  With a
+    time index i, ``derivative`` is dc/dz_i, differentiated under the
+    integral (z enters only through bounded factors) on the nodes of the
+    finer rule or the same MC samples.
     """
     if M < 1:
         raise ParameterError("M must be a positive integer")

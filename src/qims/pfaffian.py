@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError, PropagationError, SingularityError, SubspaceError
-from .polyalg import enumerate_basis, enumerate_basis_FT
+from .polyalg import enumerate_basis, enumerate_basis_FT, lin, max_abs
 from .weylops import Parameters, check_z, flatten, hamiltonian_parts
 
 
@@ -50,19 +50,10 @@ def _columns(flat_op, basis, index_of, what):
     return _lowest(flat_op.den, rows)
 
 
-def _lin(terms):
-    """Sum of c * row over the (c, row) in ``terms``: a sparse row without zeros."""
-    acc = {}
-    for c, row in terms:
-        for b, x in row.items():
-            acc[b] = acc.get(b, 0) + c * x
-    return {b: x for b, x in acc.items() if x}
-
-
 def _combine(terms):
     """Sum of c * A over the (c, A) in ``terms``, for sparse-row matrices A."""
     cs, mats = zip(*terms)
-    return [_lin(zip(cs, rows)) for rows in zip(*mats)]
+    return [lin(zip(cs, rows)) for rows in zip(*mats)]
 
 
 def _lowest(den, rows):
@@ -202,12 +193,8 @@ class FlatnessResult(NamedTuple):
     conditions: int         # Kohno commutators checked
 
 
-def _product(A, B):
-    return [_lin((x, B[k]) for k, x in row.items()) for row in A]
-
-
 def _max_abs(rows):
-    return max((abs(x) for row in rows for x in row.values()), default=0)
+    return max(map(max_abs, rows), default=0)
 
 
 def codim2_flats(N):
@@ -242,8 +229,10 @@ def flatness_residual(system: PfaffianSystem) -> FlatnessResult:
         As = [res[q - 1][p] for p, q in hyperplanes]
         total = _combine([(1, A) for A in As])
         for A in As[:-1]:
-            comm = _combine([(1, _product(A, total)), (-1, _product(total, A))])
-            worst = max(worst, _max_abs(comm))
+            # row r of [total, A] in one pass, the form of weylops._commutator
+            worst = max(worst, _max_abs(
+                lin([(x, A[k]) for k, x in total[r].items()]
+                    + [(-x, total[k]) for k, x in A[r].items()]) for r in range(len(A))))
         conditions += len(As) - 1
     asym = Fraction(0)
     for i, j in itertools.combinations(range(1, system.params.N + 1), 2):

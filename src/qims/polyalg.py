@@ -102,6 +102,21 @@ def check_exact(x):
     raise StructureError(f"unsupported scalar type {type(x).__name__}")
 
 
+def lin(terms):
+    """Sum of c * m over the (c, m) in ``terms``, for sparse maps m {key: value}:
+    a new map without zero values.  Every m is only read, never written."""
+    acc = {}
+    for c, m in terms:
+        for k, x in m.items():
+            acc[k] = acc.get(k, 0) + c * x
+    return {k: x for k, x in acc.items() if x}
+
+
+def max_abs(m):
+    """Largest magnitude among the values of the sparse map ``m`` (0 when empty)."""
+    return max((abs(x) for x in m.values()), default=0)
+
+
 class Polynomial:
     """Finite map Index -> scalar with a fixed (L, N) context.
 
@@ -142,30 +157,17 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_context(other)
-        out = dict(self.terms)
-        for A, c in other.terms.items():
-            s = out.get(A, 0) + c
-            if s == 0:
-                out.pop(A, None)
-            else:
-                out[A] = s
-        return Polynomial(self.L, self.N, out)
+        return Polynomial(self.L, self.N, lin([(1, self.terms), (1, other.terms)]))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + other.scale(-1)
+        self._check_context(other)
+        return Polynomial(self.L, self.N, lin([(1, self.terms), (-1, other.terms)]))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_context(other)
-        out = {}
-        for A, a in self.terms.items():
-            for B, b in other.terms.items():
-                C = tuple(x + y for x, y in zip(A, B))
-                s = out.get(C, 0) + a * b
-                if s == 0:
-                    out.pop(C, None)
-                else:
-                    out[C] = s
-        return Polynomial(self.L, self.N, out)
+        return Polynomial(self.L, self.N, lin(
+            (a, {tuple(x + y for x, y in zip(A, B)): b for B, b in other.terms.items()})
+            for A, a in self.terms.items()))
 
     def scale(self, c) -> "Polynomial":
         check_exact(c)
@@ -182,7 +184,7 @@ class Polynomial:
 
     def max_abs(self):
         """Largest coefficient magnitude (0 for the zero polynomial)."""
-        return max((abs(c) for c in self.terms.values()), default=Fraction(0))
+        return max_abs(self.terms)
 
     def __eq__(self, other):
         return (

@@ -27,7 +27,7 @@ class QuadratureSpec:
     nodes_per_axis: int = 32
     mc_samples: int = 100_000
     seed: int = 20240
-    stabilize_tol: float = 1e-8
+    stabilize_tol: float = 1e-8  # tensor rules only; Monte Carlo never reads it
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:

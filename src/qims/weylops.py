@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParameterError, SingularityError, StructureError
-from .polyalg import Polynomial, check_exact, flat_pos
+from .polyalg import Polynomial, check_exact, flat_pos, lin, max_abs
 
 
 def to_scalar(x):
@@ -252,17 +252,10 @@ class FlatOp:
                 img[tuple(B)] = s
         return img
 
-    def apply_scaled(self, terms: dict) -> dict:
-        """``den`` times the image of sum_A c_A q^A, for any coefficients c_A."""
-        out = {}
-        for A, c in terms.items():
-            for B, v in self.image(A).items():
-                out[B] = out.get(B, 0) + c * v
-        return {B: v for B, v in out.items() if v != 0}
-
     def apply_raw(self, terms: dict) -> dict:
+        """The image of sum_A c_A q^A: one ``lin`` of the cached images, over ``den``."""
         unit = self.unit
-        return {B: v * unit for B, v in self.apply_scaled(terms).items()}
+        return {B: v * unit for B, v in lin([(c, self.image(A)) for A, c in terms.items()]).items()}
 
     def apply_index(self, A, c0=1):
         """Apply to the monomial c0*q^A; returns a raw {index: coefficient} map."""
@@ -361,42 +354,20 @@ def hamiltonian_flat(i: int, params: Parameters, z) -> FlatOp:
 # The sweeps work on the scaled images of ``FlatOp.image``: integer
 # numerators over the product of the operators' denominators.  A residual is
 # zero exactly when its scaled form is, and each sweep turns its largest
-# scaled coefficient into a true one once, at the end.
-
-def _max_abs(terms: dict):
-    return max((abs(c) for c in terms.values()), default=0)
-
-
-def _subtract(out: dict, terms: dict) -> dict:
-    """out - terms, computed in place on ``out``; zero coefficients are dropped.
-
-    ``terms`` is only read and may be a cached image; ``out`` must be a dict
-    the caller owns, never one returned by ``FlatOp.image``."""
-    for B, c in terms.items():
-        s = out.get(B, 0) - c
-        if s == 0:
-            out.pop(B, None)
-        else:
-            out[B] = s
-    return out
-
-
-def _difference(x: dict, x_den, y: dict, y_den) -> dict:
-    """x/x_den - y/y_den over the denominator x_den*y_den, as numerators in a
-    new dict; ``x`` and ``y`` are only read."""
-    return _subtract({B: c * y_den for B, c in x.items()},
-                     {B: c * x_den for B, c in y.items()})
-
+# scaled coefficient into a true one once, at the end.  Every sum,
+# difference and commutator of images is one ``polyalg.lin``, which only
+# reads its inputs, so the cached images are never written.
 
 def _commutator(a: FlatOp, b: FlatOp, A) -> dict:
     """(ab - ba) q^A times a.den*b.den, as a raw {index: numerator} map."""
     A = tuple(A)
-    return _subtract(a.apply_scaled(b.image(A)), b.apply_scaled(a.image(A)))
+    return lin([(c, a.image(B)) for B, c in b.image(A).items()]
+               + [(-c, b.image(B)) for B, c in a.image(A).items()])
 
 
 def _commutator_max(a: FlatOp, b: FlatOp, probes):
     """max coefficient magnitude of (ab - ba) q^A over the probes."""
-    worst = max((_max_abs(_commutator(a, b, A)) for A in probes), default=0)
+    worst = max((max_abs(_commutator(a, b, A)) for A in probes), default=0)
     return worst * a.unit * b.unit
 
 
@@ -457,8 +428,8 @@ def ahat_commutator_residual(i, j, params: Parameters, probes, entries=None):
             rhss[(plus, minus)] = flatten(Mul(Sc(hbar), Add(*rhs_terms)), params)
         rhs = rhss[(plus, minus)]
         # residual = ([a, b] - hbar*rhs)/hbar, the scaled difference first
-        scaled = max((_max_abs(_difference(_commutator(a, b, A), a.den * b.den,
-                                           rhs.image(tuple(A)), rhs.den))
+        scaled = max((max_abs(lin([(rhs.den, _commutator(a, b, A)),
+                                   (-a.den * b.den, rhs.image(tuple(A)))]))
                       for A in probes), default=0)
         worst = max(worst, scaled * a.unit * b.unit * rhs.unit / abs(hbar))
     return worst
@@ -539,7 +510,6 @@ def garnier_example_residual(i: int, params: Parameters, z, probes):
 
     lambda_i(z) is read off the constant probe; the return value is the
     largest coefficient of (generic - example - lambda_i) q^A over all probes.
-    The cached images are only read: each difference is a new dict.
     """
     z = check_z(params, z)
     zi = z[i - 1]
@@ -547,11 +517,11 @@ def garnier_example_residual(i: int, params: Parameters, z, probes):
     example = flatten(garnier_example_operator(i, params, z), params)
     const = (0,) * ((params.L - 1) * params.N)
 
-    def diff_on(A):
-        # (generic - example) q^A times generic.den * example.den
-        return _difference(generic.image(A), generic.den, example.image(A), example.den)
+    def diff_on(A, lam=0):
+        # (generic - example - lam) q^A times generic.den * example.den
+        return lin([(example.den, generic.image(A)), (-generic.den, example.image(A)),
+                    (-lam, {A: 1})])
 
     lam = diff_on(const).get(const, 0)
-    worst = max((_max_abs(_subtract(diff_on(A), {A: lam})) for A in map(tuple, probes)),
-                default=0)
+    worst = max((max_abs(diff_on(A, lam)) for A in map(tuple, probes)), default=0)
     return worst * generic.unit * example.unit

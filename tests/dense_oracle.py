@@ -21,9 +21,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from qims.errors import PropagationError, SubspaceError
-from qims.pfaffian import (FlatnessResult, TransportStats, _combine, _product,
-                           codim2_flats)
-from qims.polyalg import enumerate_basis
+from qims.pfaffian import FlatnessResult, TransportStats, _combine, codim2_flats
+from qims.polyalg import enumerate_basis, lin
 from qims.weylops import flatten, hamiltonian_parts
 
 
@@ -149,6 +148,10 @@ def fractions(residue):
     """A residue ``(den, rows)`` as sparse rows of ``Fraction``s."""
     den, rows = residue
     return [{b: Fraction(x, den) for b, x in row.items()} for row in rows]
+
+
+def _product(A, B):
+    return [lin((x, B[k]) for k, x in row.items()) for row in A]
 
 
 def fraction_flatness(N, res):

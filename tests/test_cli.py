@@ -565,6 +565,8 @@ def test_pfaffian_nan_input_exit2(tmp_path, capsys, edit):
     ("integral --M 2 --seed -1", lambda c: c.update(quadrature={"scheme": "monte_carlo"}),
      "seed"),
     ("check lemmas", lambda c: c.update(lemma_samples=0), "lemma_samples"),
+    ("check commute --dmax -1", lambda c: None, "--dmax must be nonnegative"),
+    ("check lemmas --seed -3", lambda c: None, "--seed must be nonnegative"),
     ("integral --M 2", lambda c: c.update(quadrature={"scheme": "monte_carlo",
                                                       "mc_samples": 5}), "mc_samples"),
     ("integral", lambda c: c.update(z=["1e999"]), "cannot parse scalar"),

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from qims.errors import ParameterError, StructureError
 from qims.polyalg import (Polynomial, enumerate_basis, enumerate_basis_FT,
                           level_degree)
+from qims.weylops import Q, flatten, make_parameters
 
 
 def brute_V(L, N, M):
@@ -114,6 +115,20 @@ def poly_strategy():
         lambda d: Polynomial(3, 1, {k: F(v) for k, v in d.items()}))
 
 
+def naive(a, op, b):
+    """a op b on plain {index: Fraction} dicts, term by term."""
+    out = {}
+    if op == "*":
+        pairs = [(tuple(x + y for x, y in zip(A, B)), F(s) * F(t))
+                 for A, s in a.terms.items() for B, t in b.terms.items()]
+    else:
+        sign = 1 if op == "+" else -1
+        pairs = list(a.terms.items()) + [(B, sign * F(t)) for B, t in b.terms.items()]
+    for C, v in pairs:
+        out[C] = out.get(C, F(0)) + v
+    return {C: v for C, v in out.items() if v != 0}
+
+
 @settings(max_examples=120, deadline=None)
 @given(poly_strategy(), poly_strategy(), poly_strategy())
 def test_ring_axioms(a, b, c):
@@ -121,6 +136,25 @@ def test_ring_axioms(a, b, c):
     assert a + b == b + a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+    assert (a + b).terms == naive(a, "+", b)
+    assert (a - b).terms == naive(a, "-", b)
+    assert (a * b).terms == naive(a, "*", b)
+    assert not a - a
+
+
+def test_arithmetic_across_contexts_is_a_structure_error():
+    # L = 3, N = 1 and L = 2, N = 2 both have two variables
+    a = Polynomial(3, 1, {(1, 0): F(1), (0, 2): F(-2, 3)})
+    b = Polynomial(2, 2, {(1, 0): F(1), (0, 2): F(-2, 3)})
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+        with pytest.raises(StructureError, match="different"):
+            op(a, b)
+        with pytest.raises(StructureError, match="different"):
+            op(b, a)
+    params = make_parameters(2, 2, e=[F(1, 3), F(1, 6)], kappa=[F(2, 7), F(3, 5)],
+                             theta=[F(1, 11), F(1, 13)])
+    with pytest.raises(StructureError, match="context"):
+        flatten(Q(1, 1), params)(a)
 
 
 @settings(max_examples=60, deadline=None)

@@ -176,7 +176,8 @@ def test_ahat_commutators_interior():
 def _ahat_residual_per_quadruple(i, j, params, probes):
     """The interior entry relations with every operator compiled again for
     each (m, n, m', n'): the oracle for the compiled-once sweep."""
-    from qims.weylops import _commutator, _difference, _max_abs
+    from qims.polyalg import lin, max_abs
+    from qims.weylops import _commutator
     rng = range(1, params.L)
     hbar, worst = params.hbar, F(0)
     for m, n, mp, np_ in itertools.product(rng, repeat=4):
@@ -188,8 +189,8 @@ def _ahat_residual_per_quadruple(i, j, params, probes):
         if i == j and np_ == m:
             terms.append(Mul(Sc(-1), weylops.ahat_entry(mp, n, i)))
         rhs = flatten(Mul(Sc(hbar), Add(*terms)), params)
-        scaled = max(_max_abs(_difference(_commutator(a, b, A), a.den * b.den,
-                                          rhs.image(tuple(A)), rhs.den)) for A in probes)
+        scaled = max(max_abs(lin([(rhs.den, _commutator(a, b, A)),
+                                  (-a.den * b.den, rhs.image(tuple(A)))])) for A in probes)
         worst = max(worst, scaled * a.unit * b.unit * rhs.unit / abs(hbar))
     return worst
 
@@ -210,6 +211,36 @@ def test_ahat_residual_matches_per_quadruple_form(L, monkeypatch):
         got = ahat_commutator_residual(i, j, params, probes)
         assert (got != 0) == (i == j)
         assert got == _ahat_residual_per_quadruple(i, j, params, probes)
+
+
+@pytest.mark.parametrize("L,N", [(2, 2), (3, 2), (2, 3)])
+def test_sweeps_leave_cached_images_unchanged(L, N, monkeypatch):
+    # the sweeps combine cached images with polyalg.lin, which only reads its
+    # maps: afterwards every cached image still equals a fresh one.  The
+    # boundary index 0 gives the braid sweeps a triple at N = 2; only the
+    # images are checked, not the residuals.
+    built, init = [], weylops.FlatOp.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(weylops.FlatOp, "__init__", recording_init)
+    rnd = random.Random(90 + 10 * L + N)
+    params, z = random_params(L, N, rnd, hbar=F(3, 2)), random_z(N, rnd)
+    probes = enumerate_basis(L, N, 2)
+    commutator_residual(1, 2, params, z, probes)
+    ahat_commutator_residual(1, 1, params, probes)
+    ahat_commutator_residual(1, 2, params, probes)
+    braid_residual_adjacent(0, 1, 2, params, probes)
+    if N >= 3:
+        braid_residual_disjoint(0, 1, 2, 3, params, probes)
+    if L == 2:
+        for i in range(1, N + 1):
+            garnier_example_residual(i, params, z, probes)
+    cached = [(op, A, img) for op in built for A, img in op._images.items()]
+    assert len(cached) > len(probes)
+    assert all(img == op._image(A) for op, A, img in cached)
 
 
 def test_braid_relations():

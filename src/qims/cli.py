@@ -418,24 +418,29 @@ def _check_lemmas(cfg, args, params, z, system):
     return {"residuals": detail, "samples": nsamples}, worst == 0
 
 
+# each check's handler and the flags it reads besides --L, --N and --out
 CHECKS = {
-    "commute": _check_commute,
-    "braid": _check_braid,
-    "flatness": _check_flatness,
-    "subspace": _check_subspace,
-    "garnier": _check_garnier,
-    "lemmas": _check_lemmas,
+    "commute": (_check_commute, "z dmax"),
+    "braid": (_check_braid, "dmax"),
+    "flatness": (_check_flatness, "M"),
+    "subspace": (_check_subspace, "M"),
+    "garnier": (_check_garnier, "z dmax"),
+    "lemmas": (_check_lemmas, "seed"),
 }
 
 
 def cmd_check(cfg, args):
+    names = list(CHECKS) if args.which == "all" else [args.which]
+    reads = {flag for name in names for flag in CHECKS[name][1].split()}
+    for flag in COMMANDS["check"][1].split():
+        if getattr(args, flag) is not None and flag not in reads:
+            build_argparser().error(f"check {args.which} does not read --{flag}")
     for flag, x in (("dmax", args.dmax), ("seed", args.seed)):
         if x is not None and x < 0:
             raise ParameterError(f"--{flag} must be nonnegative, got {x}")
+    args.dmax = 2 if args.dmax is None else args.dmax
     params = build_parameters(cfg)
-    names = list(CHECKS) if args.which == "all" else [args.which]
-    # only commute and garnier hold at a point; the other checks do not read z
-    z = get_z(cfg, args) if args.z is not None or {"commute", "garnier"} & set(names) else ()
+    z = get_z(cfg, args) if "z" in reads else ()
     # the checks read every scalar but planck, and float noise is never exactly 0
     pfaffian.require_exact(params, z)
     # one restriction shared by the checks of this command, built on first use
@@ -443,7 +448,7 @@ def cmd_check(cfg, args):
     report = {}
     all_ok = True
     for name in names:
-        detail, ok = CHECKS[name](cfg, args, params, z, system)
+        detail, ok = CHECKS[name][0](cfg, args, params, z, system)
         report[name] = {"passed": ok, **detail}
         all_ok = all_ok and ok
         status = f"skip ({detail['skipped']})" if "skipped" in detail else (
@@ -473,8 +478,7 @@ def cmd_pfaffian(cfg, args):
                                     with_stats=True)
     payload = {
         "endpoint": [emit_scalar(complex(x), rtol) for x in vec],
-        "steps": {"accepted": stats.steps_accepted, "rejected": stats.steps_rejected,
-                  "rhs_evaluations": stats.rhs_evaluations},
+        "steps": {"accepted": stats.steps, "rejected": 0, "rhs_evaluations": stats.products},
         "rtol": rtol, "atol": atol,
     }
     write_output(args, payload)
@@ -573,7 +577,7 @@ COMMANDS = {
 }
 FLAGS = {"L": {"type": int}, "N": {"type": int}, "out": {}, "M": {"type": int}, "z": {},
          "i": {"type": int}, "nodes": {"type": int}, "seed": {"type": int},
-         "dmax": {"type": int, "default": 2}, "plot": {}, "path": {}}
+         "dmax": {"type": int}, "plot": {}, "path": {}}
 
 
 @functools.cache

@@ -294,6 +294,15 @@ def check_z(params: Parameters, z):
     return z
 
 
+def _require_times(N, *indices):
+    """Raise StructureError unless the indices are distinct time indices in 1..N."""
+    for i in indices:
+        if not 1 <= i <= N:
+            raise StructureError(f"time index i={i} out of range 1..{N}")
+    if len(set(indices)) != len(indices):
+        raise StructureError("indices must be pairwise distinct")
+
+
 def hamiltonian_parts(i: int, params: Parameters) -> dict:
     """z-free building blocks of z_i*H_i.
 
@@ -302,8 +311,7 @@ def hamiltonian_parts(i: int, params: Parameters) -> dict:
         z_i H_i = const + pole1/(z_i - 1) + sum_{j != i} cross[j] * z_j/(z_i - z_j).
     """
     L, N = params.L, params.N
-    if not 1 <= i <= N:
-        raise StructureError(f"time index i={i} out of range 1..{N}")
+    _require_times(N, i)
     e, th = params.e, params.theta
 
     group1 = [Mul(Sc(e[n]), Q(n, i), P(n, i)) for n in range(L)]
@@ -445,17 +453,15 @@ def omega_tree(i: int, j: int, L: int):
 
 
 def braid_residual_disjoint(i, j, k, l, params: Parameters, probes):
-    """[Omega_{i,j}, Omega_{k,l}] on probes for pairwise distinct indices."""
-    if len({i, j, k, l}) != 4:
-        raise StructureError("indices must be pairwise distinct")
+    """[Omega_{i,j}, Omega_{k,l}] on probes for pairwise distinct time indices."""
+    _require_times(params.N, i, j, k, l)
     return _commutator_max(flatten(omega_tree(i, j, params.L), params),
                            flatten(omega_tree(k, l, params.L), params), probes)
 
 
 def braid_residual_adjacent(i, j, k, params: Parameters, probes):
-    """[Omega_{i,j}, Omega_{i,k} + Omega_{k,j}] on probes for distinct i, j, k."""
-    if len({i, j, k}) != 3:
-        raise StructureError("indices must be pairwise distinct")
+    """[Omega_{i,j}, Omega_{i,k} + Omega_{k,j}] on probes for distinct time indices."""
+    _require_times(params.N, i, j, k)
     a = flatten(omega_tree(i, j, params.L), params)
     b = flatten(Add(omega_tree(i, k, params.L), omega_tree(k, j, params.L)), params)
     return _commutator_max(a, b, probes)

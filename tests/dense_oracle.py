@@ -8,9 +8,9 @@ keeps the checks that work at one point z: the exact commutator
 d_i M_j - d_j M_i = (K_ji - K_ij)/(z_i - z_j)^2.  It also keeps the residues
 built as sparse rows of ``Fraction``s, the oracle for the integer rows of
 ``PfaffianSystem.residues``; Kohno's conditions on those ``Fraction``
-residues, the oracle for ``flatness_residual``; and the Dormand-Prince step
-with one stage at a time on one vector, the oracle for the array-form
-``propagate``.
+residues, the oracle for ``flatness_residual``; and an adaptive
+Dormand-Prince 5(4) integrator with one stage at a time on one vector, an
+oracle for the Taylor-series ``propagate``.
 """
 
 import itertools
@@ -21,7 +21,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from qims.errors import PropagationError, SubspaceError
-from qims.pfaffian import FlatnessResult, TransportStats, _combine, codim2_flats
+from qims.pfaffian import FlatnessResult, _combine, codim2_flats
 from qims.polyalg import enumerate_basis, lin
 from qims.weylops import flatten, hamiltonian_parts
 
@@ -192,14 +192,13 @@ _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 210
 
 
 def propagate_stagewise(system, path, c0, rtol=1e-10, atol=1e-12):
-    """``propagate`` for one vector, each stage and weight summed in a Python
-    loop; returns (c, TransportStats)."""
+    """``propagate`` for one vector by Dormand-Prince 5(4) with elementary step
+    control, each stage and weight summed in a Python loop."""
     c = np.asarray(c0, dtype=complex).copy()
     keys = [(i, p) for i, res in system.residues.items() for p in res]
     n, D = len(keys), system.dim
     stack = system.residue_array(keys)
     kappa = complex(system.params.planck)
-    n_acc = n_rej = n_rhs = 0
     for seg, (wa, wb) in enumerate(zip(path.waypoints, path.waypoints[1:])):
         if wa == wb:
             continue
@@ -213,7 +212,6 @@ def propagate_stagewise(system, path, c0, rtol=1e-10, atol=1e-12):
 
         s, h = 0.0, 0.1
         k1 = rhs(s, c)
-        n_rhs += 1
         while s < 1.0:
             h = min(h, 1.0 - s)
             if h < 1e-14:
@@ -223,7 +221,6 @@ def propagate_stagewise(system, path, c0, rtol=1e-10, atol=1e-12):
             for row, crow in zip(_DP_A[1:], _DP_C[1:]):
                 y = c + h * sum(a * k for a, k in zip(row, ks))
                 ks.append(rhs(s + crow * h, y))
-                n_rhs += 1
             c5 = c + h * sum(b * k for b, k in zip(_DP_B5, ks))
             c4 = c + h * sum(b * k for b, k in zip(_DP_B4, ks))
             scale = atol + rtol * np.maximum(np.abs(c), np.abs(c5))
@@ -235,9 +232,6 @@ def propagate_stagewise(system, path, c0, rtol=1e-10, atol=1e-12):
                 s += h
                 c = c5
                 k1 = ks[6]  # FSAL
-                n_acc += 1
-            else:
-                n_rej += 1
             fac = 0.9 * (enorm ** -0.2) if enorm > 0 else 5.0
             h *= min(5.0, max(0.2, fac))
-    return c, TransportStats(n_acc, n_rej, n_rhs)
+    return c

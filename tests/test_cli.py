@@ -607,12 +607,18 @@ def test_json_boolean_is_not_a_number_exit2(tmp_path, capsys, command, edit, mes
 
 @pytest.mark.parametrize("argv", [["check", "flatness", "--h", "1e-5"], ["basis", "--plot", "x"],
                                   ["series", "--M", "2"], ["check", "all", "--nodes", "8"],
-                                  ["integral", "--no", "8"], ["verify", "--h", "1e-3"]])
-def test_flag_the_subcommand_does_not_read_is_rejected(tmp_path, argv):
+                                  ["integral", "--no", "8"], ["verify", "--h", "1e-3"],
+                                  ["check", "commute", "--seed", "5"],
+                                  ["check", "lemmas", "--dmax", "9"],
+                                  ["check", "lemmas", "--z", "0.4,0.7"],
+                                  ["check", "commute", "--M", "2"]])
+def test_flag_the_subcommand_does_not_read_is_rejected(tmp_path, capsys, argv):
+    # check takes --M, --z, --dmax and --seed only when a check it runs reads them
     path = write_cfg(tmp_path, "c.json", base_cfg(2, 2, 1))
     with pytest.raises(SystemExit) as exc:
         main(["--config", path] + argv)
     assert exc.value.code == 2
+    assert next(a for a in argv if a.startswith("--")) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("block,key", [(None, "chamber"), ("model", "D"),

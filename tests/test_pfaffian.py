@@ -278,17 +278,62 @@ def closed_loop(N, rnd):
 
 @pytest.mark.parametrize("L,N,M", ORACLE_SIZES)
 def test_array_step_matches_stagewise_oracle(L, N, M):
-    # the array form sums the stages in another order: same steps, last digits move
+    # the Taylor series at rtol lands within rtol of adaptive DP5 run at rtol/100
+    # (measured: at most 0.11 rtol, at L3N3M2), as a vector and as each column
+    # of a block of two equal columns
     rnd = random.Random(100 * L + 10 * N + M)
     system = PfaffianSystem(resonant_params(L, N, M, rnd), ("V", M))
     path = ZPath(closed_loop(N, rnd))
     c0 = np.array([rnd.uniform(-1, 1) for _ in range(system.dim)], dtype=complex)
-    want, want_stats = propagate_stagewise(system, path, c0)
-    # a block of two equal columns has the vector's RMS error, so the same steps
+    rtol = 1e-10
+    want = propagate_stagewise(system, path, c0, rtol=rtol / 100, atol=1e-14)
     for start in (c0, np.column_stack([c0, c0])):
-        got, stats = propagate(system, path, start, with_stats=True)
-        assert stats == want_stats and got.shape == start.shape
-        assert np.abs(got.T - want).max() <= 1e-12 * np.abs(want).max()
+        got = propagate(system, path, start, rtol=rtol)
+        assert got.shape == start.shape
+        assert np.abs(got.T - want).max() <= rtol * np.abs(want).max()
+
+
+@pytest.mark.parametrize("N,M,waypoints", [
+    (1, 2, [(0.7 + 6.01e-4j,), (1.3 + 6.01e-4j,)]),                   # passes z_1 = 1
+    (2, 1, [(0.4 + 2.01e-4j, 0.6 - 2.01e-4j), (0.6 + 2.01e-4j, 0.4 - 2.01e-4j)])],
+    ids=["z=1", "z1=z2"])
+def test_propagate_grazing_a_pole_matches_dop853(N, M, waypoints):
+    # each segment passes its hyperplane just outside the ZPath guard, where
+    # steps of 0.4 of the pole distance are shortest; the residue there has
+    # exponents spec/planck in [0, 1], so the solutions stay bounded past the
+    # pole, and each step may add rtol |c| (measured: 9.1e-13 and 6.9e-12 in
+    # 35 steps)
+    system = v_system(2, N, M, seed=7, planck=2)
+    path = ZPath(waypoints)
+    c0 = np.array([random.Random(7).uniform(-1, 1) for _ in range(system.dim)], dtype=complex)
+    rtol = 1e-12
+    got, stats = propagate(system, path, c0, rtol=rtol, atol=1e-14, with_stats=True)
+    want = transport_matrix_float(system, waypoints, c0, rtol=1e-13, atol=1e-15)
+    assert stats.steps > 30
+    assert np.abs(got - want).max() <= stats.steps * rtol * np.abs(want).max()
+
+
+def test_propagate_large_exponents_match_dop853():
+    # at planck 1/8 the residue at 0 has exponent -128: with steps of 0.4 of
+    # the pole distance alone the series cancels catastrophically (given 1000
+    # orders it returned a relative error of 7.5e71); the rate cap keeps the
+    # cancellation bounded (measured: 8e-16 in 85 steps)
+    system = v_system(2, 1, 2, seed=7, planck=F(1, 8))
+    waypoints, c0 = [(0.05,), (0.5,)], np.array([1.0, -0.5, 0.25], dtype=complex)
+    rtol = 1e-10
+    got, stats = propagate(system, ZPath(waypoints), c0, rtol=rtol, with_stats=True)
+    want = transport_matrix_float(system, waypoints, c0, rtol=1e-12, atol=1e-300)
+    assert np.abs(got - want).max() <= stats.steps * rtol * np.abs(want).max()
+
+
+def test_propagate_unsettled_series_raises():
+    # the terms shrink geometrically, so reaching 1e-300 |c| takes hundreds of
+    # orders (781 in two steps with no cap), more than the cap allows per step
+    system = v_system(2, 2, 1, seed=9)
+    with pytest.raises(PropagationError, match="unsettled") as exc:
+        propagate(system, ZPath([(0.4, 0.7), (0.5, 0.8)]), np.ones(3), rtol=1e-300,
+                  atol=1e-300)
+    assert exc.value.location == (0, 0.0)
 
 
 @pytest.mark.parametrize("L,N,M", ORACLE_SIZES)

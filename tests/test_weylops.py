@@ -213,11 +213,11 @@ def test_ahat_residual_matches_per_quadruple_form(L, monkeypatch):
         assert got == _ahat_residual_per_quadruple(i, j, params, probes)
 
 
-@pytest.mark.parametrize("L,N", [(2, 2), (3, 2), (2, 3)])
+@pytest.mark.parametrize("L,N", [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4)])
 def test_sweeps_leave_cached_images_unchanged(L, N, monkeypatch):
     # the sweeps combine cached images with polyalg.lin, which only reads its
-    # maps: afterwards every cached image still equals a fresh one.  The
-    # boundary index 0 gives the braid sweeps a triple at N = 2; only the
+    # maps: afterwards every cached image still equals a fresh one.  The braid
+    # sweeps need three time indices (four for the disjoint one); only the
     # images are checked, not the residuals.
     built, init = [], weylops.FlatOp.__init__
 
@@ -232,9 +232,10 @@ def test_sweeps_leave_cached_images_unchanged(L, N, monkeypatch):
     commutator_residual(1, 2, params, z, probes)
     ahat_commutator_residual(1, 1, params, probes)
     ahat_commutator_residual(1, 2, params, probes)
-    braid_residual_adjacent(0, 1, 2, params, probes)
     if N >= 3:
-        braid_residual_disjoint(0, 1, 2, 3, params, probes)
+        braid_residual_adjacent(1, 2, 3, params, probes)
+    if N >= 4:
+        braid_residual_disjoint(1, 2, 3, 4, params, probes)
     if L == 2:
         for i in range(1, N + 1):
             garnier_example_residual(i, params, z, probes)
@@ -259,6 +260,17 @@ def test_braid_requires_distinct():
     params = random_params(2, 3, rnd)
     with pytest.raises(StructureError):
         braid_residual_adjacent(1, 1, 2, params, [])
+
+
+@pytest.mark.parametrize("sweep,indices", [
+    (braid_residual_adjacent, (0, 1, 2)), (braid_residual_adjacent, (1, 2, 3)),
+    (braid_residual_disjoint, (0, 1, 2, 3)), (braid_residual_disjoint, (1, 2, 3, 4))])
+def test_braid_rejects_a_time_index_outside_1_to_N(sweep, indices):
+    # at N = 2 the boundary index 0 once gave the triple (0, 1, 2) a residual
+    # of 189/64 instead of an error
+    params = random_params(2, 2, random.Random(112), hbar=F(3, 2))
+    with pytest.raises(StructureError, match="time index i=[03] out of range 1..2"):
+        sweep(*indices, params, enumerate_basis(2, 2, 2))
 
 
 def test_garnier_example_exact():

@@ -106,7 +106,7 @@ def emit_scalar(x, tolerance=None):
     return out
 
 
-def emit_matrix(mat, tolerance=None):
+def emit_matrix(mat):
     """Rows of ``emit_scalar`` cells; equal exact cells share one dict.  A cell is
     looked up by ``id`` first, so an object in many cells, such as the shared zero
     of ``matrix_at``, is converted once; the ids hold only while ``mat`` lives."""
@@ -115,7 +115,7 @@ def emit_matrix(mat, tolerance=None):
 
     def cell(x):
         if not isinstance(x, (int, Fraction)):
-            out = emit_scalar(x, tolerance)
+            out = emit_scalar(x)
         elif (out := exact.get(key := (x.numerator, x.denominator))) is None:
             out = exact[key] = emit_scalar(x)
         by_id[id(x)] = out
@@ -182,8 +182,6 @@ def build_parameters(cfg) -> weylops.Parameters:
     hbar = parse_scalar(p.get("hbar", 1))
     planck = parse_scalar(p.get("planck", 1))
     theta0 = parse_scalar(p["theta0"]) if "theta0" in p else None
-    if len(theta) == N + 1 and theta0 is None:
-        theta0, theta = theta[0], theta[1:]
     return weylops.make_parameters(L, N, e=e, kappa=kappa, theta=theta,
                                    theta0=theta0, hbar=hbar, planck=planck)
 
@@ -233,6 +231,10 @@ QUAD_TYPES = {"scheme": str, "nodes_per_axis": int, "mc_samples": int, "seed": i
 
 def get_quad(cfg, args):
     q = dict(cfg.get("quadrature", {}))
+    scheme = q.get("scheme", QuadratureSpec.scheme)
+    unread = "nodes" if scheme == "monte_carlo" else "seed"  # only tensor rules read --nodes
+    if getattr(args, unread) is not None:
+        build_argparser().error(f"{args.command} with scheme {scheme!r} does not read --{unread}")
     if args.nodes is not None:
         q["nodes_per_axis"] = args.nodes
     if args.seed is not None:
@@ -358,19 +360,12 @@ def _check_braid(cfg, args, params, z, system):
     worst = weylops.ahat_commutator_residual(1, 1, params, probes)
     if params.N >= 2:
         worst = max(worst, weylops.ahat_commutator_residual(1, 2, params, probes))
-    count = 0
-    for i in range(1, params.N + 1):
-        for j in range(1, params.N + 1):
-            for k in range(1, params.N + 1):
-                if len({i, j, k}) == 3:
-                    worst = max(worst, weylops.braid_residual_adjacent(
-                        i, j, k, params, probes))
-                    count += 1
-    for l in range(1, params.N + 1):
-        if params.N >= 4 and len({1, 2, 3, l}) == 4:
-            worst = max(worst, weylops.braid_residual_disjoint(1, 2, 3, l, params, probes))
-            count += 1
-    return {"residual": emit_scalar(worst), "triples": count,
+    residuals = [weylops.braid_residual_adjacent(i, j, k, params, probes)
+                 for i, j, k in itertools.permutations(range(1, params.N + 1), 3)]
+    residuals += [weylops.braid_residual_disjoint(1, 2, 3, l, params, probes)
+                  for l in range(4, params.N + 1)]
+    worst = max([worst] + residuals)
+    return {"residual": emit_scalar(worst), "triples": len(residuals),
             "probes": len(probes)}, worst == 0
 
 
@@ -474,8 +469,7 @@ def cmd_pfaffian(cfg, args):
     tol = cfg.get("tolerances", {})
     rtol = positive(tol.get("rtol", 1e-10), "tolerances rtol")
     atol = positive(tol.get("atol", 1e-12), "tolerances atol")
-    vec, stats = pfaffian.propagate(system, zpath, c0, rtol=rtol, atol=atol,
-                                    with_stats=True)
+    vec, stats = pfaffian.propagate(system, zpath, c0, rtol=rtol, atol=atol)
     payload = {
         "endpoint": [emit_scalar(complex(x), rtol) for x in vec],
         "steps": {"accepted": stats.steps, "rejected": 0, "rhs_evaluations": stats.products},

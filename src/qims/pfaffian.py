@@ -15,7 +15,8 @@ hyperplane H.  sum_i M_i dz_i is flat at every z iff K_ij = K_ji and Kohno's
 conditions [A_H, sum_{H' ⊇ X} A_H'] = 0 hold for every codimension-2 flat X
 and H through X (T. Kohno, Invent. Math. 82 (1985) 57).  :func:`propagate`
 transports c by Taylor series, whose coefficients follow a two-term recurrence
-(D. V. & G. V. Chudnovsky 1990; J. van der Hoeven, TCS 210 (1999) 199).
+(D. V. & G. V. Chudnovsky 1990; J. van der Hoeven, TCS 210 (1999) 199); it
+rejects a segment too near a pole and an endpoint that rounding may have swamped.
 """
 
 from __future__ import annotations
@@ -249,23 +250,9 @@ def flatness_residual(system: PfaffianSystem) -> FlatnessResult:
 _POLE_GUARD = Fraction(1, 1000)  # min pole distance relative to segment length
 
 
-def _segment_min_affine(a, b):
-    """min over s in [0,1] of |a + s b| for complex a, b."""
-    if b == 0:
-        return abs(a)
-    s = -((a * b.conjugate()).real) / (abs(b) ** 2)
-    s = min(1.0, max(0.0, s))
-    return abs(a + s * b)
-
-
 @dataclass(frozen=True)
 class ZPath:
-    """Piecewise-straight path in z-space avoiding the pole hyperplanes.
-
-    The waypoints must be finite, and every point of every segment must keep
-    a distance of at least ``_POLE_GUARD`` times the segment length from
-    each hyperplane z_i = 0, z_i = 1 and z_i = z_j.
-    """
+    """Piecewise-straight path in z-space through finite waypoints of one dimension."""
 
     waypoints: tuple
 
@@ -279,29 +266,10 @@ class ZPath:
         if not all(cmath.isfinite(x) for w in pts for x in w):
             raise ParameterError(f"waypoints must be finite, got {waypoints!r}")
         object.__setattr__(self, "waypoints", pts)
-        for seg, (wa, wb) in enumerate(zip(pts, pts[1:])):
-            seglen = math.sqrt(sum(abs(x - y) ** 2 for x, y in zip(wa, wb)))
-            floor = float(_POLE_GUARD) * seglen
-            for k in range(N):
-                a, b = wa[k], wb[k] - wa[k]
-                dists = [_segment_min_affine(a, b), _segment_min_affine(a - 1, b)]
-                for l in range(N):
-                    if l != k:
-                        dists.append(_segment_min_affine(
-                            a - wa[l], b - (wb[l] - wa[l])) / math.sqrt(2))
-                d = min(dists)
-                if d == 0 or d < floor:
-                    raise SingularityError(
-                        f"segment {seg} passes within {d:.3g} of a pole hyperplane "
-                        f"(guard {floor:.3g})"
-                    )
 
     @property
     def dim(self):
         return len(self.waypoints[0])
-
-    def is_closed(self):
-        return self.waypoints[0] == self.waypoints[-1]
 
 
 # With sum_k |h w_k| ||A_k||_inf <= 4 and |h r_k| <= 0.4, the terms are dominated by those of
@@ -315,23 +283,30 @@ class TransportStats(NamedTuple):
 
 
 def propagate(system: PfaffianSystem, path: ZPath, c0, rtol: float = 1e-10,
-              atol: float = 1e-12, with_stats: bool = False):
-    """Integrate planck * dc/dz_i = M_i(z) c along the path by Taylor series.
+              atol: float = 1e-12):
+    """Integrate planck * dc/dz_i = M_i(z) c along the path by Taylor series;
+    return ``(c, TransportStats)``.
 
     ``c0`` is a vector (D,) or a block (D, k), such as ``np.eye(D)``, whose
     columns share the steps.  On a segment, dc/ds = sum_k w_k(s) A_k c with
     w_k = coef_k / b_k, b_k = f0_k + s df_k and coef_k = dz_i / planck for the
-    residue A_k = (i, p).  With r_k = -df_k / b_k the Taylor coefficients at s
-    obey (m+1) c_(m+1) = sum_k w_k A_k g_(k,m), g_(k,m) = c_m + r_k g_(k,m-1),
-    one product of the residues side by side per order.  A step is
-    h = min(1 - s, 0.4 min_k |b_k / df_k|) over the df_k != 0 (the nearest
-    pole), cut where sum_k |h w_k| ||A_k|| would pass ``_RATE_CAP``; its terms,
-    scaled by h^m, are summed until two consecutive ones lie within
+    residue A_k = (i, p).  A segment where some |b_k| (over sqrt 2 for z_i = z_j,
+    the distance to that hyperplane) comes to 0 or within ``_POLE_GUARD`` of its
+    length raises :class:`SingularityError`.  With r_k = -df_k / b_k the Taylor
+    coefficients at s obey (m+1) c_(m+1) = sum_k w_k A_k g_(k,m),
+    g_(k,m) = c_m + r_k g_(k,m-1), one product of the residues side by side per
+    order.  A step is h = min(1 - s, 0.4 min_k |b_k / df_k|) over the df_k != 0
+    (the nearest pole), cut where sum_k |h w_k| ||A_k|| would pass ``_RATE_CAP``;
+    its terms, scaled by h^m, are summed until two consecutive ones lie within
     atol + rtol |c| entrywise.  That assumes the terms then decay geometrically
     at ratio <= 0.4, so two small terms bound the tail; M. Mezzarobba & B.
     Salvy, arXiv:0904.2452, give a rigorous majorant.  Deterministic; raises
     :class:`PropagationError` at (segment, s) for a non-finite term (NaN or
-    infinity in c0 or the tolerances) or a series unsettled at order 200."""
+    infinity in c0 or the tolerances) or a series unsettled at order 200.
+    Rounding leaves an error of about eps |c(s)| at each step in modes that need
+    not decay, so it also raises at (last segment, 1.0) when eps max|c| over the
+    steps' starting points exceeds atol + rtol max|c_end| in some column: a
+    necessary condition for an accurate endpoint, not a proof of one."""
     if path.dim != system.params.N:
         raise ParameterError("path dimension does not match N")
     c = np.array(c0, dtype=complex)
@@ -342,12 +317,25 @@ def propagate(system: PfaffianSystem, path: ZPath, c0, rtol: float = 1e-10,
     n, D = len(keys), system.dim
     stack = system.residue_array(keys).reshape(n, D, D).transpose(1, 0, 2).reshape(D, n * D)
     norms = np.abs(stack).reshape(D, n, D).sum(axis=2).max(axis=0)
+    scale = np.array([math.sqrt(2) if p >= 2 else 1.0 for _, p in keys])
+    peak = np.zeros(c.shape[1])  # max |c| at the start of any step, per column
     n_steps = n_products = 0
     for seg, (wa, wb) in enumerate(zip(path.waypoints, path.waypoints[1:])):
         pa, pb = (0, 1) + wa, (0, 1) + wb
         coef = np.array([wb[i - 1] - wa[i - 1] for i, _ in keys]) / complex(system.params.planck)
         f0 = np.array([wa[i - 1] - pa[p] for i, p in keys])
         df = np.array([wb[i - 1] - pb[p] for i, p in keys]) - f0
+        # each pole's closest approach over s in [0, 1], as a distance in z-space
+        sq = np.abs(df) ** 2
+        near = np.clip(-(f0 * df.conj()).real / np.where(sq > 0, sq, 1.0), 0.0, 1.0)
+        dist = np.abs(f0 + near * df) / scale
+        floor = float(_POLE_GUARD) * math.sqrt(sum(abs(x - y) ** 2 for x, y in zip(wa, wb)))
+        fails = (dist == 0) | (dist < floor)
+        if fails.any():  # named by the first failing z_i and its nearest pole
+            first = keys[int(fails.argmax())][0]
+            d = dist[[i == first for i, _ in keys]].min()
+            raise SingularityError(f"segment {seg} passes within {d:.3g} of a pole "
+                                   f"hyperplane (guard {floor:.3g})")
         poles = -f0[df != 0] / df[df != 0]
         s = 0.0 if wa != wb else 1.0  # a repeated waypoint is no step
         while s < 1.0:
@@ -359,7 +347,8 @@ def propagate(system: PfaffianSystem, path: ZPath, c0, rtol: float = 1e-10,
                 h = _RATE_CAP / rate
             weighted = stack * np.repeat(h * w, D)
             rh = (-h * df / b)[:, None, None]
-            tol = atol + rtol * np.abs(c)
+            size = np.abs(c)
+            tol, peak = atol + rtol * size, np.maximum(peak, size.max(axis=0))
             term, g, total, quiet = c, 0, c.copy(), 0
             for m in range(1, _MAX_ORDER + 1):
                 g = term + rh * g
@@ -378,5 +367,10 @@ def propagate(system: PfaffianSystem, path: ZPath, c0, rtol: float = 1e-10,
                     location=(seg, s))
             n_steps, n_products, c = n_steps + 1, n_products + m, total
             s = s + h if h < 1.0 - s else 1.0
-    c = c.reshape(shape)
-    return (c, TransportStats(n_steps, n_products)) if with_stats else c
+    rounding, allowed = np.finfo(float).eps * peak, atol + rtol * np.abs(c).max(axis=0)
+    if (rounding > allowed).any():
+        k = int(np.argmax(rounding - allowed))
+        raise PropagationError(
+            f"transport lost accuracy: eps max|c| = {rounding[k]:.3g} exceeds "
+            f"atol + rtol max|c_end| = {allowed[k]:.3g}", location=(len(path.waypoints) - 2, 1.0))
+    return c.reshape(shape), TransportStats(n_steps, n_products)

@@ -24,11 +24,6 @@ def flat_pos(m: int, i: int, N: int) -> int:
     return (m - 1) * N + (i - 1)
 
 
-def degree(A: Index) -> int:
-    """Total degree d(A)."""
-    return sum(A)
-
-
 def level_degree(A: Index, m: int, N: int) -> int:
     """Row sum d_m(A) over the time indices of level m."""
     return sum(A[flat_pos(m, 1, N):flat_pos(m, 1, N) + N])

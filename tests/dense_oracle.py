@@ -10,7 +10,9 @@ built as sparse rows of ``Fraction``s, the oracle for the integer rows of
 ``PfaffianSystem.residues``; Kohno's conditions on those ``Fraction``
 residues, the oracle for ``flatness_residual``; and an adaptive
 Dormand-Prince 5(4) integrator with one stage at a time on one vector, an
-oracle for the Taylor-series ``propagate``.
+oracle for the Taylor-series ``propagate``; and the pole guard on a path's
+segments in the geometry ``ZPath`` once ran, the oracle for the guard in
+``propagate``.
 """
 
 import itertools
@@ -20,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from qims.errors import PropagationError, SubspaceError
+from qims.errors import PropagationError, SingularityError, SubspaceError
 from qims.pfaffian import FlatnessResult, _combine, codim2_flats
 from qims.polyalg import enumerate_basis, lin
 from qims.weylops import flatten, hamiltonian_parts
@@ -101,6 +103,28 @@ def transport_matrix_float(system, waypoints, c0, rtol, atol):
                        for i in range(1, N + 1)) / planck
         c = solve_ivp(rhs, (0.0, 1.0), c, method="DOP853", rtol=rtol, atol=atol).y[:, -1]
     return c
+
+
+def zpath_guard(waypoints, guard=1e-3):
+    """Raise SingularityError where a segment passes within ``guard`` times its
+    length of a hyperplane z_k = 0, z_k = 1 or z_k = z_l, reporting the first
+    such k and its nearest hyperplane; each distance is computed per variable."""
+
+    def closest(a, b):  # min over s in [0, 1] of |a + s b|
+        if b == 0:
+            return abs(a)
+        return abs(a + min(1.0, max(0.0, -((a * b.conjugate()).real) / abs(b) ** 2)) * b)
+
+    pts = [tuple(complex(x) for x in w) for w in waypoints]
+    for seg, (wa, wb) in enumerate(zip(pts, pts[1:])):
+        floor = guard * math.sqrt(sum(abs(x - y) ** 2 for x, y in zip(wa, wb)))
+        for k, (a, b) in enumerate((x, y - x) for x, y in zip(wa, wb)):
+            d = min([closest(a, b), closest(a - 1, b)]
+                    + [closest(a - wa[l], b - (wb[l] - wa[l])) / math.sqrt(2)
+                       for l in range(len(wa)) if l != k])
+            if d == 0 or d < floor:
+                raise SingularityError(f"segment {seg} passes within {d:.3g} of a pole "
+                                       f"hyperplane (guard {floor:.3g})")
 
 
 def fraction_columns(flat_op, basis, index_of, what):

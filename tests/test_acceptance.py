@@ -250,12 +250,12 @@ def test_criterion_11_transport_consistency():
         ca = eval_psi1(params, (za,), QuadratureSpec(nodes_per_axis=32)).vector
         cb = eval_psi1(params, (zb,), QuadratureSpec(nodes_per_axis=32)).vector
         system = PfaffianSystem(params, ("V", 1))
-        moved = propagate(system, ZPath([(za,), (zb,)]), ca.astype(complex),
-                          rtol=rtol)
+        moved, _ = propagate(system, ZPath([(za,), (zb,)]), ca.astype(complex),
+                             rtol=rtol)
         worst = max(worst, float(np.abs(moved.real - cb).max() / np.abs(cb).max()))
         # contractible loop returns the start vector
         loop = ZPath([(za,), (0.5,), (0.45,), (za,)])
-        back = propagate(system, loop, ca.astype(complex), rtol=rtol)
+        back, _ = propagate(system, loop, ca.astype(complex), rtol=rtol)
         assert np.abs(back.real - ca).max() <= 10 * rtol * max(1.0, np.abs(ca).max())
     dt = time.time() - t0
     report(11, "transport matches direct quadrature", worst < 1e-4 and dt < 60,

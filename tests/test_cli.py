@@ -52,6 +52,24 @@ def test_cmd_basis(tmp_path, capsys):
     assert payload["basis"][0] == [0, 0, 0, 0]
 
 
+@pytest.mark.parametrize("cfg,argv", [({}, ["--L", "3", "--N", "2", "--M", "2"]),
+                                      (base_cfg(2, 1, 2), ["--L", "3", "--N", "2"])],
+                         ids=["no_model", "override"])
+def test_L_and_N_flags_set_the_model(tmp_path, capsys, cfg, argv):
+    assert main(["--config", write_cfg(tmp_path, "c.json", cfg), "basis"] + argv) == 0
+    assert json.loads(capsys.readouterr().out)["dimension"] == 15  # as at L3N2M2
+
+
+def test_cmd_basis_on_F_T(tmp_path, capsys):
+    from qims.polyalg import enumerate_basis_FT
+    cfg = {"model": {"L": 3, "N": 2, "T": [2, 1]}}
+    assert main(["--config", write_cfg(tmp_path, "c.json", cfg), "basis"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    basis = enumerate_basis_FT(3, 2, (2, 1))
+    assert payload["space"] == {"kind": "F", "T": [2, 1]}
+    assert payload["dimension"] == len(basis) and payload["basis"] == [list(A) for A in basis]
+
+
 def test_cmd_hamiltonian_json_exact(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.json", base_cfg(2, 1, 1))
     assert main(["--config", cfg, "hamiltonian", "--i", "1"]) == 0
@@ -125,6 +143,27 @@ def test_parser_keeps_no_state_between_calls(tmp_path, capsys):
         probes.append(json.loads(capsys.readouterr().out)["checks"]["commute"]["probes"])
     # degree <= 3 and <= 2 monomials in two variables
     assert probes == [10, 6]
+
+
+@pytest.mark.parametrize("N,disjoint", [(3, []), (4, [(1, 2, 3, 4)])])
+def test_check_braid_runs_every_triple(tmp_path, capsys, monkeypatch, N, disjoint):
+    # adjacent triples are the ordered triples of distinct indices, in order;
+    # the disjoint relation takes (1, 2, 3, l) for every l >= 4
+    from qims import weylops
+    calls = {"adjacent": [], "disjoint": []}
+    for name in calls:
+        real = getattr(weylops, f"braid_residual_{name}")
+        monkeypatch.setattr(weylops, f"braid_residual_{name}",
+                            lambda *a, real=real, name=name: calls[name].append(a[:-2])
+                            or real(*a))
+    path = write_cfg(tmp_path, "c.json", base_cfg(2, N, 1))
+    assert main(["--config", path, "check", "braid"]) == 0
+    braid = json.loads(capsys.readouterr().out)["checks"]["braid"]
+    adjacent = [(i, j, k) for i in range(1, N + 1) for j in range(1, N + 1)
+                for k in range(1, N + 1) if len({i, j, k}) == 3]
+    assert calls == {"adjacent": adjacent, "disjoint": disjoint}
+    assert braid["triples"] == len(adjacent) + len(disjoint)
+    assert braid["residual"] == {"value": "0/1", "kind": "exact"}
 
 
 def test_cmd_check_all_small(tmp_path, capsys):
@@ -202,6 +241,39 @@ def test_cmd_pfaffian_transport(tmp_path, capsys):
     end = payload["endpoint"]
     assert abs(end[0]["value"][0] - 1.0) < 1e-8
     assert payload["steps"]["accepted"] > 0
+
+
+def test_pfaffian_complex_waypoints(tmp_path, capsys):
+    # a scalar of a waypoint may be an [re, im] pair
+    import numpy as np
+    from qims.cli import build_parameters
+    from qims.pfaffian import PfaffianSystem, ZPath, propagate
+    cfg = base_cfg(2, 2, 1)
+    cfg["path"] = [["0.40", "0.70"], [["0.45", "0.02"], "0.75"], ["0.40", "0.70"]]
+    cfg["c0"] = ["1", "0", "0.5"]
+    assert main(["--config", write_cfg(tmp_path, "c.json", cfg), "pfaffian"]) == 0
+    end = [complex(*x["value"]) for x in json.loads(capsys.readouterr().out)["endpoint"]]
+    system = PfaffianSystem(build_parameters(cfg), ("V", 1))
+    want, _ = propagate(system, ZPath([(0.4, 0.7), (0.45 + 0.02j, 0.75), (0.4, 0.7)]),
+                        np.array([1, 0, 0.5]))
+    assert end == list(want)
+    cfg["path"][1][0].append("0")
+    assert main(["--config", write_cfg(tmp_path, "c.json", cfg), "pfaffian"]) == 2
+    assert "[re, im] pair" in json.loads(capsys.readouterr().out)["error"]["message"]
+
+
+def test_pfaffian_path_through_a_pole_exit3(tmp_path, capsys):
+    # propagate guards each segment, after the config has been read in full
+    cfg = base_cfg(2, 1, 1)
+    cfg["path"] = [["0.5"], ["0.75"], ["1"]]
+    path = write_cfg(tmp_path, "c.json", cfg)
+    assert main(["--config", path, "pfaffian"]) == 2
+    assert "needs an initial vector 'c0'" in json.loads(capsys.readouterr().out)["error"]["message"]
+    cfg["c0"] = ["1", "0"]
+    assert main(["--config", write_cfg(tmp_path, "c.json", cfg), "pfaffian"]) == 3
+    assert capsys.readouterr().out == (
+        '{\n  "error": {\n    "code": 3,\n    "message": "segment 1 passes within 0 of a '
+        'pole hyperplane (guard 0.00025)",\n    "type": "SingularityError"\n  }\n}\n')
 
 
 def test_cmd_verify_and_plot(tmp_path, capsys):
@@ -308,6 +380,27 @@ def window_cfg(params, M, z, **extra):
                            "theta": [str(x) for x in params.theta[1:]],
                            "planck": str(params.planck)},
             "z": z, "quadrature": {"nodes_per_axis": 24}, **extra}
+
+
+@pytest.mark.parametrize("M,quad,key,flag", [
+    (1, {"nodes_per_axis": 16}, "nodes_per_axis", "--nodes"),
+    (2, {"scheme": "monte_carlo", "mc_samples": 2000, "seed": 1}, "seed", "--seed")],
+    ids=["nodes", "seed"])
+def test_quadrature_flag_overrides_the_config(tmp_path, capsys, M, quad, key, flag):
+    out = []
+    for q, argv in ((quad, [flag, "24"]), ({**quad, key: 24}, [])):
+        cfg = window_cfg(m_window_params(2, 1, M), M, ["0.4"], quadrature=q)
+        assert main(["--config", write_cfg(tmp_path, "c.json", cfg), "integral"] + argv) == 0
+        out.append(capsys.readouterr().out)
+    assert out[0] == out[1]
+
+
+def test_tensor_quadrature_that_does_not_stabilize_exit3(tmp_path, capsys):
+    cfg = window_cfg(m1_window_params(2, 1), 1, ["0.4"],
+                     quadrature={"nodes_per_axis": 4, "stabilize_tol": 1e-300})
+    assert main(["--config", write_cfg(tmp_path, "c.json", cfg), "integral"]) == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ConvergenceError" and "failed to stabilize" in error["message"]
 
 
 def test_underflowing_window_probe_exit3(tmp_path, capsys):
@@ -611,10 +704,17 @@ def test_json_boolean_is_not_a_number_exit2(tmp_path, capsys, command, edit, mes
                                   ["check", "commute", "--seed", "5"],
                                   ["check", "lemmas", "--dmax", "9"],
                                   ["check", "lemmas", "--z", "0.4,0.7"],
-                                  ["check", "commute", "--M", "2"]])
+                                  ["check", "commute", "--M", "2"],
+                                  ["integral", "--seed", "5"], ["verify", "--seed", "5"],
+                                  ["integral", "--nodes", "8"],
+                                  ["verify", "--nodes", "8"]])
 def test_flag_the_subcommand_does_not_read_is_rejected(tmp_path, capsys, argv):
-    # check takes --M, --z, --dmax and --seed only when a check it runs reads them
-    path = write_cfg(tmp_path, "c.json", base_cfg(2, 2, 1))
+    # check takes --M, --z, --dmax and --seed only when a check it runs reads them;
+    # integral and verify take --nodes only for a tensor rule, --seed only for Monte Carlo
+    cfg = base_cfg(2, 2, 1)
+    if "--nodes" in argv:
+        cfg["quadrature"] = {"scheme": "monte_carlo"}
+    path = write_cfg(tmp_path, "c.json", cfg)
     with pytest.raises(SystemExit) as exc:
         main(["--config", path] + argv)
     assert exc.value.code == 2
@@ -699,6 +799,8 @@ def test_check_flatness_reads_no_z(tmp_path, capsys):
     (lambda c: c.update(i="first"), "i must be int"),
     (lambda c: c.update(i=1.5), "i must be int"),
     (lambda c: c["model"].update(M=1.5), "model M must be int"),
+    (lambda c: c["parameters"].update(theta=["0"] + c["parameters"]["theta"]),
+     "theta must list theta_1..theta_N (length 1)"),
 ])
 def test_config_intake_errors_are_parameter_errors(tmp_path, capsys, edit, message):
     cfg = base_cfg(2, 1, 1)

@@ -10,7 +10,7 @@ from scipy.optimize import linear_sum_assignment
 from conftest import random_params, random_z, resonant_params
 from dense_oracle import (DenseSystem, fraction_columns, fraction_flatness, fraction_residues,
                           fractions, point_flatness, propagate_stagewise,
-                          transport_matrix_float)
+                          transport_matrix_float, zpath_guard)
 from qims.errors import ParameterError, PropagationError, SingularityError, SubspaceError
 from qims.pfaffian import (PfaffianSystem, ZPath, _cleared, codim2_flats, flatness_residual,
                            propagate, restricted_residues)
@@ -288,7 +288,7 @@ def test_array_step_matches_stagewise_oracle(L, N, M):
     rtol = 1e-10
     want = propagate_stagewise(system, path, c0, rtol=rtol / 100, atol=1e-14)
     for start in (c0, np.column_stack([c0, c0])):
-        got = propagate(system, path, start, rtol=rtol)
+        got, _ = propagate(system, path, start, rtol=rtol)
         assert got.shape == start.shape
         assert np.abs(got.T - want).max() <= rtol * np.abs(want).max()
 
@@ -307,7 +307,7 @@ def test_propagate_grazing_a_pole_matches_dop853(N, M, waypoints):
     path = ZPath(waypoints)
     c0 = np.array([random.Random(7).uniform(-1, 1) for _ in range(system.dim)], dtype=complex)
     rtol = 1e-12
-    got, stats = propagate(system, path, c0, rtol=rtol, atol=1e-14, with_stats=True)
+    got, stats = propagate(system, path, c0, rtol=rtol, atol=1e-14)
     want = transport_matrix_float(system, waypoints, c0, rtol=1e-13, atol=1e-15)
     assert stats.steps > 30
     assert np.abs(got - want).max() <= stats.steps * rtol * np.abs(want).max()
@@ -321,7 +321,7 @@ def test_propagate_large_exponents_match_dop853():
     system = v_system(2, 1, 2, seed=7, planck=F(1, 8))
     waypoints, c0 = [(0.05,), (0.5,)], np.array([1.0, -0.5, 0.25], dtype=complex)
     rtol = 1e-10
-    got, stats = propagate(system, ZPath(waypoints), c0, rtol=rtol, with_stats=True)
+    got, stats = propagate(system, ZPath(waypoints), c0, rtol=rtol)
     want = transport_matrix_float(system, waypoints, c0, rtol=1e-12, atol=1e-300)
     assert np.abs(got - want).max() <= stats.steps * rtol * np.abs(want).max()
 
@@ -343,29 +343,101 @@ def test_residue_transport_matches_matrix_float_transport(L, N, M):
     z = [float(x) for x in random_z(N, rnd)]
     waypoints = [z, [x + 0.03 + 0.05j * (k + 1) for k, x in enumerate(z)]]
     c0 = np.array([rnd.uniform(-1, 1) for _ in range(system.dim)], dtype=complex)
-    got = propagate(system, ZPath(waypoints), c0, rtol=1e-12, atol=1e-14)
+    got, _ = propagate(system, ZPath(waypoints), c0, rtol=1e-12, atol=1e-14)
     want = transport_matrix_float(system, waypoints, c0, rtol=1e-12, atol=1e-14)
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
 def test_zpath_guards():
-    with pytest.raises(SingularityError):
-        ZPath([(0.5,), (1.0,)])        # hits z=1
-    with pytest.raises(SingularityError):
-        ZPath([(0.4, 0.7), (0.7, 0.4)])  # crosses z_1 = z_2
-    p = ZPath([(0.4, 0.7), (0.45, 0.72)])
-    assert p.dim == 2 and not p.is_closed()
+    # propagate guards every segment, a repeated waypoint included; ZPath does not
+    system = v_system(2, 2, 1, seed=9)
+    with pytest.raises(SingularityError, match="segment 1 passes within 0 "):
+        propagate(system, ZPath([(0.4, 0.7), (0.45, 0.72), (0.7, 0.4)]), np.ones(3))
+    with pytest.raises(SingularityError, match="segment 0 passes within 0 "):
+        propagate(v_system(2, 1, 1, seed=9), ZPath([(0.5,), (1.0,)]), np.ones(2))
+    with pytest.raises(SingularityError, match=r"segment 0 passes within 0 .* \(guard 0\)"):
+        propagate(system, ZPath([(0.0, 0.7), (0.0, 0.7)]), np.ones(3))
+    assert ZPath([(0.4, 0.7), (0.7, 0.4)]).dim == 2
+
+
+def near_pole_segments(N, rnd, count):
+    """Straight segments past the hyperplanes z_i = 0, z_i = 1 and z_i = z_j at
+    1e-4 to 1e-2 of their length, the guard being 1e-3; one in 20 is a repeated
+    waypoint, half of those on a hyperplane exactly."""
+    def cplx(r):
+        return complex(rnd.uniform(-r, r), rnd.uniform(-r, r))
+
+    for _ in range(count):
+        i, kind = rnd.randrange(N), rnd.choice(["0", "1", "z_j"])
+        z = [complex(rnd.uniform(-0.5, 1.5), rnd.uniform(-0.5, 0.5)) for _ in range(N)]
+        if rnd.random() < 0.05:
+            if rnd.random() < 0.5:
+                z[i] = {"0": 0j, "1": 1 + 0j}.get(kind, z[(i + 1) % N])
+            yield z, list(z)
+            continue
+        length = 10 ** rnd.uniform(-2, 0)
+        d = [cplx(1) for _ in range(N)]
+        d = [x * length / math.sqrt(sum(abs(y) ** 2 for y in d)) for x in d]
+        s, off = rnd.uniform(-0.1, 1.1), length * 10 ** rnd.uniform(-4, -2) * cmath.exp(
+            2j * math.pi * rnd.random())
+        if kind == "z_j":  # z_i - z_j = sqrt 2 off at s, off away from the hyperplane
+            j = (i + 1 + rnd.randrange(N - 1)) % N
+            z[i] = z[j] + math.sqrt(2) * off - s * (d[i] - d[j])
+        else:
+            z[i] = int(kind) + off - s * d[i]
+        yield z, [x + y for x, y in zip(z, d)]
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_propagate_guard_matches_zpath_oracle(N):
+    # propagate rejects exactly the segments the per-variable geometry of
+    # zpath_guard rejects, with the same message; with NaN in c0 a segment the
+    # guard passes fails on its first Taylor term instead of being transported
+    system = v_system(2, N, 1, seed=9)
+    nan = np.full(system.dim, np.nan)
+    outcomes = []
+    for wa, wb in near_pole_segments(N, random.Random(N), 1200):
+        want = got = None
+        try:
+            zpath_guard([wa, wb])
+        except SingularityError as exc:
+            want = str(exc)
+        try:
+            propagate(system, ZPath([wa, wb]), nan)
+        except SingularityError as exc:
+            got = str(exc)
+        except PropagationError:
+            pass
+        assert got == want, (wa, wb)
+        outcomes.append(want is None)
+    assert 0.2 < sum(outcomes) / len(outcomes) < 0.8
+
+
+@pytest.mark.parametrize("rtol", [1e-8, 1e-10, 1e-12, 1e-14])
+def test_propagate_raises_when_rounding_swamps_the_endpoint(rtol):
+    # past z_1 = 0 at 6e-4, just outside the guard, the exponents -16 and -9
+    # of A_0 grow c to 1e43 and back, so rounding leaves O(1) relative error
+    # in the endpoint (it differed by O(1) from one rtol to the next)
+    system = v_system(2, 1, 2, seed=7)
+    path = ZPath([(-0.3 + 6.0006e-4j,), (0.3 + 6.0006e-4j,)])
+    c0 = np.array([random.Random(7).uniform(-1, 1) for _ in range(system.dim)], dtype=complex)
+    with pytest.raises(PropagationError, match="lost accuracy") as exc:
+        propagate(system, path, c0, rtol=rtol, atol=1e-14)
+    assert exc.value.location == (0, 1.0)
+    # a path without a step adds no rounding, whatever rtol asks
+    out, _ = propagate(system, ZPath(path.waypoints[:1]), c0, rtol=1e-20, atol=1e-300)
+    assert np.array_equal(out, c0)
 
 
 def test_propagate_trivial_cases():
     system = v_system(2, 2, 1, seed=9)
     c0 = np.array([1.0, -0.5, 0.25])
-    out = propagate(system, ZPath([(0.4, 0.7)]), c0)
+    out, _ = propagate(system, ZPath([(0.4, 0.7)]), c0)
     assert np.array_equal(out, c0)
-    out = propagate(system, ZPath([(0.4, 0.7), (0.5, 0.8)]), np.zeros(3))
+    out, _ = propagate(system, ZPath([(0.4, 0.7), (0.5, 0.8)]), np.zeros(3))
     assert np.all(out == 0)
     block = np.arange(6.0).reshape(3, 2)
-    assert np.array_equal(propagate(system, ZPath([(0.4, 0.7)]), block), block)
+    assert np.array_equal(propagate(system, ZPath([(0.4, 0.7)]), block)[0], block)
     for bad in (np.zeros(2), np.zeros((2, 3)), np.zeros((3, 1, 1)), np.float64(1)):
         with pytest.raises(ParameterError, match="c0 must have shape"):
             propagate(system, ZPath([(0.4, 0.7)]), bad)
@@ -394,13 +466,13 @@ def test_propagate_path_independence():
     system = v_system(2, 2, 1, seed=10)
     c0 = np.array([1.0, 0.3, -0.2])
     rtol = 1e-10
-    a = propagate(system, ZPath([(0.35, 0.7), (0.5, 0.8)]), c0, rtol=rtol)
-    b = propagate(system, ZPath([(0.35, 0.7), (0.38, 0.82), (0.5, 0.8)]), c0,
-                  rtol=rtol)
+    a, _ = propagate(system, ZPath([(0.35, 0.7), (0.5, 0.8)]), c0, rtol=rtol)
+    b, _ = propagate(system, ZPath([(0.35, 0.7), (0.38, 0.82), (0.5, 0.8)]), c0,
+                     rtol=rtol)
     assert np.abs(a - b).max() <= 10 * rtol * max(1.0, np.abs(a).max())
     # tolerance-halving convergence oracle
-    tight = propagate(system, ZPath([(0.35, 0.7), (0.5, 0.8)]), c0, rtol=rtol / 10,
-                      atol=1e-13)
+    tight, _ = propagate(system, ZPath([(0.35, 0.7), (0.5, 0.8)]), c0, rtol=rtol / 10,
+                         atol=1e-13)
     assert np.abs(a - tight).max() <= 10 * rtol * max(1.0, np.abs(a).max())
 
 
@@ -411,9 +483,9 @@ def test_propagate_linearity():
     c0 = np.array([1.0, 0.0, 0.5])
     c1 = np.array([0.2, -1.0, 0.1])
     al, be = 1.7, -0.6
-    lhs = propagate(system, path, al * c0 + be * c1, rtol=rtol)
-    rhs = al * propagate(system, path, c0, rtol=rtol) + be * propagate(
-        system, path, c1, rtol=rtol)
+    lhs, _ = propagate(system, path, al * c0 + be * c1, rtol=rtol)
+    rhs = al * propagate(system, path, c0, rtol=rtol)[0] + be * propagate(
+        system, path, c1, rtol=rtol)[0]
     assert np.abs(lhs - rhs).max() <= 5 * rtol * max(1.0, np.abs(lhs).max())
 
 
@@ -422,9 +494,9 @@ def test_monodromy_contractible_and_degenerate():
     c0 = np.array([1.0, 0.2, -0.1])
     rtol = 1e-10
     loop = ZPath([(0.4, 0.7), (0.45, 0.73), (0.42, 0.75), (0.4, 0.7)])
-    out = propagate(system, loop, c0, rtol=rtol)
+    out, _ = propagate(system, loop, c0, rtol=rtol)
     assert np.abs(out - c0).max() <= 10 * rtol * max(1.0, np.abs(c0).max())
-    out = propagate(system, ZPath([(0.4, 0.7), (0.4, 0.7)]), c0)
+    out, _ = propagate(system, ZPath([(0.4, 0.7), (0.4, 0.7)]), c0)
     assert np.array_equal(out, c0)
 
 
@@ -443,10 +515,10 @@ def test_monodromy_collision_loop_composition():
     pts.append(pts[0])
     loop = ZPath(pts)
     rtol = 1e-11
-    once = propagate(system, loop, c0, rtol=rtol)
-    twice = propagate(system, loop, once, rtol=rtol)
+    once, _ = propagate(system, loop, c0, rtol=rtol)
+    twice, _ = propagate(system, loop, once, rtol=rtol)
     double = ZPath(pts + pts[1:])
-    direct = propagate(system, double, c0, rtol=rtol)
+    direct, _ = propagate(system, double, c0, rtol=rtol)
     assert np.abs(direct - twice).max() <= 20 * rtol * max(1.0, np.abs(twice).max())
     # a genuine monodromy-like action: the loop need not act trivially
     assert once.shape == c0.shape
@@ -478,7 +550,7 @@ def test_monodromy_about_one_hyperplane(L, N, M, key, planck):
         loop = [(z,) for z in circle(key[1])]
     else:  # z_1 - z_2 winds once about 0 while z_1 + z_2 stays put
         loop = [(0.5 + w / 2, 0.5 - w / 2) for w in circle(0)]
-    T = propagate(system, ZPath(loop), np.eye(system.dim), rtol=1e-11, atol=1e-13)
+    T, _ = propagate(system, ZPath(loop), np.eye(system.dim), rtol=1e-11, atol=1e-13)
     want = np.exp(2j * np.pi * np.linalg.eigvals(system.residue_array([key])) / planck)
     cost = np.abs(want[:, None] - np.linalg.eigvals(T)[None, :])
     rows, cols = linear_sum_assignment(cost)

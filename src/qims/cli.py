@@ -471,7 +471,7 @@ def cmd_pfaffian(cfg, args):
     atol = positive(tol.get("atol", 1e-12), "tolerances atol")
     vec, stats = pfaffian.propagate(system, zpath, c0, rtol=rtol, atol=atol)
     payload = {
-        "endpoint": [emit_scalar(complex(x), rtol) for x in vec],
+        "endpoint": [emit_scalar(complex(x)) for x in vec],
         "steps": {"accepted": stats.steps, "rejected": 0, "rhs_evaluations": stats.products},
         "rtol": rtol, "atol": atol,
     }

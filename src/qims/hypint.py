@@ -38,7 +38,9 @@ product of the other copies, which never reaches full size.  Full-size
 arrays (the weight and its products with the last copy's form) are built
 one slab of about 2^15 points at a time, so memory stays flat as the node
 count grows.  Monte Carlo draws each cube axis from a Kumaraswamy law
-whose endpoint powers match the integrand's measured ones.
+whose endpoint powers match the integrand's.  Those powers, and the window
+check on every face, come from the closed form of :func:`_face_exponent`,
+exact in the parameters and free of z.
 
 Every quadrature result is checked by node refinement (Gauss-Jacobi
 doubles the nodes, tanh-sinh takes 1.5x as many), never assumed stable.
@@ -52,9 +54,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, permutations, product
 
 import numpy as np
 
@@ -126,32 +127,7 @@ def _z_of_length(z, N):
     return z
 
 
-# --- degree-1 exponents and forms ---------------------------------------------------
-
-def _axis_exponents_m1(exps: ExponentsM, n):
-    """Exact per-axis cube exponents (a_k, b_k) of the degree-1 coefficients
-    of phi_n^(i) (n >= 1, any i) or of phi_0 (n = 0), after checking that
-    every one exceeds -1.  Includes the substitution Jacobian and the form
-    density."""
-    a, b = [], []
-    for k in range(1, exps.L):
-        ak = sum(exps.alpha[k - 1:], Fraction(0))
-        ak -= sum(exps.gamma[k:], Fraction(0))
-        ak = ak / exps.planck - 1
-        bk = -exps.gamma[k - 1] / exps.planck - 1
-        # phi_n has one gap t_{n-1} - t_n = u_1...u_{n-1} (1 - u_n) more than phi_0
-        if k <= n - 1:
-            ak += 1
-        if k == n:
-            bk += 1
-        if not (ak > -1 and bk > -1):
-            raise ConvergenceError(
-                f"nonconvergent exponent window: axis exponents ({float(ak)}, "
-                f"{float(bk)}) for the coefficients of phi_{n}")
-        a.append(ak)
-        b.append(bk)
-    return a, b
-
+# --- degree-1 forms -----------------------------------------------------------------
 
 def _m1_form(A, N):
     """(n, i) of the form phi_n^(i) behind the degree-1 index A; (0, None) for phi_0."""
@@ -201,12 +177,14 @@ def series_psi1(params: Parameters, z, order: int) -> IntegralResult:
     if abs(zv) >= 1:
         raise ParameterError(f"series requires |z| < 1, got {zv}")
     kp = float(exps.planck)
+    expos = _window_check(exps)
     basis = tuple(enumerate_basis(exps.L, 1, 1))
     vec = np.zeros(len(basis))
     tails = []
     for slot, A in enumerate(basis):
         n, _ = _m1_form(A, 1)
-        a, b = _axis_exponents_m1(exps, n)
+        # phi_n has one gap t_{n-1} - t_n = u_1...u_{n-1} (1 - u_n) more than phi_0
+        ab = [(ak + (k < n), bk + (k == n)) for k, (ak, bk) in enumerate(expos, 1)]
         # (1 - zT)^(-beta/kappa) = sum_k (beta/kappa)_k (zT)^k / k!, one extra
         # power of 1/(1 - zT) for the degree-1 coefficients
         s = float(exps.beta[0]) / kp + (1.0 if n else 0.0)
@@ -215,7 +193,7 @@ def series_psi1(params: Parameters, z, order: int) -> IntegralResult:
         ratio = 1.0  # (s)_k / k!, carried as one float: k! alone overflows a float at k = 171
         for k in range(order + 1):
             logterm = sum(
-                _log_beta(float(ak) + k + 1.0, float(bk) + 1.0) for ak, bk in zip(a, b))
+                _log_beta(float(ak) + k + 1.0, float(bk) + 1.0) for ak, bk in ab)
             term = ratio * zv ** k * math.exp(logterm)
             total += term
             ratio *= (s + k) / (k + 1)
@@ -258,10 +236,9 @@ class _ChainPoint:
         return self._gaps[(min(p, r), max(p, r))]
 
 
-def _psiM_coeffs(exps: ExponentsM, z, pt: _ChainPoint, logw, basis, i=None, pointwise=False):
+def _psiM_coeffs(exps: ExponentsM, z, pt: _ChainPoint, logw, basis, i=None):
     """Coefficient integrands summed over points: dicts A -> value and, with a
-    time index i, A -> d/dz_i of it (empty without one).  With ``pointwise``
-    each value is the array of per-point terms instead of their sum.
+    time index i, A -> d/dz_i of it (empty without one).
 
     logw already contains the quadrature weight and any substitution
     Jacobian; the per-copy 1/t_{L-1} normalization and the symmetric
@@ -362,8 +339,7 @@ def _psiM_coeffs(exps: ExponentsM, z, pt: _ChainPoint, logw, basis, i=None, poin
         if last not in sums:
             shape = np.broadcast_shapes(*(np.shape(v) for v in rows))
             shape = (1,) * (base.ndim - len(shape)) + shape
-            axes = () if pointwise else tuple(
-                ax for ax, (k, n) in enumerate(zip(shape, base.shape)) if k == 1 < n)
+            axes = tuple(ax for ax, (k, n) in enumerate(zip(shape, base.shape)) if k == 1 < n)
             lin = form(last)
             terms = [(base, f) for f in lin.values()]
             if dacc:
@@ -381,8 +357,7 @@ def _psiM_coeffs(exps: ExponentsM, z, pt: _ChainPoint, logw, basis, i=None, poin
         for row, v in zip(R, rows):
             row[...] = v
         # einsum, not BLAS: the sum's order must not vary with BLAS threads
-        G = np.einsum("mr,yr->myr" if pointwise else "mr,yr->my",
-                      R.reshape(len(R), -1), S.reshape(len(S), -1))
+        G = np.einsum("mr,yr->my", R.reshape(len(R), -1), S.reshape(len(S), -1))
         for m, mono in enumerate(poly):
             for k, y in enumerate(ys):
                 A = tuple(u + v for u, v in zip(mono, y))
@@ -411,94 +386,95 @@ def _times(poly, lin, out):
     return out
 
 
-def _axis_exponents_numeric(exps: ExponentsM, z, basis):
-    """Measured endpoint exponents of the cube integrand, all in one kernel
-    call: per axis (v -> 0 and v -> 1 separately), then at every corner
-    where 2 or 3 faces meet.
+# --- exact window exponents ---------------------------------------------------------
 
-    Each probe approaches its faces together at two distances and fits the
-    power.  Returns a list of (faces, exponent), per-axis probes first, with
-    exponent None where the probe value at either distance is 0 or not
-    finite: an underflow or overflow leaves the power unmeasurable.
+def _face_exponent(exps: ExponentsM, faces):
+    """Exact power of the cube integrand as the (axis, side) ``faces`` are
+    approached together at one rate, v -> 0 at side 0 and v -> 1 at side 1.
+
+    On the chamber each c_A is (-1)^|A| M! times a sum of products of
+    positive factors: the weight, the reciprocal gaps of the one-copy forms
+    and 1/(1 - z_j t) with 0 < z_j < 1.  Nothing cancels, so a coefficient's
+    power is the least among its terms, and c_0 has the least of all: each
+    of its copies carries f_0, which holds every reciprocal gap.  Each factor
+    vanishes to an integer order: x_p to #{j <= p at side 0}; the gap
+    x_p - x_r = x_p (1 - v_(p+1) ... v_r) to that order, plus 1 if every j
+    in p+1..r is at side 1; 1 - x_p to order 1 if every j <= p is; the
+    Jacobian v_j^(K-1-j) to K-1-j if j is at side 0; 1/(1 - z_j t) to none,
+    so z drops out.
+    """
+    L, M, K = exps.L, exps.M, (exps.L - 1) * exps.M
+    side = dict(faces)
+    zeros = list(accumulate(side.get(j) == 0 for j in range(K)))  # order of x_p
+
+    def ones(lo, hi):  # whether every axis lo..hi is at side 1
+        return all(side.get(j) == 1 for j in range(lo, hi + 1))
+
+    def gap(p, r):  # order of x_p - x_r for p < r
+        return zeros[p] + ones(p + 1, r)
+
+    lev = [range(n * M, (n + 1) * M) for n in range(L - 1)]  # chain positions per level
+    # (kappa times a weight exponent, order of its base); the rest, the
+    # Jacobian and the per-copy 1/t_(L-1), have integer exponents
+    terms = []
+    rest = sum(K - 1 - j for j, s in side.items() if s == 0) - sum(zeros[p] for p in lev[-1])
+    for n, ps in enumerate(lev):  # t_n and the within-level gaps
+        terms.append((exps.alpha[n], sum(zeros[p] for p in ps)))
+        terms.append((2, sum(gap(p, r) for p, r in combinations(ps, 2))))
+    top = sum(ones(0, p) for p in lev[0])  # 1 - t_1, in the weight and in every form
+    terms.append((-exps.gamma[0], top))
+    rest -= top
+    for n in range(L - 2):
+        upper, lower = lev[n], lev[n + 1]
+        terms.append((-exps.gamma[n + 1], sum(gap(p, r) for p in upper for r in lower)))
+        # each copy pairs one upper position with one lower one.  The x_p parts
+        # of the reciprocal gaps do not depend on the pairing; ones(p + 1, r)
+        # holds just for p and r on the run of side-1 axes through lower[0],
+        # and any pairing matches at most min(#p, #r) of them, the best exactly
+        rest -= sum(zeros[p] for p in upper) + min(sum(ones(p + 1, lower[0]) for p in upper),
+                                                   sum(ones(lower[0], r) for r in lower))
+    return sum(e * k for e, k in terms if k) / exps.planck + rest
+
+
+def _window_check(exps: ExponentsM):
+    """Integrability window on the concrete ordered chamber: the exact
+    per-axis exponents (E0, E1) at v = 0 and v = 1, once checked.
+
+    At M = 1 each must exceed -1; the integrand is a product of per-axis
+    powers and bounded factors there, so corners add nothing.  At M >= 2
+    each must exceed -0.98, and each corner of c = 2 or 3 faces -c + 0.05,
+    as it integrates rho^(E + c - 1) drho.  The per-axis bound implies the
+    analytic conditions: a within-level collision face has E1 = 2/kappa
+    from the weight alone, so Re(2/kappa) > -1; an adjacent-level face
+    (L >= 3) adds the forms' simple pole to the weight's (t - t')^(-1/kappa),
+    E1 = -1/kappa - 1, so Re(1/kappa) < 0 and no kappa with Re(kappa) > 0
+    converges there; axis 0 has E1 = -gamma_1/kappa - 1, so
+    Re(gamma_1/kappa) < 0.
     """
     K = (exps.L - 1) * exps.M
-    probes = [[(axis, side)] for axis in range(K) for side in (0, 1)]
-    probes += [list(zip(axes, sides)) for c in (2, 3) for axes in combinations(range(K), c)
-               for sides in product((0, 1), repeat=c)]
-    epss = (1e-4, 5e-5)
-    v = np.full((len(epss) * len(probes), K), 0.5)
-    omv = np.full_like(v, 0.5)
-    for k, (eps, faces) in enumerate(product(epss, probes)):
-        for axis, side in faces:
-            v[k, axis], omv[k, axis] = (eps, 1.0 - eps) if side == 0 else (1.0 - eps, eps)
-    logw = np.zeros(len(v))
-    for j in range(K):
-        logw += (K - 1 - j) * np.log(v[:, j])  # cube Jacobian
-    c, _ = _psiM_coeffs(exps, z, _ChainPoint(v.T, omv.T), logw, basis, pointwise=True)
-    worst = np.max(np.abs([c[A] for A in basis]), axis=0).reshape(len(epss), -1)
-    out = []
-    for faces, (w0, w1) in zip(probes, worst.T):
-        measurable = 0.0 < w0 < math.inf and 0.0 < w1 < math.inf
-        out.append((faces, (math.log(w0) - math.log(w1)) / math.log(2.0)
-                    if measurable else None))
-    return out
-
-
-@lru_cache(maxsize=8)
-def _window_check_M(exps: ExponentsM, basis):
-    """Integrability window on the concrete ordered chamber.
-
-    Within-level collision faces carry (t-t')^(2/kappa) from the weight alone,
-    so Re(2/kappa) > -1.  For L >= 3 the symmetrized densities put a simple
-    pole on the adjacent-level collision faces on top of the weight's
-    (t-t')^(-1/kappa), so those faces need -1 < Re(-1/kappa - 1) < 0, i.e.
-    -1/2 < Re(1/kappa) < 0; no kappa with Re(kappa) > 0 makes the naive
-    integral converge there.  The per-axis endpoint exponents of the
-    substituted integrand are then measured numerically and must all
-    exceed -1.  Nothing here depends on z, so a scan over z (``verify
-    --plot``) runs the check once.
-    """
-    kp = float(exps.planck)
-    # within-level collisions are codimension-1 faces of this chamber
-    if not 2.0 / kp > -1.0:
-        raise ConvergenceError(
-            f"window violated: need Re(2/kappa) > -1, got {2.0 / kp}")
-    if exps.L >= 3 and exps.M >= 2 and not 1.0 / kp < 0.0:
-        raise ConvergenceError(
-            "window violated: adjacent-level collision faces need "
-            f"Re(1/kappa) < 0 for L >= 3, got 1/kappa = {1.0 / kp}")
-    if not float(exps.gamma[0]) / kp < 1:
-        raise ConvergenceError("window violated: Re(gamma_1/kappa) must be below 1")
-    # endpoint exponents do not depend on z (z only scales smooth factors), so
-    # probe at a canonical point; the Monte Carlo proposal built from them is
-    # then the same at every z, and a scan over z sees common random numbers
-    zc = tuple(0.15 + 0.7 * j / max(exps.N - 1, 1) if exps.N > 1 else 0.35
-               for j in range(exps.N))
-    K = (exps.L - 1) * exps.M
-    measured = _axis_exponents_numeric(exps, zc, basis)
-
-    def finite(faces, expo):
-        if expo is None:
-            raise ConvergenceError(
-                f"integrand underflows or overflows while probing faces {faces}")
-        return expo
-
-    per_axis = [finite(faces, expo) for faces, expo in measured[:2 * K]]
-    expos = tuple(zip(per_axis[0::2], per_axis[1::2]))
-    for axis, (e0, e1) in enumerate(expos):
-        for side, expo in ((0, e0), (1, e1)):
-            # guard band: an exponent this close to -1 is either measurement
-            # noise on a divergent face or numerically hopeless
+    expos = tuple((_face_exponent(exps, [(axis, 0)]), _face_exponent(exps, [(axis, 1)]))
+                  for axis in range(K))
+    if exps.M == 1:
+        for a, b in expos:
+            if not (a > -1 and b > -1):
+                raise ConvergenceError(
+                    f"nonconvergent exponent window: axis exponents ({float(a)}, "
+                    f"{float(b)}) for the coefficients of phi_0")
+        return expos
+    for axis, pair in enumerate(expos):
+        for side, expo in enumerate(pair):
+            # guard band: a tensor or Monte Carlo estimate this close to a
+            # nonintegrable face is numerically hopeless
             if expo <= -0.98:
                 raise ConvergenceError(
-                    f"nonconvergent endpoint exponent {expo:.3f} on axis {axis}, "
+                    f"nonconvergent endpoint exponent {float(expo):.3f} on axis {axis}, "
                     f"side {side}")
-    # composite faces: a codimension-c corner integrates rho^(E + c - 1) drho,
-    # so it needs E > -c; per-axis probes cannot see these
-    for faces, expo in measured[2 * K:]:
-        if finite(faces, expo) <= -len(faces) + 0.05:
+    for faces in (list(zip(axes, sides)) for c in (2, 3) for axes in combinations(range(K), c)
+                  for sides in product((0, 1), repeat=c)):
+        expo = _face_exponent(exps, faces)
+        if expo <= -len(faces) + 0.05:
             raise ConvergenceError(
-                f"nonconvergent corner exponent {expo:.3f} at faces {faces}")
+                f"nonconvergent corner exponent {float(expo):.3f} at faces {faces}")
     return expos
 
 
@@ -506,10 +482,10 @@ def eval_psiM(params: Parameters, z, M: int, quad: QuadratureSpec, i=None) -> In
     """Degree-M coefficient vector c_A over the ordered chamber.
 
     M = 1 takes a Gauss-Jacobi tensor rule whose per-axis weights are the
-    exact endpoint exponents of phi_0 (:func:`_axis_exponents_m1`); every
+    exact endpoint exponents of phi_0 (:func:`_window_check`); every
     phi_n^(i) is a polynomial times that weight.  For M >= 2 the scheme is
     a tanh-sinh tensor rule or seeded Monte Carlo with a per-axis
-    Kumaraswamy proposal (see :func:`_psiM_mc`) built from the measured
+    Kumaraswamy proposal (see :func:`_psiM_mc`) built from the same exact
     endpoint exponents.  A tensor rule covers K = M(L-1) <= 6 cube axes and
     fails on a relative change above ``stabilize_tol`` under node refinement.
     Monte Carlo never fails on its error or reads that bound: ``convergence``
@@ -527,19 +503,16 @@ def eval_psiM(params: Parameters, z, M: int, quad: QuadratureSpec, i=None) -> In
     exps = dictionary_M(params, M)
     z = _check_z_box(z, exps.N, i)
     basis = tuple(enumerate_basis(exps.L, exps.N, M))
-    if M == 1:
-        expos = tuple(zip(*_axis_exponents_m1(exps, 0)))
-    else:
-        expos = _window_check_M(exps, basis)
     K = (exps.L - 1) * M
+    if quad.scheme != "monte_carlo" and K > 6:
+        raise ParameterError(f"tensor quadrature supports M(L-1) <= 6 axes, got {K}"
+                             + ("; use monte_carlo" if M >= 2 else ""))
+    expos = _window_check(exps)
 
     if quad.scheme == "monte_carlo":
         c, err, d = _psiM_mc(exps, z, basis, expos, quad.mc_samples, quad.seed, i)
         meta = {"scheme": "monte_carlo", "samples": quad.mc_samples, "seed": quad.seed, "sem": err}
     else:
-        if K > 6:
-            raise ParameterError(f"tensor quadrature supports M(L-1) <= 6 axes, got {K}"
-                                 + ("; use monte_carlo" if M >= 2 else ""))
         nodes = 2 * quad.nodes_per_axis if M == 1 else int(quad.nodes_per_axis * 1.5) | 1
         c1, _ = _psiM_tensor(exps, z, basis, _axis_rules(quad.scheme, quad.nodes_per_axis, expos))
         c, d = _psiM_tensor(exps, z, basis, _axis_rules(quad.scheme, nodes, expos), i)
@@ -634,8 +607,8 @@ def _psiM_mc(exps: ExponentsM, z, basis, expos, nsamples, seed, i=None):
     """Importance-sampled Monte Carlo on the cube image of the chamber.
 
     Each cube axis draws from Kumaraswamy(a, b) by inversion of one uniform,
-    with a = E0 + 1 and b = E1 + 1 from the measured endpoint exponents
-    (E0, E1) of the integrand.  Its density a b v^(a-1) (1 - v^a)^(b-1) has
+    with a = E0 + 1 and b = E1 + 1 (at least 0.05) from the exact endpoint
+    exponents (E0, E1).  Its density a b v^(a-1) (1 - v^a)^(b-1) has
     the endpoint powers of Beta(a, b), so the weighted integrand stays
     bounded near every face and the estimator has finite variance.  The
     seeded stream is evaluated in MC_BATCHES deterministic batches whose
@@ -645,10 +618,8 @@ def _psiM_mc(exps: ExponentsM, z, basis, expos, nsamples, seed, i=None):
     estimate of dc/dz_i on the same samples.
     """
     K = (exps.L - 1) * exps.M
-    # rounding makes the proposal (and hence the sample stream) identical
-    # across nearby z, so a scan over z sees common random numbers
-    a = np.array([round(max(e[0], -0.95), 2) + 1.0 for e in expos])
-    b = np.array([round(max(e[1], -0.95), 2) + 1.0 for e in expos])
+    a = np.array([max(float(e0), -0.95) + 1.0 for e0, _ in expos])
+    b = np.array([max(float(e1), -0.95) + 1.0 for _, e1 in expos])
     rng = np.random.default_rng(seed)
     total, dtotal, means = dict.fromkeys(basis, 0.0), None, {A: [] for A in basis}
     for k in range(MC_BATCHES):

@@ -82,9 +82,9 @@ def m_window_params(L, N, M, gamma=F(-1, 2), planck=2):
 
 
 def underflow_params(alpha):
-    """L2N1 at degree 2 (planck 2) with alpha_1 = alpha: for alpha = 150 the
-    integrand underflows to 0 at both window-probe distances of the v_0 -> 0
-    face, for alpha = 156 only at the nearer one."""
+    """L2N1 at degree 2 (planck 2) with alpha_1 = alpha: near the v_0 -> 0
+    face the integrand underflows to 0 in double precision, for alpha = 150
+    at distances 1e-4 and 5e-5, for alpha = 156 at 5e-5 only."""
     th = F(2, 7)
     return make_parameters(2, 1, e=solve_e([F(alpha)], []), kappa=[2 + th, F(-3, 2)],
                            theta=[th], planck=2)

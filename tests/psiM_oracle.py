@@ -8,25 +8,49 @@ weight U) is built as in the kernel; only the symmetrization differs.
 
 :func:`psi1_eval_at` is the degree-1 reference: one Gauss-Jacobi tensor
 rule per level n of the forms phi_n^(i), each absorbing that level's own
-exact endpoint exponents, where ``qims.hypint.eval_psiM`` puts every
-degree-1 form on the one rule of phi_0.
+endpoint exponents from :func:`axis_exponents_m1`, the closed formula of
+the nested simplex, where ``qims.hypint.eval_psiM`` puts every degree-1
+form on the one rule of phi_0 and reads its exponents from the degree-M
+face exponents.
 
 ``qims.hypint._ChainPoint`` builds chain coordinates and gaps from per-axis
 arrays that broadcast; :func:`from_cube` builds them from a stacked
-``(..., K)`` grid by a cumulative product.  :func:`probe_exponent` fits one
-window-probe exponent from two one-point kernel calls, where
-``hypint._axis_exponents_numeric`` evaluates every probe point in one batch.
+``(..., K)`` grid by a cumulative product.  :func:`probe_exponent` measures
+the power of the integrand at a set of faces from two one-point kernel
+calls, where ``hypint._face_exponent`` computes it exactly.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import permutations, product
+from fractions import Fraction
+from itertools import combinations, permutations, product
 
 import numpy as np
 
-from qims.hypint import _axis_exponents_m1, _m1_form, _psiM_coeffs
+from qims.hypint import _m1_form, _psiM_coeffs
 from qims.polyalg import flat_pos
 from qims.quadrature import gauss_jacobi_01
+
+
+def axis_exponents_m1(exps, n):
+    """Per-axis cube exponents (a_k, b_k) of the degree-1 coefficients of
+    phi_n^(i) (n >= 1, any i) or of phi_0 (n = 0), from the closed formula
+    of the nested simplex; includes the substitution Jacobian and the form
+    density.  Checks nothing."""
+    a, b = [], []
+    for k in range(1, exps.L):
+        ak = sum(exps.alpha[k - 1:], Fraction(0))
+        ak -= sum(exps.gamma[k:], Fraction(0))
+        ak = ak / exps.planck - 1
+        bk = -exps.gamma[k - 1] / exps.planck - 1
+        # phi_n has one gap t_{n-1} - t_n = u_1...u_{n-1} (1 - u_n) more than phi_0
+        if k <= n - 1:
+            ak += 1
+        if k == n:
+            bk += 1
+        a.append(ak)
+        b.append(bk)
+    return a, b
 
 
 class StackedChainPoint:
@@ -84,6 +108,29 @@ def probe_exponent(exps, z, basis, moves):
     if not all(0.0 < w < math.inf for w in vals):
         return None
     return (math.log(vals[0]) - math.log(vals[1])) / math.log(2.0)
+
+
+def measured_window_accepts(exps, basis):
+    """The window decision from measured powers: the analytic conditions on
+    2/kappa, 1/kappa and gamma_1/kappa, then every face probed at one
+    canonical z by :func:`probe_exponent`, per axis above -0.98 and at each
+    corner of c = 2 or 3 faces above -c + 0.05.  True or False, or None when
+    a probe underflows or overflows and its power is unmeasurable."""
+    kp = float(exps.planck)
+    if not (2.0 / kp > -1.0 and float(exps.gamma[0]) / kp < 1
+            and (exps.L < 3 or 1.0 / kp < 0.0)):
+        return False
+    K = (exps.L - 1) * exps.M
+    zc = tuple(0.15 + 0.7 * j / max(exps.N - 1, 1) if exps.N > 1 else 0.35
+               for j in range(exps.N))
+    probes = [[(axis, side)] for axis in range(K) for side in (0, 1)]
+    probes += [list(zip(axes, sides)) for c in (2, 3) for axes in combinations(range(K), c)
+               for sides in product((0, 1), repeat=c)]
+    expos = [probe_exponent(exps, zc, basis, faces) for faces in probes]
+    if None in expos:
+        return None
+    return all(e > (-0.98 if len(faces) == 1 else -len(faces) + 0.05)
+               for faces, e in zip(probes, expos))
 
 
 @dataclass(frozen=True)
@@ -231,7 +278,7 @@ def psi1_eval_at(exps, z, nodes, basis, i=None):
     vec = np.zeros(len(basis))
     dvec = np.zeros(len(basis)) if i is not None else None
     for n in range(L):
-        a, b = _axis_exponents_m1(exps, n)
+        a, b = axis_exponents_m1(exps, n)
         rules = [gauss_jacobi_01(nodes, float(ak), float(bk)) for ak, bk in zip(a, b)]
         W = math.prod(np.ix_(*[w for _, w in rules]))
         T = math.prod(np.ix_(*[u for u, _ in rules]))

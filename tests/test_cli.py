@@ -330,7 +330,6 @@ def test_byte_identical_reruns(tmp_path):
 
 def test_byte_identical_integral_reruns(tmp_path):
     # the slabbed tanh-sinh sums add in a fixed order
-    from qims import hypint
     params = m_window_params(2, 2, 3)
     cfg = {"model": {"L": 2, "N": 2, "M": 3},
            "parameters": {"e": [str(x) for x in params.e],
@@ -343,34 +342,10 @@ def test_byte_identical_integral_reruns(tmp_path):
     path = write_cfg(tmp_path, "c.json", cfg)
     outs = []
     for k in range(2):
-        hypint._window_check_M.cache_clear()
         out = tmp_path / f"out{k}.json"
         assert main(["--config", path, "integral", "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
-
-
-def test_verify_plot_runs_the_window_check_once(tmp_path, capsys, monkeypatch):
-    # the window check does not depend on z, so the 13-point scan reuses it
-    from qims import hypint
-    params = m_window_params(2, 1, 2)
-    cfg = {"model": {"L": 2, "N": 1, "M": 2},
-           "parameters": {"e": [str(x) for x in params.e],
-                          "kappa": [str(x) for x in params.kappa],
-                          "theta": [str(params.theta[1])],
-                          "planck": str(params.planck)},
-           "z": ["2/5"],
-           "quadrature": {"scheme": "tanh_sinh_tensor", "nodes_per_axis": 81,
-                          "stabilize_tol": 1e-4}}
-    path = write_cfg(tmp_path, "c.json", cfg)
-    calls = []
-    probe = hypint._axis_exponents_numeric
-    monkeypatch.setattr(hypint, "_axis_exponents_numeric",
-                        lambda *a: calls.append(a) or probe(*a))
-    hypint._window_check_M.cache_clear()
-    assert main(["--config", path, "verify", "--plot", str(tmp_path / "t.svg")]) == 0
-    assert json.loads(capsys.readouterr().out)["passed"] is True
-    assert len(calls) == 1
 
 
 def window_cfg(params, M, z, **extra):
@@ -403,12 +378,21 @@ def test_tensor_quadrature_that_does_not_stabilize_exit3(tmp_path, capsys):
     assert error["type"] == "ConvergenceError" and "failed to stabilize" in error["message"]
 
 
-def test_underflowing_window_probe_exit3(tmp_path, capsys):
-    cfg = window_cfg(underflow_params(150), 2, ["0.4"],
-                     quadrature={"scheme": "monte_carlo", "mc_samples": 20000})
-    assert main(["--config", write_cfg(tmp_path, "c.json", cfg), "integral"]) == 3
-    error = json.loads(capsys.readouterr().out)["error"]
-    assert error["type"] == "ConvergenceError" and "underflows" in error["message"]
+def test_fast_decaying_integrand_exit3_only_where_unstable(tmp_path, capsys):
+    # the integrand underflows near the v_0 -> 0 face; its exact window admits
+    # it, Monte Carlo evaluates it, and 41 tanh-sinh nodes fail to stabilize
+    out = {}
+    for scheme, quad in (("monte_carlo", {"mc_samples": 20000}),
+                         ("tanh_sinh_tensor", {"nodes_per_axis": 41})):
+        cfg = window_cfg(underflow_params(150), 2, ["0.4"],
+                         quadrature={"scheme": scheme, **quad})
+        out[scheme] = (main(["--config", write_cfg(tmp_path, "c.json", cfg), "integral"]),
+                       json.loads(capsys.readouterr().out))
+    rc, payload = out["monte_carlo"]
+    assert rc == 0 and len(payload["coefficients"]) == 3
+    rc, payload = out["tanh_sinh_tensor"]
+    assert rc == 3 and payload["error"]["type"] == "ConvergenceError"
+    assert "failed to stabilize" in payload["error"]["message"]
 
 
 def test_series_beyond_float_factorials(tmp_path, capsys):
@@ -426,16 +410,23 @@ def test_series_beyond_float_factorials(tmp_path, capsys):
     assert out[200]["tail_bound"] < out[60]["tail_bound"]
 
 
-def test_integral_m1_beyond_six_axes_exit2(tmp_path, capsys, monkeypatch):
-    # the degree-1 grid at L = 8 (7 axes of 48 nodes) would take 8 GiB
+@pytest.mark.parametrize("params,M,quad,tail", [
+    (lambda: m1_window_params(8, 1), 1, {"nodes_per_axis": 24}, ""),
+    (lambda: m1_window_params(8, 1, planck=-2), 1, {"nodes_per_axis": 24}, ""),
+    (lambda: m_window_params(2, 1, 7, planck=-2), 7,
+     {"scheme": "tanh_sinh_tensor", "nodes_per_axis": 21}, "; use monte_carlo")],
+    ids=["M1", "M1_outside_window", "M7_outside_window"])
+def test_tensor_beyond_six_axes_exit2(tmp_path, capsys, monkeypatch, params, M, quad, tail):
+    # the degree-1 grid at L = 8 (7 axes of 48 nodes) would take 8 GiB; the
+    # configuration error comes before the window check, whatever its verdict
     def no_grid(*args, **kwargs):
         raise AssertionError("a tensor grid was built")
     monkeypatch.setattr("qims.hypint._psiM_tensor", no_grid)
-    cfg = window_cfg(m1_window_params(8, 1), 1, ["0.4"])
+    cfg = window_cfg(params(), M, ["0.4"], quadrature=quad)
     assert main(["--config", write_cfg(tmp_path, "c.json", cfg), "integral"]) == 2
     error = json.loads(capsys.readouterr().out)["error"]
     assert (error["type"], error["message"]) == (
-        "ParameterError", "tensor quadrature supports M(L-1) <= 6 axes, got 7")
+        "ParameterError", "tensor quadrature supports M(L-1) <= 6 axes, got 7" + tail)
 
 
 def test_verify_m1_needs_unit_interior_kappa_exit2(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction as F
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -109,8 +110,8 @@ def test_series_z0_beta_product():
     params = m1_window_params(3, 1)
     ser = series_psi1(params, (0.0,), 0)
     from scipy.special import gammaln
-    from qims.hypint import _axis_exponents_m1
-    a, b = _axis_exponents_m1(dictionary_M(params, 1), 0)
+    from psiM_oracle import axis_exponents_m1
+    a, b = axis_exponents_m1(dictionary_M(params, 1), 0)
     expect = math.exp(sum(
         gammaln(float(ak) + 1) + gammaln(float(bk) + 1) - gammaln(float(ak + bk) + 2)
         for ak, bk in zip(a, b)))
@@ -140,9 +141,10 @@ def test_series_ratio_rational_structure():
     # function of k of degree <= L: fit on early ratios, predict later ones
     L = 3
     params = m1_window_params(L, 1)
-    from qims.hypint import _axis_exponents_m1, _log_beta
+    from psiM_oracle import axis_exponents_m1
+    from qims.hypint import _log_beta
     exps = dictionary_M(params, 1)
-    a, b = _axis_exponents_m1(exps, 0)
+    a, b = axis_exponents_m1(exps, 0)
     kp = float(exps.planck)
     s = float(exps.beta[0]) / kp
     terms = []
@@ -208,8 +210,7 @@ def test_m1_unit_adjacent_exponent_misses_the_oracle():
     exps = dictionary_M(m1_window_params(3, 1), 1)
     assert exps.gamma[1] != 1
     basis = tuple(hypint.enumerate_basis(3, 1, 1))
-    rules = hypint._axis_rules("gauss_jacobi_tensor", 64,
-                               tuple(zip(*hypint._axis_exponents_m1(exps, 0))))
+    rules = hypint._axis_rules("gauss_jacobi_tensor", 64, hypint._window_check(exps))
     want, _ = psi1_eval_at(exps, (0.4,), 64, basis)
 
     def gap(kernel_exps):
@@ -313,7 +314,6 @@ def test_psiM_mc_evaluates_exactly_mc_samples(monkeypatch, i):
     params = m_window_params(2, 1, 2)
     exps = dictionary_M(params, 2)
     basis = tuple(hypint.enumerate_basis(2, 1, 2))
-    hypint._window_check_M(exps, basis)  # cached, so the spy sees only the samples
     calls = []
     kernel = hypint._psiM_coeffs
     monkeypatch.setattr(hypint, "_psiM_coeffs", lambda exps, z, pt, *a: calls.append(
@@ -379,10 +379,17 @@ def test_psiM_symmetrization_consistency():
 KERNEL_SIZES = [(2, 1, 2), (2, 2, 3), (2, 1, 4), (3, 1, 2), (3, 2, 2), (3, 1, 3), (4, 1, 2)]
 
 
-def kernel_exps(L, N, M):
+def criterion_10b_params():
+    """The three-level degree-2 point of acceptance criterion 10b (planck -3)."""
+    th1 = F(2, 7)
+    return make_parameters(3, 1, e=[F(-5, 2), F(3), F(1, 2)],
+                           kappa=[2 + th1, F(1, 2), F(1)], theta=[th1], planck=-3)
+
+
+def kernel_exps(L, N, M, planck=F(2)):
     return ExponentsM(tuple(F(3, 4) + F(n, 5) for n in range(L - 1)),
                       tuple(F(-2, 7 + 2 * j) for j in range(N)),
-                      (F(-1, 2),) + (F(1),) * (L - 2), F(2), M)
+                      (F(-1, 2),) + (F(1),) * (L - 2), planck, M)
 
 
 @pytest.mark.parametrize("L,N,M", KERNEL_SIZES)
@@ -506,7 +513,7 @@ def test_kernel_on_broadcast_grid_matches_permutation_sum(L, N, M):
 
 
 def test_batch_chain_point_equals_stacked_grid():
-    # Monte Carlo and the window probes pass the columns of a (P, K) batch
+    # Monte Carlo passes the columns of a (P, K) batch
     from psiM_oracle import from_cube
     from qims.hypint import _ChainPoint
     rng = np.random.default_rng(7)
@@ -515,37 +522,78 @@ def test_batch_chain_point_equals_stacked_grid():
     _assert_same_chain(_ChainPoint(v.T, omv.T), from_cube(v, omv), (500,), 5)
 
 
-@pytest.mark.parametrize("L,N,M", KERNEL_SIZES)
-def test_batched_probe_exponents_match_one_point_probes(L, N, M):
+def _all_faces(K):
+    """Per-axis faces, then every corner of 2 or 3 faces, as the window check reads them."""
+    faces = [[(axis, side)] for axis in range(K) for side in (0, 1)]
+    return faces + [list(zip(axes, sides)) for c in (2, 3) for axes in combinations(range(K), c)
+                    for sides in product((0, 1), repeat=c)]
+
+
+@pytest.mark.parametrize("exps", [kernel_exps(L, N, M, planck) for L, N, M in KERNEL_SIZES
+                                  for planck in (F(2), F(-2))]
+                         + [dictionary_M(criterion_10b_params(), 2)],
+                         ids=[f"L{L}N{N}M{M}{s}" for L, N, M in KERNEL_SIZES for s in "+-"]
+                         + ["10b"])
+def test_exact_face_exponents_match_one_point_probes(exps):
+    # the closed form against the power measured at 1e-4 and 5e-5, on every face
     from psiM_oracle import probe_exponent
-    from qims.hypint import _axis_exponents_numeric
+    from qims.hypint import _face_exponent
     from qims.polyalg import enumerate_basis
-    exps = kernel_exps(L, N, M)
-    z = tuple(0.45 - 0.17 * k for k in range(N))
-    basis = tuple(enumerate_basis(L, N, M))
-    K = (L - 1) * M
-    measured = _axis_exponents_numeric(exps, z, basis)
-    assert [faces for faces, _ in measured[:2 * K]] == [
-        [(axis, side)] for axis in range(K) for side in (0, 1)]
-    assert len(measured) == 2 * K + 4 * math.comb(K, 2) + 8 * math.comb(K, 3)
-    for faces, expo in measured:
-        assert expo == probe_exponent(exps, z, basis, faces), faces
+    z = tuple(0.45 - 0.17 * k for k in range(exps.N))
+    basis = tuple(enumerate_basis(exps.L, exps.N, exps.M))
+    for faces in _all_faces((exps.L - 1) * exps.M):
+        expo = _face_exponent(exps, faces)
+        assert type(expo) is F
+        assert abs(float(expo) - probe_exponent(exps, z, basis, faces)) < 2e-3, faces
 
 
-def test_window_check_is_one_kernel_call(monkeypatch):
+def test_m1_face_exponents_are_the_simplex_formula():
+    # at M = 1 the per-axis face exponents are those of the nested simplex
+    from psiM_oracle import axis_exponents_m1
+    from qims.hypint import _face_exponent
+    for L in range(2, 8):
+        for N in (1, 2, 3):
+            for planck in (F(2), F(-2), F(3, 2), F(-5, 7)):
+                exps = dictionary_M(resonant_params(L, N, 1, random.Random(10 * L + N),
+                                                    planck=planck), 1)
+                got = [(_face_exponent(exps, [(k, 0)]), _face_exponent(exps, [(k, 1)]))
+                       for k in range(L - 1)]
+                assert got == list(zip(*axis_exponents_m1(exps, 0))), (L, N, planck)
+
+
+def test_window_decisions_match_the_measured_check():
+    # seeded degree-M sets, L <= 3 and K <= 4: the exact check accepts and
+    # rejects as the measured one does wherever every probe is measurable
+    from psiM_oracle import measured_window_accepts
+    from qims.hypint import _window_check
+    from qims.polyalg import enumerate_basis
+    rnd = random.Random(23)
+    seen = []
+    for _ in range(120):
+        L = rnd.choice((2, 2, 3))
+        M, N = rnd.choice((2, 3)) if L == 2 else 2, rnd.choice((1, 2))
+        exps = ExponentsM(tuple(F(rnd.randint(-6, 24), rnd.randint(1, 6)) for _ in range(L - 1)),
+                          tuple(F(rnd.randint(-9, 9), rnd.randint(1, 9)) for _ in range(N)),
+                          (F(rnd.randint(-12, 6), rnd.randint(1, 6)),) + (F(1),) * (L - 2),
+                          F(rnd.choice((-1, 1)) * rnd.randint(1, 12), rnd.randint(1, 3)), M)
+        want = measured_window_accepts(exps, tuple(enumerate_basis(L, N, M)))
+        try:
+            _window_check(exps)
+            got = True
+        except ConvergenceError:
+            got = False
+        assert want is None or got == want, exps
+        seen.append(want)
+    assert seen.count(True) >= 10 and seen.count(False) >= 10
+
+
+def test_window_check_makes_no_kernel_call(monkeypatch):
     from qims import hypint
     exps = dictionary_M(m_window_params(2, 2, 3), 3)
-    basis = tuple(hypint.enumerate_basis(2, 2, 3))
     calls = []
-    kernel = hypint._psiM_coeffs
-    monkeypatch.setattr(hypint, "_psiM_coeffs",
-                        lambda *a, **k: calls.append(1) or kernel(*a, **k))
-    hypint._window_check_M.cache_clear()
-    try:
-        hypint._window_check_M(exps, basis)
-    finally:
-        hypint._window_check_M.cache_clear()
-    assert len(calls) == 1
+    monkeypatch.setattr(hypint, "_psiM_coeffs", lambda *a, **k: calls.append(1))
+    assert len(hypint._window_check(exps)) == 3
+    assert calls == []
 
 
 def test_slabbed_tensor_equals_one_slab(monkeypatch):
@@ -568,18 +616,25 @@ def test_slabbed_tensor_equals_one_slab(monkeypatch):
         assert d[A] == pytest.approx(d1[A], rel=1e-14, abs=0)
 
 
-@pytest.mark.parametrize("alpha", [150, 156])
-@pytest.mark.parametrize("quad", [QuadratureSpec(scheme="monte_carlo", mc_samples=20000, seed=3),
-                                  QuadratureSpec(scheme="tanh_sinh_tensor", nodes_per_axis=41)],
-                         ids=["monte_carlo", "tanh_sinh"])
-def test_underflowing_window_probe_is_unmeasurable(alpha, quad):
-    from qims.hypint import _axis_exponents_numeric
+@pytest.mark.parametrize("alpha,expos", [(150, ((150, F(-3, 4)), (74, 1))),
+                                         (156, ((156, F(-3, 4)), (77, 1)))])
+def test_fast_decaying_window_is_exact(alpha, expos):
+    # the integrand underflows to 0 in double precision within 1e-4 of the
+    # v_0 -> 0 face; its exact exponents still admit it, and the quadrature
+    # decides: tanh-sinh settles at 81 nodes, Monte Carlo agrees, and 41
+    # nodes fail to stabilize
+    from qims.hypint import _window_check
     params = underflow_params(alpha)
-    exps = dictionary_M(params, 2)
-    basis = ((0,), (1,), (2,))
-    assert _axis_exponents_numeric(exps, (0.35,), basis)[0] == ([(0, 0)], None)
-    with pytest.raises(ConvergenceError, match=r"underflows or overflows .* \[\(0, 0\)\]"):
-        eval_psiM(params, (0.4,), 2, quad)
+    assert _window_check(dictionary_M(params, 2)) == expos
+    ts = eval_psiM(params, (0.4,), 2, QuadratureSpec(scheme="tanh_sinh_tensor",
+                                                     nodes_per_axis=81))
+    assert ts.convergence < 1e-9
+    mc = eval_psiM(params, (0.4,), 2,
+                   QuadratureSpec(scheme="monte_carlo", mc_samples=20000, seed=3))
+    assert np.abs(mc.vector - ts.vector).max() < 3 * mc.convergence * np.abs(ts.vector).max()
+    with pytest.raises(ConvergenceError, match="failed to stabilize"):
+        eval_psiM(params, (0.4,), 2, QuadratureSpec(scheme="tanh_sinh_tensor",
+                                                    nodes_per_axis=41))
 
 
 def test_pde_residual_m1():

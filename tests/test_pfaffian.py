@@ -103,6 +103,21 @@ def test_v_restriction_full_basis_no_overflow(L, N, M):
         system.matrix_at(i, random_z(N, random.Random(7)))
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda s: s.matrix_at(0, (F(3, 10), F(3, 5))), "time index i=0 out of range 1..2"),
+    (lambda s: s.matrix_at(3, (F(3, 10), F(3, 5))), "time index i=3 out of range 1..2"),
+    (lambda s: s.matrix_at(1, (F(3, 10),)), "z must have length N=2"),
+    (lambda s: s.matrix_float(3, [0.3, 0.6]), "time index i=3 out of range 1..2"),
+    (lambda s: s.matrix_float(1, [0.3]), "z must have length N=2"),
+    (lambda s: s.matrix_float(1, [0.3, 0.6, 0.9]), "z must have length N=2")],
+    ids=["at_i0", "at_i3", "at_short_z", "float_i3", "float_short_z", "float_long_z"])
+def test_matrix_rejects_a_bad_time_index_or_z_length(call, message):
+    system = PfaffianSystem(resonant_params(2, 2, 1, random.Random(3)), ("V", 1))
+    with pytest.raises(ParameterError) as exc:
+        call(system)
+    assert str(exc.value) == message
+
+
 def test_flatness_exact_commutator_and_derivative():
     r = flatness_residual(v_system(2, 2, 1, seed=5))
     assert r.commutator == 0 and r.derivative_rel == 0 and r.conditions == 6

@@ -378,7 +378,7 @@ def test_tensor_quadrature_that_does_not_stabilize_exit3(tmp_path, capsys):
     assert error["type"] == "ConvergenceError" and "failed to stabilize" in error["message"]
 
 
-def test_fast_decaying_integrand_exit3_only_where_unstable(tmp_path, capsys):
+def test_underflowing_window_probe_exit3(tmp_path, capsys):
     # the integrand underflows near the v_0 -> 0 face; its exact window admits
     # it, Monte Carlo evaluates it, and 41 tanh-sinh nodes fail to stabilize
     out = {}
@@ -410,23 +410,32 @@ def test_series_beyond_float_factorials(tmp_path, capsys):
     assert out[200]["tail_bound"] < out[60]["tail_bound"]
 
 
-@pytest.mark.parametrize("params,M,quad,tail", [
-    (lambda: m1_window_params(8, 1), 1, {"nodes_per_axis": 24}, ""),
-    (lambda: m1_window_params(8, 1, planck=-2), 1, {"nodes_per_axis": 24}, ""),
-    (lambda: m_window_params(2, 1, 7, planck=-2), 7,
-     {"scheme": "tanh_sinh_tensor", "nodes_per_axis": 21}, "; use monte_carlo")],
-    ids=["M1", "M1_outside_window", "M7_outside_window"])
-def test_tensor_beyond_six_axes_exit2(tmp_path, capsys, monkeypatch, params, M, quad, tail):
-    # the degree-1 grid at L = 8 (7 axes of 48 nodes) would take 8 GiB; the
-    # configuration error comes before the window check, whatever its verdict
+def _assert_beyond_six_axes_exit2(tmp_path, capsys, monkeypatch, cfg, tail=""):
     def no_grid(*args, **kwargs):
         raise AssertionError("a tensor grid was built")
     monkeypatch.setattr("qims.hypint._psiM_tensor", no_grid)
-    cfg = window_cfg(params(), M, ["0.4"], quadrature=quad)
     assert main(["--config", write_cfg(tmp_path, "c.json", cfg), "integral"]) == 2
     error = json.loads(capsys.readouterr().out)["error"]
     assert (error["type"], error["message"]) == (
         "ParameterError", "tensor quadrature supports M(L-1) <= 6 axes, got 7" + tail)
+
+
+def test_integral_m1_beyond_six_axes_exit2(tmp_path, capsys, monkeypatch):
+    # the degree-1 grid at L = 8 (7 axes of 48 nodes) would take 8 GiB
+    _assert_beyond_six_axes_exit2(tmp_path, capsys, monkeypatch,
+                                  window_cfg(m1_window_params(8, 1), 1, ["0.4"]))
+
+
+@pytest.mark.parametrize("params,M,quad,tail", [
+    (lambda: m1_window_params(8, 1, planck=-2), 1, {"nodes_per_axis": 24}, ""),
+    (lambda: m_window_params(2, 1, 7, planck=-2), 7,
+     {"scheme": "tanh_sinh_tensor", "nodes_per_axis": 21}, "; use monte_carlo")],
+    ids=["M1", "M7"])
+def test_tensor_beyond_six_axes_outside_window_exit2(tmp_path, capsys, monkeypatch,
+                                                     params, M, quad, tail):
+    # the configuration error comes before the window check, whatever its verdict
+    _assert_beyond_six_axes_exit2(tmp_path, capsys, monkeypatch,
+                                  window_cfg(params(), M, ["0.4"], quadrature=quad), tail)
 
 
 def test_verify_m1_needs_unit_interior_kappa_exit2(tmp_path, capsys, monkeypatch):

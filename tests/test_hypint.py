@@ -529,13 +529,7 @@ def _all_faces(K):
                     for sides in product((0, 1), repeat=c)]
 
 
-@pytest.mark.parametrize("exps", [kernel_exps(L, N, M, planck) for L, N, M in KERNEL_SIZES
-                                  for planck in (F(2), F(-2))]
-                         + [dictionary_M(criterion_10b_params(), 2)],
-                         ids=[f"L{L}N{N}M{M}{s}" for L, N, M in KERNEL_SIZES for s in "+-"]
-                         + ["10b"])
-def test_exact_face_exponents_match_one_point_probes(exps):
-    # the closed form against the power measured at 1e-4 and 5e-5, on every face
+def _assert_exact_matches_probes(exps):
     from psiM_oracle import probe_exponent
     from qims.hypint import _face_exponent
     from qims.polyalg import enumerate_basis
@@ -545,6 +539,19 @@ def test_exact_face_exponents_match_one_point_probes(exps):
         expo = _face_exponent(exps, faces)
         assert type(expo) is F
         assert abs(float(expo) - probe_exponent(exps, z, basis, faces)) < 2e-3, faces
+
+
+@pytest.mark.parametrize("L,N,M", KERNEL_SIZES)
+def test_batched_probe_exponents_match_one_point_probes(L, N, M):
+    # the exact exponents that replaced the batched probe, against the power
+    # the one-point probe measures at 1e-4 and 5e-5, on every face and at
+    # both signs of planck; (3, 1, 3) is the K = 6 case with 232 faces
+    for planck in (F(2), F(-2)):
+        _assert_exact_matches_probes(kernel_exps(L, N, M, planck))
+
+
+def test_exact_face_exponents_match_one_point_probes_at_10b():
+    _assert_exact_matches_probes(dictionary_M(criterion_10b_params(), 2))
 
 
 def test_m1_face_exponents_are_the_simplex_formula():
@@ -616,25 +623,30 @@ def test_slabbed_tensor_equals_one_slab(monkeypatch):
         assert d[A] == pytest.approx(d1[A], rel=1e-14, abs=0)
 
 
-@pytest.mark.parametrize("alpha,expos", [(150, ((150, F(-3, 4)), (74, 1))),
-                                         (156, ((156, F(-3, 4)), (77, 1)))])
-def test_fast_decaying_window_is_exact(alpha, expos):
+@pytest.mark.parametrize("alpha", [150, 156])
+@pytest.mark.parametrize("quad", [QuadratureSpec(scheme="monte_carlo", mc_samples=20000, seed=3),
+                                  QuadratureSpec(scheme="tanh_sinh_tensor", nodes_per_axis=41)],
+                         ids=["monte_carlo", "tanh_sinh"])
+def test_underflowing_window_probe_is_unmeasurable(alpha, quad):
     # the integrand underflows to 0 in double precision within 1e-4 of the
-    # v_0 -> 0 face; its exact exponents still admit it, and the quadrature
-    # decides: tanh-sinh settles at 81 nodes, Monte Carlo agrees, and 41
-    # nodes fail to stabilize
+    # v_0 -> 0 face, so a probe there measures no power; the exact exponents
+    # still admit the set and the quadrature decides: tanh-sinh settles at 81
+    # nodes, Monte Carlo agrees with it, and 41 nodes fail to stabilize
+    from psiM_oracle import probe_exponent
     from qims.hypint import _window_check
     params = underflow_params(alpha)
-    assert _window_check(dictionary_M(params, 2)) == expos
+    exps = dictionary_M(params, 2)
+    assert probe_exponent(exps, (0.35,), ((0,), (1,), (2,)), [(0, 0)]) is None
+    assert _window_check(exps) == ((alpha, F(-3, 4)), ({150: 74, 156: 77}[alpha], 1))
+    if quad.scheme == "tanh_sinh_tensor":
+        with pytest.raises(ConvergenceError, match="failed to stabilize"):
+            eval_psiM(params, (0.4,), 2, quad)
+        return
     ts = eval_psiM(params, (0.4,), 2, QuadratureSpec(scheme="tanh_sinh_tensor",
                                                      nodes_per_axis=81))
     assert ts.convergence < 1e-9
-    mc = eval_psiM(params, (0.4,), 2,
-                   QuadratureSpec(scheme="monte_carlo", mc_samples=20000, seed=3))
+    mc = eval_psiM(params, (0.4,), 2, quad)
     assert np.abs(mc.vector - ts.vector).max() < 3 * mc.convergence * np.abs(ts.vector).max()
-    with pytest.raises(ConvergenceError, match="failed to stabilize"):
-        eval_psiM(params, (0.4,), 2, QuadratureSpec(scheme="tanh_sinh_tensor",
-                                                    nodes_per_axis=41))
 
 
 def test_pde_residual_m1():

@@ -34,13 +34,19 @@ per-axis node arrays broadcast, and every factor keeps only the axes it
 depends on.  Only the copy at the last chain position depends on the
 deepest axis, so the weight times each term of its form is summed over
 that axis first, and one contraction pairs those sums with the expanded
-product of the other copies, which never reaches full size.  Full-size
-arrays (the weight and its products with the last copy's form) are built
-one slab of about 2^15 points at a time, so memory stays flat as the node
-count grows.  Monte Carlo draws each cube axis from a Kumaraswamy law
-whose endpoint powers match the integrand's.  Those powers, and the window
-check on every face, come from the closed form of :func:`_face_exponent`,
-exact in the parameters and free of z.
+product of the other copies, which never reaches full size.  The grid is
+evaluated one slab of about 2^15 points at a time, so memory stays flat as
+the node count grows.  Monte Carlo draws each cube axis from a Kumaraswamy
+law whose endpoint powers match the integrand's, in 16 batches.  Each
+tensor or Monte Carlo call makes one :class:`_Workspace`: the work that
+does not depend on the points is done there once, and every full-size
+array (chain coordinates and gaps, the weight and its logs, the last
+copy's form and its products with the weight, the sampled axes) is written
+with ``out=`` into a buffer of it that every slab or batch reuses, so no
+slab allocates or faults in fresh pages.  The endpoint powers, and the
+window check on every face, come from the integer orders of
+:func:`_face_orders`, tabulated once per (L, M) and dotted with the
+exponents: exact in the parameters and free of z.
 
 Every quadrature result is checked by node refinement (Gauss-Jacobi
 doubles the nodes, tanh-sinh takes 1.5x as many), never assumed stable.
@@ -52,7 +58,9 @@ it).
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations, product
@@ -205,6 +213,16 @@ def series_psi1(params: Parameters, z, order: int) -> IntegralResult:
 
 # --- degree-M chamber machinery -----------------------------------------------------
 
+def _empty(name, shape, dtype=float):
+    """A fresh array, where no workspace is given."""
+    return np.empty(shape, dtype)
+
+
+def _mul(out, name, a, b):
+    """a * b into ``out(name, shape)``."""
+    return np.multiply(a, b, out=out(name, np.broadcast(a, b).shape))
+
+
 class _ChainPoint:
     """Batched chamber points with stable gap evaluation.
 
@@ -213,22 +231,29 @@ class _ChainPoint:
     a tensor slab, the columns of a (P, K) batch for sampled points.
     ``x[p]`` = v_0 ... v_p is chain coordinate p (descending), ``omx[p]`` is
     1 - x_p and ``gap(p, r)`` is x_p - x_r, all without cancellation; each
-    keeps only the axes it depends on.
+    keeps only the axes it depends on.  With a :class:`_Workspace` the
+    full-size ones are written into its buffers.
     """
 
-    def __init__(self, v, omv):
+    def __init__(self, v, omv, ws=None):
+        out = _empty if ws is None else ws.out
         K = len(v)
         self.x, self.omx = [v[0]], [omv[0]]
         for j in range(1, K):
-            self.x.append(self.x[j - 1] * v[j])
-            self.omx.append(self.omx[j - 1] + self.x[j - 1] * omv[j])
+            self.x.append(_mul(out, ("x", j), self.x[j - 1], v[j]))
+            om = _mul(out, ("omx", j), self.x[j - 1], omv[j])
+            om += self.omx[j - 1]
+            self.omx.append(om)
         self._gaps = {}
         for p in range(K - 1):
-            prod, omprod = 1.0, 0.0
+            # 1 - v_(p+1) ... v_r, accumulated factor by factor
+            prod, omprod = v[p + 1], omv[p + 1]
             for r in range(p + 1, K):
-                omprod = omprod + prod * omv[r]
-                prod = prod * v[r]
-                self._gaps[(p, r)] = self.x[p] * omprod
+                if r > p + 1:
+                    omprod = np.add(omprod, _mul(out, "tmp", prod, omv[r]),
+                                    out=out("omprod", np.broadcast(prod, omv[r]).shape))
+                    prod = _mul(out, "prod", prod, v[r])
+                self._gaps[(p, r)] = _mul(out, ("gap", p, r), self.x[p], omprod)
 
     def gap(self, p, r):
         if p == r:
@@ -236,7 +261,167 @@ class _ChainPoint:
         return self._gaps[(min(p, r), max(p, r))]
 
 
-def _psiM_coeffs(exps: ExponentsM, z, pt: _ChainPoint, logw, basis, i=None):
+def _times_plan(left, right, out):
+    """The terms of ``left * right``, both lists of monomials with right
+    linear in y: appends each new monomial to ``out`` and returns one
+    (out index, left index, right index, add) per term, in expansion order;
+    ``add`` is False at a monomial's first term."""
+    index = {mono: o for o, mono in enumerate(out)}
+    ops = []
+    for a, mono in enumerate(left):
+        for b, y in enumerate(right):
+            key = tuple(u + v for u, v in zip(mono, y))
+            add = key in index
+            if not add:
+                index[key] = len(out)
+                out.append(key)
+            ops.append((index[key], a, b, add))
+    return ops
+
+
+def _expand(out, name, ops, left, right, outs):
+    """Run a :func:`_times_plan` on arrays: outs[o] = left[a] * right[b] at a
+    monomial's first term, outs[o] += left[a] * right[b] after it.  A None
+    entry of ``outs`` gets the buffer ``(name, o)`` at its first term."""
+    for o, a, b, add in ops:
+        if add:
+            outs[o] += _mul(out, "tmp", left[a], right[b])
+        elif outs[o] is None:
+            outs[o] = _mul(out, (name, o), left[a], right[b])
+        else:
+            np.multiply(left[a], right[b], out=outs[o])
+
+
+def _product(out, name, factors):
+    """The product of ``factors`` from the first one on; a lone factor itself."""
+    if len(factors) == 1:
+        return factors[0]
+    res = out(name, np.broadcast(*factors).shape)
+    np.multiply(factors[0], factors[1], out=res)
+    for f in factors[2:]:
+        np.multiply(res, f, out=res)
+    return res
+
+
+class _Workspace:
+    """What one tensor or Monte Carlo call of the kernel keeps for all its
+    slabs or batches.
+
+    The work that does not depend on the points is done once: the chain
+    positions, the exponent of every power in the weight, the factors of
+    every one-copy form, the pairings of the copies, and the expansion of
+    their product with the basis index each term adds to.
+
+    The full-size arrays live in one flat buffer per name.  ``points`` is
+    the size of the current slab or batch; :meth:`out` gives an array of at
+    least that many entries as the leading entries of its named buffer,
+    laid out as a fresh C-contiguous array of its shape, and makes any
+    smaller array fresh.  A buffer is sized by its first request, which the
+    call's largest slab or batch makes.  Every array is written in full
+    before it is read, so a shorter slab reads nothing a longer one left.
+    """
+
+    def __init__(self, exps: ExponentsM, basis, i, points):
+        L, N, M = exps.L, exps.N, exps.M
+        kp = float(exps.planck)
+        self.points, self._bufs = points, {}
+        # chain position of t_n^(a): all level-n copies exceed all level-(n+1)
+        # copies, copies descending within a level
+        pos = {(n, a): (n - 1) * M + (a - 1) for n in range(1, L) for a in range(1, M + 1)}
+        self.tls = [pos[(L - 1, a)] for a in range(1, M + 1)]  # chain positions of the t_{L-1}
+        self.rz = [("rz", j, p) for j in range(N) for p in self.tls]  # 1/(1 - z_j x_p)
+
+        # the chain gaps t_n - t_(n+1) between adjacent levels, always positive
+        # since level n lies above level n+1, each with its weight exponent
+        # -gamma_(n+1)/kappa (-1/kappa at M >= 2, where gamma_(n+1) = 1)
+        adjacent = {(pos[(n, a)], pos[(n + 1, b_)]): -float(exps.gamma[n]) / kp
+                    for n in range(1, L - 1) for a in range(1, M + 1) for b_ in range(1, M + 1)}
+        # (exponent, base) of every power in U and in the per-copy 1/t_{L-1}
+        powers = [(2.0 / kp, ("gap", pos[(n, a)], pos[(n, b_)]))
+                  for n in range(1, L) for a in range(1, M + 1) for b_ in range(a + 1, M + 1)]
+        powers += [(e, ("gap",) + pq) for pq, e in adjacent.items()]
+        powers += [(float(exps.alpha[n - 1]) / kp - (n == L - 1), ("x", p))
+                   for (n, a), p in pos.items()]
+        powers += [(-float(exps.gamma[0]) / kp, ("omx", pos[(1, a)])) for a in range(1, M + 1)]
+        powers += [(float(exps.beta[j]) / kp, ("rz", j, p)) for _, j, p in self.rz]
+        self.powers = powers
+        # the reciprocal gaps of the forms: 1/(t_n - t_(n+1)) and 1/(1 - t_1)
+        self.recip = list(adjacent) + list(range(M))
+
+        # the monomials of a one-copy form P_c, f_0 first, and for each copy
+        # the factors of each: f_n^(j) lacks the gap t_(n-1) - t_n of f_0
+        # and carries 1/(1 - z_j t_(L-1)), multiplied in last
+        zero = (0,) * ((L - 1) * N)
+        ykey = {(n, j): zero[:q] + (1,) + zero[q + 1:]
+                for n in range(1, L) for j in range(1, N + 1) for q in [flat_pos(n, j, N)]}
+        self.ys = [zero] + [ykey[(n, j)] for j in range(1, N + 1) for n in range(1, L)]
+
+        def factors(c):
+            cidx = [pos[(n, c[n - 1])] for n in range(1, L)]
+            rg = [cidx[0]] + list(zip(cidx, cidx[1:]))
+            return [rg] + [rg[:n - 1] + rg[n:] + [("rz", j - 1, cidx[-1])]
+                           for j in range(1, N + 1) for n in range(1, L)]
+
+        # pairing the other levels with level 1 by tau in S_M^(L-2): the
+        # copies other than the one at the last chain position, and that one
+        self.pairings = []
+        for tau in product(permutations(range(1, M + 1)), repeat=L - 2):
+            copies = [(b,) + tuple(t[b - 1] for t in tau) for b in range(1, M + 1)]
+            self.pairings.append(([c for c in copies if c[-1] != M],
+                                  next(c for c in copies if c[-1] == M)))
+        self.forms = {c: factors(c) for others, last in self.pairings for c in others + [last]}
+
+        # d/dz_i: an f^(i) term gains r = t/(1 - z_i t) at its copy's t_(L-1)
+        duals = []
+        if i is not None:
+            iy = {ykey[(n, i)] for n in range(1, L)}
+            duals = list(iy)  # in the set's order, which fixes the order of every sum
+            self.dual = [self.ys.index(y) for y in duals]
+            self.wide = [y in iy for y in self.ys]
+            self.beta_i = float(exps.beta[i - 1]) / kp
+
+        # the product of the other copies, one (poly, dpoly) pair per copy
+        # after the first: (poly + e dpoly)(lin + e dual), dropping e^2
+        poly, dpoly = ([zero], []) if M == 1 else (list(self.ys), list(duals))
+        self.steps = []
+        for _ in range(M - 2):
+            p_out, d_out = [], []
+            ops = (_times_plan(poly, self.ys, p_out), _times_plan(dpoly, self.ys, d_out),
+                   _times_plan(poly, duals, d_out))
+            self.steps.append(ops + (len(p_out), len(d_out)))
+            poly, dpoly = p_out, d_out
+        self.nrows = len(poly) + len(dpoly)
+
+        # the basis index each entry G[m, k] of the contraction adds to: poly
+        # times the last copy's form, poly times its dual part, dpoly times it
+        index = {A: k for k, A in enumerate(basis)}
+        ny = len(self.ys)
+        acc, dacc = [], []
+        for m, mono in enumerate(poly):
+            for k, y in enumerate(self.ys):
+                A = tuple(u + v for u, v in zip(mono, y))
+                if A in index:
+                    acc.append((index[A], m, k))
+                    dacc.append((index[A], m, ny + k))
+        for m, mono in enumerate(dpoly, len(poly)):
+            for k, y in enumerate(self.ys):
+                A = tuple(u + v for u, v in zip(mono, y))
+                if A in index:
+                    dacc.append((index[A], m, k))
+        self.acc, self.dacc = np.array(acc).T, np.array(dacc).T
+        self.scale = [(-1) ** sum(A) * math.factorial(M) for A in basis]
+
+    def out(self, name, shape, dtype=float):
+        size = math.prod(shape)
+        if size < self.points:
+            return np.empty(shape, dtype)
+        buf = self._bufs.get(name)
+        if buf is None or buf.size < size:
+            buf = self._bufs[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+
+def _psiM_coeffs(exps: ExponentsM, z, pt: _ChainPoint, logw, basis, i=None, ws=None):
     """Coefficient integrands summed over points: dicts A -> value and, with a
     time index i, A -> d/dz_i of it (empty without one).
 
@@ -262,178 +447,192 @@ def _psiM_coeffs(exps: ExponentsM, z, pt: _ChainPoint, logw, basis, i=None):
     form is summed over the axes along which that product has length 1,
     and one contraction pairs the two.  The axes are read off the array
     shapes, so a (P, K) batch contracts nothing.
+
+    ``ws`` is the call's :class:`_Workspace`; without one the kernel makes
+    its own, so every array is fresh.
     """
-    L, N, M = exps.L, exps.N, exps.M
-    kp = float(exps.planck)
-    # chain position of t_n^(a): all level-n copies exceed all level-(n+1)
-    # copies, copies descending within a level
-    pos = {(n, a): (n - 1) * M + (a - 1) for n in range(1, L) for a in range(1, M + 1)}
-    tls = [pos[(L - 1, a)] for a in range(1, M + 1)]  # chain positions of the t_{L-1}
+    if ws is None:
+        ws = _Workspace(exps, basis, i, np.size(logw))
+    out = ws.out
     x, omx = pt.x, pt.omx
-    rz = {(j, p): 1.0 / (1.0 - z[j] * x[p]) for j in range(N) for p in tls}
+    fac = {}
+    for key in ws.rz:
+        _, j, p = key
+        t = np.multiply(x[p], z[j], out=out(key, np.shape(x[p])))
+        np.subtract(1.0, t, out=t)
+        fac[key] = np.divide(1.0, t, out=t)
+    base = out("base", np.shape(logw))
+    np.copyto(base, logw)
+    for e, key in ws.powers:
+        kind = key[0]
+        g = (pt.gap(*key[1:]) if kind == "gap" else fac[key] if kind == "rz"
+             else (x if kind == "x" else omx)[key[1]])
+        t = np.log(g, out=out("tmp", np.shape(g)))
+        t *= e
+        base += t
+    np.exp(base, out=base)
+    for key in ws.recip:
+        g = pt.gap(*key) if isinstance(key, tuple) else omx[key]
+        fac[key] = np.divide(1.0, g, out=out(("recip", key), np.shape(g)))
 
-    # the chain gaps t_n - t_(n+1) between adjacent levels, always positive
-    # since level n lies above level n+1, each with its weight exponent
-    # -gamma_(n+1)/kappa (-1/kappa at M >= 2, where gamma_(n+1) = 1)
-    adjacent = {(pos[(n, a)], pos[(n + 1, b_)]): -float(exps.gamma[n]) / kp
-                for n in range(1, L - 1) for a in range(1, M + 1) for b_ in range(1, M + 1)}
-
-    # (exponent, base) of every power in U and in the per-copy 1/t_{L-1}
-    powers = [(2.0 / kp, pt.gap(pos[(n, a)], pos[(n, b_)]))
-              for n in range(1, L) for a in range(1, M + 1) for b_ in range(a + 1, M + 1)]
-    powers += [(e, pt.gap(*pq)) for pq, e in adjacent.items()]
-    powers += [(float(exps.alpha[n - 1]) / kp - (n == L - 1), x[p]) for (n, a), p in pos.items()]
-    powers += [(-float(exps.gamma[0]) / kp, omx[pos[(1, a)]]) for a in range(1, M + 1)]
-    powers += [(float(exps.beta[j]) / kp, val) for (j, p), val in rz.items()]
-    logbase = np.array(logw, copy=True)
-    for e, g in powers:
-        logbase += e * np.log(g)
-    base = np.exp(logbase, out=logbase)
-
-    # the reciprocal gaps of the forms: 1/(1 - t_1) and 1/(t_n - t_(n+1))
-    recip = {pq: 1.0 / pt.gap(*pq) for pq in adjacent}
-    recip.update({p: 1.0 / omx[p] for p in range(M)})
-    zero = (0,) * ((L - 1) * N)
-    ykey = {(n, j): tuple(int(k == flat_pos(n, j, N)) for k in range(len(zero)))
-            for n in range(1, L) for j in range(1, N + 1)}
-
-    def form(c):
-        """P_c as {monomial: array}."""
-        cidx = [pos[(n, c[n - 1])] for n in range(1, L)]
-        rg = [recip[cidx[0]]] + [recip[pq] for pq in zip(cidx, cidx[1:])]
-        lin = {zero: math.prod(rg)}
-        for j in range(1, N + 1):
-            pref = rz[(j - 1, cidx[-1])]
-            for n in range(1, L):
-                rest = rg[:n - 1] + rg[n:]  # f_n^(j) lacks the gap t_(n-1) - t_n
-                lin[ykey[(n, j)]] = pref * math.prod(rest)
-        return lin
-
-    acc = dict.fromkeys(basis, 0.0)
-    dacc = dict.fromkeys(basis, 0.0) if i is not None else {}
     if i is not None:
-        iy = {ykey[(n, i)] for n in range(1, L)}
-        r = {p: x[p] * rz[(i - 1, p)] for p in tls}
-        dweight = sum(float(exps.beta[i - 1]) / kp * r[p] for p in tls)
-        bw = base * dweight
-        bwi = base * (dweight + r[tls[-1]])  # an f^(i) term of the last copy gains its own r
+        r = {p: _mul(out, ("r", p), x[p], fac[("rz", i - 1, p)]) for p in ws.tls}
+        dweight = out("dweight", np.broadcast_shapes(*(np.shape(r[p]) for p in ws.tls)))
+        dweight.fill(0.0)
+        for p in ws.tls:
+            dweight += _mul(out, "tmp", r[p], ws.beta_i)
+        bw = np.multiply(base, dweight, out=out("bw", base.shape))
+        bwi = np.add(dweight, r[ws.tls[-1]], out=out("bwi", base.shape))
+        bwi *= base  # an f^(i) term of the last copy gains its own r
+
+    acc = np.zeros(len(basis))
+    dacc = np.zeros(len(basis)) if i is not None else None
     forms, sums = {}, {}
-    for tau in product(permutations(range(1, M + 1)), repeat=L - 2):
-        copies = [(b,) + tuple(t[b - 1] for t in tau) for b in range(1, M + 1)]
-        poly = dpoly = None
-        for c in copies:
-            if c[-1] == M:
-                last = c
-                continue
+    for others, last in ws.pairings:
+        for c in others:
             if c not in forms:
-                lin = form(c)
-                forms[c] = lin, ({y: lin[y] * r[pos[(L - 1, c[-1])]] for y in iy}
-                                 if dacc else {})
-            lin, dual = forms[c]
-            # (poly + e dpoly)(lin + e dual), dropping e^2
-            poly, dpoly = (lin, dual) if poly is None else (
-                _times(poly, lin, {}), _times(poly, dual, _times(dpoly, lin, {})))
-        if poly is None:  # M = 1: the last copy alone
-            poly, dpoly = {zero: 1.0}, {}
-        rows = list(poly.values()) + list(dpoly.values())
+                lin = [_product(out, (("form", c), k), [fac[f] for f in fs])
+                       for k, fs in enumerate(ws.forms[c])]
+                forms[c] = lin, ([_mul(out, ("dual", c, k), lin[k], r[ws.tls[c[-1] - 1]])
+                                  for k in ws.dual] if dacc is not None else [])
+        # the rows: the expanded product of the other copies, then its dual part
+        shape = np.broadcast_shapes(*(np.shape(v) for c in others for part in forms[c]
+                                      for v in part))
+        shape = (1,) * (base.ndim - len(shape)) + shape
+        R = out("R", (ws.nrows,) + shape)
+        if not others:  # M = 1: the last copy alone
+            R[0] = 1.0
+        elif not ws.steps:
+            for row, v in zip(R, [v for part in forms[others[0]] for v in part]):
+                row[...] = v
+        else:
+            poly, dpoly = forms[others[0]]
+            for s, (c, (ops_p, ops_dl, ops_pd, n_p, n_d)) in enumerate(zip(others[1:], ws.steps)):
+                lin, dual = forms[c]
+                last_step = s == len(ws.steps) - 1
+                p_out = list(R[:n_p]) if last_step else [None] * n_p
+                d_out = list(R[n_p:]) if last_step else [None] * n_d
+                _expand(out, ("poly", s % 2), ops_p, poly, lin, p_out)
+                _expand(out, ("dpoly", s % 2), ops_dl, dpoly, lin, d_out)
+                _expand(out, ("dpoly", s % 2), ops_pd, poly, dual, d_out)
+                poly, dpoly = p_out, d_out
         if last not in sums:
-            shape = np.broadcast_shapes(*(np.shape(v) for v in rows))
-            shape = (1,) * (base.ndim - len(shape)) + shape
+            # S[k] pairs the base with the k-th term of the last copy's form,
+            # S[len(ys) + k] its dual weight; one term is built at a time
             axes = tuple(ax for ax, (k, n) in enumerate(zip(shape, base.shape)) if k == 1 < n)
-            lin = form(last)
-            terms = [(base, f) for f in lin.values()]
-            if dacc:
-                terms += [(bwi if y in iy else bw, f) for y, f in lin.items()]
-            S = np.empty((len(terms),) + tuple(1 if ax in axes else n
-                                               for ax, n in enumerate(base.shape)))
-            for col, (w, f) in zip(S, terms):
-                if axes:
-                    np.sum(w * f, axis=axes, keepdims=True, out=col)
-                else:
-                    np.multiply(w, f, out=col)
-            sums[last] = list(lin), S
-        ys, S = sums[last]
-        R = np.empty((len(rows),) + S.shape[1:])
-        for row, v in zip(R, rows):
-            row[...] = v
+            ny = len(ws.ys)
+            S = out(("S", last), ((2 if dacc is not None else 1) * ny,) + shape)
+            for k, fs in enumerate(ws.forms[last]):
+                f = _product(out, "last", [fac[g] for g in fs])
+                terms = [(S[k], base)]
+                if dacc is not None:
+                    terms.append((S[ny + k], bwi if ws.wide[k] else bw))
+                for col, w in terms:
+                    if axes:
+                        np.sum(_mul(out, "tmp", w, f), axis=axes, keepdims=True, out=col)
+                    else:
+                        np.multiply(w, f, out=col)
+            sums[last] = S
+        S = sums[last]
         # einsum, not BLAS: the sum's order must not vary with BLAS threads
         G = np.einsum("mr,yr->my", R.reshape(len(R), -1), S.reshape(len(S), -1))
-        for m, mono in enumerate(poly):
-            for k, y in enumerate(ys):
-                A = tuple(u + v for u, v in zip(mono, y))
-                if A in acc:
-                    acc[A] += G[m, k]
-                    if dacc:  # d(poly . lin) = poly . (bw lin + base dual) + dpoly . lin
-                        dacc[A] += G[m, len(ys) + k]
-        for m, mono in enumerate(dpoly, len(poly)):
-            for k, y in enumerate(ys):
-                A = tuple(u + v for u, v in zip(mono, y))
-                if A in dacc:
-                    dacc[A] += G[m, k]
-    scale = {A: (-1) ** sum(A) * math.factorial(M) for A in basis}
-    return ({A: scale[A] * acc[A] for A in basis}, {A: scale[A] * dacc[A] for A in dacc})
-
-
-def _times(poly, lin, out):
-    """Add poly * lin into out, both {monomial: array}; lin is linear in y."""
-    for mono, val in poly.items():
-        for y, f in lin.items():
-            key = tuple(u + v for u, v in zip(mono, y))
-            if key in out:
-                out[key] += val * f  # out holds only fresh products
-            else:
-                out[key] = val * f
-    return out
+        np.add.at(acc, ws.acc[0], G[ws.acc[1], ws.acc[2]])
+        if dacc is not None:  # d(poly . lin) = poly . (bw lin + base dual) + dpoly . lin
+            np.add.at(dacc, ws.dacc[0], G[ws.dacc[1], ws.dacc[2]])
+    return ({A: s * v for A, s, v in zip(basis, ws.scale, acc)},
+            {A: s * v for A, s, v in zip(basis, ws.scale, dacc)} if dacc is not None else {})
 
 
 # --- exact window exponents ---------------------------------------------------------
 
-def _face_exponent(exps: ExponentsM, faces):
-    """Exact power of the cube integrand as the (axis, side) ``faces`` are
-    approached together at one rate, v -> 0 at side 0 and v -> 1 at side 1.
+def _window_faces(K, M):
+    """The faces the window check reads, in its order: (axis, 0) and
+    (axis, 1) for each axis, then at M >= 2 every corner of 2 or 3 faces."""
+    faces = [((axis, side),) for axis in range(K) for side in (0, 1)]
+    if M >= 2:
+        faces += [tuple(zip(axes, sides)) for c in (2, 3) for axes in combinations(range(K), c)
+                  for sides in product((0, 1), repeat=c)]
+    return faces
+
+
+@functools.lru_cache(maxsize=None)
+def _face_orders(L, M):
+    """Integer orders of the weight's bases on every face of
+    :func:`_window_faces`: per face, the order of the base of each weight
+    exponent in :func:`_face_exponents` order, and the integer rest.
 
     On the chamber each c_A is (-1)^|A| M! times a sum of products of
     positive factors: the weight, the reciprocal gaps of the one-copy forms
     and 1/(1 - z_j t) with 0 < z_j < 1.  Nothing cancels, so a coefficient's
     power is the least among its terms, and c_0 has the least of all: each
     of its copies carries f_0, which holds every reciprocal gap.  Each factor
-    vanishes to an integer order: x_p to #{j <= p at side 0}; the gap
-    x_p - x_r = x_p (1 - v_(p+1) ... v_r) to that order, plus 1 if every j
-    in p+1..r is at side 1; 1 - x_p to order 1 if every j <= p is; the
-    Jacobian v_j^(K-1-j) to K-1-j if j is at side 0; 1/(1 - z_j t) to none,
-    so z drops out.
+    vanishes to an integer order as the faces are approached together at
+    one rate, v -> 0 at side 0 and v -> 1 at side 1: x_p to
+    #{j <= p at side 0}; the gap x_p - x_r = x_p (1 - v_(p+1) ... v_r) to
+    that order, plus 1 if every j in p+1..r is at side 1; 1 - x_p to order 1
+    if every j <= p is; the Jacobian v_j^(K-1-j) to K-1-j if j is at side 0;
+    1/(1 - z_j t) to none, so z drops out.
     """
-    L, M, K = exps.L, exps.M, (exps.L - 1) * exps.M
-    side = dict(faces)
-    zeros = list(accumulate(side.get(j) == 0 for j in range(K)))  # order of x_p
-
-    def ones(lo, hi):  # whether every axis lo..hi is at side 1
-        return all(side.get(j) == 1 for j in range(lo, hi + 1))
-
-    def gap(p, r):  # order of x_p - x_r for p < r
-        return zeros[p] + ones(p + 1, r)
-
+    K = (L - 1) * M
     lev = [range(n * M, (n + 1) * M) for n in range(L - 1)]  # chain positions per level
-    # (kappa times a weight exponent, order of its base); the rest, the
-    # Jacobian and the per-copy 1/t_(L-1), have integer exponents
-    terms = []
-    rest = sum(K - 1 - j for j, s in side.items() if s == 0) - sum(zeros[p] for p in lev[-1])
-    for n, ps in enumerate(lev):  # t_n and the within-level gaps
-        terms.append((exps.alpha[n], sum(zeros[p] for p in ps)))
-        terms.append((2, sum(gap(p, r) for p, r in combinations(ps, 2))))
-    top = sum(ones(0, p) for p in lev[0])  # 1 - t_1, in the weight and in every form
-    terms.append((-exps.gamma[0], top))
-    rest -= top
-    for n in range(L - 2):
-        upper, lower = lev[n], lev[n + 1]
-        terms.append((-exps.gamma[n + 1], sum(gap(p, r) for p in upper for r in lower)))
-        # each copy pairs one upper position with one lower one.  The x_p parts
-        # of the reciprocal gaps do not depend on the pairing; ones(p + 1, r)
-        # holds just for p and r on the run of side-1 axes through lower[0],
-        # and any pairing matches at most min(#p, #r) of them, the best exactly
-        rest -= sum(zeros[p] for p in upper) + min(sum(ones(p + 1, lower[0]) for p in upper),
-                                                   sum(ones(lower[0], r) for r in lower))
-    return sum(e * k for e, k in terms if k) / exps.planck + rest
+    table = []
+    for faces in _window_faces(K, M):
+        side = dict(faces)
+        zeros = list(accumulate(side.get(j) == 0 for j in range(K)))  # order of x_p
+
+        def ones(lo, hi):  # whether every axis lo..hi is at side 1
+            return all(side.get(j) == 1 for j in range(lo, hi + 1))
+
+        def gap(p, r):  # order of x_p - x_r for p < r
+            return zeros[p] + ones(p + 1, r)
+
+        # orders of the bases of alpha_n and of the within-level 2, level by
+        # level, of -gamma_1 and of each -gamma_(n+1); the rest, the Jacobian
+        # and the per-copy 1/t_(L-1), have integer exponents
+        orders = []
+        rest = sum(K - 1 - j for j, s in side.items() if s == 0) - sum(zeros[p] for p in lev[-1])
+        for ps in lev:  # t_n and the within-level gaps
+            orders += [sum(zeros[p] for p in ps), sum(gap(p, r) for p, r in combinations(ps, 2))]
+        top = sum(ones(0, p) for p in lev[0])  # 1 - t_1, in the weight and in every form
+        orders.append(top)
+        rest -= top
+        for n in range(L - 2):
+            upper, lower = lev[n], lev[n + 1]
+            orders.append(sum(gap(p, r) for p in upper for r in lower))
+            # each copy pairs one upper position with one lower one.  The x_p
+            # parts of the reciprocal gaps do not depend on the pairing;
+            # ones(p + 1, r) holds just for p and r on the run of side-1 axes
+            # through lower[0], and any pairing matches at most
+            # min(#p, #r) of them, the best exactly
+            rest -= sum(zeros[p] for p in upper) + min(sum(ones(p + 1, lower[0]) for p in upper),
+                                                       sum(ones(lower[0], r) for r in lower))
+        table.append((faces, tuple(orders), rest))
+    return tuple(table)  # shared by every caller through the cache, so immutable
+
+
+def _face_exponents(exps: ExponentsM):
+    """Exact power of the cube integrand at each face of
+    :func:`_window_faces`, as {faces: exponent}: the weight exponents
+    (alpha_n and 2 level by level, -gamma_1, each -gamma_(n+1)) dotted with
+    the orders of their bases, over kappa, plus the integer rest.
+
+    For exact parameters that is one integer dot product per face over the
+    weights' common denominator, a ``Fraction``; float parameters are summed
+    term by term."""
+    L = exps.L
+    weights = [w for n in range(L - 1) for w in (exps.alpha[n], 2)]
+    weights += [-exps.gamma[0]] + [-exps.gamma[n + 1] for n in range(L - 2)]
+    table = _face_orders(L, exps.M)
+    if all(isinstance(w, (int, Fraction)) for w in weights + [exps.planck]):
+        den = math.lcm(*(Fraction(w).denominator for w in weights))
+        nums = [int(w * den) for w in weights]
+        planck = Fraction(exps.planck)
+        over = den * planck.numerator
+        return {faces: Fraction(planck.denominator * sum(map(operator.mul, nums, orders))
+                                + rest * over, over)
+                for faces, orders, rest in table}
+    return {faces: sum(w * k for w, k in zip(weights, orders) if k) / exps.planck + rest
+            for faces, orders, rest in table}
 
 
 def _window_check(exps: ExponentsM):
@@ -452,8 +651,8 @@ def _window_check(exps: ExponentsM):
     Re(gamma_1/kappa) < 0.
     """
     K = (exps.L - 1) * exps.M
-    expos = tuple((_face_exponent(exps, [(axis, 0)]), _face_exponent(exps, [(axis, 1)]))
-                  for axis in range(K))
+    faces = _face_exponents(exps)
+    expos = tuple((faces[((axis, 0),)], faces[((axis, 1),)]) for axis in range(K))
     if exps.M == 1:
         for a, b in expos:
             if not (a > -1 and b > -1):
@@ -469,12 +668,10 @@ def _window_check(exps: ExponentsM):
                 raise ConvergenceError(
                     f"nonconvergent endpoint exponent {float(expo):.3f} on axis {axis}, "
                     f"side {side}")
-    for faces in (list(zip(axes, sides)) for c in (2, 3) for axes in combinations(range(K), c)
-                  for sides in product((0, 1), repeat=c)):
-        expo = _face_exponent(exps, faces)
-        if expo <= -len(faces) + 0.05:
+    for corner, expo in list(faces.items())[2 * K:]:
+        if expo <= -len(corner) + 0.05:
             raise ConvergenceError(
-                f"nonconvergent corner exponent {float(expo):.3f} at faces {faces}")
+                f"nonconvergent corner exponent {float(expo):.3f} at faces {list(corner)}")
     return expos
 
 
@@ -529,7 +726,7 @@ def eval_psiM(params: Parameters, z, M: int, quad: QuadratureSpec, i=None) -> In
                           np.array([d[A] for A in basis]) if d else None)
 
 
-# points per slab of a tensor grid: one _psiM_coeffs call holds about a dozen
+# points per slab of a tensor grid: one call's workspace holds about a dozen
 # arrays of this size, whatever the node count
 _SLAB_POINTS = 1 << 15
 
@@ -556,6 +753,21 @@ def _axis_rules(scheme, nodes, expos):
     return rules
 
 
+def _tensor_slab(rules, lo, rows, ws=None):
+    """The chain points and log weights of the slab of ``rows`` axis-0
+    nodes from ``lo`` on, each cube axis as an array that broadcasts along
+    that axis only; in the buffers of ``ws`` when given."""
+    K = len(rules)
+    axes = [(slice(lo, lo + rows),) + (None,) * (K - 1)]
+    axes += [(slice(None),) + (None,) * (K - 1 - j) for j in range(1, K)]
+    v, omv, logws = ([rule[k][a] for rule, a in zip(rules, axes)] for k in range(3))
+    logw = (_empty if ws is None else ws.out)("logw", np.broadcast_shapes(*(u.shape for u in v)))
+    logw.fill(0.0)
+    for lw in logws:
+        logw += lw
+    return _ChainPoint(v, omv, ws), logw
+
+
 def _psiM_tensor(exps: ExponentsM, z, basis, rules, i=None):
     """Tensor sums of the coefficients (and of d/dz_i) on the cube, for the
     per-axis rules of :func:`_axis_rules`.
@@ -563,44 +775,74 @@ def _psiM_tensor(exps: ExponentsM, z, basis, rules, i=None):
     The grid is cut along axis 0 into slabs of about _SLAB_POINTS points;
     each slab goes through :func:`_psiM_coeffs` on its own, its cube
     variables and log weights given as one broadcasting array per axis, and
-    the slab sums are added in slab order.
+    the slab sums are added in slab order.  Every slab writes its full-size
+    arrays into the one :class:`_Workspace` of the call.
     """
     K = len(rules)
     nodes = len(rules[0][0])
     rows = max(1, _SLAB_POINTS // nodes ** (K - 1))
+    ws = _Workspace(exps, basis, i, rows * nodes ** (K - 1))
     coeffs = dict.fromkeys(basis, 0.0)
     derivs = dict.fromkeys(basis, 0.0) if i is not None else {}
     for lo in range(0, nodes, rows):
-        # axis j of the slab as an array that broadcasts along axis j only
-        axes = [(slice(lo, lo + rows),) + (None,) * (K - 1)]
-        axes += [(slice(None),) + (None,) * (K - 1 - j) for j in range(1, K)]
-        v, omv, logws = ([rule[k][a] for rule, a in zip(rules, axes)] for k in range(3))
-        logw = np.zeros(np.broadcast_shapes(*(u.shape for u in v)))
-        for lw in logws:
-            logw += lw
-        c, d = _psiM_coeffs(exps, z, _ChainPoint(v, omv), logw, basis, i)
+        ws.points = min(rows, nodes - lo) * nodes ** (K - 1)
+        c, d = _psiM_coeffs(exps, z, *_tensor_slab(rules, lo, rows, ws), basis, i, ws)
         for total, part in ((coeffs, c), (derivs, d)):
             for A in part:
                 total[A] += part[A]
     return coeffs, derivs
 
 
-def _kumaraswamy_inverse(u, a, b):
+def _kumaraswamy_inverse(u, a, b, ws=None):
     """Kumaraswamy(a, b) quantile of u in (0, 1) with its logs: returns
-    (v, 1 - v, log v, log(1 - v^a)) for the CDF 1 - (1 - v^a)^b.
+    (v, 1 - v, log v, log(1 - v^a)) for the CDF 1 - (1 - v^a)^b, in the
+    buffers of ``ws`` when given.
 
     log(1 - v^a) = log(1 - u)/b, and log v^a = log(1 - e^(log(1 - v^a))) by
-    the log1mexp branch (Maechler 2012); v and 1 - v then come from exp and
-    expm1 of log v, so neither cancels near a face.  log v is clipped to
-    [log tiny, -5e-324], so neither v nor 1 - v rounds to 0 at the ends of
-    the uniform grid (at a = 0.05, log v would fall below -745 there)."""
-    log1mva = np.log1p(-u) / b
-    cut = -math.log(2.0)  # each branch sees only arguments on its side of the cut
-    logva = np.where(log1mva >= cut, np.log(-np.expm1(np.maximum(log1mva, cut))),
-                     np.log1p(-np.exp(np.minimum(log1mva, cut))))
+    the log1mexp branch (Maechler 2012); each branch runs on the whole array
+    with its argument clamped to its side of the cut at -log 2, and the
+    one for the other side is then copied over it there.  v and 1 - v come
+    from exp and expm1 of log v, so neither cancels near a face.  log v is
+    clipped to [log tiny, -5e-324], so neither v nor 1 - v rounds to 0 at
+    the ends of the uniform grid (at a = 0.05, log v would fall below -745
+    there)."""
+    out = _empty if ws is None else ws.out
+    shape = np.shape(u)
+    cut = -math.log(2.0)
+    log1mva = np.negative(u, out=out("log1mva", shape))
+    np.log1p(log1mva, out=log1mva)
+    log1mva /= b
+    logv = np.maximum(log1mva, cut, out=out("logv", shape))
+    np.expm1(logv, out=logv)
+    np.negative(logv, out=logv)
+    np.log(logv, out=logv)
+    below = np.minimum(log1mva, cut, out=out("below", shape))
+    np.exp(below, out=below)
+    np.negative(below, out=below)
+    np.log1p(below, out=below)
+    np.copyto(logv, below, where=np.less(log1mva, cut, out=out("far", shape, bool)))
+    logv /= a
     fin = np.finfo(float)
-    logv = np.clip(logva / a, math.log(fin.tiny), -fin.smallest_subnormal)
-    return np.exp(logv), -np.expm1(logv), logv, log1mva
+    np.clip(logv, math.log(fin.tiny), -fin.smallest_subnormal, out=logv)
+    omv = np.expm1(logv, out=out("omv", shape))
+    np.negative(omv, out=omv)
+    return np.exp(logv, out=out("v", shape)), omv, logv, log1mva
+
+
+def _mc_batch(u, a, b, ws=None):
+    """The chain points and log weights (cube Jacobian over the proposal
+    density) of one batch of uniforms ``u`` of shape (K, P); in the buffers
+    of ``ws`` when given."""
+    K, per = u.shape
+    v, omv, logv, log1mva = _kumaraswamy_inverse(u, a[:, None], b[:, None], ws)
+    out = _empty if ws is None else ws.out
+    logw = out("logw", (per,))
+    logw.fill(-float(np.sum(np.log(a * b))))
+    for j in range(K):
+        t = np.multiply(logv[j], K - 1 - j - (a[j] - 1.0), out=out("tmp", (per,)))
+        t -= np.multiply(log1mva[j], b[j] - 1.0, out=out("tmp2", (per,)))
+        logw += t
+    return _ChainPoint(v, omv, ws), logw
 
 
 def _psiM_mc(exps: ExponentsM, z, basis, expos, nsamples, seed, i=None):
@@ -612,7 +854,8 @@ def _psiM_mc(exps: ExponentsM, z, basis, expos, nsamples, seed, i=None):
     the endpoint powers of Beta(a, b), so the weighted integrand stays
     bounded near every face and the estimator has finite variance.  The
     seeded stream is evaluated in MC_BATCHES deterministic batches whose
-    sizes differ by at most one, exactly ``nsamples`` points in all.
+    sizes differ by at most one, exactly ``nsamples`` points in all, every
+    batch in the one :class:`_Workspace` of the call.
     Returns the totals over all points divided by ``nsamples``, the
     standard error of the batch means and, with a time index i, the same
     estimate of dc/dz_i on the same samples.
@@ -621,17 +864,17 @@ def _psiM_mc(exps: ExponentsM, z, basis, expos, nsamples, seed, i=None):
     a = np.array([max(float(e0), -0.95) + 1.0 for e0, _ in expos])
     b = np.array([max(float(e1), -0.95) + 1.0 for _, e1 in expos])
     rng = np.random.default_rng(seed)
+    ws = _Workspace(exps, basis, i, -(-nsamples // MC_BATCHES))
     total, dtotal, means = dict.fromkeys(basis, 0.0), None, {A: [] for A in basis}
     for k in range(MC_BATCHES):
         per = nsamples // MC_BATCHES + (k < nsamples % MC_BATCHES)
+        ws.points = per
         # midpoints of a 2^-52 grid: uniform on the open interval (0, 1)
-        u = (rng.integers(0, 1 << 52, size=(K, per)) + 0.5) * 2.0 ** -52
-        v, omv, logv, log1mva = _kumaraswamy_inverse(u, a[:, None], b[:, None])
-        # cube Jacobian over the proposal density
-        logw = np.full(per, -float(np.sum(np.log(a * b))))
-        for j in range(K):
-            logw += (K - 1 - j - (a[j] - 1.0)) * logv[j] - (b[j] - 1.0) * log1mva[j]
-        c, d = _psiM_coeffs(exps, z, _ChainPoint(v, omv), logw, basis, i)
+        u = ws.out("u", (K, per))
+        u[...] = rng.integers(0, 1 << 52, size=(K, per))
+        u += 0.5
+        u *= 2.0 ** -52
+        c, d = _psiM_coeffs(exps, z, *_mc_batch(u, a, b, ws), basis, i, ws)
         for A in basis:
             total[A] += c[A]
             means[A].append(c[A] / per)

@@ -17,13 +17,13 @@ face exponents.
 arrays that broadcast; :func:`from_cube` builds them from a stacked
 ``(..., K)`` grid by a cumulative product.  :func:`probe_exponent` measures
 the power of the integrand at a set of faces from two one-point kernel
-calls, where ``hypint._face_exponent`` computes it exactly.
+calls, where :func:`face_exponent` computes it exactly, one face at a time.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, permutations, product
 
 import numpy as np
 
@@ -85,6 +85,57 @@ def from_cube(v, omv):
             prod = prod * v[..., r]
             gaps[(p, r)] = x[..., p] * omprod
     return StackedChainPoint(x, omx, gaps)
+
+
+def face_exponent(exps, faces):
+    """Exact power of the cube integrand as the (axis, side) ``faces`` are
+    approached together at one rate, v -> 0 at side 0 and v -> 1 at side 1,
+    summed term by term for one set of faces; the oracle of
+    ``qims.hypint._face_exponents``, which tabulates the integer orders once
+    per (L, M).
+
+    On the chamber each c_A is (-1)^|A| M! times a sum of products of
+    positive factors: the weight, the reciprocal gaps of the one-copy forms
+    and 1/(1 - z_j t) with 0 < z_j < 1.  Nothing cancels, so a coefficient's
+    power is the least among its terms, and c_0 has the least of all: each
+    of its copies carries f_0, which holds every reciprocal gap.  Each factor
+    vanishes to an integer order: x_p to #{j <= p at side 0}; the gap
+    x_p - x_r = x_p (1 - v_(p+1) ... v_r) to that order, plus 1 if every j
+    in p+1..r is at side 1; 1 - x_p to order 1 if every j <= p is; the
+    Jacobian v_j^(K-1-j) to K-1-j if j is at side 0; 1/(1 - z_j t) to none,
+    so z drops out.
+    """
+    L, M, K = exps.L, exps.M, (exps.L - 1) * exps.M
+    side = dict(faces)
+    zeros = list(accumulate(side.get(j) == 0 for j in range(K)))  # order of x_p
+
+    def ones(lo, hi):  # whether every axis lo..hi is at side 1
+        return all(side.get(j) == 1 for j in range(lo, hi + 1))
+
+    def gap(p, r):  # order of x_p - x_r for p < r
+        return zeros[p] + ones(p + 1, r)
+
+    lev = [range(n * M, (n + 1) * M) for n in range(L - 1)]  # chain positions per level
+    # (kappa times a weight exponent, order of its base); the rest, the
+    # Jacobian and the per-copy 1/t_(L-1), have integer exponents
+    terms = []
+    rest = sum(K - 1 - j for j, s in side.items() if s == 0) - sum(zeros[p] for p in lev[-1])
+    for n, ps in enumerate(lev):  # t_n and the within-level gaps
+        terms.append((exps.alpha[n], sum(zeros[p] for p in ps)))
+        terms.append((2, sum(gap(p, r) for p, r in combinations(ps, 2))))
+    top = sum(ones(0, p) for p in lev[0])  # 1 - t_1, in the weight and in every form
+    terms.append((-exps.gamma[0], top))
+    rest -= top
+    for n in range(L - 2):
+        upper, lower = lev[n], lev[n + 1]
+        terms.append((-exps.gamma[n + 1], sum(gap(p, r) for p in upper for r in lower)))
+        # each copy pairs one upper position with one lower one.  The x_p parts
+        # of the reciprocal gaps do not depend on the pairing; ones(p + 1, r)
+        # holds just for p and r on the run of side-1 axes through lower[0],
+        # and any pairing matches at most min(#p, #r) of them, the best exactly
+        rest -= sum(zeros[p] for p in upper) + min(sum(ones(p + 1, lower[0]) for p in upper),
+                                                   sum(ones(lower[0], r) for r in lower))
+    return sum(e * k for e, k in terms if k) / exps.planck + rest
 
 
 def probe_exponent(exps, z, basis, moves):

@@ -307,6 +307,39 @@ def test_kumaraswamy_inverse_at_the_ends_of_the_uniform_grid():
             assert logv[0] < logv[1] < 0 and log1mva[1] < log1mva[0] < 0
 
 
+def _kumaraswamy_where(u, a, b):
+    """The np.where form of the log1mexp split: each branch on the whole
+    array, its argument clamped to its side of the cut, one kept per point."""
+    log1mva = np.log1p(-u) / b
+    cut = -math.log(2.0)
+    logva = np.where(log1mva >= cut, np.log(-np.expm1(np.maximum(log1mva, cut))),
+                     np.log1p(-np.exp(np.minimum(log1mva, cut))))
+    fin = np.finfo(float)
+    logv = np.clip(logva / a, math.log(fin.tiny), -fin.smallest_subnormal)
+    return np.exp(logv), -np.expm1(logv), logv, log1mva
+
+
+def test_kumaraswamy_inverse_is_the_where_form_bit_for_bit():
+    # log(1 - v^a) >= -log 2 exactly when u <= 1 - 2^-b: uniforms on the
+    # sampler's grid, points a few ulps either side of that cut, and the
+    # ends of the grid, each axis with its own (a, b)
+    from qims.hypint import _kumaraswamy_inverse
+    a = np.array([0.05, 0.37, 1.0, 2.5, 4.125])[:, None]
+    b = np.array([2.5, 0.05, 0.25, 1.0, 0.37])[:, None]
+    rng = np.random.default_rng(11)
+    u = (rng.integers(0, 1 << 52, size=(5, 4000)) + 0.5) * 2.0 ** -52
+    cut_u = 1.0 - 2.0 ** -b[:, 0]
+    for k, c in enumerate(cut_u):
+        u[k, :8] = [np.nextafter(c, 0.0), c, np.nextafter(c, 1.0), c - 1e-12, c + 1e-12,
+                    2.0 ** -53, 1 - 2.0 ** -53, 0.5]
+    got, want = _kumaraswamy_inverse(u, a, b), _kumaraswamy_where(u, a, b)
+    log1mva = want[3]
+    assert (log1mva >= -math.log(2.0)).any(axis=1).all()
+    assert (log1mva < -math.log(2.0)).any(axis=1).all()
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
 @pytest.mark.parametrize("i", [None, 1])
 def test_psiM_mc_evaluates_exactly_mc_samples(monkeypatch, i):
     # 1000 samples once ran as 16 batches of 62, 992 points in all
@@ -427,22 +460,19 @@ def _assert_same_chain(pt, want, shape, K):
 @pytest.mark.parametrize("K", [2, 3, 4, 5, 6])
 def test_broadcast_slab_chain_point_equals_stacked_grid(K, monkeypatch):
     # the chain points and weights _psiM_tensor hands the kernel, slab by slab,
-    # against the stacked meshgrid and cumprod of the same slab
+    # against the stacked meshgrid and cumprod of the same slab; each slab is
+    # checked when the kernel gets it, as the next one reuses its buffers
     from psiM_oracle import from_cube
     from qims import hypint
     from qims.quadrature import tanh_sinh_01
     exps = ExponentsM((F(3, 4),), (F(-2, 7),), (F(-1, 2),), F(2), K)
     basis = tuple(hypint.enumerate_basis(2, 1, K))
     nodes = 5
-    monkeypatch.setattr(hypint, "_SLAB_POINTS", 2 * nodes ** (K - 1))  # slabs of 2, 2, 1 rows
-    seen = []
-    monkeypatch.setattr(hypint, "_psiM_coeffs", lambda exps, z, pt, logw, basis, i:
-                        seen.append((pt, logw)) or (dict.fromkeys(basis, 0.0), {}))
-    hypint._psiM_tensor(exps, (0.4,), basis,
-                        hypint._axis_rules("tanh_sinh_tensor", nodes, [(0, 0)] * K))
     xs, omxs, ws = tanh_sinh_01(nodes)
-    assert len(seen) == 3
-    for lo, (pt, logw) in zip((0, 2, 4), seen):
+    seen = []
+
+    def check_slab(exps, z, pt, logw, basis, i, workspace):
+        lo = 2 * len(seen)
         axes = [xs[lo:lo + 2]] + [xs] * (K - 1)
         v = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         omv = np.stack(np.meshgrid(*[omxs[lo:lo + 2]] + [omxs] * (K - 1), indexing="ij"),
@@ -457,6 +487,14 @@ def test_broadcast_slab_chain_point_equals_stacked_grid(K, monkeypatch):
         # x_p and 1 - x_p vary along axes 0..p only
         for p in range(K):
             assert pt.x[p].shape == pt.omx[p].shape == v.shape[:p + 1] + (1,) * (K - 1 - p)
+        seen.append(lo)
+        return dict.fromkeys(basis, 0.0), {}
+
+    monkeypatch.setattr(hypint, "_SLAB_POINTS", 2 * nodes ** (K - 1))  # slabs of 2, 2, 1 rows
+    monkeypatch.setattr(hypint, "_psiM_coeffs", check_slab)
+    hypint._psiM_tensor(exps, (0.4,), basis,
+                        hypint._axis_rules("tanh_sinh_tensor", nodes, [(0, 0)] * K))
+    assert seen == [0, 2, 4]
 
 
 @pytest.mark.parametrize("L,N,M", KERNEL_SIZES)
@@ -531,14 +569,35 @@ def _all_faces(K):
 
 def _assert_exact_matches_probes(exps):
     from psiM_oracle import probe_exponent
-    from qims.hypint import _face_exponent
+    from qims.hypint import _face_exponents
     from qims.polyalg import enumerate_basis
     z = tuple(0.45 - 0.17 * k for k in range(exps.N))
     basis = tuple(enumerate_basis(exps.L, exps.N, exps.M))
-    for faces in _all_faces((exps.L - 1) * exps.M):
-        expo = _face_exponent(exps, faces)
+    expos = _face_exponents(exps)
+    assert list(expos) == [tuple(faces) for faces in _all_faces((exps.L - 1) * exps.M)]
+    for faces, expo in expos.items():
         assert type(expo) is F
         assert abs(float(expo) - probe_exponent(exps, z, basis, faces)) < 2e-3, faces
+
+
+@pytest.mark.parametrize("L,N,M", KERNEL_SIZES)
+def test_tabulated_face_exponents_equal_the_oracle(L, N, M):
+    # the integer orders tabulated once per (L, M), dotted with the weight
+    # exponents, against the per-face sum of the oracle on every face: equal
+    # Fractions, and at float exponents the same bits, as the terms are
+    # summed in the same order
+    from psiM_oracle import face_exponent
+    from qims.hypint import _face_exponents, _face_orders
+    K = (L - 1) * M
+    floats = ExponentsM(tuple(0.61 + 0.3 * n for n in range(L - 1)), (-0.2,) * N,
+                        (-0.45,) + (1.0,) * (L - 2), 1.7, M)
+    for exps in (kernel_exps(L, N, M, F(2)), kernel_exps(L, N, M, F(-3, 2)), floats):
+        expos = _face_exponents(exps)
+        assert list(expos) == [tuple(faces) for faces in _all_faces(K)]
+        for faces, expo in expos.items():
+            want = face_exponent(exps, list(faces))
+            assert type(expo) is type(want) and expo == want, (exps, faces)
+    assert _face_orders(L, M) is _face_orders(L, M)  # built once per (L, M)
 
 
 @pytest.mark.parametrize("L,N,M", KERNEL_SIZES)
@@ -557,14 +616,15 @@ def test_exact_face_exponents_match_one_point_probes_at_10b():
 def test_m1_face_exponents_are_the_simplex_formula():
     # at M = 1 the per-axis face exponents are those of the nested simplex
     from psiM_oracle import axis_exponents_m1
-    from qims.hypint import _face_exponent
+    from qims.hypint import _face_exponents
     for L in range(2, 8):
         for N in (1, 2, 3):
             for planck in (F(2), F(-2), F(3, 2), F(-5, 7)):
                 exps = dictionary_M(resonant_params(L, N, 1, random.Random(10 * L + N),
                                                     planck=planck), 1)
-                got = [(_face_exponent(exps, [(k, 0)]), _face_exponent(exps, [(k, 1)]))
-                       for k in range(L - 1)]
+                expos = _face_exponents(exps)
+                assert len(expos) == 2 * (L - 1)  # no corners at M = 1
+                got = [(expos[((k, 0),)], expos[((k, 1),)]) for k in range(L - 1)]
                 assert got == list(zip(*axis_exponents_m1(exps, 0))), (L, N, planck)
 
 
@@ -621,6 +681,107 @@ def test_slabbed_tensor_equals_one_slab(monkeypatch):
     for A in basis:
         assert c[A] == pytest.approx(c1[A], rel=1e-14, abs=0)
         assert d[A] == pytest.approx(d1[A], rel=1e-14, abs=0)
+
+
+def _record_kernel(monkeypatch, hypint):
+    """Route the kernel through a recorder of each slab's or batch's sums."""
+    kernel, sums = hypint._psiM_coeffs, []
+    monkeypatch.setattr(hypint, "_psiM_coeffs", lambda *a: sums.append(kernel(*a)) or sums[-1])
+    return kernel, sums
+
+
+def _assert_same_bits(got, want):
+    for part, wpart in zip(got, want):
+        assert list(part) == list(wpart)
+        assert np.array(list(part.values())).tobytes() == np.array(list(wpart.values())).tobytes()
+
+
+def test_workspace_slabs_equal_fresh_arrays_bit_for_bit(monkeypatch):
+    # 9 rows of 81 points in slabs of 2 rows: the last slab has 1 row and
+    # reuses the leading part of every buffer; each slab's sums must be those
+    # of the same slab on fresh arrays, bit for bit
+    from qims import hypint
+    exps = dictionary_M(m_window_params(2, 1, 3), 3)
+    basis = tuple(hypint.enumerate_basis(2, 1, 3))
+    nodes = 9
+    rules = hypint._axis_rules("tanh_sinh_tensor", nodes, [(0, 0)] * 3)
+    monkeypatch.setattr(hypint, "_SLAB_POINTS", 2 * nodes ** 2)
+    kernel, sums = _record_kernel(monkeypatch, hypint)
+    hypint._psiM_tensor(exps, (0.4,), basis, rules, 1)
+    assert len(sums) == 5
+    for lo, got in zip(range(0, nodes, 2), sums):
+        pt, logw = hypint._tensor_slab(rules, lo, 2)
+        assert logw.shape[0] == min(2, nodes - lo)
+        _assert_same_bits(got, kernel(exps, (0.4,), pt, logw, basis, 1))
+
+
+def test_workspace_batches_equal_fresh_arrays_bit_for_bit(monkeypatch):
+    # 647 = 16 * 40 + 7 samples: seven batches of 41 points, then nine of 40
+    # on the leading part of every buffer; each batch replayed from the
+    # seeded stream on fresh arrays gives the same sums, bit for bit
+    from qims import hypint
+    exps = dictionary_M(m_window_params(2, 2, 3), 3)
+    basis = tuple(hypint.enumerate_basis(2, 2, 3))
+    expos = hypint._window_check(exps)
+    z = (0.4, 0.2)
+    kernel, sums = _record_kernel(monkeypatch, hypint)
+    hypint._psiM_mc(exps, z, basis, expos, 647, 9, 2)
+    a = np.array([max(float(e0), -0.95) + 1.0 for e0, _ in expos])
+    b = np.array([max(float(e1), -0.95) + 1.0 for _, e1 in expos])
+    rng = np.random.default_rng(9)
+    assert len(sums) == 16
+    for k, got in enumerate(sums):
+        u = (rng.integers(0, 1 << 52, size=(3, 41 if k < 7 else 40)) + 0.5) * 2.0 ** -52
+        pt, logw = hypint._mc_batch(u, a, b)
+        _assert_same_bits(got, kernel(exps, z, pt, logw, basis, 2))
+
+
+def _traced_growth(monkeypatch, hypint, run):
+    """For each slab or batch after the first, the traced peak above the
+    traced memory at the end of the previous one's kernel call."""
+    import tracemalloc
+    kernel, marks = hypint._psiM_coeffs, []
+
+    def traced(*args):
+        res = kernel(*args)
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return res
+
+    monkeypatch.setattr(hypint, "_psiM_coeffs", traced)
+    tracemalloc.start()
+    try:
+        run()
+    finally:
+        tracemalloc.stop()
+    return [peak - prev for (prev, _), (_, peak) in zip(marks, marks[1:])]
+
+
+def test_slab_loop_allocates_no_slab_array(monkeypatch):
+    # numpy reports its data buffers to tracemalloc: once the first slab has
+    # made the workspace, no later slab grows the traced memory by as much
+    # as one array of slab size, the derivative's arrays included
+    from qims import hypint
+    exps = dictionary_M(m_window_params(2, 2, 3), 3)
+    basis = tuple(hypint.enumerate_basis(2, 2, 3))
+    nodes = 49  # 13 rows of 49^2 points per slab: 3 full slabs and one of 10 rows
+    rules = hypint._axis_rules("tanh_sinh_tensor", nodes, [(0, 0)] * 3)
+    slab = 8 * (hypint._SLAB_POINTS // nodes ** 2) * nodes ** 2
+    growth = _traced_growth(monkeypatch, hypint,
+                            lambda: hypint._psiM_tensor(exps, (0.4, 0.2), basis, rules, 1))
+    assert len(growth) == 3 and max(growth) < slab, (growth, slab)
+
+
+def test_mc_batch_loop_allocates_only_its_draw(monkeypatch):
+    # rng.integers has no out=: each batch allocates its (K, P) integer draw,
+    # and nothing else of batch size
+    from qims import hypint
+    exps = dictionary_M(m_window_params(2, 2, 3), 3)
+    basis = tuple(hypint.enumerate_basis(2, 2, 3))
+    per = 4000
+    growth = _traced_growth(monkeypatch, hypint, lambda: hypint._psiM_mc(
+        exps, (0.4, 0.2), basis, hypint._window_check(exps), 16 * per, 5, 1))
+    assert len(growth) == 15 and max(growth) < 8 * 3 * per + 8 * per, growth
 
 
 @pytest.mark.parametrize("alpha", [150, 156])

@@ -35,18 +35,19 @@ depends on.  Only the copy at the last chain position depends on the
 deepest axis, so the weight times each term of its form is summed over
 that axis first, and one contraction pairs those sums with the expanded
 product of the other copies, which never reaches full size.  The grid is
-evaluated one slab of about 2^15 points at a time, so memory stays flat as
-the node count grows.  Monte Carlo draws each cube axis from a Kumaraswamy
-law whose endpoint powers match the integrand's, in 16 batches.  Each
-tensor or Monte Carlo call makes one :class:`_Workspace`: the work that
-does not depend on the points is done there once, and every full-size
-array (chain coordinates and gaps, the weight and its logs, the last
-copy's form and its products with the weight, the sampled axes) is written
-with ``out=`` into a buffer of it that every slab or batch reuses, so no
-slab allocates or faults in fresh pages.  The endpoint powers, and the
-window check on every face, come from the integer orders of
-:func:`_face_orders`, tabulated once per (L, M) and dotted with the
-exponents: exact in the parameters and free of z.
+evaluated in slabs of at most 2^15 points (:func:`_psiM_tensor`), so
+memory stays flat as the node count and the number of axes grow.  Monte
+Carlo draws each cube axis from a Kumaraswamy law whose endpoint powers
+match the integrand's, in 16 batches of mc_samples / 16 points.  Each
+evaluation makes one :class:`_Workspace`, shared by both refinement
+passes or all batches: the work that does not depend on the points is
+done there once, and every array (chain coordinates and gaps, the weight
+and its logs, the last copy's form and its products with the weight, the
+sampled axes) is written with ``out=`` into a named buffer of it that
+every slab or batch reuses, so no slab allocates or faults in fresh pages.
+The endpoint powers, and the window check on every face, come from the
+integer orders of :func:`_face_orders`, tabulated once per (L, M) and
+dotted with the exponents: exact in the parameters and free of z.
 
 Every quadrature result is checked by node refinement (Gauss-Jacobi
 doubles the nodes, tanh-sinh takes 1.5x as many), never assumed stable.
@@ -213,11 +214,6 @@ def series_psi1(params: Parameters, z, order: int) -> IntegralResult:
 
 # --- degree-M chamber machinery -----------------------------------------------------
 
-def _empty(name, shape, dtype=float):
-    """A fresh array, where no workspace is given."""
-    return np.empty(shape, dtype)
-
-
 def _mul(out, name, a, b):
     """a * b into ``out(name, shape)``."""
     return np.multiply(a, b, out=out(name, np.broadcast(a, b).shape))
@@ -231,12 +227,12 @@ class _ChainPoint:
     a tensor slab, the columns of a (P, K) batch for sampled points.
     ``x[p]`` = v_0 ... v_p is chain coordinate p (descending), ``omx[p]`` is
     1 - x_p and ``gap(p, r)`` is x_p - x_r, all without cancellation; each
-    keeps only the axes it depends on.  With a :class:`_Workspace` the
-    full-size ones are written into its buffers.
+    keeps only the axes it depends on.  Every array it makes is written into
+    the buffers of the :class:`_Workspace` ``ws``.
     """
 
-    def __init__(self, v, omv, ws=None):
-        out = _empty if ws is None else ws.out
+    def __init__(self, ws, v, omv):
+        out = ws.out
         K = len(v)
         self.x, self.omx = [v[0]], [omv[0]]
         for j in range(1, K):
@@ -304,27 +300,26 @@ def _product(out, name, factors):
 
 
 class _Workspace:
-    """What one tensor or Monte Carlo call of the kernel keeps for all its
-    slabs or batches.
+    """What one :func:`eval_psiM` call keeps for all its slabs or batches:
+    z, the time index i (None without one), the basis order, the work that
+    does not depend on the points, and the array buffers.
 
-    The work that does not depend on the points is done once: the chain
-    positions, the exponent of every power in the weight, the factors of
-    every one-copy form, the pairings of the copies, and the expansion of
-    their product with the basis index each term adds to.
+    That work is done once: the chain positions, the exponent of every power
+    in the weight, the factors of every one-copy form, the pairings of the
+    copies, and the expansion of their product with the basis index each
+    term adds to.
 
-    The full-size arrays live in one flat buffer per name.  ``points`` is
-    the size of the current slab or batch; :meth:`out` gives an array of at
-    least that many entries as the leading entries of its named buffer,
-    laid out as a fresh C-contiguous array of its shape, and makes any
-    smaller array fresh.  A buffer is sized by its first request, which the
-    call's largest slab or batch makes.  Every array is written in full
-    before it is read, so a shorter slab reads nothing a longer one left.
+    The arrays live in one flat buffer per name.  :meth:`out` gives the
+    leading entries of the named buffer as a C-contiguous array of the
+    shape asked for, and grows the buffer when it is too small.  Every
+    array is written in full before it is read, so a slab reads nothing an
+    earlier one left.
     """
 
-    def __init__(self, exps: ExponentsM, basis, i, points):
+    def __init__(self, exps: ExponentsM, z, basis, i):
         L, N, M = exps.L, exps.N, exps.M
         kp = float(exps.planck)
-        self.points, self._bufs = points, {}
+        self.z, self.i, self.basis, self._bufs = z, i, basis, {}
         # chain position of t_n^(a): all level-n copies exceed all level-(n+1)
         # copies, copies descending within a level
         pos = {(n, a): (n - 1) * M + (a - 1) for n in range(1, L) for a in range(1, M + 1)}
@@ -409,21 +404,20 @@ class _Workspace:
                 if A in index:
                     dacc.append((index[A], m, k))
         self.acc, self.dacc = np.array(acc).T, np.array(dacc).T
-        self.scale = [(-1) ** sum(A) * math.factorial(M) for A in basis]
+        self.scale = np.array([(-1) ** sum(A) * math.factorial(M) for A in basis], float)
 
     def out(self, name, shape, dtype=float):
         size = math.prod(shape)
-        if size < self.points:
-            return np.empty(shape, dtype)
         buf = self._bufs.get(name)
         if buf is None or buf.size < size:
             buf = self._bufs[name] = np.empty(size, dtype)
         return buf[:size].reshape(shape)
 
 
-def _psiM_coeffs(exps: ExponentsM, z, pt: _ChainPoint, logw, basis, i=None, ws=None):
-    """Coefficient integrands summed over points: dicts A -> value and, with a
-    time index i, A -> d/dz_i of it (empty without one).
+def _psiM_coeffs(ws: _Workspace, pt: _ChainPoint, logw):
+    """Coefficient integrands summed over points, as float arrays in basis
+    order: the sums and, with the workspace's time index i, their d/dz_i
+    (None without one).
 
     logw already contains the quadrature weight and any substitution
     Jacobian; the per-copy 1/t_{L-1} normalization and the symmetric
@@ -447,13 +441,8 @@ def _psiM_coeffs(exps: ExponentsM, z, pt: _ChainPoint, logw, basis, i=None, ws=N
     form is summed over the axes along which that product has length 1,
     and one contraction pairs the two.  The axes are read off the array
     shapes, so a (P, K) batch contracts nothing.
-
-    ``ws`` is the call's :class:`_Workspace`; without one the kernel makes
-    its own, so every array is fresh.
     """
-    if ws is None:
-        ws = _Workspace(exps, basis, i, np.size(logw))
-    out = ws.out
+    out, z, i = ws.out, ws.z, ws.i
     x, omx = pt.x, pt.omx
     fac = {}
     for key in ws.rz:
@@ -485,8 +474,8 @@ def _psiM_coeffs(exps: ExponentsM, z, pt: _ChainPoint, logw, basis, i=None, ws=N
         bwi = np.add(dweight, r[ws.tls[-1]], out=out("bwi", base.shape))
         bwi *= base  # an f^(i) term of the last copy gains its own r
 
-    acc = np.zeros(len(basis))
-    dacc = np.zeros(len(basis)) if i is not None else None
+    acc = np.zeros(len(ws.basis))
+    dacc = np.zeros(len(ws.basis)) if i is not None else None
     forms, sums = {}, {}
     for others, last in ws.pairings:
         for c in others:
@@ -539,8 +528,7 @@ def _psiM_coeffs(exps: ExponentsM, z, pt: _ChainPoint, logw, basis, i=None, ws=N
         np.add.at(acc, ws.acc[0], G[ws.acc[1], ws.acc[2]])
         if dacc is not None:  # d(poly . lin) = poly . (bw lin + base dual) + dpoly . lin
             np.add.at(dacc, ws.dacc[0], G[ws.dacc[1], ws.dacc[2]])
-    return ({A: s * v for A, s, v in zip(basis, ws.scale, acc)},
-            {A: s * v for A, s, v in zip(basis, ws.scale, dacc)} if dacc is not None else {})
+    return acc * ws.scale, None if dacc is None else dacc * ws.scale
 
 
 # --- exact window exponents ---------------------------------------------------------
@@ -706,28 +694,30 @@ def eval_psiM(params: Parameters, z, M: int, quad: QuadratureSpec, i=None) -> In
                              + ("; use monte_carlo" if M >= 2 else ""))
     expos = _window_check(exps)
 
+    ws = _Workspace(exps, z, basis, i)
     if quad.scheme == "monte_carlo":
-        c, err, d = _psiM_mc(exps, z, basis, expos, quad.mc_samples, quad.seed, i)
+        c, err, d = _psiM_mc(ws, expos, quad.mc_samples, quad.seed)
         meta = {"scheme": "monte_carlo", "samples": quad.mc_samples, "seed": quad.seed, "sem": err}
     else:
+        # both passes share the workspace; the coarse one computes a
+        # derivative too and drops it
         nodes = 2 * quad.nodes_per_axis if M == 1 else int(quad.nodes_per_axis * 1.5) | 1
-        c1, _ = _psiM_tensor(exps, z, basis, _axis_rules(quad.scheme, quad.nodes_per_axis, expos))
-        c, d = _psiM_tensor(exps, z, basis, _axis_rules(quad.scheme, nodes, expos), i)
-        err = max(abs(c1[A] - c[A]) for A in basis)
+        c1, _ = _psiM_tensor(ws, _axis_rules(quad.scheme, quad.nodes_per_axis, expos))
+        c, d = _psiM_tensor(ws, _axis_rules(quad.scheme, nodes, expos))
+        err = np.abs(c1 - c).max()
         meta = {"scheme": quad.scheme, "nodes": nodes}
-    scale = max(abs(v) for v in c.values())
+    scale = np.abs(c).max()
     conv = err / scale if scale else 0.0
     if quad.scheme != "monte_carlo" and conv > quad.stabilize_tol:
         raise ConvergenceError(
             f"quadrature failed to stabilize: relative change {conv:.3e} under "
             f"node refinement")
-    return IntegralResult(basis, np.array([c[A] for A in basis]), conv,
-                          {**meta, "chamber": "level_blocks"} if M >= 2 else meta,
-                          np.array([d[A] for A in basis]) if d else None)
+    return IntegralResult(basis, c, conv,
+                          {**meta, "chamber": "level_blocks"} if M >= 2 else meta, d)
 
 
-# points per slab of a tensor grid: one call's workspace holds about a dozen
-# arrays of this size, whatever the node count
+# most points in one slab of a tensor grid (:func:`_psiM_tensor`): the
+# workspace holds about a dozen arrays of this size at any grid size
 _SLAB_POINTS = 1 << 15
 
 
@@ -753,50 +743,51 @@ def _axis_rules(scheme, nodes, expos):
     return rules
 
 
-def _tensor_slab(rules, lo, rows, ws=None):
-    """The chain points and log weights of the slab of ``rows`` axis-0
-    nodes from ``lo`` on, each cube axis as an array that broadcasts along
-    that axis only; in the buffers of ``ws`` when given."""
+def _tensor_slab(ws, rules, head):
+    """The chain points and log weights of one slab, in the buffers of
+    ``ws``: ``head`` slices the leading cube axes and the others are whole,
+    each axis an array that broadcasts along that axis only."""
     K = len(rules)
-    axes = [(slice(lo, lo + rows),) + (None,) * (K - 1)]
-    axes += [(slice(None),) + (None,) * (K - 1 - j) for j in range(1, K)]
+    cuts = head + [slice(None)] * (K - len(head))
+    axes = [(cut,) + (None,) * (K - 1 - j) for j, cut in enumerate(cuts)]
     v, omv, logws = ([rule[k][a] for rule, a in zip(rules, axes)] for k in range(3))
-    logw = (_empty if ws is None else ws.out)("logw", np.broadcast_shapes(*(u.shape for u in v)))
+    logw = ws.out("logw", np.broadcast_shapes(*(u.shape for u in v)))
     logw.fill(0.0)
     for lw in logws:
         logw += lw
-    return _ChainPoint(v, omv, ws), logw
+    return _ChainPoint(ws, v, omv), logw
 
 
-def _psiM_tensor(exps: ExponentsM, z, basis, rules, i=None):
-    """Tensor sums of the coefficients (and of d/dz_i) on the cube, for the
-    per-axis rules of :func:`_axis_rules`.
+def _psiM_tensor(ws: _Workspace, rules):
+    """Tensor sums of the coefficients on the cube, for the per-axis rules
+    of :func:`_axis_rules`, and with the workspace's time index i those of
+    d/dz_i (None without one): float arrays in basis order.
 
-    The grid is cut along axis 0 into slabs of about _SLAB_POINTS points;
-    each slab goes through :func:`_psiM_coeffs` on its own, its cube
-    variables and log weights given as one broadcasting array per axis, and
-    the slab sums are added in slab order.  Every slab writes its full-size
-    arrays into the one :class:`_Workspace` of the call.
+    A slab fixes the first d axes at one node each and takes as many rows
+    of axis d as fit in _SLAB_POINTS points, d the least for which one row
+    (the axes after d) fits; d = 0 unless a row of axis 0 alone is too
+    large.  Each slab goes through :func:`_psiM_coeffs` on its own, one
+    broadcasting array per axis, and the slab sums are added in slab order.
     """
     K = len(rules)
     nodes = len(rules[0][0])
-    rows = max(1, _SLAB_POINTS // nodes ** (K - 1))
-    ws = _Workspace(exps, basis, i, rows * nodes ** (K - 1))
-    coeffs = dict.fromkeys(basis, 0.0)
-    derivs = dict.fromkeys(basis, 0.0) if i is not None else {}
-    for lo in range(0, nodes, rows):
-        ws.points = min(rows, nodes - lo) * nodes ** (K - 1)
-        c, d = _psiM_coeffs(exps, z, *_tensor_slab(rules, lo, rows, ws), basis, i, ws)
-        for total, part in ((coeffs, c), (derivs, d)):
-            for A in part:
-                total[A] += part[A]
-    return coeffs, derivs
+    d = next(d for d in range(K) if nodes ** (K - 1 - d) <= _SLAB_POINTS)
+    rows = _SLAB_POINTS // nodes ** (K - 1 - d)
+    total = np.zeros(len(ws.basis))
+    dtotal = np.zeros(len(ws.basis)) if ws.i is not None else None
+    for *fixed, lo in product(*[range(nodes)] * d, range(0, nodes, rows)):
+        head = [slice(k, k + 1) for k in fixed] + [slice(lo, lo + rows)]
+        c, dc = _psiM_coeffs(ws, *_tensor_slab(ws, rules, head))
+        total += c
+        if dtotal is not None:
+            dtotal += dc
+    return total, dtotal
 
 
-def _kumaraswamy_inverse(u, a, b, ws=None):
+def _kumaraswamy_inverse(ws, u, a, b):
     """Kumaraswamy(a, b) quantile of u in (0, 1) with its logs: returns
     (v, 1 - v, log v, log(1 - v^a)) for the CDF 1 - (1 - v^a)^b, in the
-    buffers of ``ws`` when given.
+    buffers of ``ws``.
 
     log(1 - v^a) = log(1 - u)/b, and log v^a = log(1 - e^(log(1 - v^a))) by
     the log1mexp branch (Maechler 2012); each branch runs on the whole array
@@ -806,7 +797,7 @@ def _kumaraswamy_inverse(u, a, b, ws=None):
     clipped to [log tiny, -5e-324], so neither v nor 1 - v rounds to 0 at
     the ends of the uniform grid (at a = 0.05, log v would fall below -745
     there)."""
-    out = _empty if ws is None else ws.out
+    out = ws.out
     shape = np.shape(u)
     cut = -math.log(2.0)
     log1mva = np.negative(u, out=out("log1mva", shape))
@@ -829,23 +820,23 @@ def _kumaraswamy_inverse(u, a, b, ws=None):
     return np.exp(logv, out=out("v", shape)), omv, logv, log1mva
 
 
-def _mc_batch(u, a, b, ws=None):
+def _mc_batch(ws, u, a, b):
     """The chain points and log weights (cube Jacobian over the proposal
-    density) of one batch of uniforms ``u`` of shape (K, P); in the buffers
-    of ``ws`` when given."""
+    density) of one batch of uniforms ``u`` of shape (K, P), in the buffers
+    of ``ws``."""
     K, per = u.shape
-    v, omv, logv, log1mva = _kumaraswamy_inverse(u, a[:, None], b[:, None], ws)
-    out = _empty if ws is None else ws.out
+    v, omv, logv, log1mva = _kumaraswamy_inverse(ws, u, a[:, None], b[:, None])
+    out = ws.out
     logw = out("logw", (per,))
     logw.fill(-float(np.sum(np.log(a * b))))
     for j in range(K):
         t = np.multiply(logv[j], K - 1 - j - (a[j] - 1.0), out=out("tmp", (per,)))
         t -= np.multiply(log1mva[j], b[j] - 1.0, out=out("tmp2", (per,)))
         logw += t
-    return _ChainPoint(v, omv, ws), logw
+    return _ChainPoint(ws, v, omv), logw
 
 
-def _psiM_mc(exps: ExponentsM, z, basis, expos, nsamples, seed, i=None):
+def _psiM_mc(ws: _Workspace, expos, nsamples, seed):
     """Importance-sampled Monte Carlo on the cube image of the chamber.
 
     Each cube axis draws from Kumaraswamy(a, b) by inversion of one uniform,
@@ -854,34 +845,33 @@ def _psiM_mc(exps: ExponentsM, z, basis, expos, nsamples, seed, i=None):
     the endpoint powers of Beta(a, b), so the weighted integrand stays
     bounded near every face and the estimator has finite variance.  The
     seeded stream is evaluated in MC_BATCHES deterministic batches whose
-    sizes differ by at most one, exactly ``nsamples`` points in all, every
-    batch in the one :class:`_Workspace` of the call.
-    Returns the totals over all points divided by ``nsamples``, the
-    standard error of the batch means and, with a time index i, the same
-    estimate of dc/dz_i on the same samples.
+    sizes differ by at most one, exactly ``nsamples`` points in all.
+    Returns float arrays in basis order: the totals over all points divided
+    by ``nsamples``, and with the workspace's time index i the same estimate
+    of dc/dz_i on the same samples (None without one); between them the
+    largest standard error of a coefficient's batch means.
     """
-    K = (exps.L - 1) * exps.M
+    K = len(expos)
     a = np.array([max(float(e0), -0.95) + 1.0 for e0, _ in expos])
     b = np.array([max(float(e1), -0.95) + 1.0 for _, e1 in expos])
     rng = np.random.default_rng(seed)
-    ws = _Workspace(exps, basis, i, -(-nsamples // MC_BATCHES))
-    total, dtotal, means = dict.fromkeys(basis, 0.0), None, {A: [] for A in basis}
+    total = np.zeros(len(ws.basis))
+    dtotal = np.zeros(len(ws.basis)) if ws.i is not None else None
+    means = np.empty((len(ws.basis), MC_BATCHES))  # one row of batch means per coefficient
     for k in range(MC_BATCHES):
         per = nsamples // MC_BATCHES + (k < nsamples % MC_BATCHES)
-        ws.points = per
         # midpoints of a 2^-52 grid: uniform on the open interval (0, 1)
         u = ws.out("u", (K, per))
         u[...] = rng.integers(0, 1 << 52, size=(K, per))
         u += 0.5
         u *= 2.0 ** -52
-        c, d = _psiM_coeffs(exps, z, *_mc_batch(u, a, b, ws), basis, i, ws)
-        for A in basis:
-            total[A] += c[A]
-            means[A].append(c[A] / per)
-        dtotal = d if dtotal is None else {A: dtotal[A] + d[A] for A in d}
-    sem = max(float(np.std(means[A], ddof=1)) / math.sqrt(MC_BATCHES) for A in basis)
-    return ({A: total[A] / nsamples for A in basis}, sem,
-            {A: dtotal[A] / nsamples for A in dtotal})
+        c, d = _psiM_coeffs(ws, *_mc_batch(ws, u, a, b))
+        total += c
+        means[:, k] = c / per
+        if dtotal is not None:
+            dtotal += d
+    sem = max(float(np.std(row, ddof=1)) / math.sqrt(MC_BATCHES) for row in means)
+    return total / nsamples, sem, None if dtotal is None else dtotal / nsamples
 
 
 # --- differential-system residual ----------------------------------------------------

@@ -18,6 +18,8 @@ arrays that broadcast; :func:`from_cube` builds them from a stacked
 ``(..., K)`` grid by a cumulative product.  :func:`probe_exponent` measures
 the power of the integrand at a set of faces from two one-point kernel
 calls, where :func:`face_exponent` computes it exactly, one face at a time.
+:func:`psiM_coeffs` runs the kernel on a fresh workspace and returns its
+sums as dicts keyed by basis index.
 """
 
 import math
@@ -27,9 +29,16 @@ from itertools import accumulate, combinations, permutations, product
 
 import numpy as np
 
-from qims.hypint import _m1_form, _psiM_coeffs
+from qims.hypint import _m1_form, _psiM_coeffs, _Workspace
 from qims.polyalg import flat_pos
 from qims.quadrature import gauss_jacobi_01
+
+
+def psiM_coeffs(exps, z, pt, logw, basis, i=None):
+    """``qims.hypint._psiM_coeffs`` on a fresh workspace: dicts A -> value
+    and, with a time index i, A -> d/dz_i of it (empty without one)."""
+    c, d = _psiM_coeffs(_Workspace(exps, z, basis, i), pt, logw)
+    return dict(zip(basis, c)), {} if d is None else dict(zip(basis, d))
 
 
 def axis_exponents_m1(exps, n):
@@ -154,7 +163,7 @@ def probe_exponent(exps, z, basis, moves):
         logw = np.zeros(1)
         for j in range(K):
             logw += (K - 1 - j) * np.log(v[0, j])  # cube Jacobian
-        c, _ = _psiM_coeffs(exps, z, from_cube(v, omv), logw, basis)
+        c, _ = psiM_coeffs(exps, z, from_cube(v, omv), logw, basis)
         vals.append(max(abs(val) for val in c.values()))
     if not all(0.0 < w < math.inf for w in vals):
         return None

@@ -421,7 +421,8 @@ def _assert_beyond_six_axes_exit2(tmp_path, capsys, monkeypatch, cfg, tail=""):
 
 
 def test_integral_m1_beyond_six_axes_exit2(tmp_path, capsys, monkeypatch):
-    # the degree-1 grid at L = 8 (7 axes of 48 nodes) would take 8 GiB
+    # slabs keep memory flat at any number of axes, but the degree-1 grid at
+    # L = 8 has 7 axes of 48 nodes, 48^7 = 5.9e11 points, far too many to sum
     _assert_beyond_six_axes_exit2(tmp_path, capsys, monkeypatch,
                                   window_cfg(m1_window_params(8, 1), 1, ["0.4"]))
 

@@ -214,8 +214,8 @@ def test_m1_unit_adjacent_exponent_misses_the_oracle():
     want, _ = psi1_eval_at(exps, (0.4,), 64, basis)
 
     def gap(kernel_exps):
-        c, _ = hypint._psiM_tensor(kernel_exps, (0.4,), basis, rules)
-        return max(abs(c[A] - w) for A, w in zip(basis, want)) / np.abs(want).max()
+        c, _ = hypint._psiM_tensor(hypint._Workspace(kernel_exps, (0.4,), basis, None), rules)
+        return max(abs(v - w) for v, w in zip(c, want)) / np.abs(want).max()
 
     assert gap(exps) <= 1e-10
     assert gap(replace(exps, gamma=(exps.gamma[0], F(1)))) > 1e-2
@@ -279,7 +279,7 @@ def test_psiM_mc_matches_tanh_sinh_at_benchmark_size():
 def test_kumaraswamy_inverse_matches_mpmath(u, a, b):
     import mpmath
     from qims.hypint import _kumaraswamy_inverse
-    v, omv, logv, log1mva = _kumaraswamy_inverse(np.array([u]), a, b)
+    v, omv, logv, log1mva = _kumaraswamy_inverse(_fresh_ws(), np.array([u]), a, b)
     with mpmath.workdps(1000):  # enough digits for 1 - v ~ 1e-240 by plain subtraction
         # the quantile of the CDF 1 - (1 - v^a)^b, and its complement
         u, a, b = mpmath.mpf(u), mpmath.mpf(a), mpmath.mpf(b)
@@ -301,7 +301,7 @@ def test_kumaraswamy_inverse_at_the_ends_of_the_uniform_grid():
     u = np.array([2.0 ** -53, 1 - 2.0 ** -53])
     for a in (0.05, 0.37, 2.5):
         for b in (0.05, 0.37, 2.5):
-            v, omv, logv, log1mva = _kumaraswamy_inverse(u, a, b)
+            v, omv, logv, log1mva = _kumaraswamy_inverse(_fresh_ws(), u, a, b)
             assert np.all(np.isfinite(logv)) and np.all(np.isfinite(log1mva))
             assert np.all((0 < v) & (v <= 1) & (0 < omv) & (omv <= 1))
             assert logv[0] < logv[1] < 0 and log1mva[1] < log1mva[0] < 0
@@ -332,7 +332,7 @@ def test_kumaraswamy_inverse_is_the_where_form_bit_for_bit():
     for k, c in enumerate(cut_u):
         u[k, :8] = [np.nextafter(c, 0.0), c, np.nextafter(c, 1.0), c - 1e-12, c + 1e-12,
                     2.0 ** -53, 1 - 2.0 ** -53, 0.5]
-    got, want = _kumaraswamy_inverse(u, a, b), _kumaraswamy_where(u, a, b)
+    got, want = _kumaraswamy_inverse(_fresh_ws(), u, a, b), _kumaraswamy_where(u, a, b)
     log1mva = want[3]
     assert (log1mva >= -math.log(2.0)).any(axis=1).all()
     assert (log1mva < -math.log(2.0)).any(axis=1).all()
@@ -349,18 +349,18 @@ def test_psiM_mc_evaluates_exactly_mc_samples(monkeypatch, i):
     basis = tuple(hypint.enumerate_basis(2, 1, 2))
     calls = []
     kernel = hypint._psiM_coeffs
-    monkeypatch.setattr(hypint, "_psiM_coeffs", lambda exps, z, pt, *a: calls.append(
-        (np.shape(pt.x[-1])[0], kernel(exps, z, pt, *a))) or calls[-1][1])
+    monkeypatch.setattr(hypint, "_psiM_coeffs", lambda ws, pt, logw: calls.append(
+        (np.shape(pt.x[-1])[0], kernel(ws, pt, logw))) or calls[-1][1])
     q = QuadratureSpec(scheme="monte_carlo", mc_samples=1000, seed=1)
     res = eval_psiM(params, (0.4,), 2, q, i)
     sizes = [n for n, _ in calls]
     assert sum(sizes) == 1000 and len(sizes) == 16 and max(sizes) - min(sizes) <= 1
     assert res.meta["samples"] == 1000
     # the estimate is the kernel's sums over all batches, divided by the sample count
-    want = [sum(c[A] for _, (c, _) in calls) / 1000 for A in basis]
+    want = [sum(c[k] for _, (c, _) in calls) / 1000 for k in range(len(basis))]
     assert np.allclose(res.vector, want, rtol=1e-15, atol=0)
     if i is not None:
-        dwant = [sum(d[A] for _, (_, d) in calls) / 1000 for A in basis]
+        dwant = [sum(d[k] for _, (_, d) in calls) / 1000 for k in range(len(basis))]
         assert np.allclose(res.derivative, dwant, rtol=1e-15, atol=0)
 
 
@@ -375,8 +375,7 @@ def test_psiM_symmetrization_consistency():
     # coefficients whose block density is already symmetric: full Sym equals
     # the group order times the unsymmetrized ordered-chamber integral; the
     # mixed coefficient equals the sum of its separately-integrated orbit
-    from psiM_oracle import from_cube
-    from qims.hypint import _psiM_coeffs
+    from psiM_oracle import from_cube, psiM_coeffs
     from qims.quadrature import tanh_sinh_01
     params = m_window_params(2, 1, 2)
     exps = dictionary_M(params, 2)
@@ -388,7 +387,7 @@ def test_psiM_symmetrization_consistency():
     omv = np.stack([O1, O2], axis=-1)
     logw = np.log(np.outer(ws, ws)) + np.log(V1)
     pt = from_cube(v, omv)
-    full, _ = _psiM_coeffs(exps, z, pt, logw, ((0,), (1,), (2,)))
+    full, _ = psiM_coeffs(exps, z, pt, logw, ((0,), (1,), (2,)))
 
     # unsymmetrized single-assignment integrals over the same ordered chamber
     kp = float(exps.planck)
@@ -419,6 +418,13 @@ def criterion_10b_params():
                            kappa=[2 + th1, F(1, 2), F(1)], theta=[th1], planck=-3)
 
 
+def _fresh_ws(exps=None, z=(0.4,)):
+    """A new kernel workspace for ``exps`` (an L2N1M2 set by default) at z."""
+    from qims.hypint import _Workspace, enumerate_basis
+    exps = exps or kernel_exps(2, 1, 2)
+    return _Workspace(exps, z, tuple(enumerate_basis(exps.L, exps.N, exps.M)), None)
+
+
 def kernel_exps(L, N, M, planck=F(2)):
     return ExponentsM(tuple(F(3, 4) + F(n, 5) for n in range(L - 1)),
                       tuple(F(-2, 7 + 2 * j) for j in range(N)),
@@ -427,8 +433,7 @@ def kernel_exps(L, N, M, planck=F(2)):
 
 @pytest.mark.parametrize("L,N,M", KERNEL_SIZES)
 def test_kernel_matches_permutation_sum(L, N, M):
-    from psiM_oracle import from_cube, psiM_coeffs_oracle
-    from qims.hypint import _psiM_coeffs
+    from psiM_oracle import from_cube, psiM_coeffs, psiM_coeffs_oracle
     from qims.polyalg import enumerate_basis
     rng = np.random.default_rng(100 * L + 10 * N + M)
     K = (L - 1) * M
@@ -439,7 +444,7 @@ def test_kernel_matches_permutation_sum(L, N, M):
     z = tuple(0.45 - 0.17 * k for k in range(N))
     basis = tuple(enumerate_basis(L, N, M))
     for i in [None] + list(range(1, N + 1)):
-        c, d = _psiM_coeffs(exps, z, pt, logw, basis, i)
+        c, d = psiM_coeffs(exps, z, pt, logw, basis, i)
         want, dwant = psiM_coeffs_oracle(exps, z, pt, logw, basis, i)
         assert set(d) == set(dwant) == (set() if i is None else set(basis))
         for A in basis:
@@ -471,7 +476,7 @@ def test_broadcast_slab_chain_point_equals_stacked_grid(K, monkeypatch):
     xs, omxs, ws = tanh_sinh_01(nodes)
     seen = []
 
-    def check_slab(exps, z, pt, logw, basis, i, workspace):
+    def check_slab(workspace, pt, logw):
         lo = 2 * len(seen)
         axes = [xs[lo:lo + 2]] + [xs] * (K - 1)
         v = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
@@ -488,11 +493,11 @@ def test_broadcast_slab_chain_point_equals_stacked_grid(K, monkeypatch):
         for p in range(K):
             assert pt.x[p].shape == pt.omx[p].shape == v.shape[:p + 1] + (1,) * (K - 1 - p)
         seen.append(lo)
-        return dict.fromkeys(basis, 0.0), {}
+        return np.zeros(len(basis)), None
 
     monkeypatch.setattr(hypint, "_SLAB_POINTS", 2 * nodes ** (K - 1))  # slabs of 2, 2, 1 rows
     monkeypatch.setattr(hypint, "_psiM_coeffs", check_slab)
-    hypint._psiM_tensor(exps, (0.4,), basis,
+    hypint._psiM_tensor(hypint._Workspace(exps, (0.4,), basis, None),
                         hypint._axis_rules("tanh_sinh_tensor", nodes, [(0, 0)] * K))
     assert seen == [0, 2, 4]
 
@@ -501,8 +506,8 @@ def test_broadcast_slab_chain_point_equals_stacked_grid(K, monkeypatch):
 def test_kernel_on_broadcast_grid_equals_stacked_grid(L, N, M):
     # the same values; the broadcast layout sums the deepest axis first, so
     # the two round differently
-    from psiM_oracle import from_cube
-    from qims.hypint import _ChainPoint, _psiM_coeffs
+    from psiM_oracle import from_cube, psiM_coeffs
+    from qims.hypint import _ChainPoint
     from qims.polyalg import enumerate_basis
     K = (L - 1) * M
     rng = np.random.default_rng(10 * K + N)
@@ -514,9 +519,9 @@ def test_kernel_on_broadcast_grid_equals_stacked_grid(L, N, M):
     z = tuple(0.45 - 0.17 * k for k in range(N))
     basis = tuple(enumerate_basis(L, N, M))
     for i in (None, N):
-        c, d = _psiM_coeffs(exps, z, _ChainPoint(per_axis, [1.0 - u for u in per_axis]),
-                            logw, basis, i)
-        want, dwant = _psiM_coeffs(exps, z, from_cube(v, 1.0 - v), logw, basis, i)
+        c, d = psiM_coeffs(exps, z, _ChainPoint(_fresh_ws(exps, z), per_axis,
+                                                [1.0 - u for u in per_axis]), logw, basis, i)
+        want, dwant = psiM_coeffs(exps, z, from_cube(v, 1.0 - v), logw, basis, i)
         assert set(d) == set(dwant) == (set() if i is None else set(basis))
         for A in basis:
             assert c[A] == pytest.approx(want[A], rel=1e-13, abs=0), (i, A)
@@ -527,8 +532,8 @@ def test_kernel_on_broadcast_grid_equals_stacked_grid(L, N, M):
 @pytest.mark.parametrize("L,N,M", KERNEL_SIZES)
 def test_kernel_on_broadcast_grid_matches_permutation_sum(L, N, M):
     # the contraction over the deepest axis against the symmetrization written out
-    from psiM_oracle import from_cube, psiM_coeffs_oracle
-    from qims.hypint import _ChainPoint, _psiM_coeffs
+    from psiM_oracle import from_cube, psiM_coeffs, psiM_coeffs_oracle
+    from qims.hypint import _ChainPoint
     from qims.polyalg import enumerate_basis
     K = (L - 1) * M
     rng = np.random.default_rng(20 * K + N)
@@ -540,8 +545,8 @@ def test_kernel_on_broadcast_grid_matches_permutation_sum(L, N, M):
     z = tuple(0.45 - 0.17 * k for k in range(N))
     basis = tuple(enumerate_basis(L, N, M))
     for i in [None] + list(range(1, N + 1)):
-        c, d = _psiM_coeffs(exps, z, _ChainPoint(per_axis, [1.0 - u for u in per_axis]),
-                            logw, basis, i)
+        c, d = psiM_coeffs(exps, z, _ChainPoint(_fresh_ws(exps, z), per_axis,
+                                                [1.0 - u for u in per_axis]), logw, basis, i)
         want, dwant = psiM_coeffs_oracle(exps, z, from_cube(v, 1.0 - v), logw, basis, i)
         assert set(d) == set(dwant) == (set() if i is None else set(basis))
         for A in basis:
@@ -557,7 +562,8 @@ def test_batch_chain_point_equals_stacked_grid():
     rng = np.random.default_rng(7)
     v = rng.uniform(0.0, 1.0, size=(500, 5))
     omv = 1.0 - v
-    _assert_same_chain(_ChainPoint(v.T, omv.T), from_cube(v, omv), (500,), 5)
+    ws = _fresh_ws(ExponentsM((F(3, 4),), (F(-2, 7),), (F(-1, 2),), F(2), 5))
+    _assert_same_chain(_ChainPoint(ws, v.T, omv.T), from_cube(v, omv), (500,), 5)
 
 
 def _all_faces(K):
@@ -673,14 +679,61 @@ def test_slabbed_tensor_equals_one_slab(monkeypatch):
     kernel = hypint._psiM_coeffs
     monkeypatch.setattr(hypint, "_psiM_coeffs", lambda *a: calls.append(1) or kernel(*a))
     rules = hypint._axis_rules("tanh_sinh_tensor", nodes, [(0, 0)] * 3)
-    c, d = hypint._psiM_tensor(exps, (0.4,), basis, rules, 1)
+    c, d = hypint._psiM_tensor(hypint._Workspace(exps, (0.4,), basis, 1), rules)
     assert len(calls) == 4
     monkeypatch.setattr(hypint, "_SLAB_POINTS", nodes ** 3)
-    c1, d1 = hypint._psiM_tensor(exps, (0.4,), basis, rules, 1)
+    c1, d1 = hypint._psiM_tensor(hypint._Workspace(exps, (0.4,), basis, 1), rules)
     assert len(calls) == 5
-    for A in basis:
-        assert c[A] == pytest.approx(c1[A], rel=1e-14, abs=0)
-        assert d[A] == pytest.approx(d1[A], rel=1e-14, abs=0)
+    for k in range(len(basis)):
+        assert c[k] == pytest.approx(c1[k], rel=1e-14, abs=0)
+        assert d[k] == pytest.approx(d1[k], rel=1e-14, abs=0)
+
+
+def test_slabs_fix_leading_axes_at_five_axes(monkeypatch):
+    # L6N1M1 has K = 5 cube axes.  At 5 nodes and slabs of at most 100
+    # points the axes after axis 0 hold 625 points and those after axis 1
+    # 125, so axes 0 and 1 are fixed one node at a time and each slab takes
+    # rows of axis 2: 4 rows of 25 points, then 1, for each of 25 pairs
+    from qims import hypint
+    exps = dictionary_M(m1_window_params(6, 1), 1)
+    basis = tuple(hypint.enumerate_basis(6, 1, 1))
+    nodes, K = 5, 5
+    rules = hypint._axis_rules("gauss_jacobi_tensor", nodes, hypint._window_check(exps))
+    sizes = []
+    kernel = hypint._psiM_coeffs
+    monkeypatch.setattr(hypint, "_psiM_coeffs",
+                        lambda ws, pt, logw: sizes.append(logw.size) or kernel(ws, pt, logw))
+    monkeypatch.setattr(hypint, "_SLAB_POINTS", 100)
+    c, d = hypint._psiM_tensor(hypint._Workspace(exps, (0.4,), basis, 1), rules)
+    assert sizes == [100, 25] * 25
+    monkeypatch.setattr(hypint, "_SLAB_POINTS", nodes ** K)
+    c1, d1 = hypint._psiM_tensor(hypint._Workspace(exps, (0.4,), basis, 1), rules)
+    assert sizes[50:] == [nodes ** K]
+    for k in range(len(basis)):
+        assert c[k] == pytest.approx(c1[k], rel=1e-14, abs=0)
+        assert d[k] == pytest.approx(d1[k], rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("M,quad,i", [
+    (1, QuadratureSpec(nodes_per_axis=24), None),
+    (2, QuadratureSpec(scheme="tanh_sinh_tensor", nodes_per_axis=21, stabilize_tol=1.0), None),
+    (2, QuadratureSpec(scheme="tanh_sinh_tensor", nodes_per_axis=21, stabilize_tol=1.0), 1),
+    (2, QuadratureSpec(scheme="monte_carlo", mc_samples=1000, seed=1), None)],
+    ids=["gauss_jacobi", "tanh_sinh", "tanh_sinh_with_i", "monte_carlo"])
+def test_one_workspace_per_evaluation(monkeypatch, M, quad, i):
+    # both refinement passes, or all Monte Carlo batches, share one workspace
+    from qims import hypint
+    made = []
+
+    class Counted(hypint._Workspace):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(hypint, "_Workspace", Counted)
+    params = m1_window_params(2, 1) if M == 1 else m_window_params(2, 1, M)
+    eval_psiM(params, (0.4,), M, quad, i)
+    assert len(made) == 1
 
 
 def _record_kernel(monkeypatch, hypint):
@@ -692,48 +745,56 @@ def _record_kernel(monkeypatch, hypint):
 
 def _assert_same_bits(got, want):
     for part, wpart in zip(got, want):
-        assert list(part) == list(wpart)
-        assert np.array(list(part.values())).tobytes() == np.array(list(wpart.values())).tobytes()
+        assert (part is None) == (wpart is None)
+        if part is not None:
+            assert part.shape == wpart.shape and part.tobytes() == wpart.tobytes()
 
 
 def test_workspace_slabs_equal_fresh_arrays_bit_for_bit(monkeypatch):
-    # 9 rows of 81 points in slabs of 2 rows: the last slab has 1 row and
-    # reuses the leading part of every buffer; each slab's sums must be those
-    # of the same slab on fresh arrays, bit for bit
+    # 9 rows of 81 points in slabs of 2 rows, after a pass of 3-row slabs at
+    # 13 nodes in the same workspace: every slab uses the leading part of
+    # buffers a larger slab made, and the last has 1 row; each slab's sums
+    # must be those of the same slab in a fresh workspace, bit for bit
     from qims import hypint
     exps = dictionary_M(m_window_params(2, 1, 3), 3)
     basis = tuple(hypint.enumerate_basis(2, 1, 3))
     nodes = 9
     rules = hypint._axis_rules("tanh_sinh_tensor", nodes, [(0, 0)] * 3)
-    monkeypatch.setattr(hypint, "_SLAB_POINTS", 2 * nodes ** 2)
     kernel, sums = _record_kernel(monkeypatch, hypint)
-    hypint._psiM_tensor(exps, (0.4,), basis, rules, 1)
+    ws = hypint._Workspace(exps, (0.4,), basis, 1)
+    monkeypatch.setattr(hypint, "_SLAB_POINTS", 3 * 13 ** 2)
+    hypint._psiM_tensor(ws, hypint._axis_rules("tanh_sinh_tensor", 13, [(0, 0)] * 3))
+    del sums[:]
+    monkeypatch.setattr(hypint, "_SLAB_POINTS", 2 * nodes ** 2)
+    hypint._psiM_tensor(ws, rules)
     assert len(sums) == 5
     for lo, got in zip(range(0, nodes, 2), sums):
-        pt, logw = hypint._tensor_slab(rules, lo, 2)
+        fresh = hypint._Workspace(exps, (0.4,), basis, 1)
+        pt, logw = hypint._tensor_slab(fresh, rules, [slice(lo, lo + 2)])
         assert logw.shape[0] == min(2, nodes - lo)
-        _assert_same_bits(got, kernel(exps, (0.4,), pt, logw, basis, 1))
+        _assert_same_bits(got, kernel(fresh, pt, logw))
 
 
 def test_workspace_batches_equal_fresh_arrays_bit_for_bit(monkeypatch):
     # 647 = 16 * 40 + 7 samples: seven batches of 41 points, then nine of 40
     # on the leading part of every buffer; each batch replayed from the
-    # seeded stream on fresh arrays gives the same sums, bit for bit
+    # seeded stream in a fresh workspace gives the same sums, bit for bit
     from qims import hypint
     exps = dictionary_M(m_window_params(2, 2, 3), 3)
     basis = tuple(hypint.enumerate_basis(2, 2, 3))
     expos = hypint._window_check(exps)
     z = (0.4, 0.2)
     kernel, sums = _record_kernel(monkeypatch, hypint)
-    hypint._psiM_mc(exps, z, basis, expos, 647, 9, 2)
+    hypint._psiM_mc(hypint._Workspace(exps, z, basis, 2), expos, 647, 9)
     a = np.array([max(float(e0), -0.95) + 1.0 for e0, _ in expos])
     b = np.array([max(float(e1), -0.95) + 1.0 for _, e1 in expos])
     rng = np.random.default_rng(9)
     assert len(sums) == 16
     for k, got in enumerate(sums):
         u = (rng.integers(0, 1 << 52, size=(3, 41 if k < 7 else 40)) + 0.5) * 2.0 ** -52
-        pt, logw = hypint._mc_batch(u, a, b)
-        _assert_same_bits(got, kernel(exps, z, pt, logw, basis, 2))
+        fresh = hypint._Workspace(exps, z, basis, 2)
+        pt, logw = hypint._mc_batch(fresh, u, a, b)
+        _assert_same_bits(got, kernel(fresh, pt, logw))
 
 
 def _traced_growth(monkeypatch, hypint, run):
@@ -759,17 +820,20 @@ def _traced_growth(monkeypatch, hypint, run):
 
 def test_slab_loop_allocates_no_slab_array(monkeypatch):
     # numpy reports its data buffers to tracemalloc: once the first slab has
-    # made the workspace, no later slab grows the traced memory by as much
-    # as one array of slab size, the derivative's arrays included
+    # filled the workspace, no later slab of either refinement pass grows
+    # the traced memory by as much as one array of slab size, the
+    # derivative's arrays included.  The coarse pass at 49 nodes takes 4
+    # slabs of up to 13 * 49^2 points, the finer one at 73 nodes 13 slabs of
+    # up to 6 * 73^2; that is more, so the finer pass's first slab grows the
+    # buffers and is the one exception
     from qims import hypint
-    exps = dictionary_M(m_window_params(2, 2, 3), 3)
-    basis = tuple(hypint.enumerate_basis(2, 2, 3))
-    nodes = 49  # 13 rows of 49^2 points per slab: 3 full slabs and one of 10 rows
-    rules = hypint._axis_rules("tanh_sinh_tensor", nodes, [(0, 0)] * 3)
-    slab = 8 * (hypint._SLAB_POINTS // nodes ** 2) * nodes ** 2
+    params = m_window_params(2, 2, 3)
+    quad = QuadratureSpec(scheme="tanh_sinh_tensor", nodes_per_axis=49, stabilize_tol=1.0)
+    slab = 8 * (hypint._SLAB_POINTS // 49 ** 2) * 49 ** 2
     growth = _traced_growth(monkeypatch, hypint,
-                            lambda: hypint._psiM_tensor(exps, (0.4, 0.2), basis, rules, 1))
-    assert len(growth) == 3 and max(growth) < slab, (growth, slab)
+                            lambda: eval_psiM(params, (0.4, 0.2), 3, quad, 1))
+    assert len(growth) == 4 + 13 - 1, growth
+    assert max(growth[:3] + growth[4:]) < slab, (growth, slab)
 
 
 def test_mc_batch_loop_allocates_only_its_draw(monkeypatch):
@@ -780,7 +844,7 @@ def test_mc_batch_loop_allocates_only_its_draw(monkeypatch):
     basis = tuple(hypint.enumerate_basis(2, 2, 3))
     per = 4000
     growth = _traced_growth(monkeypatch, hypint, lambda: hypint._psiM_mc(
-        exps, (0.4, 0.2), basis, hypint._window_check(exps), 16 * per, 5, 1))
+        hypint._Workspace(exps, (0.4, 0.2), basis, 1), hypint._window_check(exps), 16 * per, 5))
     assert len(growth) == 15 and max(growth) < 8 * 3 * per + 8 * per, growth
 
 

@@ -8,10 +8,10 @@ cohomology cross-checks.
 from .errors import (ChamberError, ConvergenceError, ParameterError,
                      PropagationError, QimsError, SingularityError,
                      StructureError, SubspaceError)
-from .polyalg import Polynomial, enumerate_basis, enumerate_basis_FT
-from .weylops import (Parameters, make_parameters, apply, flatten, hamiltonian,
+from .polyalg import enumerate_basis, enumerate_basis_FT
+from .weylops import (Parameters, make_parameters, flatten, hamiltonian,
                       hamiltonian_flat, commutator_residual,
-                      ahat_commutator_residual, ahat_matrix, braid_residual_adjacent,
+                      ahat_commutator_residual, braid_residual_adjacent,
                       braid_residual_disjoint, garnier_example_residual,
                       Q, P, Sc, Add, Mul)
 from .pfaffian import PfaffianSystem, ZPath, flatness_residual, propagate

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParameterError, StructureError
+from .errors import ParameterError
 from .polyalg import enumerate_basis, flat_pos
 from .weylops import Parameters, check_z
 from .hypint import dictionary_M
@@ -128,7 +128,7 @@ def _residues(params: Parameters, M: int, i: int):
             raise ParameterError(
                 f"the cohomology reduction requires kappa_{n} = 1, got {params.kappa[n]}")
     if not 1 <= i <= N:
-        raise StructureError(f"time index {i} out of range")
+        raise ParameterError(f"time index i={i} out of range 1..{N}")
     basis = enumerate_basis(L, N, M)
     idx = {A: k for k, A in enumerate(basis)}
     rows = [_display_row(A, L, N, M, exps.alpha, exps.beta, exps.gamma[0], i) for A in basis]

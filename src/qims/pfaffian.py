@@ -141,7 +141,9 @@ class PfaffianSystem:
         self.params = params
         L, N = params.L, params.N
         if kind == "V":
-            M = int(data)
+            if type(data) is not int:  # bool too: no silent truncation to an int
+                raise ParameterError(f"V(M) needs an integer M, got {data!r}")
+            M = data
             res = params.resonance_V
             if res != M:
                 raise ParameterError(
@@ -150,7 +152,9 @@ class PfaffianSystem:
                 )
             self.basis = enumerate_basis(L, N, M)
         elif kind == "F":
-            T = tuple(int(t) for t in data)
+            T = tuple(data)
+            if any(type(t) is not int for t in T):
+                raise ParameterError(f"F(T) needs integer caps T, got {T!r}")
             self.basis = enumerate_basis_FT(L, N, T)  # checks len(T) = L - 1
             for m in range(1, L):
                 if params.kappa[m] != -T[m - 1]:

@@ -1,11 +1,11 @@
-"""Multi-index combinatorics and polynomial arithmetic.
+"""Multi-index bases, sparse linear combinations and the exactness check.
 
 Monomials in the variables ``q_m^(i)`` (level m = 1..L-1, time index
 i = 1..N) are indexed by flat row-major tuples of nonnegative integers:
-position ``(m-1)*N + (i-1)`` holds the exponent of ``q_m^(i)``.
-
-The algebra is exact: coefficients are ``int`` or ``Fraction``, and a
-decimal (``float`` or ``complex``) coefficient is rejected with a
+position ``(m-1)*N + (i-1)`` holds the exponent of ``q_m^(i)``.  A
+polynomial is a sparse map {index: coefficient}; :func:`lin` sums such
+maps.  The exact algebra takes ``int`` or ``Fraction`` scalars only, and
+:func:`check_exact` rejects a decimal (``float`` or ``complex``) with a
 :class:`~qims.errors.ParameterError`.
 """
 
@@ -22,11 +22,6 @@ Index = tuple  # flat row-major exponent tuple of length (L-1)*N
 def flat_pos(m: int, i: int, N: int) -> int:
     """Flat position of variable q_m^(i); m and i are 1-based."""
     return (m - 1) * N + (i - 1)
-
-
-def level_degree(A: Index, m: int, N: int) -> int:
-    """Row sum d_m(A) over the time indices of level m."""
-    return sum(A[flat_pos(m, 1, N):flat_pos(m, 1, N) + N])
 
 
 def _simplex(k: int, cap: int):
@@ -110,92 +105,3 @@ def lin(terms):
 def max_abs(m):
     """Largest magnitude among the values of the sparse map ``m`` (0 when empty)."""
     return max((abs(x) for x in m.values()), default=0)
-
-
-class Polynomial:
-    """Finite map Index -> scalar with a fixed (L, N) context.
-
-    Zero coefficients are never stored; the zero polynomial has degree -1.
-    Instances are immutable after construction.
-    """
-
-    __slots__ = ("L", "N", "terms")
-
-    def __init__(self, L: int, N: int, terms=None):
-        self.L = L
-        self.N = N
-        clean = {}
-        nvars = (L - 1) * N
-        for A, c in (terms or {}).items():
-            check_exact(c)
-            if len(A) != nvars or any(e < 0 for e in A):
-                raise StructureError(f"bad exponent tuple {A} for (L,N)=({L},{N})")
-            if c != 0:
-                clean[tuple(A)] = c
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, L: int, N: int) -> "Polynomial":
-        return cls(L, N)
-
-    @classmethod
-    def monomial(cls, L: int, N: int, A: Index, coeff=1) -> "Polynomial":
-        return cls(L, N, {tuple(A): coeff})
-
-    @classmethod
-    def one(cls, L: int, N: int, coeff=1) -> "Polynomial":
-        return cls.monomial(L, N, (0,) * ((L - 1) * N), coeff)
-
-    def _check_context(self, other: "Polynomial"):
-        if (self.L, self.N) != (other.L, other.N):
-            raise StructureError("operands live in different (L, N) contexts")
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check_context(other)
-        return Polynomial(self.L, self.N, lin([(1, self.terms), (1, other.terms)]))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check_context(other)
-        return Polynomial(self.L, self.N, lin([(1, self.terms), (-1, other.terms)]))
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        self._check_context(other)
-        return Polynomial(self.L, self.N, lin(
-            (a, {tuple(x + y for x, y in zip(A, B)): b for B, b in other.terms.items()})
-            for A, a in self.terms.items()))
-
-    def scale(self, c) -> "Polynomial":
-        check_exact(c)
-        return Polynomial(self.L, self.N, {A: c * v for A, v in self.terms.items()})
-
-    def coefficient(self, A: Index):
-        """Coefficient of q^A; ``Fraction(0)`` when absent."""
-        return self.terms.get(tuple(A), Fraction(0))
-
-    def degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(A) for A in self.terms)
-
-    def max_abs(self):
-        """Largest coefficient magnitude (0 for the zero polynomial)."""
-        return max_abs(self.terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Polynomial)
-            and (self.L, self.N) == (other.L, other.N)
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.L, self.N, frozenset(self.terms.items())))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __repr__(self):
-        if not self.terms:
-            return "Polynomial(0)"
-        bits = [f"{c}*q^{A}" for A, c in sorted(self.terms.items(), key=lambda kv: _graded_lex_key(kv[0]))]
-        return "Polynomial(" + " + ".join(bits) + ")"

@@ -1,7 +1,8 @@
 """Operators on polynomials: generators, Hamiltonians, and exact identity checks.
 
 The generators ``q_m^(i)`` (multiplication) and ``p_m^(i)`` (hbar times
-differentiation) act on :class:`~qims.polyalg.Polynomial`.  Boundary
+differentiation) act on polynomials, held as sparse {index: coefficient}
+maps (see :mod:`qims.polyalg`), through :meth:`FlatOp.image`.  Boundary
 generators with m = 0 or i = 0 are derived nodes; they expand to their
 defining substitutions before anything is applied:
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParameterError, SingularityError, StructureError
-from .polyalg import Polynomial, check_exact, flat_pos, lin, max_abs
+from .polyalg import check_exact, flat_pos, lin, max_abs
 
 
 def to_scalar(x):
@@ -190,10 +191,9 @@ class FlatOp:
     computed once per operator and kept for the operator's lifetime.
     """
 
-    __slots__ = ("L", "N", "terms", "den", "unit", "_kernel", "_images")
+    __slots__ = ("terms", "den", "unit", "_kernel", "_images")
 
-    def __init__(self, L, N, hbar, terms):
-        self.L, self.N = L, N
+    def __init__(self, hbar, terms):
         hn, hd = _pair(hbar)
         if (hn, hd) != (1, 1):
             terms = [((n * hn ** k, d * hd ** k), ops) for (n, d), ops in terms
@@ -252,29 +252,19 @@ class FlatOp:
                 img[tuple(B)] = s
         return img
 
-    def apply_raw(self, terms: dict) -> dict:
-        """The image of sum_A c_A q^A: one ``lin`` of the cached images, over ``den``."""
-        unit = self.unit
-        return {B: v * unit for B, v in lin([(c, self.image(A)) for A, c in terms.items()]).items()}
-
     def apply_index(self, A, c0=1):
-        """Apply to the monomial c0*q^A; returns a raw {index: coefficient} map."""
-        return self.apply_raw({tuple(A): c0})
-
-    def __call__(self, f: Polynomial) -> Polynomial:
-        if (f.L, f.N) != (self.L, self.N):
-            raise StructureError("polynomial context does not match operator context")
-        return Polynomial(self.L, self.N, self.apply_raw(f.terms))
+        """Apply to the monomial c0*q^A; returns a new raw {index: coefficient}
+        map built from the cached image, which stays unwritten."""
+        if not c0:
+            return {}
+        unit = self.unit
+        return {B: c0 * v * unit for B, v in self.image(tuple(A)).items()}
 
 
 def flatten(op, params: Parameters) -> FlatOp:
-    return FlatOp(params.L, params.N, params.hbar, _expand(op, params))
-
-
-def apply(op, f: Polynomial, params: Parameters) -> Polynomial:
-    """Apply an operator expression to a polynomial, exactly; a decimal scalar
-    in the tree or in ``params.hbar`` is a ParameterError."""
-    return flatten(op, params)(f)
+    """Compile an operator tree, exactly; a decimal scalar in the tree or in
+    ``params.hbar`` is a ParameterError."""
+    return FlatOp(params.hbar, _expand(op, params))
 
 
 # --- Hamiltonians ---------------------------------------------------------------
@@ -397,12 +387,6 @@ def commutator_residual(i: int, j: int, params: Parameters, z, probes, *, hams=N
 def ahat_entry(m: int, n: int, i: int):
     """Entry (m, n) of the L x L matrix q_m^(i) p_n^(i)."""
     return Mul(Q(m, i), P(n, i))
-
-
-def ahat_matrix(i: int, L: int):
-    """The full L x L operator matrix with (m, n) entry q_m^(i) p_n^(i);
-    boundary entries expand to their substitutions on application."""
-    return [[ahat_entry(m, n, i) for n in range(L)] for m in range(L)]
 
 
 def ahat_commutator_residual(i, j, params: Parameters, probes, entries=None):

@@ -37,6 +37,21 @@ def test_cohomology_equals_operator_exactly(L, N, M):
             assert den > 0 and all(nums) and math.gcd(den, *nums) == 1
 
 
+@pytest.mark.parametrize("fn", [pfaffian_from_cohomology, compare_cohomology_operator])
+@pytest.mark.parametrize("i", [0, 3])
+def test_bad_time_index_is_the_restrictions_parameter_error(fn, i):
+    # the error PfaffianSystem.matrix_at and eval_psiM raise for the same i
+    L, N, M = 2, 2, 1
+    rnd = random.Random(29)
+    params = resonant_params(L, N, M, rnd, dict_m=True)
+    z = random_z(N, rnd)
+    with pytest.raises(ParameterError) as want:
+        PfaffianSystem(params, ("V", M)).matrix_at(i, z)
+    with pytest.raises(ParameterError, match=f"^time index i={i} out of range 1..2$") as got:
+        fn(params, z, M, i)
+    assert str(got.value) == str(want.value)
+
+
 def test_comparison_restricts_only_the_compared_hamiltonian(monkeypatch):
     from qims import pfaffian
     L, N, M, i = 3, 3, 2, 2

@@ -43,6 +43,11 @@ def test_resonance_violation_reports_index():
     params = make_parameters(2, 1, e=[F(1, 3), F(1, 6)], kappa=kappa, theta=theta)
     with pytest.raises(ParameterError):
         PfaffianSystem(params, ("V", 2))
+    # M must be an int: 1.5 and True once built V(1) on a V(1)-resonant point
+    params = resonant_params(2, 1, 1, rnd)
+    for M in (1.5, True, F(1), "1"):
+        with pytest.raises(ParameterError, match="integer M"):
+            PfaffianSystem(params, ("V", M))
 
 
 def test_overflow_detection_carries_index():
@@ -93,6 +98,10 @@ def test_ft_restriction():
                           kappa=[kappa0, F(-1), F(-2)], theta=theta)
     with pytest.raises(ParameterError):
         PfaffianSystem(bad, ("F", (1, 1)))
+    # each cap must be an int: (1.5, 1) and (True, 1) once built F((1, 1))
+    for T in ((1.5, 1), (True, 1), (1, 1.0)):
+        with pytest.raises(ParameterError, match="integer caps"):
+            PfaffianSystem(params, ("F", T))
 
 
 @pytest.mark.parametrize("L,N,M", [(2, 3, 3), (3, 2, 2), (4, 1, 3), (2, 1, 199)])

@@ -27,12 +27,12 @@ the degree-1 forms; without it the coefficient vector does not satisfy the
 differential system.  The symmetrization is a generating function (Aomoto
 & Kita, ch. 2): the sum over copy permutations of the labelled densities
 is a coefficient of a product of M linear forms in y_(n,i), one per copy,
-expanded once for every basis index.  d/dz_i is carried through that
-product as a dual part.  On a tensor grid each chain coordinate and gap
-is an outer product of 1-D node factors, so the grid is never stacked:
-per-axis node arrays broadcast, and every factor keeps only the axes it
-depends on.  Only the copy at the last chain position depends on the
-deepest axis, so the weight times each term of its form is summed over
+expanded once for every basis index; d/dz_i is the e-part of the same
+product in truncated arithmetic, e^2 = 0.  On a tensor grid each chain
+coordinate and gap is an outer product of 1-D node factors, so the grid is
+never stacked: per-axis node arrays broadcast, and every factor keeps only
+the axes it depends on.  Only the copy at the last chain position depends
+on the deepest axis, so the weight times each term of its form is summed over
 that axis first, and one contraction pairs those sums with the expanded
 product of the other copies, which never reaches full size.  The grid is
 evaluated in slabs of at most 2^15 points (:func:`_psiM_tensor`), so
@@ -130,6 +130,9 @@ def _check_z_box(z, N, i=None):
 
 
 def _z_of_length(z, N):
+    if any(np.iscomplexobj(x) for x in z):
+        raise ParameterError(f"quadrature and the series take real z, got {tuple(z)}; "
+                             "propagate covers complex z")
     z = tuple(float(x) for x in z)
     if len(z) != N:
         raise ParameterError(f"z must have length N={N}")
@@ -258,15 +261,19 @@ class _ChainPoint:
 
 
 def _times_plan(left, right, out):
-    """The terms of ``left * right``, both lists of monomials with right
-    linear in y: appends each new monomial to ``out`` and returns one
-    (out index, left index, right index, add) per term, in expansion order;
-    ``add`` is False at a monomial's first term."""
+    """The terms of ``left * right`` with e^2 = 0, both lists of monomials
+    ending in their power of e, right linear in y: appends each new
+    monomial to ``out`` and returns one (out index, left index, right
+    index, add) per term, in expansion order, dropping those whose e-power
+    passes 1; ``add`` is False at a monomial's first term."""
     index = {mono: o for o, mono in enumerate(out)}
     ops = []
-    for a, mono in enumerate(left):
+    # left e^1 monomials first: keeps every sum in its established order
+    for a in sorted(range(len(left)), key=lambda a: -left[a][-1]):
         for b, y in enumerate(right):
-            key = tuple(u + v for u, v in zip(mono, y))
+            key = tuple(map(operator.add, left[a], y))
+            if key[-1] > 1:
+                continue
             add = key in index
             if not add:
                 index[key] = len(out)
@@ -306,8 +313,9 @@ class _Workspace:
 
     That work is done once: the chain positions, the exponent of every power
     in the weight, the factors of every one-copy form, the pairings of the
-    copies, and the expansion of their product with the basis index each
-    term adds to.
+    copies, one plan per other copy for the expansion of their product in
+    truncated arithmetic (e^2 = 0, d/dz_i the e-part), and the sum each
+    term of the contraction adds to.
 
     The arrays live in one flat buffer per name.  :meth:`out` gives the
     leading entries of the named buffer as a C-contiguous array of the
@@ -366,44 +374,35 @@ class _Workspace:
                                   next(c for c in copies if c[-1] == M)))
         self.forms = {c: factors(c) for others, last in self.pairings for c in others + [last]}
 
-        # d/dz_i: an f^(i) term gains r = t/(1 - z_i t) at its copy's t_(L-1)
+        # d/dz_i is the e-part of the same product with e^2 = 0: an f^(i)
+        # term gains e r, r = t/(1 - z_i t) at its copy's t_(L-1)
         duals = []
         if i is not None:
             iy = {ykey[(n, i)] for n in range(1, L)}
             duals = list(iy)  # in the set's order, which fixes the order of every sum
-            self.dual = [self.ys.index(y) for y in duals]
             self.wide = [y in iy for y in self.ys]
             self.beta_i = float(exps.beta[i - 1]) / kp
+        self.dual = [self.ys.index(y) for y in duals]
 
-        # the product of the other copies, one (poly, dpoly) pair per copy
-        # after the first: (poly + e dpoly)(lin + e dual), dropping e^2
-        poly, dpoly = ([zero], []) if M == 1 else (list(self.ys), list(duals))
-        self.steps = []
-        for _ in range(M - 2):
-            p_out, d_out = [], []
-            ops = (_times_plan(poly, self.ys, p_out), _times_plan(dpoly, self.ys, d_out),
-                   _times_plan(poly, duals, d_out))
-            self.steps.append(ops + (len(p_out), len(d_out)))
-            poly, dpoly = p_out, d_out
-        self.nrows = len(poly) + len(dpoly)
+        # the product of the other copies from the constant monomial, one
+        # plan per copy; each monomial ends in its power of e
+        terms = [y + (0,) for y in self.ys] + [y + (1,) for y in duals]
+        rows, self.steps = [zero + (0,)], []
+        for _ in range(M - 1):
+            left, rows = rows, []
+            self.steps.append((_times_plan(left, terms, rows), len(rows)))
+        self.nrows = len(rows)
 
-        # the basis index each entry G[m, k] of the contraction adds to: poly
-        # times the last copy's form, poly times its dual part, dpoly times it
-        index = {A: k for k, A in enumerate(basis)}
-        ny = len(self.ys)
-        acc, dacc = [], []
-        for m, mono in enumerate(poly):
-            for k, y in enumerate(self.ys):
-                A = tuple(u + v for u, v in zip(mono, y))
-                if A in index:
-                    acc.append((index[A], m, k))
-                    dacc.append((index[A], m, ny + k))
-        for m, mono in enumerate(dpoly, len(poly)):
-            for k, y in enumerate(self.ys):
-                A = tuple(u + v for u, v in zip(mono, y))
-                if A in index:
-                    dacc.append((index[A], m, k))
-        self.acc, self.dacc = np.array(acc).T, np.array(dacc).T
+        # the sum each entry G[m, k] of the contraction adds to: row m times
+        # the k-th term of the last copy's form, then (with i) times its
+        # e-part; the c_A sums come first in basis order, then the d/dz_i
+        nb = len(basis)
+        index = {A + (e,): e * nb + k for k, A in enumerate(basis) for e in (0, 1)}
+        last = terms[:len(self.ys)] + ([y + (1,) for y in self.ys] if i is not None else [])
+        # e^0 rows first: keeps every sum in its established order
+        walk = sorted(enumerate(rows), key=lambda row: row[1][-1])
+        self.acc = np.array([(index[A], m, k) for m, mono in walk for k, y in enumerate(last)
+                             for A in [tuple(map(operator.add, mono, y))] if A in index]).T
         self.scale = np.array([(-1) ** sum(A) * math.factorial(M) for A in basis], float)
 
     def out(self, name, shape, dtype=float):
@@ -431,9 +430,10 @@ def _psiM_coeffs(ws: _Workspace, pt: _ChainPoint, logw):
     with level 1 by tau in S_M^(L-2), the sum over all copy permutations of
     the labelled densities is A_0! prod A! [y^A] prod_b P_(b, tau(b)), so
     c_A = (-1)^|A| M! sum_tau [y^A] prod_b P_(b, tau(b)), one product
-    expansion for every A at once.  d/dz_i rides along as a dual part:
-    with r(t) = t/(1 - z_i t) at a copy's t_{L-1}, each f_n^(i) gains a
-    factor r, and the weight adds (beta_i/kappa) r per copy.
+    expansion for every A at once.  d/dz_i is its e-part with e^2 = 0:
+    with r(t) = t/(1 - z_i t) at a copy's t_{L-1}, each f_n^(i) gains
+    e r, and the weight e (beta_i/kappa) r per copy; one scatter adds the
+    contraction into the c_A sums and their d/dz_i.
 
     The copy whose t_{L-1} sits at the last chain position is the only one
     that depends on the deepest axis.  The other copies' product is
@@ -474,47 +474,36 @@ def _psiM_coeffs(ws: _Workspace, pt: _ChainPoint, logw):
         bwi = np.add(dweight, r[ws.tls[-1]], out=out("bwi", base.shape))
         bwi *= base  # an f^(i) term of the last copy gains its own r
 
-    acc = np.zeros(len(ws.basis))
-    dacc = np.zeros(len(ws.basis)) if i is not None else None
+    acc = np.zeros((1 if i is None else 2) * len(ws.basis))
     forms, sums = {}, {}
     for others, last in ws.pairings:
         for c in others:
-            if c not in forms:
+            if c not in forms:  # the form's terms, then its e-parts
                 lin = [_product(out, (("form", c), k), [fac[f] for f in fs])
                        for k, fs in enumerate(ws.forms[c])]
-                forms[c] = lin, ([_mul(out, ("dual", c, k), lin[k], r[ws.tls[c[-1] - 1]])
-                                  for k in ws.dual] if dacc is not None else [])
-        # the rows: the expanded product of the other copies, then its dual part
-        shape = np.broadcast_shapes(*(np.shape(v) for c in others for part in forms[c]
-                                      for v in part))
+                forms[c] = lin + [_mul(out, ("dual", c, k), lin[k], r[ws.tls[c[-1] - 1]])
+                                  for k in ws.dual]
+        # the rows: the expanded product of the other copies
+        shape = np.broadcast_shapes(*(np.shape(v) for c in others for v in forms[c]))
         shape = (1,) * (base.ndim - len(shape)) + shape
         R = out("R", (ws.nrows,) + shape)
         if not others:  # M = 1: the last copy alone
             R[0] = 1.0
-        elif not ws.steps:
-            for row, v in zip(R, [v for part in forms[others[0]] for v in part]):
-                row[...] = v
-        else:
-            poly, dpoly = forms[others[0]]
-            for s, (c, (ops_p, ops_dl, ops_pd, n_p, n_d)) in enumerate(zip(others[1:], ws.steps)):
-                lin, dual = forms[c]
-                last_step = s == len(ws.steps) - 1
-                p_out = list(R[:n_p]) if last_step else [None] * n_p
-                d_out = list(R[n_p:]) if last_step else [None] * n_d
-                _expand(out, ("poly", s % 2), ops_p, poly, lin, p_out)
-                _expand(out, ("dpoly", s % 2), ops_dl, dpoly, lin, d_out)
-                _expand(out, ("dpoly", s % 2), ops_pd, poly, dual, d_out)
-                poly, dpoly = p_out, d_out
+        rows = [1.0]
+        for s, (c, (ops, n)) in enumerate(zip(others, ws.steps)):
+            new = list(R) if s == len(ws.steps) - 1 else [None] * n
+            _expand(out, ("rows", s % 2), ops, rows, forms[c], new)
+            rows = new
         if last not in sums:
             # S[k] pairs the base with the k-th term of the last copy's form,
-            # S[len(ys) + k] its dual weight; one term is built at a time
+            # S[len(ys) + k] with its e-part; one term is built at a time
             axes = tuple(ax for ax, (k, n) in enumerate(zip(shape, base.shape)) if k == 1 < n)
             ny = len(ws.ys)
-            S = out(("S", last), ((2 if dacc is not None else 1) * ny,) + shape)
+            S = out(("S", last), ((1 if i is None else 2) * ny,) + shape)
             for k, fs in enumerate(ws.forms[last]):
                 f = _product(out, "last", [fac[g] for g in fs])
                 terms = [(S[k], base)]
-                if dacc is not None:
+                if i is not None:
                     terms.append((S[ny + k], bwi if ws.wide[k] else bw))
                 for col, w in terms:
                     if axes:
@@ -526,9 +515,8 @@ def _psiM_coeffs(ws: _Workspace, pt: _ChainPoint, logw):
         # einsum, not BLAS: the sum's order must not vary with BLAS threads
         G = np.einsum("mr,yr->my", R.reshape(len(R), -1), S.reshape(len(S), -1))
         np.add.at(acc, ws.acc[0], G[ws.acc[1], ws.acc[2]])
-        if dacc is not None:  # d(poly . lin) = poly . (bw lin + base dual) + dpoly . lin
-            np.add.at(dacc, ws.dacc[0], G[ws.dacc[1], ws.dacc[2]])
-    return acc * ws.scale, None if dacc is None else dacc * ws.scale
+    c = acc.reshape(-1, len(ws.basis)) * ws.scale
+    return c[0], None if i is None else c[1]
 
 
 # --- exact window exponents ---------------------------------------------------------

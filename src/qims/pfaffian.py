@@ -152,9 +152,9 @@ class PfaffianSystem:
                 )
             self.basis = enumerate_basis(L, N, M)
         elif kind == "F":
-            T = tuple(data)
-            if any(type(t) is not int for t in T):
-                raise ParameterError(f"F(T) needs integer caps T, got {T!r}")
+            T = tuple(data) if isinstance(data, (tuple, list)) else None
+            if T is None or any(type(t) is not int for t in T):
+                raise ParameterError(f"F(T) needs integer caps T, got {data!r}")
             self.basis = enumerate_basis_FT(L, N, T)  # checks len(T) = L - 1
             for m in range(1, L):
                 if params.kappa[m] != -T[m - 1]:

@@ -20,6 +20,10 @@ SCHEMES = ("gauss_jacobi_tensor", "tanh_sinh_tensor", "monte_carlo")
 # the fewest samples a spec may ask for
 MC_BATCHES = 16
 
+# the type of each field; a bool is none of them
+_TYPES = {"scheme": str, "nodes_per_axis": int, "mc_samples": int, "seed": int,
+          "stabilize_tol": (int, float)}
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -30,6 +34,10 @@ class QuadratureSpec:
     stabilize_tol: float = 1e-8  # tensor rules only; Monte Carlo never reads it
 
     def __post_init__(self):
+        for k, t in _TYPES.items():
+            v = getattr(self, k)
+            if isinstance(v, bool) or not isinstance(v, t):
+                raise ParameterError(f"quadrature {k} has the wrong type: {v!r}")
         if self.scheme not in SCHEMES:
             raise ParameterError(f"unknown scheme {self.scheme!r}; pick one of {SCHEMES}")
         if self.nodes_per_axis < 4:

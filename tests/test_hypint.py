@@ -169,6 +169,14 @@ def test_series_ratio_rational_structure():
         assert pred == pytest.approx(ratios[k], rel=1e-6)
 
 
+def test_quadrature_and_series_reject_complex_z():
+    params = m1_window_params(2, 1)
+    with pytest.raises(ParameterError, match="propagate covers complex z"):
+        eval_psiM(params, (0.4 + 0.1j,), 1, QuadratureSpec(nodes_per_axis=8))
+    with pytest.raises(ParameterError, match="propagate covers complex z"):
+        series_psi1(params, (0.4 + 0.1j,), 10)
+
+
 def test_series_requires_domain():
     params = m1_window_params(2, 1)
     with pytest.raises(ParameterError):
@@ -369,6 +377,11 @@ def test_fewer_mc_samples_than_batches_rejected(n):
     with pytest.raises(ParameterError, match="mc_samples must be at least 16"):
         QuadratureSpec(scheme="monte_carlo", mc_samples=n)
     QuadratureSpec(scheme="monte_carlo", mc_samples=16)
+    # each field has its type, checked ahead of its value; a bool is no count
+    for kw in ({"nodes_per_axis": 10.5}, {"nodes_per_axis": True}, {"nodes_per_axis": "32"},
+               {"mc_samples": 1000.0}, {"seed": 1.5}):
+        with pytest.raises(ParameterError, match="has the wrong type"):
+            QuadratureSpec(**kw)
 
 
 def test_psiM_symmetrization_consistency():
@@ -451,6 +464,27 @@ def test_kernel_matches_permutation_sum(L, N, M):
             assert c[A] == pytest.approx(want[A], rel=1e-12, abs=0), (i, A)
             if i is not None:
                 assert d[A] == pytest.approx(dwant[A], rel=1e-12, abs=0), (i, A)
+
+
+def test_times_plan_drops_e_squared():
+    # monomials in two y-variables and a last e entry: (1 + y1 + e y0)(1 + y0 + y1 + e + e y1)
+    from qims.hypint import _times_plan
+    left = [(0, 0, 0), (0, 1, 0), (1, 0, 1)]
+    right = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)]
+    out = []
+    ops = _times_plan(left, right, out)
+    assert len(set(out)) == len(out)
+    assert all(mono[-1] <= 1 for mono in out)
+    kept = [(a, b) for a in range(len(left)) for b in range(len(right))
+            if left[a][-1] + right[b][-1] <= 1]
+    assert sorted((a, b) for _, a, b, _ in ops) == kept  # each kept product exactly once
+    seen = set()
+    for o, a, b, add in ops:
+        assert out[o] == tuple(u + v for u, v in zip(left[a], right[b]))
+        assert add == (o in seen)
+        seen.add(o)
+    # the e^1 left monomial is walked first
+    assert [a for _, a, _, _ in ops][:3] == [2, 2, 2]
 
 
 def _assert_same_chain(pt, want, shape, K):

@@ -98,8 +98,9 @@ def test_ft_restriction():
                           kappa=[kappa0, F(-1), F(-2)], theta=theta)
     with pytest.raises(ParameterError):
         PfaffianSystem(bad, ("F", (1, 1)))
-    # each cap must be an int: (1.5, 1) and (True, 1) once built F((1, 1))
-    for T in ((1.5, 1), (True, 1), (1, 1.0)):
+    # each cap must be an int: (1.5, 1) and (True, 1) once built F((1, 1));
+    # a bare int is no sequence of caps
+    for T in ((1.5, 1), (True, 1), (1, 1.0), 1):
         with pytest.raises(ParameterError, match="integer caps"):
             PfaffianSystem(params, ("F", T))
 

@@ -49,8 +49,8 @@ The endpoint powers, and the window check on every face, come from the
 integer orders of :func:`_face_orders`, tabulated once per (L, M) and
 dotted with the exponents: exact in the parameters and free of z.
 
-Every tensor result is checked by node refinement (Gauss-Jacobi
-doubles the nodes, tanh-sinh takes 1.5x as many), never assumed stable.
+Every tensor result is checked against a second rule, never assumed
+stable (the pair is in :func:`eval_psiM`).
 All power-law bases are positive on the chamber for real z with
 0 < z_i < 1, so principal branches apply throughout and no branch tracking
 is needed.  Complex z is out of scope for quadrature (ODE transport covers
@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -130,9 +131,9 @@ def _check_z_box(z, N, i=None):
 
 
 def _z_of_length(z, N):
-    if any(np.iscomplexobj(x) for x in z):
-        raise ParameterError(f"quadrature and the series take real z, got {tuple(z)}; "
-                             "propagate covers complex z")
+    if not all(isinstance(x, numbers.Real) for x in z):
+        raise ParameterError(f"quadrature and the series take a sequence of real numbers "
+                             f"z, got {z!r}; propagate covers complex z")
     z = tuple(float(x) for x in z)
     if len(z) != N:
         raise ParameterError(f"z must have length N={N}")
@@ -660,15 +661,18 @@ def eval_psiM(params: Parameters, z, M: int, quad: QuadratureSpec, i=None) -> In
     a tanh-sinh tensor rule or seeded Monte Carlo with a per-axis
     Kumaraswamy proposal (see :func:`_psiM_mc`) built from the same exact
     endpoint exponents.  A tensor rule covers K = M(L-1) <= 6 cube axes and
-    fails on a relative change above ``stabilize_tol`` under node refinement.
+    fails on a relative change above ``stabilize_tol`` between its two
+    rules: Gauss-Jacobi returns the n = ``nodes_per_axis`` rule and checks
+    it against ceil(n/2) nodes, tanh-sinh returns int(1.5 n) | 1 nodes and
+    checks them against n (``meta["nodes"]`` is the returned rule's).
     Slabs keep its memory flat, so the axis limit bounds run time, not
-    memory: L6N1M1 stays at 65.6 MiB but evaluates 64^5 + 32^5 ~ 1.1e9
-    points in 79-109 s on two vCPUs, and L7N1M1 (K = 6) is accepted and
-    would take about 1.7 h.  Monte Carlo never fails on its error or reads
-    that bound: ``convergence`` is its standard error over max |c_A|
-    (``meta["sem"]`` unscaled).  With a time index i, ``derivative`` is
-    dc/dz_i, differentiated under the integral (z enters only through
-    bounded factors) on the nodes of the finer rule or the same MC samples.
+    memory: at the default 32 nodes L6N1M1 evaluates 16^5 + 32^5 ~ 3.5e7
+    points in 2.7-2.9 s at 65.5 MiB on two vCPUs, L7N1M1 (K = 6) 1.1e9 in
+    89 s.  Monte Carlo never fails on its error or reads that bound:
+    ``convergence`` is its standard error over max |c_A| (``meta["sem"]``
+    unscaled).  With a time index i, ``derivative`` is dc/dz_i,
+    differentiated under the integral (z enters only through bounded
+    factors) on the nodes of the returned rule or the same MC samples.
     """
     if M < 1:
         raise ParameterError("M must be a positive integer")
@@ -692,8 +696,9 @@ def eval_psiM(params: Parameters, z, M: int, quad: QuadratureSpec, i=None) -> In
     else:
         # both passes share the workspace; the coarse one computes a
         # derivative too and drops it
-        nodes = 2 * quad.nodes_per_axis if M == 1 else int(quad.nodes_per_axis * 1.5) | 1
-        c1, _ = _psiM_tensor(ws, _axis_rules(quad.scheme, quad.nodes_per_axis, expos))
+        n = quad.nodes_per_axis
+        coarse, nodes = (-(-n // 2), n) if M == 1 else (n, int(n * 1.5) | 1)
+        c1, _ = _psiM_tensor(ws, _axis_rules(quad.scheme, coarse, expos))
         c, d = _psiM_tensor(ws, _axis_rules(quad.scheme, nodes, expos))
         err = np.abs(c1 - c).max()
         meta = {"scheme": quad.scheme, "nodes": nodes}

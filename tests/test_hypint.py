@@ -169,6 +169,20 @@ def test_series_ratio_rational_structure():
         assert pred == pytest.approx(ratios[k], rel=1e-6)
 
 
+def test_quadrature_and_series_reject_string_z():
+    params = m1_window_params(2, 1)
+    quad = QuadratureSpec(nodes_per_axis=16)
+    for z in ("0.4", ("0.4",)):
+        with pytest.raises(ParameterError, match="sequence of real numbers z"):
+            eval_psiM(params, z, 1, quad)
+        with pytest.raises(ParameterError, match="sequence of real numbers z"):
+            series_psi1(params, z, 10)
+    # numpy floats and exact rationals are real numbers
+    want = eval_psiM(params, (0.4,), 1, quad).vector
+    for z in ((np.float64(0.4),), (F(2, 5),)):
+        assert eval_psiM(params, z, 1, quad).vector.tobytes() == want.tobytes()
+
+
 def test_quadrature_and_series_reject_complex_z():
     params = m1_window_params(2, 1)
     with pytest.raises(ParameterError, match="propagate covers complex z"):
@@ -201,10 +215,35 @@ def test_m1_one_grid_matches_per_level_oracle(L, N):
     basis = tuple(enumerate_basis(L, N, 1))
     for i in range(1, N + 1):
         res = eval_psiM(params, z, 1, QuadratureSpec(nodes_per_axis=32), i)
-        assert res.basis == basis and res.meta == {"scheme": "gauss_jacobi_tensor", "nodes": 64}
-        want, dwant = psi1_eval_at(exps, z, 64, basis, i)
+        assert res.basis == basis and res.meta == {"scheme": "gauss_jacobi_tensor", "nodes": 32}
+        want, dwant = psi1_eval_at(exps, z, 32, basis, i)
         assert np.abs(res.vector - want).max() <= 1e-10 * np.abs(want).max(), i
         assert np.abs(res.derivative - dwant).max() <= 1e-10 * np.abs(dwant).max(), i
+
+
+@pytest.mark.parametrize("M,quad,nodes,check_nodes", [
+    (1, QuadratureSpec(nodes_per_axis=25, stabilize_tol=1.0), 25, 13),
+    (2, QuadratureSpec(scheme="tanh_sinh_tensor", nodes_per_axis=21, stabilize_tol=1.0), 31, 21)],
+    ids=["gauss_jacobi", "tanh_sinh"])
+def test_refinement_returns_one_direct_pass(M, quad, nodes, check_nodes):
+    # the result is a direct pass at meta["nodes"], bit for bit, and
+    # convergence its max relative distance to the check rule's pass
+    from qims import hypint
+    params = m1_window_params(3, 2) if M == 1 else m_window_params(2, 1, M)
+    z = tuple(0.45 - 0.17 * k for k in range(params.N))
+    res = eval_psiM(params, z, M, quad, 1)
+    assert res.meta["nodes"] == nodes
+    exps = dictionary_M(params, M)
+    expos = hypint._window_check(exps)
+
+    def direct(nodes):
+        ws = hypint._Workspace(exps, z, res.basis, 1)
+        return hypint._psiM_tensor(ws, hypint._axis_rules(quad.scheme, nodes, expos))
+
+    c, d = direct(res.meta["nodes"])
+    _assert_same_bits((res.vector, res.derivative), (c, d))
+    check, _ = direct(check_nodes)
+    assert res.convergence == np.abs(check - c).max() / np.abs(c).max() > 0
 
 
 def test_m1_unit_adjacent_exponent_misses_the_oracle():

@@ -393,17 +393,12 @@ def _check_lemmas(cfg, args, params, z, system):
     nsamples = convert(int, cfg.get("lemma_samples", 10), "lemma_samples")
     if nsamples < 1:
         raise ParameterError(f"lemma_samples must be at least 1, got {nsamples}")
-    worst = Fraction(0)
-    detail = {}
-    for lemma in cohomology.LEMMA_IDS:
-        L = max(params.L, cohomology.LEMMA_MIN_L[lemma])
-        bad = Fraction(0)
-        for _ in range(nsamples):
-            s = cohomology.random_lemma_sample(lemma, L, rng)
-            bad = max(bad, cohomology.lemma_residual(lemma, **s))
-        detail[lemma] = emit_scalar(bad)
-        worst = max(worst, bad)
-    return {"residuals": detail, "samples": nsamples}, worst == 0
+    worst = dict.fromkeys(cohomology.LEMMA_IDS, Fraction(0))
+    for _ in range(nsamples):
+        for lemma, r in cohomology.lemma_round(params.L, rng).items():
+            worst[lemma] = max(worst[lemma], r)
+    detail = {lemma: emit_scalar(r) for lemma, r in worst.items()}
+    return {"residuals": detail, "samples": nsamples}, not any(worst.values())
 
 
 # each check's handler and the flags it reads besides --L, --N and --out

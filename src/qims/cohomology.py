@@ -14,7 +14,13 @@ the check that validates this.
 
 The identity checks evaluate both sides of the two-copy symmetrized
 rational-function identities used to reduce the coboundary terms; with
-exact rational inputs the residual must be exactly zero.
+exact rational inputs the residual must be exactly zero.  ``lemma_round``
+is one round of ``qims check lemmas``: each level L = max(model L,
+LEMMA_MIN_L[lemma]) draws one exact point, shared by that level's
+identities, whose copies, f-row prefix sums and C(n, 1, 2) table are built
+once (``_Point``); each identity still gets one point per round, so
+``lemma_samples`` points in all, and draws its own (n, l).
+``lemma_residual`` is the one-identity case of the same evaluator.
 """
 
 from __future__ import annotations
@@ -22,9 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import ParameterError
-from .polyalg import enumerate_basis, flat_pos
+from .polyalg import check_exact, enumerate_basis, flat_pos
 from .weylops import Parameters, check_z
 from .hypint import dictionary_M
 from .pfaffian import (_cleared, _combine_residues, _max_abs, require_exact, residue_sum,
@@ -242,49 +249,217 @@ def _reduced(r):
 
 
 def _ratios(*xs):
-    """Exact rationals as ``_Ratio``s over their least common denominator."""
-    xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in xs]
+    """Exact rationals (ints or Fractions) as ``_Ratio``s over their least
+    common denominator."""
     q = math.lcm(*(x.denominator for x in xs))
     return [_Ratio(x.numerator * (q // x.denominator), q) for x in xs]
 
 
-def _copy(c, zs):
+def _copy(c, zs, q):
     """One copy's ``f0 = 1/prod g_m`` and, for each z in ``zs``, the row
     ``[f_1(z), ..., f_{L-1}(z)]`` with ``f_n(z) = f0 g_n / (1 - z c_last)``;
-    the g_m are the chain gaps ``t_{m-1} - t_m`` with t_0 = 1."""
-    gaps = [a - b for a, b in zip((1,) + c, c)]
-    f0 = 1 / math.prod(gaps)
-    return f0, [[h * g for g in gaps] for h in (f0 / (1 - z * c[-1]) for z in zs)]
+    the g_m are the chain gaps ``t_{m-1} - t_m`` with t_0 = 1.  ``c`` and
+    ``zs`` are the integer numerators of coordinates over one denominator q,
+    so f0 = q^(L-1)/prod G_m and f_n(z) = q^L G_n/(prod G_m (q^2 - Z c_last))
+    in the gaps' numerators G_m."""
+    gaps = [a - b for a, b in zip((q,) + c, c)]
+    den = math.prod(gaps)
+    poles = [q * q - z * c[-1] for z in zs]
+    if not den or 0 in poles:
+        raise ZeroDivisionError("division by zero")
+    top = q ** len(c)  # q^(L-1)
+    return _Ratio(top, den), [[_Ratio(top * q * g, den * w) for g in gaps] for w in poles]
 
 
-def _C(n, c1, c2, L):
-    """C(n, 1, 2): copy-1 coordinates against copy-2 partners; t_0^(2) = 1 and
-    no partner below the last level."""
-    out = 0
-    chain2 = (1,) + c2
-    for m in range(n, L):
-        tm = c1[m - 1]
-        term = -1 / (tm - chain2[m - 1]) + 2 / (tm - c2[m - 1])
-        if m <= L - 2:
-            term += -1 / (tm - c2[m])
-        out += tm * term
-    if n == 1:
-        out += c1[0] / (c1[0] - 1)
-    return out
+def _c_columns(L, t1, t2):
+    """C(n, 1, 2) of copy k against its partner, as lists over k, for n = L-1
+    down to 1, from the integer numerators ``t1``, ``t2`` of coordinates over
+    one denominator.
+
+    C(n, 1, 2) sums, over the levels m = n..L-1, copy 1's t_m times
+    -1/(t_m - t_{m-1}^(2)) + 2/(t_m - t_m^(2)) - 1/(t_m - t_{m+1}^(2)), with
+    no partner below the last level; C(1, 1, 2) adds t_1/(t_1 - 1), which
+    cancels level 1's first fraction (t_0^(2) = 1).  A level's term reads
+    only the swap bits of levels m-1..m+1, so each level has at most 8
+    distinct terms, and each C(n) is C(n + 1) plus level n's term.
+    """
+    full = (1 << (L - 1)) - 1
+    X = (t1, t2)
+
+    def frac(x, y):
+        if x == y:
+            raise ZeroDivisionError("division by zero")
+        return _Ratio(x, x - y)  # x/(x - y), both over one denominator
+
+    def term(m, k):
+        # copy 1's t_j (partner 0) or copy 2's (partner 1) in swap k
+        at = lambda j, partner: X[(k >> (j - 1) & 1) ^ partner][j - 1]
+        x = at(m, 0)
+        out = 2 * frac(x, at(m, 1))
+        if m > 1:
+            out = out - frac(x, at(m - 1, 1))
+        if m < L - 1:
+            out = out - frac(x, at(m + 1, 1))
+        return out
+
+    col = None
+    for m in range(L - 1, 0, -1):
+        shift, mask = (m - 2, 7) if m > 1 else (0, 3)
+        terms = [term(m, key << shift) for key in range(min(mask, full >> shift) + 1)]
+        row = [terms[k >> shift & mask] for k in range(full + 1)]
+        col = row if col is None else [a + b for a, b in zip(col, row)]
+        yield col
+
+
+def _jacobi(t, zi, zj):
+    lhs = t / (1 - zi * t)
+    rhs = (1 - zj * t) / (zi - zj) * (1 / (1 - zi * t) - 1 / (1 - zj * t))
+    return _reduced(lhs - rhs)
+
+
+class _Point:
+    """One exact point (t1, t2, zi, zj) and its tables, shared by every
+    identity evaluated there.
+
+    Copy k takes t2 at the levels whose bit is set in k, t1 elsewhere; its
+    partner is the complement ``full ^ k``.  Built once: each copy's f0, its
+    f-rows at zi and zj, the prefix sums of its zi row, and C(n, 1, 2) for
+    every swap and every n down to the lowest asked for.  Without t2 only
+    copy 0 (all t1) is built, which is all the identity f0 reads.  Without
+    zj, or at zj = zi, the zj row is the zi row and the cross-index lines
+    drop out.
+    """
+
+    def __init__(self, L, t1, t2, zi, zj=None):
+        zs = (zi,) if zj is None or zj == zi else (zi, zj)
+        xs = _ratios(*t1, *(t2 or ()), *zs)
+        split = len(xs) - len(zs)
+        self.L, self.t1, self.t2, zs = L, xs[:L - 1], xs[L - 1:split], xs[split:]
+        self.zi, self.zj, self.degenerate = zs[0], zs[-1], len(zs) == 1
+        X = ([x.n for x in self.t1], [x.n for x in self.t2])
+        self.full = full = (1 << (L - 1)) - 1 if t2 else 0
+        copies = [_copy(tuple(X[k >> m & 1][m] for m in range(L - 1)), [z.n for z in zs],
+                        zs[0].d) for k in range(full + 1)]
+        self.f0 = [f0 for f0, rows in copies]
+        self.fi = [rows[0] for f0, rows in copies]
+        self.fj = [rows[-1] for f0, rows in copies]
+        self.pi = [list(accumulate(row)) for row in self.fi]
+        self.columns = _c_columns(L, *X) if t2 else None
+        self.C = []  # C(L-1, 1, 2), C(L-2, 1, 2), ... as far as built
+
+    def c_column(self, n):
+        """C(n, 1, 2) of every swap; the levels below n are never built, so a
+        pole there does not raise."""
+        while len(self.C) < self.L - n:
+            self.C.append(next(self.columns))
+        return self.C[self.L - 1 - n]
+
+    def residual(self, lemma_id, n=None, l=None):
+        """|LHS - RHS| of one identity here, reduced once to a Fraction."""
+        L, zi, zj, full = self.L, self.zi, self.zj, self.full
+        if lemma_id == "jacobi":
+            return _jacobi(self.t1[-1], zi, zj)
+        # f0, f_m(zi), f_m(zj) and f_1(zi) + ... + f_m(zi) of copy k, 1-based in m
+        f0 = lambda k: self.f0[k]
+        fi = lambda k, m: self.fi[k][m - 1]
+        fj = lambda k, m: self.fj[k][m - 1]
+        pi = lambda k, m: self.pi[k][m - 1]
+        if lemma_id == "f0":
+            c = self.t1[-1]
+            return _reduced(c / (1 - zi * c) - (-f0(0) + pi(0, L - 1)) / ((zi - 1) * f0(0)))
+
+        # Every term of every identity below carries 1/(c1_last c2_last) =
+        # 1/(t1_last t2_last) whatever the swap, so that factor is left out of
+        # the terms and applied once at the end.
+        if lemma_id == "one_lt_l":
+            n = 1
+        C = self.c_column(n)
+        degenerate = self.degenerate
+
+        def sym2(u, v):
+            """Sum of u(copy 1) v(copy 2) over the per-level swaps.  The terms
+            of swaps k and full ^ k share a denominator; each pair is added
+            first, without cross multiplication."""
+            return sum(u(k) * v(full ^ k) + u(full ^ k) * v(k) for k in range(full // 2 + 1))
+
+        def lhs_with(v):
+            """Sum of C(n, 1, 2) f_n(copy 1, zi) v(copy 2) over the swaps."""
+            return sum(C[k] * fi(k, n) * v(full ^ k) for k in range(full + 1))
+
+        if lemma_id == "l_lt_n":
+            lhs = lhs_with(lambda k: fj(k, l))
+            rhs = sym2(lambda k: fi(k, n), lambda k: fi(k, l))
+            if not degenerate:
+                rhs += zj / (zi - zj) * sym2(lambda k: fi(k, n) - fj(k, n),
+                                             lambda k: fi(k, l) - fj(k, l))
+        elif lemma_id in ("n_lt_l", "one_lt_l"):
+            lhs = lhs_with(lambda k: fj(k, l))
+            rhs = 0
+            if not degenerate:
+                rhs += sym2(lambda k: fi(k, n) - fj(k, n),
+                            lambda k: zi * fi(k, l) - zj * fj(k, l)) / (zi - zj)
+            if lemma_id == "one_lt_l":
+                rhs += sym2(lambda k: f0(k) - fi(k, 1) - zi * (pi(k, L - 1) - fi(k, 1)),
+                            lambda k: fj(k, l)) / (zi - 1)
+        elif lemma_id == "l_eq_n":
+            lhs = lhs_with(lambda k: fj(k, n))
+            rhs = sym2(lambda k: fi(k, n), lambda k: fi(k, n))
+            if n != 1:
+                rhs += sym2(lambda k: -f0(k) + pi(k, n) + zi * (pi(k, L - 1) - pi(k, n)),
+                            lambda k: fj(k, n)) / (zi - 1)
+            if not degenerate:
+                rhs += zj / (zi - zj) * sym2(lambda k: fi(k, n) - fj(k, n),
+                                             lambda k: fi(k, n) - fj(k, n))
+        else:  # l_eq_0
+            lhs = lhs_with(f0)
+            rhs = sym2(lambda k: fi(k, n),
+                       lambda k: -(2 if n == 1 else 1) * f0(k) + zi * pi(k, L - 1)) / (zi - 1)
+            if n == 1:
+                rhs += sym2(lambda k: f0(k) - zi * (pi(k, L - 1) - fi(k, 1)), f0) / (zi - 1)
+        return _reduced((lhs - rhs) / (self.t1[-1] * self.t2[-1]))
+
+
+# the inputs of each identity's sample besides L
+_INPUTS = {"l_lt_n": "t1 t2 zi zj n l", "n_lt_l": "t1 t2 zi zj n l",
+           "one_lt_l": "t1 t2 zi zj l", "l_eq_n": "t1 t2 zi zj n",
+           "l_eq_0": "t1 t2 zi zj n", "jacobi": "t zi zj", "f0": "t1 zi"}
+
+
+def _check_level(lemma_id, L):
+    if lemma_id not in LEMMA_MIN_L:
+        raise ParameterError(f"unknown lemma id {lemma_id!r}; pick one of {LEMMA_IDS}")
+    if type(L) is not int or L < LEMMA_MIN_L[lemma_id]:
+        raise ParameterError(
+            f"{lemma_id} needs an integer L >= {LEMMA_MIN_L[lemma_id]}, got {L!r}")
 
 
 def lemma_residual(lemma_id: str, *, L, t1=None, t2=None, zi=None, zj=None,
                    n=None, l=None, t=None):
     """|LHS - RHS| of one displayed identity at an exact sample point.
 
-    The inputs are exact rationals; the sides are rational functions, so the
-    residual is exactly zero whenever the identity holds.  ``zj = zi`` selects
-    the degenerate clauses (the cross-index lines drop out).  Both sides are
-    evaluated on unreduced integer ratios and reduced once, to a Fraction; a
-    zero divisor raises ZeroDivisionError.
+    The inputs are exact rationals (ints or Fractions; a decimal is a
+    ParameterError); the sides are rational functions, so the residual is
+    exactly zero whenever the identity holds.  ``zj = zi`` selects the
+    degenerate clauses (the cross-index lines drop out).  This is the
+    one-identity case of ``lemma_round``'s evaluator ``_Point``: both sides
+    are evaluated on unreduced integer ratios and reduced once, to a
+    Fraction; a zero divisor raises ZeroDivisionError.
     """
-    if lemma_id not in LEMMA_MIN_L:
-        raise ParameterError(f"unknown lemma id {lemma_id!r}; pick one of {LEMMA_IDS}")
+    _check_level(lemma_id, L)
+    given = {"t1": t1, "t2": t2, "zi": zi, "zj": zj, "n": n, "l": l, "t": t}
+    names = _INPUTS[lemma_id].split()
+    missing = [name for name in names if given[name] is None]
+    if missing:
+        raise ParameterError(f"{lemma_id} needs {', '.join(missing)}")
+    for name in names:
+        if name in ("t1", "t2"):
+            if len(given[name]) != L - 1:
+                raise ParameterError(f"{name} needs L-1 = {L - 1} coordinates, "
+                                     f"got {len(given[name])}")
+            for x in given[name]:
+                check_exact(x)
+        elif name not in ("n", "l"):
+            check_exact(given[name])
     if lemma_id == "l_lt_n" and not (1 <= l < n <= L - 1):
         raise ParameterError("l_lt_n requires 1 <= l < n <= L-1")
     if lemma_id == "n_lt_l" and not (2 <= n < l <= L - 1):
@@ -294,89 +469,59 @@ def lemma_residual(lemma_id: str, *, L, t1=None, t2=None, zi=None, zj=None,
     if lemma_id == "one_lt_l":
         if n not in (None, 1):
             raise ParameterError("one_lt_l fixes n = 1")
-        n = 1
         if not 1 < l <= L - 1:
             raise ParameterError("one_lt_l requires 1 < l <= L-1")
 
     if lemma_id == "jacobi":
-        t, zi, zj = _ratios(t, zi, zj)
-        lhs = t / (1 - zi * t)
-        rhs = (1 - zj * t) / (zi - zj) * (1 / (1 - zi * t) - 1 / (1 - zj * t))
-        return _reduced(lhs - rhs)
+        return _jacobi(*_ratios(t, zi, zj))
     if lemma_id == "f0":
-        *c, zi = _ratios(*(t1[m] for m in range(L - 1)), zi)
-        f0, (fi,) = _copy(tuple(c), (zi,))
-        lhs = c[-1] / (1 - zi * c[-1])
-        rhs = (-f0 + sum(fi)) / ((zi - 1) * f0)
-        return _reduced(lhs - rhs)
-
-    # Copy k takes t2 at the levels whose bit is set in k, t1 elsewhere; its
-    # partner is the complement.  Every term of every identity below carries
-    # 1/(c1_last c2_last) = 1/(t1_last t2_last) whatever the swap, so that
-    # factor is left out of the terms and applied once at the end.
-    degenerate = zj == zi
-    zs = (zi,) if degenerate or lemma_id == "l_eq_0" else (zi, zj)
-    xs = _ratios(*(t1[m] for m in range(L - 1)), *(t2[m] for m in range(L - 1)), *zs)
-    t1, t2, zs = tuple(xs[:L - 1]), tuple(xs[L - 1:2 * L - 2]), xs[2 * L - 2:]
-    zi, zj = zs[0], zs[-1]
-    full = (1 << (L - 1)) - 1
-    cs = [tuple(t2[m] if k >> m & 1 else t1[m] for m in range(L - 1))
-          for k in range(full + 1)]
-    copies = [_copy(c, zs) for c in cs]
-    # f0, f_m(zi) and f_m(zj) of copy k, 1-based in m
-    f0 = lambda k: copies[k][0]
-    fi = lambda k, m: copies[k][1][0][m - 1]
-    fj = lambda k, m: copies[k][1][-1][m - 1]
-
-    def sym2(u, v):
-        """Sum of u(copy 1) v(copy 2) over the per-level swaps."""
-        return sum(u(k) * v(full ^ k) for k in range(full + 1))
-
-    def lhs_with(v):
-        """Sum of C(n, 1, 2) f_n(copy 1, zi) v(copy 2) over the swaps."""
-        return sum(_C(n, cs[k], cs[full ^ k], L) * fi(k, n) * v(full ^ k)
-                   for k in range(full + 1))
-
-    if lemma_id == "l_lt_n":
-        lhs = lhs_with(lambda k: fj(k, l))
-        rhs = sym2(lambda k: fi(k, n), lambda k: fi(k, l))
-        if not degenerate:
-            rhs += zj / (zi - zj) * sym2(lambda k: fi(k, n) - fj(k, n),
-                                         lambda k: fi(k, l) - fj(k, l))
-    elif lemma_id in ("n_lt_l", "one_lt_l"):
-        lhs = lhs_with(lambda k: fj(k, l))
-        rhs = 0
-        if not degenerate:
-            rhs += sym2(lambda k: fi(k, n) - fj(k, n),
-                        lambda k: zi * fi(k, l) - zj * fj(k, l)) / (zi - zj)
-        if lemma_id == "one_lt_l":
-            rhs += sym2(lambda k: f0(k) - fi(k, 1) - zi * sum(fi(k, m) for m in range(2, L)),
-                        lambda k: fj(k, l)) / (zi - 1)
-    elif lemma_id == "l_eq_n":
-        lhs = lhs_with(lambda k: fj(k, n))
-        rhs = sym2(lambda k: fi(k, n), lambda k: fi(k, n))
-        if n != 1:
-            rhs += sym2(lambda k: -f0(k) + sum(fi(k, m) for m in range(1, n + 1))
-                        + zi * sum(fi(k, m) for m in range(n + 1, L)),
-                        lambda k: fj(k, n)) / (zi - 1)
-        if not degenerate:
-            rhs += zj / (zi - zj) * sym2(lambda k: fi(k, n) - fj(k, n),
-                                         lambda k: fi(k, n) - fj(k, n))
-    else:  # l_eq_0
-        lhs = lhs_with(f0)
-        rhs = sym2(lambda k: fi(k, n),
-                   lambda k: -(2 if n == 1 else 1) * f0(k)
-                   + zi * sum(fi(k, m) for m in range(1, L))) / (zi - 1)
-        if n == 1:
-            rhs += sym2(lambda k: f0(k) - zi * sum(fi(k, m) for m in range(2, L)),
-                        f0) / (zi - 1)
-    return _reduced((lhs - rhs) / (t1[-1] * t2[-1]))
+        return _Point(L, t1, None, zi).residual("f0")
+    # l_eq_0 reads no zj
+    return _Point(L, t1, t2, zi, None if lemma_id == "l_eq_0" else zj).residual(lemma_id, n, l)
 
 
 def _coordinate(rng):
     """26291 (a/61 + b/431) for a in 1..60, b in 0..6: an int in 431..26226."""
     a = rng.randint(1, 60)
     return 431 * a + 61 * rng.randint(0, 6)
+
+
+def _fresh(rng):
+    """``fresh(count)``: a tuple of ``count`` exact coordinates in (0, 1), each
+    distinct from every other that this ``fresh`` drew."""
+    drawn = set()  # the integers of _coordinate, one per value
+
+    def fresh(count):
+        out = []
+        while len(out) < count:
+            x = _coordinate(rng)
+            if x not in drawn:
+                drawn.add(x)
+                out.append(Fraction(x, 26291))
+        return tuple(out)
+    return fresh
+
+
+def _two_copy_point(L, fresh):
+    t1, (zi,) = fresh(L - 1), fresh(1)
+    t2, (zj,) = fresh(L - 1), fresh(1)
+    return {"t1": t1, "t2": t2, "zi": zi, "zj": zj}
+
+
+def _indices(lemma_id, L, rng):
+    """The (n, l) of one sample of the identity at level L (none for jacobi
+    and f0)."""
+    if lemma_id == "l_lt_n":
+        n = rng.randint(2, L - 1)
+        return {"n": n, "l": rng.randint(1, n - 1)}
+    if lemma_id == "n_lt_l":
+        n = rng.randint(2, L - 2)
+        return {"n": n, "l": rng.randint(n + 1, L - 1)}
+    if lemma_id == "one_lt_l":
+        return {"l": rng.randint(2, L - 1)}
+    if lemma_id in ("l_eq_n", "l_eq_0"):
+        return {"n": rng.randint(1, L - 1)}
+    return {}
 
 
 def random_lemma_sample(lemma_id: str, L: int, rng):
@@ -386,32 +531,30 @@ def random_lemma_sample(lemma_id: str, L: int, rng):
     lies strictly inside (0, 1), so no gap, difference, 1 - z t or zi - 1 of
     ``lemma_residual`` is zero and no division there can fail.
     """
-    drawn = set()  # the integers of _coordinate, one per value
-    def fresh():
-        while True:
-            n = _coordinate(rng)
-            if n not in drawn:
-                drawn.add(n)
-                return Fraction(n, 26291)
-
-    sample = {"L": L}
+    _check_level(lemma_id, L)
+    fresh = _fresh(rng)
     if lemma_id == "jacobi":
-        sample.update(t=fresh(), zi=fresh(), zj=fresh())
-        return sample
-    sample["t1"] = tuple(fresh() for _ in range(L - 1))
-    sample["zi"] = fresh()
+        t, zi, zj = fresh(3)
+        return {"L": L, "t": t, "zi": zi, "zj": zj}
     if lemma_id == "f0":
-        return sample
-    sample["t2"] = tuple(fresh() for _ in range(L - 1))
-    sample["zj"] = fresh()
-    if lemma_id == "l_lt_n":
-        n = rng.randint(2, L - 1)
-        sample.update(n=n, l=rng.randint(1, n - 1))
-    elif lemma_id == "n_lt_l":
-        n = rng.randint(2, L - 2)
-        sample.update(n=n, l=rng.randint(n + 1, L - 1))
-    elif lemma_id == "one_lt_l":
-        sample.update(l=rng.randint(2, L - 1))
-    elif lemma_id in ("l_eq_n", "l_eq_0"):
-        sample.update(n=rng.randint(1, L - 1))
-    return sample
+        return {"L": L, "t1": fresh(L - 1), "zi": fresh(1)[0]}
+    return {"L": L, **_two_copy_point(L, fresh), **_indices(lemma_id, L, rng)}
+
+
+def lemma_round(L: int, rng):
+    """{lemma id: residual} of one round of the identity checks for a model
+    at level L.
+
+    Each identity runs at max(L, LEMMA_MIN_L[lemma]).  The identities of one
+    level share one exact point (t1, t2, zi, zj) from ``random_lemma_sample``'s
+    coordinates and its tables (``_Point``); jacobi takes t = t1_last there,
+    and each two-copy identity draws its own (n, l).
+    """
+    levels = {lemma: max(L, LEMMA_MIN_L[lemma]) for lemma in LEMMA_IDS}
+    out = {}
+    for level in sorted(set(levels.values())):
+        point = _Point(level, **_two_copy_point(level, _fresh(rng)))
+        for lemma in LEMMA_IDS:
+            if levels[lemma] == level:
+                out[lemma] = point.residual(lemma, **_indices(lemma, level, rng))
+    return {lemma: out[lemma] for lemma in LEMMA_IDS}

@@ -557,6 +557,22 @@ def test_entry_point_subprocess(tmp_path):
 
 
 
+def test_check_lemmas_stdout_is_byte_identical_for_one_seed(tmp_path):
+    from qims.cohomology import LEMMA_IDS
+    cfg = base_cfg(3, 1, 1)
+    cfg["lemma_samples"] = 2
+    path = write_cfg(tmp_path, "c.json", cfg)
+    runs = [subprocess.run([sys.executable, "-m", "qims.cli", "--config", path, "check",
+                            "lemmas", "--seed", "17"], capture_output=True)
+            for _ in range(2)]
+    assert [proc.returncode for proc in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    lemmas = json.loads(runs[0].stdout)["checks"]["lemmas"]
+    assert set(lemmas) == {"passed", "residuals", "samples"} and lemmas["samples"] == 2
+    assert lemmas["residuals"] == {lemma: {"kind": "exact", "value": "0/1"}
+                                   for lemma in LEMMA_IDS}
+
+
 def test_exact_commands_do_not_load_scipy(tmp_path):
     # scipy.special is most of the import time, and only quadrature uses it
     path = write_cfg(tmp_path, "c.json", base_cfg(2, 2, 1))

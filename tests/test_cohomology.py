@@ -233,18 +233,83 @@ def test_lemma_kernel_matches_fraction_oracle(lemma):
                     (lemma, x)
 
 
+def plant_in_C(monkeypatch):
+    """Add 1 to C(n, 1, 2) in both evaluators: every entry of the kernel's
+    columns and the oracle's _C."""
+    monkeypatch.setattr(cohomology, "_c_columns", lambda *a, cols=cohomology._c_columns:
+                        ([c + 1 for c in col] for col in cols(*a)))
+    monkeypatch.setattr(lemma_oracle, "_C",
+                        lambda n, c1, c2, L, C=lemma_oracle._C: C(n, c1, c2, L) + 1)
+
+
 @pytest.mark.parametrize("lemma", WITH_C)
 def test_lemma_kernel_matches_oracle_off_the_identity(lemma, monkeypatch):
     # a constant planted in C(n, 1, 2) of both evaluators breaks the identity;
     # the nonzero residuals must still agree exactly
-    for module in (cohomology, lemma_oracle):
-        monkeypatch.setattr(module, "_C",
-                            lambda n, c1, c2, L, C=module._C: C(n, c1, c2, L) + 1)
+    plant_in_C(monkeypatch)
     rnd = random.Random(7)
     for L in (LEMMA_MIN_L[lemma], LEMMA_MIN_L[lemma] + 1):
         s = random_lemma_sample(lemma, L, rnd)
         got = lemma_residual(lemma, **s)
         assert got != 0 and got == lemma_oracle.lemma_residual(lemma, **s)
+
+
+def index_choices(lemma, L):
+    """Every valid (n, l) of the identity at level L."""
+    r = range(1, L)
+    return {"l_lt_n": [dict(n=n, l=l) for n in r for l in r if l < n],
+            "n_lt_l": [dict(n=n, l=l) for n in r for l in r if 2 <= n < l],
+            "one_lt_l": [dict(l=l) for l in r if l > 1],
+            "l_eq_n": [dict(n=n) for n in r], "l_eq_0": [dict(n=n) for n in r],
+            "jacobi": [{}], "f0": [{}]}[lemma]
+
+
+def oracle_at(lemma, L, point, idx):
+    """The oracle's residual at a round's shared point; jacobi takes t = t1_last."""
+    if lemma == "jacobi":
+        return lemma_oracle.lemma_residual(lemma, L=L, t=point["t1"][-1], zi=point["zi"],
+                                           zj=point["zj"])
+    return lemma_oracle.lemma_residual(lemma, L=L, **point, **idx)
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["exact", "planted"])
+@pytest.mark.parametrize("L", range(2, 7))
+def test_shared_point_matches_fraction_oracle(L, planted, monkeypatch):
+    # every identity with LEMMA_MIN_L <= L <= LEMMA_MIN_L + 2, at every (n, l),
+    # from one point's tables, at zj != zi and at zj = zi; with a constant
+    # planted in C(n, 1, 2) the residuals of WITH_C are nonzero and still agree
+    if planted:
+        plant_in_C(monkeypatch)
+    point = cohomology._two_copy_point(L, cohomology._fresh(random.Random(40 + L)))
+    lemmas = [lemma for lemma in LEMMA_IDS if 0 <= L - LEMMA_MIN_L[lemma] <= 2]
+    assert lemmas
+    for at in (point, dict(point, zj=point["zi"])):
+        tables = cohomology._Point(L, **at)
+        for lemma in lemmas:
+            if lemma == "jacobi" and at["zj"] == at["zi"]:
+                continue
+            for idx in index_choices(lemma, L):
+                got = tables.residual(lemma, **idx)
+                assert type(got) is F and got == oracle_at(lemma, L, at, idx), (lemma, idx, at)
+                assert (got != 0) == (planted and lemma in WITH_C), (lemma, idx, at)
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5])
+def test_lemma_round_replays_against_the_oracle(L):
+    # a round draws one point per level in increasing level order, then each
+    # identity of that level in LEMMA_IDS order draws its (n, l)
+    got = cohomology.lemma_round(L, random.Random(L))
+    rnd = random.Random(L)
+    levels = {lemma: max(L, LEMMA_MIN_L[lemma]) for lemma in LEMMA_IDS}
+    want = {}
+    for level in sorted(set(levels.values())):
+        point = cohomology._two_copy_point(level, cohomology._fresh(rnd))
+        for lemma in LEMMA_IDS:
+            if levels[lemma] == level:
+                idx = cohomology._indices(lemma, level, rnd)
+                want[lemma] = oracle_at(lemma, level, point, idx)
+    assert list(got) == list(LEMMA_IDS) and got == want
+    assert all(type(r) is F and r == 0 for r in got.values())
 
 
 @pytest.mark.parametrize("lemma", LEMMA_IDS)
@@ -255,6 +320,29 @@ def test_lemma_zero_divisor_raises(lemma):
     for evaluate in (lemma_residual, lemma_oracle.lemma_residual):
         with pytest.raises(ZeroDivisionError):
             evaluate(lemma, **s)
+
+
+@pytest.mark.parametrize("lemma", [x for x in LEMMA_IDS if x != "jacobi"])
+def test_lemma_coincident_coordinates_fail_as_in_the_oracle(lemma):
+    # t1_2 = t1_1 zeroes a gap of copy 0; t2_1 = t1_1 is a pole of C(1, 1, 2)
+    # only, so an identity evaluated at n >= 2 does not see it
+    def outcome(evaluate, x):
+        try:
+            return evaluate(lemma, **x)
+        except ZeroDivisionError:
+            return ZeroDivisionError
+
+    rnd = random.Random(4)
+    for _ in range(4):
+        s = random_lemma_sample(lemma, max(3, LEMMA_MIN_L[lemma]), rnd)
+        t1 = s["t1"]
+        assert outcome(lemma_residual, dict(s, t1=(t1[0],) + t1[:1] + t1[2:])) \
+            is ZeroDivisionError
+        if lemma in WITH_C:
+            x = dict(s, t2=t1[:1] + s["t2"][1:])
+            got = outcome(lemma_residual, x)
+            assert got == outcome(lemma_oracle.lemma_residual, x)
+            assert (got is ZeroDivisionError) == (s.get("n", 1) == 1)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 777, 20240])
@@ -281,3 +369,33 @@ def test_lemma_sample_validation():
                        t2=(F(1, 5), F(1, 7)), zi=F(1, 11), zj=F(1, 13))
     with pytest.raises(ParameterError, match="unknown lemma id 'nonsense'"):
         lemma_residual("nonsense", L=2)
+
+
+@pytest.mark.parametrize("lemma,L", [("n_lt_l", 3), ("l_lt_n", 2), ("l_eq_n", 1),
+                                     ("jacobi", 1), ("f0", 0), ("l_eq_0", 2.0)])
+def test_lemma_sample_rejects_a_level_below_the_identity(lemma, L):
+    with pytest.raises(ParameterError, match=f"{lemma} needs an integer L >= "):
+        random_lemma_sample(lemma, L, random.Random(0))
+
+
+def test_lemma_sample_rejects_an_unknown_id():
+    with pytest.raises(ParameterError, match="unknown lemma id 'nonsense'"):
+        random_lemma_sample("nonsense", 3, random.Random(0))
+
+
+@pytest.mark.parametrize("lemma", LEMMA_IDS)
+def test_lemma_residual_rejects_malformed_samples(lemma):
+    s = random_lemma_sample(lemma, LEMMA_MIN_L[lemma] + 1, random.Random(11))
+    chains = [key for key in ("t1", "t2") if key in s]
+    for key in chains:
+        for bad in (s[key][:-1], s[key] + (F(1, 3),)):
+            with pytest.raises(ParameterError, match=f"{key} needs L-1 = "):
+                lemma_residual(lemma, **dict(s, **{key: bad}))
+    for key in s.keys() - {"L"}:
+        with pytest.raises(ParameterError, match=f"{lemma} needs {key}"):
+            lemma_residual(lemma, **{k: v for k, v in s.items() if k != key})
+    decimals = [dict(s, **{key: (0.3,) + s[key][1:]}) for key in chains]
+    decimals += [dict(s, **{key: 0.3}) for key in ("t", "zi", "zj") if key in s]
+    for x in decimals:
+        with pytest.raises(ParameterError, match="no decimal scalar 0.3"):
+            lemma_residual(lemma, **x)

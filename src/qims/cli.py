@@ -199,8 +199,7 @@ def get_zf(cfg, args):
 
 def get_i(cfg, args, params):
     i = args.i if args.i is not None else convert(int, cfg.get("i", 1), "i")
-    if not 1 <= i <= params.N:
-        raise ParameterError(f"time index i={i} out of range 1..{params.N}")
+    weylops.check_times(params.N, i)
     return i
 
 

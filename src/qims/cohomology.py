@@ -32,7 +32,7 @@ from itertools import accumulate
 
 from .errors import ParameterError
 from .polyalg import check_exact, enumerate_basis, flat_pos
-from .weylops import Parameters, check_z
+from .weylops import Parameters, check_times, check_z
 from .hypint import dictionary_M
 from .pfaffian import (_cleared, _combine_residues, _max_abs, require_exact, residue_sum,
                        restricted_residues)
@@ -134,8 +134,7 @@ def _residues(params: Parameters, M: int, i: int):
         if params.kappa[n] != 1:
             raise ParameterError(
                 f"the cohomology reduction requires kappa_{n} = 1, got {params.kappa[n]}")
-    if not 1 <= i <= N:
-        raise ParameterError(f"time index i={i} out of range 1..{N}")
+    check_times(N, i)
     basis = enumerate_basis(L, N, M)
     idx = {A: k for k, A in enumerate(basis)}
     rows = [_display_row(A, L, N, M, exps.alpha, exps.beta, exps.gamma[0], i) for A in basis]

@@ -72,7 +72,7 @@ import numpy as np
 from .errors import ChamberError, ConvergenceError, ParameterError
 from .polyalg import enumerate_basis, flat_pos
 from .quadrature import MC_BATCHES, QuadratureSpec, gauss_jacobi_01, tanh_sinh_01
-from .weylops import Parameters
+from .weylops import Parameters, check_times
 
 
 # --- parameter dictionary ---------------------------------------------------------
@@ -125,8 +125,8 @@ def _check_z_box(z, N, i=None):
         raise ChamberError(f"z {z} outside the real box (0,1)^N")
     if len(set(z)) != N:
         raise ChamberError("z entries must be pairwise distinct")
-    if i is not None and not 1 <= i <= N:
-        raise ParameterError(f"time index i={i} out of range 1..{N}")
+    if i is not None:
+        check_times(N, i)
     return z
 
 
@@ -183,8 +183,8 @@ def series_psi1(params: Parameters, z, order: int) -> IntegralResult:
     """
     if params.N != 1:
         raise ParameterError("the series oracle is defined for N = 1")
-    if order < 0:
-        raise ParameterError("order must be nonnegative")
+    if type(order) is not int or order < 0:  # bool too
+        raise ParameterError(f"order must be a nonnegative integer, got {order!r}")
     exps = dictionary_M(params, 1)
     (zv,) = _z_of_length(z, 1)
     if abs(zv) >= 1:
@@ -592,24 +592,14 @@ def _face_exponents(exps: ExponentsM):
     :func:`_window_faces`, as {faces: exponent}: the weight exponents
     (alpha_n and 2 level by level, -gamma_1, each -gamma_(n+1)) dotted with
     the orders of their bases, over kappa, plus the integer rest.
-
-    For exact parameters that is one integer dot product per face over the
-    weights' common denominator, a ``Fraction``; float parameters are summed
-    term by term."""
+    The sum starts at ``Fraction(0)``, so exact parameters give the exact,
+    reduced ``Fraction`` and decimal ones the same float as a plain sum."""
     L = exps.L
     weights = [w for n in range(L - 1) for w in (exps.alpha[n], 2)]
     weights += [-exps.gamma[0]] + [-exps.gamma[n + 1] for n in range(L - 2)]
-    table = _face_orders(L, exps.M)
-    if all(isinstance(w, (int, Fraction)) for w in weights + [exps.planck]):
-        den = math.lcm(*(Fraction(w).denominator for w in weights))
-        nums = [int(w * den) for w in weights]
-        planck = Fraction(exps.planck)
-        over = den * planck.numerator
-        return {faces: Fraction(planck.denominator * sum(map(operator.mul, nums, orders))
-                                + rest * over, over)
-                for faces, orders, rest in table}
-    return {faces: sum(w * k for w, k in zip(weights, orders) if k) / exps.planck + rest
-            for faces, orders, rest in table}
+    return {faces: sum((w * k for w, k in zip(weights, orders) if k), Fraction(0))
+            / exps.planck + rest
+            for faces, orders, rest in _face_orders(L, exps.M)}
 
 
 def _window_check(exps: ExponentsM):
@@ -674,7 +664,7 @@ def eval_psiM(params: Parameters, z, M: int, quad: QuadratureSpec, i=None) -> In
     differentiated under the integral (z enters only through bounded
     factors) on the nodes of the returned rule or the same MC samples.
     """
-    if M < 1:
+    if type(M) is not int or M < 1:  # bool too: no silent M = 1
         raise ParameterError("M must be a positive integer")
     schemes = ("gauss_jacobi_tensor",) if M == 1 else ("tanh_sinh_tensor", "monte_carlo")
     if quad.scheme not in schemes:

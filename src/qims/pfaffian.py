@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ParameterError, PropagationError, SingularityError, SubspaceError
 from .polyalg import enumerate_basis, enumerate_basis_FT, lin, max_abs
-from .weylops import Parameters, check_z, flatten, hamiltonian_parts
+from .weylops import Parameters, check_times, check_z, flatten, hamiltonian_parts
 
 
 def _columns(flat_op, basis, index_of, what):
@@ -170,14 +170,10 @@ class PfaffianSystem:
                                                 f"{kind}{data}")
                          for i in range(1, N + 1)}
 
-    def _time_index(self, i):
-        if i not in self.residues:
-            raise ParameterError(f"time index i={i} out of range 1..{self.params.N}")
-        return i
-
     def matrix_at(self, i: int, z):
         """Exact D x D matrix M_i(z) (dense rows) for exact rational z."""
-        return residue_sum(self.residues[self._time_index(i)], check_z(self.params, z), i)
+        check_times(self.params.N, i)
+        return residue_sum(self.residues[i], check_z(self.params, z), i)
 
     def residue_array(self, keys):
         """residues[i][p] for (i, p) in ``keys``, stacked as a complex (len(keys) * D, D) array."""
@@ -189,15 +185,12 @@ class PfaffianSystem:
         return (out / dens[:, None, None]).astype(complex).reshape(-1, self.dim)
 
     def matrix_float(self, i: int, z) -> np.ndarray:
-        """M_i(z) as a complex numpy array; z may be float or complex."""
-        i = self._time_index(i)
-        z = [complex(x) for x in z]
-        if len(z) != self.params.N:
-            raise ParameterError(f"z must have length N={self.params.N}")
-        points, zi = [0, 1] + z, z[i - 1]
-        if any(zi == points[p] for p in self.residues[i]):
-            raise SingularityError(f"z_{i} at a pole for matrix evaluation")
-        return sum(self.residue_array([(i, p)]) / (zi - points[p]) for p in self.residues[i])
+        """M_i(z) as a complex numpy array for float or complex z: the rows
+        :func:`residue_sum` gives at the decimal z, with the checks of
+        :meth:`matrix_at`."""
+        check_times(self.params.N, i)
+        z = check_z(self.params, [complex(x) for x in z])
+        return np.array(residue_sum(self.residues[i], z, i), dtype=complex)
 
 
 # --- flatness -------------------------------------------------------------------

@@ -12,7 +12,7 @@ maps.  The exact algebra takes ``int`` or ``Fraction`` scalars only, and
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from .errors import ParameterError, StructureError
 
@@ -34,10 +34,6 @@ def _simplex(k: int, cap: int):
             yield (head,) + rest
 
 
-def _graded_lex_key(A: Index):
-    return (sum(A), A)
-
-
 def enumerate_basis(L: int, N: int, M: int) -> list[Index]:
     """All exponent tuples with d(A) <= M in graded lexicographic order.
 
@@ -47,13 +43,14 @@ def enumerate_basis(L: int, N: int, M: int) -> list[Index]:
     if L < 2 or N < 1 or M < 0:
         raise ParameterError(f"need L >= 2, N >= 1, M >= 0, got L={L}, N={N}, M={M}")
     k = (L - 1) * N
-    out = sorted(_simplex(k, M), key=_graded_lex_key)
+    out = sorted(_simplex(k, M), key=lambda A: (sum(A), A))
     assert len(out) == comb(M + k, k)
     return out
 
 
 def enumerate_basis_FT(L: int, N: int, T) -> list[Index]:
-    """All exponent tuples with d_m(A) <= T_m per level, graded-lex ordered.
+    """All exponent tuples with d_m(A) <= T_m per level: the tuples of
+    :func:`enumerate_basis` at M = sum(T) whose level sums fit, in its order.
 
     The length is the product over levels of binomial(T_m + N, N).
     """
@@ -64,20 +61,9 @@ def enumerate_basis_FT(L: int, N: int, T) -> list[Index]:
         raise ParameterError(f"T must have length L-1={L - 1}, got {len(T)}")
     if any(t < 0 for t in T):
         raise ParameterError(f"level caps must be nonnegative, got {T}")
-
-    def rows(m):
-        if m == L:
-            yield ()
-            return
-        for row in _simplex(N, T[m - 1]):
-            for rest in rows(m + 1):
-                yield row + rest
-
-    out = sorted(rows(1), key=_graded_lex_key)
-    expected = 1
-    for t in T:
-        expected *= comb(t + N, N)
-    assert len(out) == expected
+    out = [A for A in enumerate_basis(L, N, sum(T))
+           if all(sum(A[k:k + N]) <= t for k, t in zip(range(0, len(A), N), T))]
+    assert len(out) == prod(comb(t + N, N) for t in T)
     return out
 
 

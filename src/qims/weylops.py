@@ -284,11 +284,12 @@ def check_z(params: Parameters, z):
     return z
 
 
-def _require_times(N, *indices):
-    """Raise StructureError unless the indices are distinct time indices in 1..N."""
+def check_times(N, *indices):
+    """Reject an index that is not an int in 1..N (a bool too) with a
+    ParameterError, and repeated indices with a StructureError."""
     for i in indices:
-        if not 1 <= i <= N:
-            raise StructureError(f"time index i={i} out of range 1..{N}")
+        if type(i) is not int or not 1 <= i <= N:
+            raise ParameterError(f"time index i={i} out of range 1..{N}")
     if len(set(indices)) != len(indices):
         raise StructureError("indices must be pairwise distinct")
 
@@ -301,7 +302,7 @@ def hamiltonian_parts(i: int, params: Parameters) -> dict:
         z_i H_i = const + pole1/(z_i - 1) + sum_{j != i} cross[j] * z_j/(z_i - z_j).
     """
     L, N = params.L, params.N
-    _require_times(N, i)
+    check_times(N, i)
     e, th = params.e, params.theta
 
     group1 = [Mul(Sc(e[n]), Q(n, i), P(n, i)) for n in range(L)]
@@ -438,14 +439,14 @@ def omega_tree(i: int, j: int, L: int):
 
 def braid_residual_disjoint(i, j, k, l, params: Parameters, probes):
     """[Omega_{i,j}, Omega_{k,l}] on probes for pairwise distinct time indices."""
-    _require_times(params.N, i, j, k, l)
+    check_times(params.N, i, j, k, l)
     return _commutator_max(flatten(omega_tree(i, j, params.L), params),
                            flatten(omega_tree(k, l, params.L), params), probes)
 
 
 def braid_residual_adjacent(i, j, k, params: Parameters, probes):
     """[Omega_{i,j}, Omega_{i,k} + Omega_{k,j}] on probes for distinct time indices."""
-    _require_times(params.N, i, j, k)
+    check_times(params.N, i, j, k)
     a = flatten(omega_tree(i, j, params.L), params)
     b = flatten(Add(omega_tree(i, k, params.L), omega_tree(k, j, params.L)), params)
     return _commutator_max(a, b, probes)
@@ -459,6 +460,7 @@ def garnier_example_operator(i: int, params: Parameters, z) -> tuple:
         raise StructureError("the explicit example form exists only for L = 2")
     z = check_z(params, z)
     N = params.N
+    check_times(N, i)
     th, kap, e, hbar = params.theta, params.kappa, params.e, params.hbar
     zi = z[i - 1]
 
@@ -502,6 +504,7 @@ def garnier_example_residual(i: int, params: Parameters, z, probes):
     largest coefficient of (generic - example - lambda_i) q^A over all probes.
     """
     z = check_z(params, z)
+    check_times(params.N, i)
     zi = z[i - 1]
     generic = flatten(Mul(Sc(zi * (zi - 1)), hamiltonian(i, params, z)), params)
     example = flatten(garnier_example_operator(i, params, z), params)

@@ -864,3 +864,15 @@ def test_readme_commands_run_on_readme_config(tmp_path, monkeypatch):
     assert len(lines) >= 9
     for line in lines:
         assert main(shlex.split(line)[1:]) == 0, line
+
+
+def test_readme_cli_table_lists_each_commands_flags():
+    import re
+    from pathlib import Path
+    from qims.cli import COMMANDS
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = re.search(r"^\| Subcommand \|.*?\n\n", readme, re.M | re.S).group(0)
+    rows = re.findall(r"^\| `(\w+)` \| `([^`]*)`", table, re.M)
+    assert [name for name, _ in rows] == list(COMMANDS)
+    for name, flags in rows:
+        assert [f.removeprefix("--") for f in flags.split()] == COMMANDS[name][1].split(), name

@@ -7,7 +7,7 @@ import pytest
 
 import lemma_oracle
 from conftest import m_window_params, random_z, resonant_params
-from qims import cohomology
+from qims import cohomology, weylops
 from qims.cohomology import (LEMMA_IDS, LEMMA_MIN_L, compare_cohomology_operator,
                              lemma_residual, pfaffian_from_cohomology,
                              random_lemma_sample)
@@ -37,10 +37,24 @@ def test_cohomology_equals_operator_exactly(L, N, M):
             assert den > 0 and all(nums) and math.gcd(den, *nums) == 1
 
 
-@pytest.mark.parametrize("fn", [pfaffian_from_cohomology, compare_cohomology_operator])
-@pytest.mark.parametrize("i", [0, 3])
+def matrix_float(params, z, M, i):
+    return PfaffianSystem(params, ("V", M)).matrix_float(i, [float(x) for x in z])
+
+
+def eval_psiM_at(params, z, M, i):
+    return eval_psiM(params, [float(x) for x in z], M, QuadratureSpec(nodes_per_axis=8), i)
+
+
+def hamiltonian_parts(params, z, M, i):
+    return weylops.hamiltonian_parts(i, params)
+
+
+@pytest.mark.parametrize("fn", [pfaffian_from_cohomology, compare_cohomology_operator,
+                                matrix_float, eval_psiM_at, hamiltonian_parts])
+@pytest.mark.parametrize("i", [0, 3, True])
 def test_bad_time_index_is_the_restrictions_parameter_error(fn, i):
-    # the error PfaffianSystem.matrix_at and eval_psiM raise for the same i
+    # the error PfaffianSystem.matrix_at raises for the same i; True once
+    # passed its range check as M_1 (True == 1)
     L, N, M = 2, 2, 1
     rnd = random.Random(29)
     params = resonant_params(L, N, M, rnd, dict_m=True)

@@ -202,6 +202,19 @@ def test_series_requires_domain():
         series_psi1(params2, (0.4, 0.2), 10)
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, 2.5])
+def test_degree_and_series_order_must_be_ints(bad):
+    # M = True once ran as M = 1; M = 1.0 and order = 2.5 raised a TypeError
+    params = m1_window_params(2, 1)
+    quad = QuadratureSpec(nodes_per_axis=8)
+    for call in (lambda: eval_psiM(params, (0.4,), bad, quad),
+                 lambda: pde_residual(params, (0.4,), bad, quad)):
+        with pytest.raises(ParameterError, match="^M must be a positive integer$"):
+            call()
+    with pytest.raises(ParameterError, match="^order must be a nonnegative integer, got "):
+        series_psi1(params, (0.4,), bad)
+
+
 @pytest.mark.parametrize("L,N", [(L, N) for L in (2, 3, 4) for N in (1, 2)])
 def test_m1_one_grid_matches_per_level_oracle(L, N):
     # every degree-1 form on the one phi_0 Gauss-Jacobi grid, through the

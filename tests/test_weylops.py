@@ -266,7 +266,7 @@ def test_braid_rejects_a_time_index_outside_1_to_N(sweep, indices):
     # at N = 2 the boundary index 0 once gave the triple (0, 1, 2) a residual
     # of 189/64 instead of an error
     params = random_params(2, 2, random.Random(112), hbar=F(3, 2))
-    with pytest.raises(StructureError, match="time index i=[03] out of range 1..2"):
+    with pytest.raises(ParameterError, match="time index i=[03] out of range 1..2"):
         sweep(*indices, params, enumerate_basis(2, 2, 2))
 
 
@@ -278,6 +278,19 @@ def test_garnier_example_exact():
         probes = enumerate_basis(2, N, 3)
         for i in range(1, N + 1):
             assert garnier_example_residual(i, params, z, probes) == 0
+
+
+@pytest.mark.parametrize("i", [0, 3])
+def test_garnier_example_rejects_a_time_index_outside_1_to_N(i):
+    # z[i - 1] once read past z (IndexError at i = N + 1) or wrapped to z_N,
+    # where the operator divided by z_i - z_j = 0 (ZeroDivisionError at i = 0)
+    params = random_params(2, 2, random.Random(47), hbar=F(2))
+    z = (F(1, 3), F(2, 5))
+    for call in (lambda: weylops.garnier_example_operator(i, params, z),
+                 lambda: garnier_example_residual(i, params, z, enumerate_basis(2, 2, 1))):
+        with pytest.raises(ParameterError) as exc:
+            call()
+        assert str(exc.value) == f"time index i={i} out of range 1..2"
 
 
 def test_garnier_needs_L2():

@@ -12,6 +12,7 @@ maps.  The exact algebra takes ``int`` or ``Fraction`` scalars only, and
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import comb, prod
 
 from .errors import ParameterError, StructureError
@@ -34,6 +35,11 @@ def _simplex(k: int, cap: int):
             yield (head,) + rest
 
 
+def _graded(tuples) -> list[Index]:
+    # graded lexicographic order: total degree, then row-major entries
+    return sorted(tuples, key=lambda A: (sum(A), A))
+
+
 def enumerate_basis(L: int, N: int, M: int) -> list[Index]:
     """All exponent tuples with d(A) <= M in graded lexicographic order.
 
@@ -43,14 +49,15 @@ def enumerate_basis(L: int, N: int, M: int) -> list[Index]:
     if L < 2 or N < 1 or M < 0:
         raise ParameterError(f"need L >= 2, N >= 1, M >= 0, got L={L}, N={N}, M={M}")
     k = (L - 1) * N
-    out = sorted(_simplex(k, M), key=lambda A: (sum(A), A))
+    out = _graded(_simplex(k, M))
     assert len(out) == comb(M + k, k)
     return out
 
 
 def enumerate_basis_FT(L: int, N: int, T) -> list[Index]:
-    """All exponent tuples with d_m(A) <= T_m per level: the tuples of
-    :func:`enumerate_basis` at M = sum(T) whose level sums fit, in its order.
+    """All exponent tuples with d_m(A) <= T_m per level, in graded
+    lexicographic order: the tuples of :func:`enumerate_basis` at M = sum(T)
+    whose level sums fit, built as the product of one simplex per level.
 
     The length is the product over levels of binomial(T_m + N, N).
     """
@@ -61,8 +68,7 @@ def enumerate_basis_FT(L: int, N: int, T) -> list[Index]:
         raise ParameterError(f"T must have length L-1={L - 1}, got {len(T)}")
     if any(t < 0 for t in T):
         raise ParameterError(f"level caps must be nonnegative, got {T}")
-    out = [A for A in enumerate_basis(L, N, sum(T))
-           if all(sum(A[k:k + N]) <= t for k, t in zip(range(0, len(A), N), T))]
+    out = _graded(sum(parts, ()) for parts in product(*(_simplex(N, t) for t in T)))
     assert len(out) == prod(comb(t + N, N) for t in T)
     return out
 

@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -573,19 +574,33 @@ def test_check_lemmas_stdout_is_byte_identical_for_one_seed(tmp_path):
                                    for lemma in LEMMA_IDS}
 
 
-def test_exact_commands_do_not_load_scipy(tmp_path):
-    # scipy.special is most of the import time, and only quadrature uses it
-    path = write_cfg(tmp_path, "c.json", base_cfg(2, 2, 1))
+def test_no_command_loads_scipy(tmp_path):
+    # the runtime needs numpy only: with scipy blocked, every command runs
+    exact = base_cfg(2, 2, 1)
+    runs = [(exact, ["basis"]), (exact, ["hamiltonian", "--i", "1"]),
+            (exact, ["check", "commute"]), (loop_cfg(), ["pfaffian"])]
+    runs += [(window_cfg(m_window_params(2, 1, 2), 2, ["0.4"], quadrature=q), ["integral"])
+             for q in ({"scheme": "tanh_sinh_tensor"},
+                       {"scheme": "monte_carlo", "mc_samples": 2000})]
+    runs += [(window_cfg(m1_window_params(2, 1), 1, ["0.4"], order=30), ["series"]),
+             (window_cfg(m_window_params(2, 1, 1), 1, ["2/5"], tolerances={"pde": 1e-4}),
+              ["verify"])]
+    calls = [["--config", write_cfg(tmp_path, f"c{k}.json", cfg)] + argv
+             for k, (cfg, argv) in enumerate(runs)]
+    # Gauss-Jacobi at M = 1, on the config CI also runs with a numpy-only install
+    calls.append(["--config", str(Path(__file__).parent / "configs" / "integral_L2N1M1.json"),
+                  "integral"])
     script = (
         "import contextlib, io, sys\n"
+        "sys.modules['scipy'] = None\n"
         "from qims.cli import main\n"
-        "for argv in (['check', 'commute'], ['hamiltonian', '--i', '1']):\n"
+        f"for argv in {calls!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"        assert main(['--config', {path!r}] + argv) == 0, argv\n"
-        "print('scipy.special' in sys.modules)\n")
+        "        assert main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy') and sys.modules[m]))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_pfaffian_path_file_any_name(tmp_path, capsys):

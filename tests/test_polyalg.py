@@ -64,6 +64,18 @@ def test_basis_FT_matches_brute_force():
         assert got == sorted(brute_F(L, N, T), key=lambda A: (sum(A), A))  # graded-lex
 
 
+@pytest.mark.parametrize("L,N", [(L, N) for L in (2, 3, 4) for N in (1, 2, 3)])
+def test_basis_FT_is_the_filtered_V_basis_in_its_order(L, N):
+    # the per-level product lists the level-capped tuples of V(sum T), in V's order
+    levels = range(L - 1)
+    for T in {(0,) * (L - 1), (2,) * (L - 1), tuple(levels), tuple(3 - m for m in levels),
+              tuple(1 + m % 2 for m in levels)}:
+        cuts = range(0, (L - 1) * N, N)
+        want = [A for A in enumerate_basis(L, N, sum(T))
+                if all(sum(A[k:k + N]) <= t for k, t in zip(cuts, T))]
+        assert enumerate_basis_FT(L, N, T) == want, T
+
+
 def test_basis_FT_errors():
     with pytest.raises(ParameterError):
         enumerate_basis_FT(3, 1, [1])

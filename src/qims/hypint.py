@@ -34,11 +34,19 @@ never stacked: per-axis node arrays broadcast, and every factor keeps only
 the axes it depends on.  Only the copy at the last chain position depends
 on the deepest axis, so the weight times each term of its form is summed over
 that axis first, and one contraction pairs those sums with the expanded
-product of the other copies, which never reaches full size.  The grid is
+product of the other copies, which never reaches full size.  The weight's
+log is taken the same way: log x_p is the sum of log v_j over j <= p, and
+x_p - x_r = x_p (1 - v_(p+1) ... v_r), so every x_p power and the x_p part
+of every gap become per-axis coefficients of log v_j, logged once per rule
+(or, in Monte Carlo, read exactly off the inversion); only the bases that
+do not separate, 1 - v_(p+1) ... v_r, 1 - x_p and 1 - z_j x_p, are logged,
+each at the shape of the axes it depends on.  The grid is
 evaluated in slabs of at most 2^15 points (:func:`_psiM_tensor`), so
 memory stays flat as the node count and the number of axes grow.  Monte
 Carlo draws each cube axis from a Kumaraswamy law whose endpoint powers
-match the integrand's, in 16 batches of mc_samples / 16 points.  Each
+match the integrand's, in 16 batches of mc_samples / 16 points; the
+inversion takes both log1mexp branches on the whole batch and blends them
+by an exact 0/1 indicator.  Each
 evaluation makes one :class:`_Workspace`, shared by both refinement
 passes or all batches: the work that does not depend on the points is
 done there once, and every array (chain coordinates and gaps, the weight
@@ -221,39 +229,71 @@ def _mul(out, name, a, b):
 class _ChainPoint:
     """Batched chamber points with stable gap evaluation.
 
-    Built from the cube variables v_0..v_(K-1) and their complements, given
-    per axis as arrays that broadcast against each other: one axis each on
-    a tensor slab, the columns of a (P, K) batch for sampled points.
-    ``x[p]`` = v_0 ... v_p is chain coordinate p (descending), ``omx[p]`` is
-    1 - x_p and ``gap(p, r)`` is x_p - x_r, all without cancellation; each
-    keeps only the axes it depends on.  Every array it makes is written into
-    the buffers of the :class:`_Workspace` ``ws``.
+    Built from the cube variables v_0..v_(K-1), their complements and their
+    logs (taken here when not given), per axis as arrays that broadcast
+    against each other: one axis each on a tensor slab, the columns of a
+    (P, K) batch for sampled points.  ``x[p]`` = v_0 ... v_p is chain
+    coordinate p (descending), ``omx[p]`` is 1 - x_p, ``logv[j]`` is
+    log v_j, ``om(p, r)`` is 1 - v_(p+1) ... v_r and ``gap(p, r)`` is
+    x_p - x_r = x_p om(p, r), all without cancellation; each keeps only the
+    axes it depends on.  The pieces ``om`` the workspace's weight reads and
+    the gaps its forms read are built here, into the buffers of the
+    :class:`_Workspace` ``ws``; any other is built on demand into a fresh
+    array.
     """
 
-    def __init__(self, ws, v, omv):
+    def __init__(self, ws, v, omv, logv=None):
         out = ws.out
         K = len(v)
+        self.logv = list(logv) if logv is not None else [
+            np.log(u, out=out(("logv", j), np.shape(u))) for j, u in enumerate(v)]
         self.x, self.omx = [v[0]], [omv[0]]
         for j in range(1, K):
             self.x.append(_mul(out, ("x", j), self.x[j - 1], v[j]))
             om = _mul(out, ("omx", j), self.x[j - 1], omv[j])
             om += self.omx[j - 1]
             self.omx.append(om)
-        self._gaps = {}
-        for p in range(K - 1):
-            # 1 - v_(p+1) ... v_r, accumulated factor by factor
-            prod, omprod = v[p + 1], omv[p + 1]
-            for r in range(p + 1, K):
-                if r > p + 1:
-                    omprod = np.add(omprod, _mul(out, "tmp", prod, omv[r]),
-                                    out=out("omprod", np.broadcast(prod, omv[r]).shape))
-                    prod = _mul(out, "prod", prod, v[r])
-                self._gaps[(p, r)] = _mul(out, ("gap", p, r), self.x[p], omprod)
+        self._v, self._omv, self._om, self._gaps = v, omv, {}, {}
+        for p, rs in ws.om_pieces.items():
+            self._om.update(_ones_minus(out, v, omv, p, rs))
+        for p, r in ws.gap_pairs:
+            self._gaps[(p, r)] = _mul(out, ("gap", p, r), self.x[p], self._om[(p, r)])
+
+    def om(self, p, r):
+        if (p, r) not in self._om:
+            self._om.update(_ones_minus(_fresh, self._v, self._omv, p, {r}))
+        return self._om[(p, r)]
 
     def gap(self, p, r):
         if p == r:
             raise ValueError("no gap between a coordinate and itself")
-        return self._gaps[(min(p, r), max(p, r))]
+        p, r = min(p, r), max(p, r)
+        if (p, r) not in self._gaps:
+            self._gaps[(p, r)] = self.x[p] * self.om(p, r)
+        return self._gaps[(p, r)]
+
+
+def _fresh(name, shape):
+    """A new array of ``shape``: the ``out`` of arrays that no buffer keeps."""
+    return np.empty(shape)
+
+
+def _ones_minus(out, v, omv, p, rs):
+    """{(p, r): 1 - v_(p+1) ... v_r} for each r in ``rs``, accumulated factor
+    by factor as 1 - v_(p+1) ... v_(r-1) + v_(p+1) ... v_(r-1) (1 - v_r), so
+    it never cancels; each on the axes p+1..r, and the one at r = p + 1
+    ``omv[p + 1]`` itself."""
+    top = max(rs)
+    prod, om = v[p + 1], omv[p + 1]
+    pieces = {(p, p + 1): om} if p + 1 in rs else {}
+    for r in range(p + 2, top + 1):
+        t = _mul(out, "tmp", prod, omv[r])
+        om = np.add(om, t, out=out(("om", p, r) if r in rs else ("omacc", r % 2), t.shape))
+        if r in rs:
+            pieces[(p, r)] = om
+        if r < top:
+            prod = _mul(out, ("prod", r % 2), prod, v[r])
+    return pieces
 
 
 def _times_plan(left, right, out):
@@ -307,8 +347,10 @@ class _Workspace:
     z, the time index i (None without one), the basis order, the work that
     does not depend on the points, and the array buffers.
 
-    That work is done once: the chain positions, the exponent of every power
-    in the weight, the factors of every one-copy form, the pairings of the
+    That work is done once: the chain positions, the weight's log as
+    per-axis coefficients of log v_j and atoms (the bases that are not
+    monomials in v, merged by base), the chain pieces it and the forms read,
+    the factors of every one-copy form, the pairings of the
     copies, one plan per other copy for the expansion of their product in
     truncated arithmetic (e^2 = 0, d/dz_i the e-part), and the sum each
     term of the contraction adds to.
@@ -335,17 +377,42 @@ class _Workspace:
         # -gamma_(n+1)/kappa (-1/kappa at M >= 2, where gamma_(n+1) = 1)
         adjacent = {(pos[(n, a)], pos[(n + 1, b_)]): -float(exps.gamma[n]) / kp
                     for n in range(1, L - 1) for a in range(1, M + 1) for b_ in range(1, M + 1)}
-        # (exponent, base) of every power in U and in the per-copy 1/t_{L-1}
+        # (exponent, base) of every power in U and in the per-copy 1/t_{L-1};
+        # ("rz", j, p) is the base 1 - z_j x_p, so its exponent is -beta_j/kappa
         powers = [(2.0 / kp, ("gap", pos[(n, a)], pos[(n, b_)]))
                   for n in range(1, L) for a in range(1, M + 1) for b_ in range(a + 1, M + 1)]
         powers += [(e, ("gap",) + pq) for pq, e in adjacent.items()]
         powers += [(float(exps.alpha[n - 1]) / kp - (n == L - 1), ("x", p))
                    for (n, a), p in pos.items()]
         powers += [(-float(exps.gamma[0]) / kp, ("omx", pos[(1, a)])) for a in range(1, M + 1)]
-        powers += [(float(exps.beta[j]) / kp, ("rz", j, p)) for _, j, p in self.rz]
-        self.powers = powers
-        # the reciprocal gaps of the forms: 1/(t_n - t_(n+1)) and 1/(1 - t_1)
+        powers += [(-float(exps.beta[j]) / kp, ("rz", j, p)) for _, j, p in self.rz]
+        # the log of the weight, compiled: log x_p is the sum of log v_j over
+        # j <= p and x_p - x_r = x_p (1 - v_(p+1) ... v_r), so every x_p power
+        # and the x_p part of every gap is a coefficient of some log v_j; the
+        # other bases, the atoms 1 - v_(p+1) ... v_r ("om", p, r), 1 - x_p and
+        # 1 - z_j x_p, are merged by base.  Zero exponents drop out
+        tail, atoms, self.om_pieces = [0.0] * ((L - 1) * M), {}, {}
+        for e, (kind, *key) in powers:
+            if kind in ("x", "gap"):  # the exponent of x_p, p = key[0]
+                tail[key[0]] += e
+            if kind == "gap":  # p -> each r of a piece 1 - v_(p+1) ... v_r
+                self.om_pieces.setdefault(key[0], set()).add(key[1])
+            if kind != "x":
+                atom = ("om" if kind == "gap" else kind, *key)
+                atoms[atom] = atoms.get(atom, 0.0) + e
+        coef = list(accumulate(reversed(tail)))[::-1]  # log v_j is in each x_p, p >= j
+        self.logv_coef = [(j, e) for j, e in enumerate(coef) if e]
+        self.atoms = [(e, atom) for atom, e in atoms.items() if e]
+        # the axes each term of the weight's log spans on a tensor slab:
+        # log v_j axis j, the piece 1 - v_(p+1) ... v_r axes p+1..r, 1 - x_p
+        # and 1 - z_j x_p axes 0..p
+        self.weight_groups = _span_groups(
+            tuple((j, j) for j, _ in self.logv_coef)
+            + tuple((a[1] + 1, a[2]) if a[0] == "om" else (0, a[-1]) for _, a in self.atoms))
+        # the reciprocal gaps of the forms: 1/(t_n - t_(n+1)) and 1/(1 - t_1);
+        # the chain point builds those gaps and the pieces of every gap
         self.recip = list(adjacent) + list(range(M))
+        self.gap_pairs = list(adjacent)
 
         # the monomials of a one-copy form P_c, f_0 first, and for each copy
         # the factors of each: f_n^(j) lacks the gap t_(n-1) - t_n of f_0
@@ -409,6 +476,78 @@ class _Workspace:
         return buf[:size].reshape(shape)
 
 
+def _log_terms(out, dest, terms, first):
+    """Add e * log(g) into ``dest`` for each (e, g, logged) of ``terms``, g
+    itself when it is ``logged`` already; with ``first`` the first term
+    overwrites ``dest`` instead."""
+    for e, g, logged in terms:
+        t = dest if first else out("tmp", np.shape(g))
+        if logged:
+            np.multiply(g, e, out=t)
+        else:
+            np.log(g, out=t)
+            t *= e
+        if not first:
+            dest += t
+        first = False
+
+
+@functools.lru_cache(maxsize=None)
+def _span_groups(spans):
+    """The terms of the axis ``spans`` (lo, hi) grouped by span, narrowest
+    first: per group its term indices and the next group whose span holds
+    its own, or None."""
+    groups = {}
+    for m, span in enumerate(spans):
+        groups.setdefault(span, []).append(m)
+    order = sorted(groups, key=lambda span: span[1] - span[0])
+    return tuple((tuple(groups[(lo, hi)]),
+                  next((k for k in range(g + 1, len(order))
+                        if order[k][0] <= lo and hi <= order[k][1]), None))
+                 for g, (lo, hi) in enumerate(order))  # shared through the cache
+
+
+def _weight(ws: _Workspace, pt: _ChainPoint, logw, onemz):
+    """exp(logw) times the weight U and the per-copy 1/t_{L-1}, in the
+    buffer "base" at the shape of logw; ``onemz`` maps ("rz", j, p) to
+    1 - z_j x_p.
+
+    Its log is the workspace's compiled sum: per-axis coefficients of
+    log v_j and the atoms, each e log(g) taken at the shape of g.  Each of
+    the workspace's groups of terms below full size is summed at its shape
+    and added into the next group that holds it; the sums left over meet
+    logw in one full-size add each, then every full-size term is added (on
+    a Monte Carlo batch, every term)."""
+    out = ws.out
+    base = out("base", logw.shape)
+    terms = [(e, pt.logv[j], True) for j, e in ws.logv_coef]
+    terms += [(e, pt.om(a[1], a[2]) if a[0] == "om" else pt.omx[a[1]] if a[0] == "omx"
+               else onemz[a], False) for e, a in ws.atoms]
+    sums, full, roots = {}, [], []
+    for g, (members, _) in enumerate(ws.weight_groups):
+        first = terms[members[0]][1]
+        shape = (1,) * (base.ndim - first.ndim) + first.shape
+        if shape == base.shape:
+            full += [terms[m] for m in members]
+        else:
+            sums[g] = out(("low", g), shape)
+            _log_terms(out, sums[g], [terms[m] for m in members], True)
+    for g, (_, into) in enumerate(ws.weight_groups):
+        if g in sums:
+            if into in sums:
+                sums[into] += sums[g]
+            else:
+                roots.append(sums[g])
+    if roots:
+        np.add(logw, roots[0], out=base)
+        for g in roots[1:]:
+            base += g
+    else:
+        np.copyto(base, logw)
+    _log_terms(out, base, full, False)
+    return np.exp(base, out=base)
+
+
 def _psiM_coeffs(ws: _Workspace, pt: _ChainPoint, logw):
     """Coefficient integrands summed over points, as float arrays in basis
     order: the sums and, with the workspace's time index i, their d/dz_i
@@ -416,9 +555,9 @@ def _psiM_coeffs(ws: _Workspace, pt: _ChainPoint, logw):
 
     logw already contains the quadrature weight and any substitution
     Jacobian; the per-copy 1/t_{L-1} normalization and the symmetric
-    weight U go into a shared log-domain base.  Power-law bases enter
-    through their (positive) chain gaps, and each chain factor's log and
-    reciprocal is taken once.
+    weight U go into a shared log-domain base (:func:`_weight`), from the
+    chain point's per-axis log v and the atoms, each logged at its own
+    shape; each reciprocal of a chain factor is taken once.
 
     The symmetrization is a generating function.  A copy whose level-n
     coordinate is t_n^(c_n) carries the linear form
@@ -441,21 +580,13 @@ def _psiM_coeffs(ws: _Workspace, pt: _ChainPoint, logw):
     out, z, i = ws.out, ws.z, ws.i
     x, omx = pt.x, pt.omx
     fac = {}
-    for key in ws.rz:
+    for key in ws.rz:  # 1 - z_j x_p, inverted once the weight has its log
         _, j, p = key
         t = np.multiply(x[p], z[j], out=out(key, np.shape(x[p])))
-        np.subtract(1.0, t, out=t)
-        fac[key] = np.divide(1.0, t, out=t)
-    base = out("base", np.shape(logw))
-    np.copyto(base, logw)
-    for e, key in ws.powers:
-        kind = key[0]
-        g = (pt.gap(*key[1:]) if kind == "gap" else fac[key] if kind == "rz"
-             else (x if kind == "x" else omx)[key[1]])
-        t = np.log(g, out=out("tmp", np.shape(g)))
-        t *= e
-        base += t
-    np.exp(base, out=base)
+        fac[key] = np.subtract(1.0, t, out=t)
+    base = _weight(ws, pt, logw, fac)
+    for key in ws.rz:
+        np.divide(1.0, fac[key], out=fac[key])
     for key in ws.recip:
         g = pt.gap(*key) if isinstance(key, tuple) else omx[key]
         fac[key] = np.divide(1.0, g, out=out(("recip", key), np.shape(g)))
@@ -652,12 +783,13 @@ def eval_psiM(params: Parameters, z, M: int, quad: QuadratureSpec, i=None) -> In
     checks them against n (``meta["nodes"]`` is the returned rule's).
     Slabs keep its memory flat, so the axis limit bounds run time, not
     memory: at the default 32 nodes L6N1M1 evaluates 16^5 + 32^5 ~ 3.5e7
-    points in 2.7-2.9 s at 65.5 MiB on two vCPUs, L7N1M1 (K = 6) 1.1e9 in
-    89 s.  Monte Carlo never fails on its error or reads that bound:
-    ``convergence`` is its standard error over max |c_A| (``meta["sem"]``
-    unscaled).  With a time index i, ``derivative`` is dc/dz_i,
-    differentiated under the integral (z enters only through bounded
-    factors) on the nodes of the returned rule or the same MC samples.
+    points in 1.7-1.8 s at 34.7 MiB max RSS on two shared vCPUs, L7N1M1
+    (K = 6) 1.1e9 in 58 s at 35.0 MiB.  Monte Carlo never fails on its error
+    or reads that bound: ``convergence`` is its standard error over
+    max |c_A| (``meta["sem"]`` unscaled).  With a time index i,
+    ``derivative`` is dc/dz_i, differentiated under the integral (z enters
+    only through bounded factors) on the nodes of the returned rule or the
+    same MC samples.
     """
     if type(M) is not int or M < 1:  # bool too: no silent M = 1
         raise ParameterError("M must be a positive integer")
@@ -703,8 +835,8 @@ _SLAB_POINTS = 1 << 15
 
 
 def _axis_rules(scheme, nodes, expos):
-    """Per-axis rules (v, 1 - v, log weight) of a tensor scheme on the
-    K = len(expos) cube axes; each log weight holds the rule's and the
+    """Per-axis rules (v, 1 - v, log weight, log v) of a tensor scheme on
+    the K = len(expos) cube axes; each log weight holds the rule's and the
     Jacobian v_j^(K-1-j) of x_j = v_0 ... v_j.
 
     A Gauss-Jacobi axis absorbs u^a (1-u)^b with (a, b) = expos[j] into its
@@ -714,29 +846,31 @@ def _axis_rules(scheme, nodes, expos):
     K = len(expos)
     if scheme == "tanh_sinh_tensor":
         xs, omxs, ws = tanh_sinh_01(nodes)
-        return [(xs, omxs, np.log(ws) + (K - 1 - j) * np.log(xs)) for j in range(K)]
+        logx = np.log(xs)
+        return [(xs, omxs, np.log(ws) + (K - 1 - j) * logx, logx) for j in range(K)]
     rules = []
     for j, (a, b) in enumerate(expos):
         u, w = gauss_jacobi_01(nodes, float(a), float(b))
-        omu = 1.0 - u
-        rules.append((u, omu, np.log(w) + (K - 1 - j - float(a)) * np.log(u)
-                      - float(b) * np.log(omu)))
+        omu, logu = 1.0 - u, np.log(u)
+        rules.append((u, omu, np.log(w) + (K - 1 - j - float(a)) * logu
+                      - float(b) * np.log(omu), logu))
     return rules
 
 
 def _tensor_slab(ws, rules, head):
     """The chain points and log weights of one slab, in the buffers of
     ``ws``: ``head`` slices the leading cube axes and the others are whole,
-    each axis an array that broadcasts along that axis only."""
+    each axis an array that broadcasts along that axis only.  The log
+    weight is summed axis by axis at the shape of the axes so far, so only
+    its last sum is of slab size."""
     K = len(rules)
     cuts = head + [slice(None)] * (K - len(head))
     axes = [(cut,) + (None,) * (K - 1 - j) for j, cut in enumerate(cuts)]
-    v, omv, logws = ([rule[k][a] for rule, a in zip(rules, axes)] for k in range(3))
-    logw = ws.out("logw", np.broadcast_shapes(*(u.shape for u in v)))
-    logw.fill(0.0)
-    for lw in logws:
-        logw += lw
-    return _ChainPoint(ws, v, omv), logw
+    v, omv, logws, logv = ([rule[k][a] for rule, a in zip(rules, axes)] for k in range(4))
+    logw = logws[0]
+    for j, lw in enumerate(logws[1:], 1):
+        logw = np.add(logw, lw, out=ws.out(("logw", j), np.broadcast_shapes(logw.shape, lw.shape)))
+    return _ChainPoint(ws, v, omv, logv), logw
 
 
 def _psiM_tensor(ws: _Workspace, rules):
@@ -772,12 +906,15 @@ def _kumaraswamy_inverse(ws, u, a, b):
 
     log(1 - v^a) = log(1 - u)/b, and log v^a = log(1 - e^(log(1 - v^a))) by
     the log1mexp branch (Maechler 2012); each branch runs on the whole array
-    with its argument clamped to its side of the cut at -log 2, and the
-    one for the other side is then copied over it there.  v and 1 - v come
-    from exp and expm1 of log v, so neither cancels near a face.  log v is
-    clipped to [log tiny, -5e-324], so neither v nor 1 - v rounds to 0 at
-    the ends of the uniform grid (at a = 0.05, log v would fall below -745
-    there)."""
+    with its argument clamped to its side of the cut at -log 2, so both are
+    finite everywhere, and the two are blended by the 0/1 indicator ``far``
+    of the side below the cut, below * far + above * (1 - far): one term is
+    an exact zero, so the blend is exactly the branch of each point's side.
+    v and 1 - v come from exp and expm1 of log v, so neither cancels near a
+    face.  log v is clipped to [log tiny, -5e-324], so neither v nor 1 - v
+    rounds to 0 at the ends of the uniform grid (at a = 0.05, log v would
+    fall below -745 there).  The log v it returns is the one the kernel's
+    weight reads."""
     out = ws.out
     shape = np.shape(u)
     cut = -math.log(2.0)
@@ -792,10 +929,15 @@ def _kumaraswamy_inverse(ws, u, a, b):
     np.exp(below, out=below)
     np.negative(below, out=below)
     np.log1p(below, out=below)
-    np.copyto(logv, below, where=np.less(log1mva, cut, out=out("far", shape, bool)))
+    far = np.less(log1mva, cut, out=out("far", shape))  # 1.0 below the cut, else 0.0
+    below *= far
+    np.subtract(1.0, far, out=far)
+    logv *= far
+    logv += below
     logv /= a
     fin = np.finfo(float)
-    np.clip(logv, math.log(fin.tiny), -fin.smallest_subnormal, out=logv)
+    np.maximum(logv, math.log(fin.tiny), out=logv)
+    np.minimum(logv, -fin.smallest_subnormal, out=logv)
     omv = np.expm1(logv, out=out("omv", shape))
     np.negative(omv, out=omv)
     return np.exp(logv, out=out("v", shape)), omv, logv, log1mva
@@ -814,7 +956,7 @@ def _mc_batch(ws, u, a, b):
         t = np.multiply(logv[j], K - 1 - j - (a[j] - 1.0), out=out("tmp", (per,)))
         t -= np.multiply(log1mva[j], b[j] - 1.0, out=out("tmp2", (per,)))
         logw += t
-    return _ChainPoint(ws, v, omv), logw
+    return _ChainPoint(ws, v, omv, logv), logw
 
 
 def _psiM_mc(ws: _Workspace, expos, nsamples, seed):

@@ -3,8 +3,12 @@
 ``qims.hypint._psiM_coeffs`` symmetrizes the M copies of the one-copy forms
 by a generating-function product.  This module sums over all M!^(L-1) copy
 permutations instead, one basis index at a time, with the multinomial
-weight of each index from :class:`PhiIndexData`.  The base (the symmetric
-weight U) is built as in the kernel; only the symmetrization differs.
+weight of each index from :class:`PhiIndexData`.  Its base (the symmetric
+weight U) is built per power, each base logged at full size, where the
+kernel sums per-axis logs of the cube variables and the few bases that do
+not separate, each at its own shape.  :func:`psiM_coeffs_per_power` runs
+the kernel with that per-power base in place of its own weight, so the two
+weights meet while everything else is the kernel's.
 
 :func:`psi1_eval_at` is the degree-1 reference: one Gauss-Jacobi tensor
 rule per level n of the forms phi_n^(i), each absorbing that level's own
@@ -13,9 +17,10 @@ the nested simplex, where ``qims.hypint.eval_psiM`` puts every degree-1
 form on the one rule of phi_0 and reads its exponents from the degree-M
 face exponents.
 
-``qims.hypint._ChainPoint`` builds chain coordinates and gaps from per-axis
-arrays that broadcast; :func:`from_cube` builds them from a stacked
-``(..., K)`` grid by a cumulative product.  :func:`probe_exponent` measures
+``qims.hypint._ChainPoint`` builds chain coordinates, gaps, the pieces
+1 - v_(p+1) ... v_r and the per-axis log v from per-axis arrays that
+broadcast; :func:`from_cube` builds them from a stacked ``(..., K)`` grid
+by a cumulative product.  :func:`probe_exponent` measures
 the power of the integrand at a set of faces from two one-point kernel
 calls, where :func:`face_exponent` computes it exactly, one face at a time.
 :func:`psiM_coeffs` runs the kernel on a fresh workspace and returns its
@@ -64,12 +69,17 @@ def axis_exponents_m1(exps, n):
 
 class StackedChainPoint:
     """Chain points of a stacked cube grid: ``x[p]``, ``omx[p]`` and
-    ``gap(p, r)`` as views into ``(..., K)`` arrays."""
+    ``logv[j]`` as views into ``(..., K)`` arrays, ``om(p, r)`` and
+    ``gap(p, r)`` as full-size arrays."""
 
-    def __init__(self, x, omx, gaps):
+    def __init__(self, x, omx, logv, oms, gaps):
         self.x = np.moveaxis(x, -1, 0)
         self.omx = np.moveaxis(omx, -1, 0)
-        self._gaps = gaps
+        self.logv = np.moveaxis(logv, -1, 0)
+        self._oms, self._gaps = oms, gaps
+
+    def om(self, p, r):
+        return self._oms[(p, r)]
 
     def gap(self, p, r):
         return self._gaps[(min(p, r), max(p, r))]
@@ -77,23 +87,79 @@ class StackedChainPoint:
 
 def from_cube(v, omv):
     """Chain points of the stacked cube variables ``v`` (..., K) and their
-    complements: x = cumprod(v), 1 - x_j = 1 - x_(j-1) + x_(j-1) (1 - v_j)
-    and x_p - x_r = x_p (1 - v_(p+1) ... v_r), accumulated factor by factor."""
+    complements: x = cumprod(v), 1 - x_j = 1 - x_(j-1) + x_(j-1) (1 - v_j),
+    log v, 1 - v_(p+1) ... v_r accumulated factor by factor and
+    x_p - x_r = x_p (1 - v_(p+1) ... v_r)."""
     K = v.shape[-1]
     x = np.cumprod(v, axis=-1)
     omx = np.empty_like(x)
     omx[..., 0] = omv[..., 0]
     for j in range(1, K):
         omx[..., j] = omx[..., j - 1] + x[..., j - 1] * omv[..., j]
-    gaps = {}
+    oms, gaps = {}, {}
     for p in range(K):
         prod = np.ones_like(v[..., 0])
         omprod = np.zeros_like(v[..., 0])
         for r in range(p + 1, K):
             omprod = omprod + prod * omv[..., r]
             prod = prod * v[..., r]
+            oms[(p, r)] = omprod
             gaps[(p, r)] = x[..., p] * omprod
-    return StackedChainPoint(x, omx, gaps)
+    return StackedChainPoint(x, omx, np.log(v), oms, gaps)
+
+
+def log_weight(exps, z, pt, logw):
+    """log of exp(logw) U prod_copies 1/t_{L-1}, one power at a time, each
+    base broadcast to the full shape of logw before its log is taken; and
+    with r(t) = t/(1 - z_i t) the function i -> sum over copies of
+    (beta_i/kappa) r(t_{L-1}), the weight's d/dz_i log."""
+    L, N, M = exps.L, exps.N, exps.M
+    kp = float(exps.planck)
+    # chain position of t_n^(a): all level-n copies exceed all level-(n+1)
+    # copies, copies descending within a level
+    pos = {(n, a): (n - 1) * M + (a - 1) for n in range(1, L) for a in range(1, M + 1)}
+    shape = np.shape(logw)
+
+    def log(g, log=np.log):
+        return log(np.broadcast_to(g, shape))
+
+    logbase = np.array(logw, copy=True)
+    for n in range(1, L):
+        for a in range(1, M + 1):
+            for b_ in range(a + 1, M + 1):
+                logbase += (2.0 / kp) * log(pt.gap(pos[(n, a)], pos[(n, b_)]))
+    for n in range(1, L - 1):
+        for a in range(1, M + 1):
+            for b_ in range(1, M + 1):
+                logbase += (-float(exps.gamma[n]) / kp) * log(pt.gap(pos[(n, a)],
+                                                                     pos[(n + 1, b_)]))
+    for n in range(1, L):
+        an = float(exps.alpha[n - 1]) / kp
+        for a in range(1, M + 1):
+            logbase += an * log(pt.x[pos[(n, a)]])
+    tls = [pt.x[pos[(L - 1, a)]] for a in range(1, M + 1)]
+    for a in range(1, M + 1):
+        tl = tls[a - 1]
+        for j in range(N):
+            logbase += (-float(exps.beta[j]) / kp) * log(-z[j] * tl, np.log1p)
+        logbase += (-float(exps.gamma[0]) / kp) * log(pt.omx[pos[(1, a)]])
+        logbase -= log(tl)  # per-copy 1/t_{L-1}
+
+    def dweight(i):
+        return sum(float(exps.beta[i - 1]) / kp * tl / (1.0 - z[i - 1] * tl) for tl in tls)
+
+    return logbase, dweight
+
+
+def psiM_coeffs_per_power(exps, z, pt, logw, basis, i=None):
+    """The kernel's sums with the weight of :func:`log_weight`: the kernel
+    on a fresh workspace whose compiled weight is emptied, so its base is
+    exp of the log weight passed in, here the per-power one.  Dicts as in
+    :func:`psiM_coeffs`."""
+    ws = _Workspace(exps, z, basis, i)
+    ws.logv_coef, ws.atoms, ws.weight_groups = [], [], []
+    c, d = _psiM_coeffs(ws, pt, log_weight(exps, z, pt, logw)[0])
+    return dict(zip(basis, c)), {} if d is None else dict(zip(basis, d))
 
 
 def face_exponent(exps, faces):
@@ -243,41 +309,20 @@ def psiM_coeffs_oracle(exps, z, pt, logw, basis, i=None):
 
     logw already contains the quadrature weight and any substitution
     Jacobian; the per-copy 1/t_{L-1} normalization and the symmetric
-    weight U go into a shared log-domain base.  Power-law bases enter
-    through their (positive) chain gaps.  The rational densities keep their
-    true signs.  With r(t) = t/(1 - z_i t), d/dz_i adds to the log of the
-    integrand (beta_i/kappa) r(t_{L-1}) per copy and r once more per copy
-    labelled (n, i), at that copy's own t_{L-1}.
+    weight U go into a shared log-domain base, built by :func:`log_weight`.
+    The rational densities keep their true signs.  With
+    r(t) = t/(1 - z_i t), d/dz_i adds to the log of the integrand
+    (beta_i/kappa) r(t_{L-1}) per copy and r once more per copy labelled
+    (n, i), at that copy's own t_{L-1}.
     """
     L, N, M = exps.L, exps.N, exps.M
-    kp = float(exps.planck)
     # chain position of t_n^(a): all level-n copies exceed all level-(n+1)
     # copies, copies descending within a level
     pos = {(n, a): (n - 1) * M + (a - 1) for n in range(1, L) for a in range(1, M + 1)}
     x, omx = pt.x, pt.omx
 
-    logbase = np.array(logw, copy=True)
-    for n in range(1, L):
-        for a in range(1, M + 1):
-            for b_ in range(a + 1, M + 1):
-                logbase += (2.0 / kp) * np.log(pt.gap(pos[(n, a)], pos[(n, b_)]))
-    for n in range(1, L - 1):
-        for a in range(1, M + 1):
-            for b_ in range(1, M + 1):
-                logbase += (-1.0 / kp) * np.log(pt.gap(pos[(n, a)], pos[(n + 1, b_)]))
-    for n in range(1, L):
-        an = float(exps.alpha[n - 1]) / kp
-        for a in range(1, M + 1):
-            logbase += an * np.log(x[pos[(n, a)]])
-    dweight = 0.0
-    for a in range(1, M + 1):
-        tl = x[pos[(L - 1, a)]]
-        for j in range(N):
-            logbase += (-float(exps.beta[j]) / kp) * np.log1p(-z[j] * tl)
-        logbase += (-float(exps.gamma[0]) / kp) * np.log(omx[pos[(1, a)]])
-        logbase -= np.log(tl)  # per-copy 1/t_{L-1}
-        if i is not None:
-            dweight = dweight + float(exps.beta[i - 1]) / kp * tl / (1.0 - z[i - 1] * tl)
+    logbase, dweights = log_weight(exps, z, pt, logw)
+    dweight = 0.0 if i is None else dweights(i)
     base = np.exp(logbase)
 
     # per-sigma per-copy form factors;   copy a under sigma has level-n

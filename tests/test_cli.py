@@ -587,9 +587,10 @@ def test_no_command_loads_scipy(tmp_path):
               ["verify"])]
     calls = [["--config", write_cfg(tmp_path, f"c{k}.json", cfg)] + argv
              for k, (cfg, argv) in enumerate(runs)]
-    # Gauss-Jacobi at M = 1, on the config CI also runs with a numpy-only install
-    calls.append(["--config", str(Path(__file__).parent / "configs" / "integral_L2N1M1.json"),
-                  "integral"])
+    # Gauss-Jacobi at M = 1, and tanh-sinh and Monte Carlo at the benchmark's
+    # L2N2M3 sizes, on the configs CI also runs with a numpy-only install
+    calls += [["--config", str(Path(__file__).parent / "configs" / f"integral_{name}.json"),
+               "integral"] for name in ("L2N1M1", "L2N2M3_ts", "L2N2M3_mc")]
     script = (
         "import contextlib, io, sys\n"
         "sys.modules['scipy'] = None\n"

@@ -543,9 +543,11 @@ def _assert_same_chain(pt, want, shape, K):
     for p in range(K):
         assert np.array_equal(np.broadcast_to(pt.x[p], shape), want.x[p]), p
         assert np.array_equal(np.broadcast_to(pt.omx[p], shape), want.omx[p]), p
+        assert np.array_equal(np.broadcast_to(pt.logv[p], shape), want.logv[p]), p
         for r in range(p + 1, K):
             assert np.array_equal(np.broadcast_to(pt.gap(p, r), shape), want.gap(p, r)), (p, r)
             assert pt.gap(r, p) is pt.gap(p, r)
+            assert np.array_equal(np.broadcast_to(pt.om(p, r), shape), want.om(p, r)), (p, r)
 
 
 @pytest.mark.parametrize("K", [2, 3, 4, 5, 6])
@@ -575,9 +577,13 @@ def test_broadcast_slab_chain_point_equals_stacked_grid(K, monkeypatch):
             want += (np.log(ws) + (K - 1 - j) * np.log(xs))[rows][
                 (slice(None),) + (None,) * (K - 1 - j)]
         assert np.array_equal(logw, want)
-        # x_p and 1 - x_p vary along axes 0..p only
+        # x_p and 1 - x_p vary along axes 0..p only, log v_p along axis p
+        # and 1 - v_(p+1) ... v_r along axes p+1..r
         for p in range(K):
             assert pt.x[p].shape == pt.omx[p].shape == v.shape[:p + 1] + (1,) * (K - 1 - p)
+            assert pt.logv[p].shape == v.shape[p:p + 1] + (1,) * (K - 1 - p)
+            for r in range(p + 1, K):
+                assert pt.om(p, r).shape == v.shape[p + 1:r + 1] + (1,) * (K - 1 - r), (p, r)
         seen.append(lo)
         return np.zeros(len(basis)), None
 
@@ -639,6 +645,41 @@ def test_kernel_on_broadcast_grid_matches_permutation_sum(L, N, M):
             assert c[A] == pytest.approx(want[A], rel=1e-12, abs=0), (i, A)
             if i is not None:
                 assert d[A] == pytest.approx(dwant[A], rel=1e-12, abs=0), (i, A)
+
+
+@pytest.mark.parametrize("L,N,M", KERNEL_SIZES)
+def test_kernel_weight_matches_per_power_oracle(L, N, M):
+    # the weight from per-axis logs and atoms, each at its own shape, against
+    # every power's base logged at full size, the rest of the kernel shared:
+    # on a broadcast slab, and on a Monte Carlo batch whose log v is the
+    # inversion's own
+    from psiM_oracle import psiM_coeffs, psiM_coeffs_per_power
+    from qims.hypint import _ChainPoint, _kumaraswamy_inverse
+    from qims.polyalg import enumerate_basis
+    K = (L - 1) * M
+    rng = np.random.default_rng(30 * K + N)
+    exps = kernel_exps(L, N, M)
+    z = tuple(0.45 - 0.17 * k for k in range(N))
+    basis = tuple(enumerate_basis(L, N, M))
+    axes = [np.sort(rng.uniform(0.02, 0.98, size=4)) for _ in range(K)]
+    per_axis = [u[(slice(None),) + (None,) * (K - 1 - j)] for j, u in enumerate(axes)]
+    # each chain point in its own workspace, as each lives in its buffers
+    slab = (_ChainPoint(_fresh_ws(exps, z), per_axis, [1.0 - u for u in per_axis]),
+            rng.normal(size=(4,) * K))
+    ws = _fresh_ws(exps, z)
+    v, omv, logv, _ = _kumaraswamy_inverse(ws, rng.uniform(size=(K, 50)),
+                                           rng.uniform(0.6, 2.5, size=(K, 1)),
+                                           rng.uniform(0.6, 2.5, size=(K, 1)))
+    batch = (_ChainPoint(ws, v, omv, logv), rng.normal(size=50))
+    for pt, logw in (slab, batch):
+        for i in (None, N):
+            c, d = psiM_coeffs(exps, z, pt, logw, basis, i)
+            want, dwant = psiM_coeffs_per_power(exps, z, pt, logw, basis, i)
+            assert set(d) == set(dwant) == (set() if i is None else set(basis))
+            for A in basis:
+                assert c[A] == pytest.approx(want[A], rel=1e-13, abs=0), (i, A)
+                if i is not None:
+                    assert d[A] == pytest.approx(dwant[A], rel=1e-13, abs=0), (i, A)
 
 
 def test_batch_chain_point_equals_stacked_grid():

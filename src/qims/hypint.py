@@ -40,19 +40,22 @@ x_p - x_r = x_p (1 - v_(p+1) ... v_r), so every x_p power and the x_p part
 of every gap become per-axis coefficients of log v_j, logged once per rule
 (or, in Monte Carlo, read exactly off the inversion); only the bases that
 do not separate, 1 - v_(p+1) ... v_r, 1 - x_p and 1 - z_j x_p, are logged,
-each at the shape of the axes it depends on.  The grid is
-evaluated in slabs of at most 2^15 points (:func:`_psiM_tensor`), so
-memory stays flat as the node count and the number of axes grow.  Monte
-Carlo draws each cube axis from a Kumaraswamy law whose endpoint powers
-match the integrand's, in 16 batches of mc_samples / 16 points; the
-inversion takes both log1mexp branches on the whole batch and blends them
-by an exact 0/1 indicator.  Each
-evaluation makes one :class:`_Workspace`, shared by both refinement
-passes or all batches: the work that does not depend on the points is
-done there once, and every array (chain coordinates and gaps, the weight
-and its logs, the last copy's form and its products with the weight, the
-sampled axes) is written with ``out=`` into a named buffer of it that
-every slab or batch reuses, so no slab allocates or faults in fresh pages.
+each at the shape of the axes it depends on.  The grid is evaluated in
+slabs of at most 2^15 points (:func:`_psiM_tensor`), so memory stays flat
+as the node count and the number of axes grow.  Monte Carlo draws each cube
+axis from a Kumaraswamy law whose endpoint powers match the integrand's, in
+16 batches of mc_samples / 16 points; the inversion takes both log1mexp
+branches on the whole batch and blends them by an exact 0/1 indicator.
+Each evaluation makes one :class:`_Workspace`, shared by both refinement
+passes or all batches: the work that does not depend on the points is done
+there once, and every array (the chain pieces, the weight and its logs, the
+last copy's form and its products with the weight, the sampled axes) is
+written with ``out=`` into a named buffer of it that every slab or batch
+reuses, so no slab allocates or faults in fresh pages.  The workspace
+declares the chain pieces that the weight and the forms read, each under
+the name of its buffer, and :class:`_ChainPoint` builds those alone: x_p at
+every position, but 1 - x_p at the M level-1 positions only, as only the
+factors (1 - t_1) read it.
 The endpoint powers, and the window check on every face, come from the
 integer orders of :func:`_face_orders`, tabulated once per (L, M) and
 dotted with the exponents: exact in the parameters and free of z.
@@ -183,6 +186,13 @@ def series_psi1(params: Parameters, z, order: int) -> IntegralResult:
     Expands the analytic factor (1 - z T)^(-s) in powers of zT and integrates
     each term as a product of Beta functions; entirely independent of the
     quadrature path.
+
+    ``tail_bound`` is proven: the largest over the basis of a bound on the
+    truncation error over |c_A|.  With K = ``order``, term k is (s)_k z^k / k!
+    times E_k = prod_m B(a_m + k + 1, b_m + 1), which decreases in k as every
+    b_m > -1, and |(s)_k| <= (|s|)_k; so the terms after K sum to at most
+    E_(K+1) (|s|)_(K+1) |z|^(K+1) / ((K + 1)! (1 - rho)), with
+    rho = |z| max(1, (|s| + K + 1)/(K + 2)).  rho >= 1 is a ConvergenceError.
     """
     if params.N != 1:
         raise ParameterError("the series oracle is defined for N = 1")
@@ -200,21 +210,25 @@ def series_psi1(params: Parameters, z, order: int) -> IntegralResult:
     for slot, A in enumerate(basis):
         n, _ = _m1_form(A, 1)
         # phi_n has one gap t_{n-1} - t_n = u_1...u_{n-1} (1 - u_n) more than phi_0
-        ab = [(ak + (k < n), bk + (k == n)) for k, (ak, bk) in enumerate(expos, 1)]
+        ab = [(float(ak + (k < n)), float(bk + (k == n))) for k, (ak, bk) in enumerate(expos, 1)]
         # (1 - zT)^(-beta/kappa) = sum_k (beta/kappa)_k (zT)^k / k!, one extra
         # power of 1/(1 - zT) for the degree-1 coefficients
         s = float(exps.beta[0]) / kp + (1.0 if n else 0.0)
         total = 0.0
-        term = math.nan
         ratio = 1.0  # (s)_k / k!, carried as one float: k! alone overflows a float at k = 171
+        major = 1.0  # (|s|)_k |z|^k / k!, the same way
         for k in range(order + 1):
-            logterm = sum(
-                _log_beta(float(ak) + k + 1.0, float(bk) + 1.0) for ak, bk in ab)
-            term = ratio * zv ** k * math.exp(logterm)
-            total += term
+            logterm = sum(_log_beta(ak + k + 1.0, bk + 1.0) for ak, bk in ab)
+            total += ratio * zv ** k * math.exp(logterm)
             ratio *= (s + k) / (k + 1)
+            major *= abs(zv) * (abs(s) + k) / (k + 1)
         vec[slot] = -total if n else total
-        tails.append(abs(term) / max(abs(total), 1e-300))
+        rho = abs(zv) * max(1.0, (abs(s) + order + 1) / (order + 2))
+        if rho >= 1.0:
+            raise ConvergenceError(
+                f"series tail unbounded at order {order}: majorant ratio {rho:.3g} >= 1")
+        moment = math.exp(sum(_log_beta(ak + order + 2.0, bk + 1.0) for ak, bk in ab))
+        tails.append(moment * major / (1.0 - rho) / max(abs(total), 1e-300))
     return IntegralResult(basis, vec, max(tails),
                           {"scheme": "series", "order": order, "tail_bound": max(tails)})
 
@@ -227,73 +241,47 @@ def _mul(out, name, a, b):
 
 
 class _ChainPoint:
-    """Batched chamber points with stable gap evaluation.
+    """Batched chamber points: the chain pieces that the :class:`_Workspace`
+    ``ws`` declares, built into its buffers, and nothing else.
 
     Built from the cube variables v_0..v_(K-1), their complements and their
-    logs (taken here when not given), per axis as arrays that broadcast
-    against each other: one axis each on a tensor slab, the columns of a
-    (P, K) batch for sampled points.  ``x[p]`` = v_0 ... v_p is chain
-    coordinate p (descending), ``omx[p]`` is 1 - x_p, ``logv[j]`` is
-    log v_j, ``om(p, r)`` is 1 - v_(p+1) ... v_r and ``gap(p, r)`` is
-    x_p - x_r = x_p om(p, r), all without cancellation; each keeps only the
-    axes it depends on.  The pieces ``om`` the workspace's weight reads and
-    the gaps its forms read are built here, into the buffers of the
-    :class:`_Workspace` ``ws``; any other is built on demand into a fresh
-    array.
+    logs ``logv``, per axis as arrays that broadcast against each other: one
+    axis each on a tensor slab, the columns of a (P, K) batch for sampled
+    points.  ``pieces`` maps the key of each piece, the name of its buffer,
+    to its array, none computed with cancellation and each on only the axes
+    it depends on: ("x", p) is the chain coordinate x_p = v_0 ... v_p
+    (descending), at every position; ("omx", p) is 1 - x_p, only at the
+    level-1 positions p < M, as only the weight's (1 - t_1) and the forms'
+    1/(1 - t_1) read it; ("om", p, r) is 1 - v_(p+1) ... v_r, for each gap
+    of the weight; ("gap", p, r) is x_p - x_r = x_p (1 - v_(p+1) ... v_r),
+    for each adjacent-level pair of the forms.
     """
 
-    def __init__(self, ws, v, omv, logv=None):
+    def __init__(self, ws, v, omv, logv):
         out = ws.out
-        K = len(v)
-        self.logv = list(logv) if logv is not None else [
-            np.log(u, out=out(("logv", j), np.shape(u))) for j, u in enumerate(v)]
-        self.x, self.omx = [v[0]], [omv[0]]
-        for j in range(1, K):
-            self.x.append(_mul(out, ("x", j), self.x[j - 1], v[j]))
-            om = _mul(out, ("omx", j), self.x[j - 1], omv[j])
-            om += self.omx[j - 1]
-            self.omx.append(om)
-        self._v, self._omv, self._om, self._gaps = v, omv, {}, {}
+        x = [v[0]]
+        for j in range(1, len(v)):
+            x.append(_mul(out, ("x", j), x[j - 1], v[j]))
+        pieces = {("x", p): xp for p, xp in enumerate(x)}
+        pieces[("omx", 0)] = omv[0]
+        for j in range(1, ws.M):  # 1 - x_j = 1 - x_(j-1) + x_(j-1) (1 - v_j)
+            om = pieces[("omx", j)] = _mul(out, ("omx", j), x[j - 1], omv[j])
+            om += pieces[("omx", j - 1)]
         for p, rs in ws.om_pieces.items():
-            self._om.update(_ones_minus(out, v, omv, p, rs))
+            # 1 - v_(p+1) ... v_r = 1 - v_(p+1) ... v_(r-1) + v_(p+1) ... v_(r-1) (1 - v_r)
+            top, prod, om = max(rs), v[p + 1], omv[p + 1]
+            if p + 1 in rs:
+                pieces[("om", p, p + 1)] = om
+            for r in range(p + 2, top + 1):
+                t = _mul(out, "tmp", prod, omv[r])
+                om = np.add(om, t, out=out(("om", p, r) if r in rs else ("omacc", r % 2), t.shape))
+                if r in rs:
+                    pieces[("om", p, r)] = om
+                if r < top:
+                    prod = _mul(out, ("prod", r % 2), prod, v[r])
         for p, r in ws.gap_pairs:
-            self._gaps[(p, r)] = _mul(out, ("gap", p, r), self.x[p], self._om[(p, r)])
-
-    def om(self, p, r):
-        if (p, r) not in self._om:
-            self._om.update(_ones_minus(_fresh, self._v, self._omv, p, {r}))
-        return self._om[(p, r)]
-
-    def gap(self, p, r):
-        if p == r:
-            raise ValueError("no gap between a coordinate and itself")
-        p, r = min(p, r), max(p, r)
-        if (p, r) not in self._gaps:
-            self._gaps[(p, r)] = self.x[p] * self.om(p, r)
-        return self._gaps[(p, r)]
-
-
-def _fresh(name, shape):
-    """A new array of ``shape``: the ``out`` of arrays that no buffer keeps."""
-    return np.empty(shape)
-
-
-def _ones_minus(out, v, omv, p, rs):
-    """{(p, r): 1 - v_(p+1) ... v_r} for each r in ``rs``, accumulated factor
-    by factor as 1 - v_(p+1) ... v_(r-1) + v_(p+1) ... v_(r-1) (1 - v_r), so
-    it never cancels; each on the axes p+1..r, and the one at r = p + 1
-    ``omv[p + 1]`` itself."""
-    top = max(rs)
-    prod, om = v[p + 1], omv[p + 1]
-    pieces = {(p, p + 1): om} if p + 1 in rs else {}
-    for r in range(p + 2, top + 1):
-        t = _mul(out, "tmp", prod, omv[r])
-        om = np.add(om, t, out=out(("om", p, r) if r in rs else ("omacc", r % 2), t.shape))
-        if r in rs:
-            pieces[(p, r)] = om
-        if r < top:
-            prod = _mul(out, ("prod", r % 2), prod, v[r])
-    return pieces
+            pieces[("gap", p, r)] = _mul(out, ("gap", p, r), x[p], pieces[("om", p, r)])
+        self.logv, self.pieces = logv, pieces
 
 
 def _times_plan(left, right, out):
@@ -365,7 +353,7 @@ class _Workspace:
     def __init__(self, exps: ExponentsM, z, basis, i):
         L, N, M = exps.L, exps.N, exps.M
         kp = float(exps.planck)
-        self.z, self.i, self.basis, self._bufs = z, i, basis, {}
+        self.z, self.i, self.basis, self.M, self._bufs = z, i, basis, M, {}
         # chain position of t_n^(a): all level-n copies exceed all level-(n+1)
         # copies, copies descending within a level
         pos = {(n, a): (n - 1) * M + (a - 1) for n in range(1, L) for a in range(1, M + 1)}
@@ -409,10 +397,11 @@ class _Workspace:
         self.weight_groups = _span_groups(
             tuple((j, j) for j, _ in self.logv_coef)
             + tuple((a[1] + 1, a[2]) if a[0] == "om" else (0, a[-1]) for _, a in self.atoms))
-        # the reciprocal gaps of the forms: 1/(t_n - t_(n+1)) and 1/(1 - t_1);
-        # the chain point builds those gaps and the pieces of every gap
-        self.recip = list(adjacent) + list(range(M))
+        # the reciprocal gaps of the forms, by the keys of their chain pieces:
+        # 1/(t_n - t_(n+1)) and 1/(1 - t_1); the chain point builds those gaps,
+        # 1 - x_p at level 1 and the pieces of every gap
         self.gap_pairs = list(adjacent)
+        self.recip = [("gap", p, r) for p, r in adjacent] + [("omx", p) for p in range(M)]
 
         # the monomials of a one-copy form P_c, f_0 first, and for each copy
         # the factors of each: f_n^(j) lacks the gap t_(n-1) - t_n of f_0
@@ -424,7 +413,7 @@ class _Workspace:
 
         def factors(c):
             cidx = [pos[(n, c[n - 1])] for n in range(1, L)]
-            rg = [cidx[0]] + list(zip(cidx, cidx[1:]))
+            rg = [("omx", cidx[0])] + [("gap", p, r) for p, r in zip(cidx, cidx[1:])]
             return [rg] + [rg[:n - 1] + rg[n:] + [("rz", j - 1, cidx[-1])]
                            for j in range(1, N + 1) for n in range(1, L)]
 
@@ -468,11 +457,11 @@ class _Workspace:
                              for A in [tuple(map(operator.add, mono, y))] if A in index]).T
         self.scale = np.array([(-1) ** sum(A) * math.factorial(M) for A in basis], float)
 
-    def out(self, name, shape, dtype=float):
+    def out(self, name, shape):
         size = math.prod(shape)
         buf = self._bufs.get(name)
         if buf is None or buf.size < size:
-            buf = self._bufs[name] = np.empty(size, dtype)
+            buf = self._bufs[name] = np.empty(size)
         return buf[:size].reshape(shape)
 
 
@@ -507,10 +496,11 @@ def _span_groups(spans):
                  for g, (lo, hi) in enumerate(order))  # shared through the cache
 
 
-def _weight(ws: _Workspace, pt: _ChainPoint, logw, onemz):
+def _weight(ws: _Workspace, logv, pieces, logw):
     """exp(logw) times the weight U and the per-copy 1/t_{L-1}, in the
-    buffer "base" at the shape of logw; ``onemz`` maps ("rz", j, p) to
-    1 - z_j x_p.
+    buffer "base" at the shape of logw, from the per-axis ``logv`` and
+    ``pieces``, which maps each atom's key to its base: the chain point's
+    pieces and each ("rz", j, p), 1 - z_j x_p.
 
     Its log is the workspace's compiled sum: per-axis coefficients of
     log v_j and the atoms, each e log(g) taken at the shape of g.  Each of
@@ -520,9 +510,8 @@ def _weight(ws: _Workspace, pt: _ChainPoint, logw, onemz):
     a Monte Carlo batch, every term)."""
     out = ws.out
     base = out("base", logw.shape)
-    terms = [(e, pt.logv[j], True) for j, e in ws.logv_coef]
-    terms += [(e, pt.om(a[1], a[2]) if a[0] == "om" else pt.omx[a[1]] if a[0] == "omx"
-               else onemz[a], False) for e, a in ws.atoms]
+    terms = [(e, logv[j], True) for j, e in ws.logv_coef]
+    terms += [(e, pieces[a], False) for e, a in ws.atoms]
     sums, full, roots = {}, [], []
     for g, (members, _) in enumerate(ws.weight_groups):
         first = terms[members[0]][1]
@@ -578,21 +567,21 @@ def _psiM_coeffs(ws: _Workspace, pt: _ChainPoint, logw):
     shapes, so a (P, K) batch contracts nothing.
     """
     out, z, i = ws.out, ws.z, ws.i
-    x, omx = pt.x, pt.omx
-    fac = {}
+    pieces = dict(pt.pieces)
     for key in ws.rz:  # 1 - z_j x_p, inverted once the weight has its log
         _, j, p = key
-        t = np.multiply(x[p], z[j], out=out(key, np.shape(x[p])))
-        fac[key] = np.subtract(1.0, t, out=t)
-    base = _weight(ws, pt, logw, fac)
-    for key in ws.rz:
-        np.divide(1.0, fac[key], out=fac[key])
+        x = pieces[("x", p)]
+        t = np.multiply(x, z[j], out=out(key, np.shape(x)))
+        pieces[key] = np.subtract(1.0, t, out=t)
+    base = _weight(ws, pt.logv, pieces, logw)
+    # the reciprocal of each factor of the forms, by its piece's key
+    fac = {key: np.divide(1.0, pieces[key], out=pieces[key]) for key in ws.rz}
     for key in ws.recip:
-        g = pt.gap(*key) if isinstance(key, tuple) else omx[key]
+        g = pieces[key]
         fac[key] = np.divide(1.0, g, out=out(("recip", key), np.shape(g)))
 
     if i is not None:
-        r = {p: _mul(out, ("r", p), x[p], fac[("rz", i - 1, p)]) for p in ws.tls}
+        r = {p: _mul(out, ("r", p), pieces[("x", p)], fac[("rz", i - 1, p)]) for p in ws.tls}
         dweight = out("dweight", np.broadcast_shapes(*(np.shape(r[p]) for p in ws.tls)))
         dweight.fill(0.0)
         for p in ws.tls:

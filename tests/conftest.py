@@ -71,6 +71,16 @@ def m1_window_params(L, N, planck=2):
     return make_parameters(L, N, e=e, kappa=kappa, theta=theta, planck=planck)
 
 
+def fast_decay_m1_params(L, rnd):
+    """N = 1 degree-1 window whose series converges quickly for |z| <= 1/2,
+    drawn as ``perfbench/workloads.py`` draws its series jobs (planck 1)."""
+    alphas = [F(3, 5) + F(n, 7) + F(rnd.randint(0, 4), 40) for n in range(L - 1)]
+    gammas = [F(-2) - F(n, 5) - F(rnd.randint(0, 3), 30) for n in range(1, L)]
+    theta = [F(2, 7) + F(rnd.randint(0, 4), 50)]
+    return make_parameters(L, 1, e=solve_e(alphas, gammas[1:]), kappa=[1 + theta[0]] + gammas,
+                           theta=theta, planck=1)
+
+
 def m_window_params(L, N, M, gamma=F(-1, 2), planck=2):
     """Degree-M dictionary window for L = 2 (alpha > 0, gamma < 0, planck > 0)."""
     alphas = [F(3, 4) + F(n, 5) for n in range(L - 1)]

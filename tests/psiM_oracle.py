@@ -17,10 +17,11 @@ the nested simplex, where ``qims.hypint.eval_psiM`` puts every degree-1
 form on the one rule of phi_0 and reads its exponents from the degree-M
 face exponents.
 
-``qims.hypint._ChainPoint`` builds chain coordinates, gaps, the pieces
-1 - v_(p+1) ... v_r and the per-axis log v from per-axis arrays that
-broadcast; :func:`from_cube` builds them from a stacked ``(..., K)`` grid
-by a cumulative product.  :func:`probe_exponent` measures
+``qims.hypint._ChainPoint`` builds the chain pieces its workspace
+declares (coordinates, level-1 complements, gaps and the pieces
+1 - v_(p+1) ... v_r) and takes the per-axis log v, from per-axis arrays
+that broadcast; :func:`from_cube` builds every piece from a stacked
+``(..., K)`` grid by a cumulative product.  :func:`probe_exponent` measures
 the power of the integrand at a set of faces from two one-point kernel
 calls, where :func:`face_exponent` computes it exactly, one face at a time.
 :func:`psiM_coeffs` runs the kernel on a fresh workspace and returns its
@@ -67,22 +68,14 @@ def axis_exponents_m1(exps, n):
     return a, b
 
 
+@dataclass(frozen=True)
 class StackedChainPoint:
-    """Chain points of a stacked cube grid: ``x[p]``, ``omx[p]`` and
-    ``logv[j]`` as views into ``(..., K)`` arrays, ``om(p, r)`` and
-    ``gap(p, r)`` as full-size arrays."""
+    """Chain points of a stacked cube grid, read as a
+    ``qims.hypint._ChainPoint`` is: ``logv[j]``, and ``pieces`` under the
+    same keys, but every piece at every position or pair p < r."""
 
-    def __init__(self, x, omx, logv, oms, gaps):
-        self.x = np.moveaxis(x, -1, 0)
-        self.omx = np.moveaxis(omx, -1, 0)
-        self.logv = np.moveaxis(logv, -1, 0)
-        self._oms, self._gaps = oms, gaps
-
-    def om(self, p, r):
-        return self._oms[(p, r)]
-
-    def gap(self, p, r):
-        return self._gaps[(min(p, r), max(p, r))]
+    logv: np.ndarray
+    pieces: dict
 
 
 def from_cube(v, omv):
@@ -96,53 +89,60 @@ def from_cube(v, omv):
     omx[..., 0] = omv[..., 0]
     for j in range(1, K):
         omx[..., j] = omx[..., j - 1] + x[..., j - 1] * omv[..., j]
-    oms, gaps = {}, {}
+    pieces = {}
     for p in range(K):
+        pieces[("x", p)], pieces[("omx", p)] = x[..., p], omx[..., p]
         prod = np.ones_like(v[..., 0])
         omprod = np.zeros_like(v[..., 0])
         for r in range(p + 1, K):
             omprod = omprod + prod * omv[..., r]
             prod = prod * v[..., r]
-            oms[(p, r)] = omprod
-            gaps[(p, r)] = x[..., p] * omprod
-    return StackedChainPoint(x, omx, np.log(v), oms, gaps)
+            pieces[("om", p, r)] = omprod
+            pieces[("gap", p, r)] = x[..., p] * omprod
+    return StackedChainPoint(np.moveaxis(np.log(v), -1, 0), pieces)
 
 
 def log_weight(exps, z, pt, logw):
     """log of exp(logw) U prod_copies 1/t_{L-1}, one power at a time, each
     base broadcast to the full shape of logw before its log is taken; and
     with r(t) = t/(1 - z_i t) the function i -> sum over copies of
-    (beta_i/kappa) r(t_{L-1}), the weight's d/dz_i log."""
+    (beta_i/kappa) r(t_{L-1}), the weight's d/dz_i log.  Each gap is
+    x_p (1 - v_(p+1) ... v_r) from ``pt``'s pieces, which a kernel chain
+    point builds for every gap of the weight."""
     L, N, M = exps.L, exps.N, exps.M
     kp = float(exps.planck)
     # chain position of t_n^(a): all level-n copies exceed all level-(n+1)
     # copies, copies descending within a level
     pos = {(n, a): (n - 1) * M + (a - 1) for n in range(1, L) for a in range(1, M + 1)}
     shape = np.shape(logw)
+    pieces = pt.pieces
 
     def log(g, log=np.log):
         return log(np.broadcast_to(g, shape))
+
+    def gap(p, r):
+        return pieces[("x", p)] * pieces[("om", p, r)]
 
     logbase = np.array(logw, copy=True)
     for n in range(1, L):
         for a in range(1, M + 1):
             for b_ in range(a + 1, M + 1):
-                logbase += (2.0 / kp) * log(pt.gap(pos[(n, a)], pos[(n, b_)]))
+                logbase += (2.0 / kp) * log(gap(pos[(n, a)], pos[(n, b_)]))
     for n in range(1, L - 1):
         for a in range(1, M + 1):
             for b_ in range(1, M + 1):
-                logbase += (-float(exps.gamma[n]) / kp) * log(pt.gap(pos[(n, a)],
-                                                                     pos[(n + 1, b_)]))
+                logbase += (-float(exps.gamma[n]) / kp) * log(gap(pos[(n, a)],
+                                                                  pos[(n + 1, b_)]))
     for n in range(1, L):
         an = float(exps.alpha[n - 1]) / kp
         for a in range(1, M + 1):
-            logbase += an * log(pt.x[pos[(n, a)]])
-    tls = [pt.x[pos[(L - 1, a)]] for a in range(1, M + 1)]
+            logbase += an * log(pieces[("x", pos[(n, a)])])
+    tls = [pieces[("x", pos[(L - 1, a)])] for a in range(1, M + 1)]
     for a in range(1, M + 1):
         tl = tls[a - 1]
         for j in range(N):
             logbase += (-float(exps.beta[j]) / kp) * log(-z[j] * tl, np.log1p)
-        logbase += (-float(exps.gamma[0]) / kp) * log(pt.omx[pos[(1, a)]])
+        logbase += (-float(exps.gamma[0]) / kp) * log(pieces[("omx", pos[(1, a)])])
         logbase -= log(tl)  # per-copy 1/t_{L-1}
 
     def dweight(i):
@@ -319,7 +319,7 @@ def psiM_coeffs_oracle(exps, z, pt, logw, basis, i=None):
     # chain position of t_n^(a): all level-n copies exceed all level-(n+1)
     # copies, copies descending within a level
     pos = {(n, a): (n - 1) * M + (a - 1) for n in range(1, L) for a in range(1, M + 1)}
-    x, omx = pt.x, pt.omx
+    pieces = pt.pieces
 
     logbase, dweights = log_weight(exps, z, pt, logw)
     dweight = 0.0 if i is None else dweights(i)
@@ -335,15 +335,16 @@ def psiM_coeffs_oracle(exps, z, pt, logw, basis, i=None):
             gaps = []
             for m in range(1, L):
                 if m == 1:
-                    gaps.append(omx[cidx[0]])
+                    gaps.append(pieces[("omx", cidx[0])])
                 else:
-                    g = pt.gap(cidx[m - 2], cidx[m - 1])
-                    # pt.gap is the positive chain gap; restore the sign of
+                    p, r = sorted(cidx[m - 2:m])
+                    g = pieces[("gap", p, r)]
+                    # the piece is the positive chain gap; restore the sign of
                     # t_{m-1} - t_m when the permuted copy inverts the order
                     gaps.append(g if cidx[m - 2] < cidx[m - 1] else -g)
             inv_gaps = [1.0 / g for g in gaps]
             f0 = math.prod(inv_gaps)
-            tl = x[cidx[L - 2]]
+            tl = pieces[("x", cidx[L - 2])]
             fni = {}
             for j in range(1, N + 1):
                 pref = 1.0 / (1.0 - z[j - 1] * tl)

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import m1_window_params, m_window_params, resonant_params, underflow_params
+from conftest import (fast_decay_m1_params, m1_window_params, m_window_params,
+                      resonant_params, underflow_params)
 import random
 
 from qims.cli import emit_matrix, emit_scalar, json_text, main, parse_scalar, write_output
@@ -397,18 +398,29 @@ def test_underflowing_window_probe_exit3(tmp_path, capsys):
 
 
 def test_series_beyond_float_factorials(tmp_path, capsys):
-    # k! alone overflows a float from k = 171
-    params = m1_window_params(2, 1)
-    out = {}
-    for order in (60, 200):
-        cfg = window_cfg(params, 1, ["0.4"], order=order)
+    # k! alone overflows a float from k = 171.  The tail bound is proven: for
+    # each coefficient, its distance to order 600 is at most tail_bound times
+    # the coefficient, up to one ulp of float rounding in the partial sums;
+    # also at z = 0.8, where the last term over the sum understates it
+    def series(params, z, order):
+        cfg = window_cfg(params, 1, [z], order=order)
         assert main(["--config", write_cfg(tmp_path, "c.json", cfg), "series"]) == 0
-        out[order] = json.loads(capsys.readouterr().out)
-    coarse = [c["value"] for c in out[60]["coefficients"]]
-    fine = [c["value"] for c in out[200]["coefficients"]]
-    scale = max(abs(v) for v in fine)
-    assert max(abs(a - b) for a, b in zip(coarse, fine)) <= out[60]["tail_bound"] * scale
-    assert out[200]["tail_bound"] < out[60]["tail_bound"]
+        out = json.loads(capsys.readouterr().out)
+        assert all(c["tolerance"] == out["tail_bound"] for c in out["coefficients"])
+        return [c["value"] for c in out["coefficients"]], out["tail_bound"]
+
+    cases = [(m1_window_params(2, 1), "0.4", (60, 200))]
+    cases += [(fast_decay_m1_params(L, random.Random(seed)), z, (20, 60))
+              for L in (2, 3, 4) for seed in range(3) for z in ("0.3", "0.8")]
+    for params, z, orders in cases:
+        fine, _ = series(params, z, 600)
+        tails = []
+        for order in orders:
+            coarse, tail = series(params, z, order)
+            for a, b in zip(coarse, fine):
+                assert abs(a - b) <= (tail + sys.float_info.epsilon) * abs(b), (params.L, z, order)
+            tails.append(tail)
+        assert tails[1] < tails[0]
 
 
 def _assert_beyond_six_axes_exit2(tmp_path, capsys, monkeypatch, cfg, tail=""):

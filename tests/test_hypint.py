@@ -200,6 +200,12 @@ def test_series_requires_domain():
     params2 = m1_window_params(2, 2)
     with pytest.raises(ParameterError):
         series_psi1(params2, (0.4, 0.2), 10)
+    # phi_0's |s| = theta/planck = 20/7 puts the tail's majorant ratio
+    # 0.9 (|s| + order + 1)/(order + 2) at 1.14 at order 5: an unproven tail is an error
+    params3 = m1_window_params(2, 1, planck=F(1, 10))
+    with pytest.raises(ConvergenceError, match="series tail unbounded at order 5"):
+        series_psi1(params3, (0.9,), 5)
+    assert series_psi1(params3, (0.9,), 20).meta["tail_bound"] > 0
 
 
 @pytest.mark.parametrize("bad", [True, 1.0, 2.5])
@@ -410,7 +416,7 @@ def test_psiM_mc_evaluates_exactly_mc_samples(monkeypatch, i):
     calls = []
     kernel = hypint._psiM_coeffs
     monkeypatch.setattr(hypint, "_psiM_coeffs", lambda ws, pt, logw: calls.append(
-        (np.shape(pt.x[-1])[0], kernel(ws, pt, logw))) or calls[-1][1])
+        (np.shape(pt.logv[-1])[0], kernel(ws, pt, logw))) or calls[-1][1])
     q = QuadratureSpec(scheme="monte_carlo", mc_samples=1000, seed=1)
     res = eval_psiM(params, (0.4,), 2, q, i)
     sizes = [n for n, _ in calls]
@@ -456,9 +462,9 @@ def test_psiM_symmetrization_consistency():
 
     # unsymmetrized single-assignment integrals over the same ordered chamber
     kp = float(exps.planck)
-    t1, t2 = pt.x[0], pt.x[1]
-    om1, om2 = pt.omx[0], pt.omx[1]
-    base = np.exp(logw + (2 / kp) * np.log(pt.gap(0, 1))
+    t1, t2 = pt.pieces[("x", 0)], pt.pieces[("x", 1)]
+    om1, om2 = pt.pieces[("omx", 0)], pt.pieces[("omx", 1)]
+    base = np.exp(logw + (2 / kp) * np.log(pt.pieces[("gap", 0, 1)])
                   + float(exps.alpha[0]) / kp * (np.log(t1) + np.log(t2))
                   - float(exps.beta[0]) / kp * (np.log1p(-z[0] * t1) + np.log1p(-z[0] * t2))
                   - float(exps.gamma[0]) / kp * (np.log(om1) + np.log(om2))
@@ -488,6 +494,13 @@ def _fresh_ws(exps=None, z=(0.4,)):
     from qims.hypint import _Workspace, enumerate_basis
     exps = exps or kernel_exps(2, 1, 2)
     return _Workspace(exps, z, tuple(enumerate_basis(exps.L, exps.N, exps.M)), None)
+
+
+def _axis_point(ws, per_axis):
+    """The kernel's chain point in ``ws`` of the broadcasting per-axis
+    arrays ``per_axis`` (values in (0, 1))."""
+    from qims.hypint import _ChainPoint
+    return _ChainPoint(ws, per_axis, [1.0 - u for u in per_axis], [np.log(u) for u in per_axis])
 
 
 def kernel_exps(L, N, M, planck=F(2)):
@@ -539,15 +552,15 @@ def test_times_plan_drops_e_squared():
     assert [a for _, a, _, _ in ops][:3] == [2, 2, 2]
 
 
-def _assert_same_chain(pt, want, shape, K):
+def _assert_same_chain(ws, pt, want, shape, K):
+    # every piece the kernel reads from the chain point: the atoms of the
+    # weight, the reciprocal gaps of the forms and the x_p of the last level
+    read = {a for _, a in ws.atoms if a[0] != "rz"} | set(ws.recip)
+    assert read | {("x", p) for p in ws.tls} <= set(pt.pieces)
     for p in range(K):
-        assert np.array_equal(np.broadcast_to(pt.x[p], shape), want.x[p]), p
-        assert np.array_equal(np.broadcast_to(pt.omx[p], shape), want.omx[p]), p
         assert np.array_equal(np.broadcast_to(pt.logv[p], shape), want.logv[p]), p
-        for r in range(p + 1, K):
-            assert np.array_equal(np.broadcast_to(pt.gap(p, r), shape), want.gap(p, r)), (p, r)
-            assert pt.gap(r, p) is pt.gap(p, r)
-            assert np.array_equal(np.broadcast_to(pt.om(p, r), shape), want.om(p, r)), (p, r)
+    for key, piece in pt.pieces.items():
+        assert np.array_equal(np.broadcast_to(piece, shape), want.pieces[key]), key
 
 
 @pytest.mark.parametrize("K", [2, 3, 4, 5, 6])
@@ -570,20 +583,20 @@ def test_broadcast_slab_chain_point_equals_stacked_grid(K, monkeypatch):
         v = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         omv = np.stack(np.meshgrid(*[omxs[lo:lo + 2]] + [omxs] * (K - 1), indexing="ij"),
                        axis=-1)
-        _assert_same_chain(pt, from_cube(v, omv), v.shape[:-1], K)
+        _assert_same_chain(workspace, pt, from_cube(v, omv), v.shape[:-1], K)
         want = np.zeros(v.shape[:-1])
         for j in range(K):
             rows = slice(lo, lo + 2) if j == 0 else slice(None)
             want += (np.log(ws) + (K - 1 - j) * np.log(xs))[rows][
                 (slice(None),) + (None,) * (K - 1 - j)]
         assert np.array_equal(logw, want)
-        # x_p and 1 - x_p vary along axes 0..p only, log v_p along axis p
-        # and 1 - v_(p+1) ... v_r along axes p+1..r
+        # x_p and 1 - x_p vary along axes 0..p only, log v_p along axis p,
+        # 1 - v_(p+1) ... v_r along axes p+1..r and x_p - x_r along axes 0..r
         for p in range(K):
-            assert pt.x[p].shape == pt.omx[p].shape == v.shape[:p + 1] + (1,) * (K - 1 - p)
             assert pt.logv[p].shape == v.shape[p:p + 1] + (1,) * (K - 1 - p)
-            for r in range(p + 1, K):
-                assert pt.om(p, r).shape == v.shape[p + 1:r + 1] + (1,) * (K - 1 - r), (p, r)
+        for (kind, *key), piece in pt.pieces.items():
+            first = key[0] + 1 if kind == "om" else 0
+            assert piece.shape == v.shape[first:key[-1] + 1] + (1,) * (K - 1 - key[-1]), key
         seen.append(lo)
         return np.zeros(len(basis)), None
 
@@ -599,7 +612,6 @@ def test_kernel_on_broadcast_grid_equals_stacked_grid(L, N, M):
     # the same values; the broadcast layout sums the deepest axis first, so
     # the two round differently
     from psiM_oracle import from_cube, psiM_coeffs
-    from qims.hypint import _ChainPoint
     from qims.polyalg import enumerate_basis
     K = (L - 1) * M
     rng = np.random.default_rng(10 * K + N)
@@ -611,8 +623,7 @@ def test_kernel_on_broadcast_grid_equals_stacked_grid(L, N, M):
     z = tuple(0.45 - 0.17 * k for k in range(N))
     basis = tuple(enumerate_basis(L, N, M))
     for i in (None, N):
-        c, d = psiM_coeffs(exps, z, _ChainPoint(_fresh_ws(exps, z), per_axis,
-                                                [1.0 - u for u in per_axis]), logw, basis, i)
+        c, d = psiM_coeffs(exps, z, _axis_point(_fresh_ws(exps, z), per_axis), logw, basis, i)
         want, dwant = psiM_coeffs(exps, z, from_cube(v, 1.0 - v), logw, basis, i)
         assert set(d) == set(dwant) == (set() if i is None else set(basis))
         for A in basis:
@@ -625,7 +636,6 @@ def test_kernel_on_broadcast_grid_equals_stacked_grid(L, N, M):
 def test_kernel_on_broadcast_grid_matches_permutation_sum(L, N, M):
     # the contraction over the deepest axis against the symmetrization written out
     from psiM_oracle import from_cube, psiM_coeffs, psiM_coeffs_oracle
-    from qims.hypint import _ChainPoint
     from qims.polyalg import enumerate_basis
     K = (L - 1) * M
     rng = np.random.default_rng(20 * K + N)
@@ -637,8 +647,7 @@ def test_kernel_on_broadcast_grid_matches_permutation_sum(L, N, M):
     z = tuple(0.45 - 0.17 * k for k in range(N))
     basis = tuple(enumerate_basis(L, N, M))
     for i in [None] + list(range(1, N + 1)):
-        c, d = psiM_coeffs(exps, z, _ChainPoint(_fresh_ws(exps, z), per_axis,
-                                                [1.0 - u for u in per_axis]), logw, basis, i)
+        c, d = psiM_coeffs(exps, z, _axis_point(_fresh_ws(exps, z), per_axis), logw, basis, i)
         want, dwant = psiM_coeffs_oracle(exps, z, from_cube(v, 1.0 - v), logw, basis, i)
         assert set(d) == set(dwant) == (set() if i is None else set(basis))
         for A in basis:
@@ -664,8 +673,7 @@ def test_kernel_weight_matches_per_power_oracle(L, N, M):
     axes = [np.sort(rng.uniform(0.02, 0.98, size=4)) for _ in range(K)]
     per_axis = [u[(slice(None),) + (None,) * (K - 1 - j)] for j, u in enumerate(axes)]
     # each chain point in its own workspace, as each lives in its buffers
-    slab = (_ChainPoint(_fresh_ws(exps, z), per_axis, [1.0 - u for u in per_axis]),
-            rng.normal(size=(4,) * K))
+    slab = (_axis_point(_fresh_ws(exps, z), per_axis), rng.normal(size=(4,) * K))
     ws = _fresh_ws(exps, z)
     v, omv, logv, _ = _kumaraswamy_inverse(ws, rng.uniform(size=(K, 50)),
                                            rng.uniform(0.6, 2.5, size=(K, 1)),
@@ -683,14 +691,48 @@ def test_kernel_weight_matches_per_power_oracle(L, N, M):
 
 
 def test_batch_chain_point_equals_stacked_grid():
-    # Monte Carlo passes the columns of a (P, K) batch
+    # Monte Carlo passes the columns of a (P, K) batch; one level of five
+    # copies, and two levels of two, whose chain point has adjacent-level gaps
     from psiM_oracle import from_cube
     from qims.hypint import _ChainPoint
     rng = np.random.default_rng(7)
-    v = rng.uniform(0.0, 1.0, size=(500, 5))
-    omv = 1.0 - v
-    ws = _fresh_ws(ExponentsM((F(3, 4),), (F(-2, 7),), (F(-1, 2),), F(2), 5))
-    _assert_same_chain(_ChainPoint(ws, v.T, omv.T), from_cube(v, omv), (500,), 5)
+    for exps in (ExponentsM((F(3, 4),), (F(-2, 7),), (F(-1, 2),), F(2), 5), kernel_exps(3, 1, 2)):
+        K = (exps.L - 1) * exps.M
+        v = rng.uniform(0.0, 1.0, size=(500, K))
+        omv = 1.0 - v
+        ws = _fresh_ws(exps)
+        _assert_same_chain(ws, _ChainPoint(ws, v.T, omv.T, np.log(v.T)), from_cube(v, omv),
+                           (500,), K)
+
+
+def test_chain_point_builds_only_the_declared_pieces(monkeypatch):
+    # 1 - x_p at the level-1 positions p < M only, every other piece where
+    # the workspace declares it, and no accessor that builds one on demand
+    from qims import hypint
+    workspaces = []
+
+    def spy(ws, pt, logw):
+        workspaces.append(ws)
+        return kernel(ws, pt, logw)
+
+    kernel = hypint._psiM_coeffs
+    monkeypatch.setattr(hypint, "_psiM_coeffs", spy)
+    eval_psiM(m1_window_params(4, 1), (0.4,), 1, QuadratureSpec(nodes_per_axis=32))
+    assert len(set(map(id, workspaces))) == 1
+    assert not [name for name in workspaces[0]._bufs
+                if isinstance(name, tuple) and name[0] == "omx"]
+
+    ws = _fresh_ws(kernel_exps(3, 1, 2))  # K = 4: positions 0, 1 at level 1, 2, 3 at level 2
+    axes = [np.linspace(0.1, 0.9, 3)[(slice(None),) + (None,) * (3 - j)] for j in range(4)]
+    pt = _axis_point(ws, axes)
+    assert [name for name in ws._bufs if isinstance(name, tuple) and name[0] == "omx"] == [
+        ("omx", 1)]
+    adjacent = [(0, 2), (0, 3), (1, 2), (1, 3)]
+    assert set(pt.pieces) == ({("x", p) for p in range(4)} | {("omx", 0), ("omx", 1)}
+                              | {("om", p, r) for p, r in adjacent + [(0, 1), (2, 3)]}
+                              | {("gap", p, r) for p, r in adjacent})
+    assert not [name for name in dir(pt) if not name.startswith("_")
+                and callable(getattr(pt, name))]
 
 
 def _all_faces(K):

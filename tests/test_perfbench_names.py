@@ -57,3 +57,27 @@ def test_traced_spans_patch_existing_attributes():
         owner_expr, attr_expr = entry.elts[:2]
         owner, attr = resolve(owner_expr), ast.literal_eval(attr_expr)
         assert attr in vars(owner), (ast.unparse(owner_expr), attr)
+
+
+def test_counted_flatop_members_exist():
+    # the counters patch FlatOp methods by name and read attributes of each
+    # FlatOp built, through the first argument ``self_`` of their wrappers
+    import random
+
+    from conftest import random_params
+    from qims.weylops import FlatOp, P, flatten
+
+    tree = _parse("tracing.py")
+    named = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Attribute) and node.value.attr == "FlatOp"}
+    for loop in ast.walk(tree):
+        if isinstance(loop, ast.For) and "FlatOp" in ast.unparse(loop.body[-1]):
+            named |= {ast.literal_eval(entry.elts[0]) for entry in loop.iter.elts}
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "self_"}
+    assert {"apply_index", "__init__"} <= named and "terms" in read
+    for attr in named:
+        assert attr in vars(FlatOp), attr
+    op = flatten(P(1, 1), random_params(2, 1, random.Random(0)))
+    for attr in read:
+        assert hasattr(op, attr), attr

@@ -106,23 +106,10 @@ def emit_scalar(x, tolerance=None):
     return out
 
 
-def emit_matrix(mat):
-    """Rows of ``emit_scalar`` cells; equal exact cells share one dict.  A cell is
-    looked up by ``id`` first, so an object in many cells, such as the shared zero
-    of ``matrix_at``, is converted once; the ids hold only while ``mat`` lives."""
-    exact = {}  # on (numerator, denominator): a Fraction's hash takes an inverse
-    by_id = {}
-
-    def cell(x):
-        if not isinstance(x, (int, Fraction)):
-            out = emit_scalar(x)
-        elif (out := exact.get(key := (x.numerator, x.denominator))) is None:
-            out = exact[key] = emit_scalar(x)
-        by_id[id(x)] = out
-        return out
-
-    get = by_id.get  # a cell dict is never empty, so never falsy
-    return [[get(id(x)) or cell(x) for x in row] for row in mat]
+class Matrix(list):
+    """The rows of a matrix of numbers in a payload; :func:`json_text` prints
+    it as rows of :func:`emit_scalar` cells, the text of ``json.dumps`` on
+    ``[[emit_scalar(x) for x in row] for row in rows]``."""
 
 
 def index_label(A, L, N):
@@ -237,35 +224,72 @@ def get_quad(cfg, args):
     return QuadratureSpec(**q)
 
 
+def _joined(entries, pad, brackets, keys=None):
+    """A JSON list, or a dict with the texts ``keys``, from its entries' texts
+    in one join, one entry a line; no entry text is copied before the join."""
+    if not entries:
+        return brackets
+    inner = pad + "  "
+    step = 2 if keys is None else 3
+    parts = [",\n" + inner] * (step * len(entries) + 1)
+    parts[step - 1::step] = entries
+    if keys is not None:
+        parts[1::3] = keys
+    parts[0], parts[-1] = brackets[0] + "\n" + inner, "\n" + pad + brackets[1]
+    return "".join(parts)
+
+
+def _matrix_text(rows, pad, text):
+    """The text of a :class:`Matrix` at indent ``pad``, one join per row.
+
+    Each distinct cell is rendered once: an exact one per value, into the text
+    ``emit_scalar`` gives 0, and any other once per object, such as the zero
+    that every empty entry of ``matrix_at`` shares.  A row's texts are looked
+    up by ``id`` in C, and only the misses are filled in Python.  The ids
+    hold while ``rows`` lives."""
+    row_pad = pad + "  "
+    cell_pad = row_pad + "  "
+    head, tail = text(emit_scalar(Fraction(0)), cell_pad).split('"0/1"')
+    exact, by_id = {}, {}
+
+    def render(x):
+        if not isinstance(x, (int, Fraction)):
+            out = text(emit_scalar(x), cell_pad)
+        elif (out := exact.get(key := (x.numerator, x.denominator))) is None:
+            out = exact[key] = f'{head}"{key[0]}/{key[1]}"{tail}'
+        by_id[id(x)] = out
+        return out
+
+    get, lines = by_id.get, []
+    for row in rows:
+        cells, k = list(map(get, map(id, row))), -1
+        try:
+            while True:
+                k = cells.index(None, k + 1)
+                cells[k] = render(row[k])
+        except ValueError:
+            lines.append(_joined(cells, row_pad, "[]"))
+    return _joined(lines, pad, "[]")
+
+
 def json_text(payload):
     """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, written directly.
 
-    With ``indent`` json runs its pure-Python encoder.  Each dict and list is
-    joined in one go from its entries' texts.  A dict that appears more than
-    once, such as a shared matrix cell, is written once per indent and its
-    text reused; the cache keys on identity, since {"a": 1} == {"a": True}
-    == {"a": 1.0} print differently.  The payload must not change meanwhile."""
-    leaves = {}
+    With ``indent`` json runs its pure-Python encoder, which yields and joins
+    one small piece at a time.  Here each dict and list is one join of its
+    entries' texts, and a :class:`Matrix` is written by :func:`_matrix_text`."""
 
     def text(x, pad):
+        if isinstance(x, Matrix):
+            return _matrix_text(x, pad, text)
         if isinstance(x, dict):
-            leaf, inner = (pad, id(x)), pad + "  "
-            if leaf not in leaves:
-                entries = [json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": "
-                           + text(x[k], inner) for k in sorted(x)]
-                leaves[leaf] = wrap(entries, pad, "{}")
-            return leaves[leaf]
+            keys = sorted(x)
+            return _joined([text(x[k], pad + "  ") for k in keys], pad, "{}",
+                           [json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": "
+                            for k in keys])
         if isinstance(x, (list, tuple)):
-            inner = pad + "  "
-            # a cached cell's text is read here, without a call per cell
-            return wrap([leaves.get((inner, id(v))) or text(v, inner) for v in x], pad, "[]")
+            return _joined([text(v, pad + "  ") for v in x], pad, "[]")
         return json.dumps(x)  # a str, number, bool or None, else TypeError
-
-    def wrap(entries, pad, brackets):
-        if not entries:
-            return brackets
-        return (brackets[0] + "\n" + pad + "  " + (",\n" + pad + "  ").join(entries)
-                + "\n" + pad + brackets[1])
 
     return text(payload, "") + "\n"
 
@@ -328,7 +352,7 @@ def cmd_hamiltonian(cfg, args):
         "z": [emit_scalar(x) for x in z],
         "dimension": system.dim,
         "basis_labels": [index_label(A, params.L, params.N) for A in system.basis],
-        "matrix": emit_matrix(mat),
+        "matrix": Matrix(mat),
     }
     write_output(args, payload)
     return 0
@@ -370,8 +394,10 @@ def _check_flatness(cfg, args, params, z, system):
 
 
 def _check_subspace(cfg, args, params, z, system):
-    # building the restriction raises SubspaceError on leakage
-    return {"dimension": system().dim, "overflow": emit_scalar(Fraction(0))}, True
+    # restricting every H_j raises SubspaceError on leakage
+    restricted = system()
+    restricted.residues
+    return {"dimension": restricted.dim, "overflow": emit_scalar(Fraction(0))}, True
 
 
 def _check_garnier(cfg, args, params, z, system):
@@ -517,7 +543,7 @@ def cmd_verify(cfg, args):
         else emit_scalar(cmpres.lambda_shift),
     }
     if not cmpres.exact_equal:
-        comparison["discrepancy"] = emit_matrix(cmpres.discrepancy)
+        comparison["discrepancy"] = Matrix(cmpres.discrepancy)
     cmp_ok = cmpres.exact_equal or cmpres.lambda_shift is not None
 
     if args.plot:

@@ -134,7 +134,13 @@ class PfaffianSystem:
 
     ``residues[i][p]``, the residue of M_i where z_i meets point p, is a pair
     ``(den, rows)`` of sparse ``{column: int}`` rows without zeros over their
-    least positive common denominator, so equal residues are equal pairs."""
+    least positive common denominator, so equal residues are equal pairs.
+
+    Each H_i is restricted when first used and kept: :meth:`matrix_at` and
+    :meth:`matrix_float` restrict only their own i, so they prove the span
+    invariant under that H_i alone.  Reading ``residues`` restricts every H_i,
+    in the order i = 1..N, so :func:`flatness_residual` and :func:`propagate`
+    raise :class:`SubspaceError` for a leak under any of them."""
 
     def __init__(self, params: Parameters, space):
         kind, data = space
@@ -166,22 +172,35 @@ class PfaffianSystem:
             raise ParameterError(f"unknown space kind {kind!r}; use ('V', M) or ('F', T)")
         self.index_of = {A: k for k, A in enumerate(self.basis)}
         self.dim = len(self.basis)
-        self.residues = {i: restricted_residues(params, i, self.basis, self.index_of,
-                                                f"{kind}{data}")
-                         for i in range(1, N + 1)}
+        self._space = f"{kind}{data}"
+        self._restricted = {}
+
+    def _residues_of(self, i):
+        """``residues[i]``, restricted on the first call for this i."""
+        res = self._restricted.get(i)
+        if res is None:
+            res = self._restricted[i] = restricted_residues(
+                self.params, i, self.basis, self.index_of, self._space)
+        return res
+
+    @property
+    def residues(self):
+        """{i: residues of M_i} for every time i, each restricted on first use."""
+        return {i: self._residues_of(i) for i in range(1, self.params.N + 1)}
 
     def matrix_at(self, i: int, z):
         """Exact D x D matrix M_i(z) (dense rows) for exact rational z."""
         check_times(self.params.N, i)
-        return residue_sum(self.residues[i], check_z(self.params, z), i)
+        return residue_sum(self._residues_of(i), check_z(self.params, z), i)
 
     def residue_array(self, keys):
         """residues[i][p] for (i, p) in ``keys``, stacked as a complex (len(keys) * D, D) array."""
+        residues = self.residues
         out = np.zeros((len(keys), self.dim, self.dim))
         for k, (i, p) in enumerate(keys):
-            for a, row in enumerate(self.residues[i][p][1]):
+            for a, row in enumerate(residues[i][p][1]):
                 out[k, a, list(row)] = list(row.values())
-        dens = np.array([self.residues[i][p][0] for i, p in keys], dtype=float)
+        dens = np.array([residues[i][p][0] for i, p in keys], dtype=float)
         return (out / dens[:, None, None]).astype(complex).reshape(-1, self.dim)
 
     def matrix_float(self, i: int, z) -> np.ndarray:
@@ -189,8 +208,9 @@ class PfaffianSystem:
         :func:`residue_sum` gives at the decimal z, with the checks of
         :meth:`matrix_at`."""
         check_times(self.params.N, i)
-        z = check_z(self.params, [complex(x) for x in z])
-        return np.array(residue_sum(self.residues[i], z, i), dtype=complex)
+        res = self._residues_of(i)
+        return np.array(residue_sum(res, check_z(self.params, [complex(x) for x in z]), i),
+                        dtype=complex)
 
 
 # --- flatness -------------------------------------------------------------------
@@ -227,10 +247,11 @@ def flatness_residual(system: PfaffianSystem) -> FlatnessResult:
     Both run on the residues scaled to integer rows over the lcm d of their
     denominators, so a commutator entry is an integer over d^2.
     """
-    d = math.lcm(*(den for r in system.residues.values() for den, _ in r.values()))
+    residues = system.residues
+    d = math.lcm(*(den for r in residues.values() for den, _ in r.values()))
     res = {i: {p: rows if den == d else [{b: x * (d // den) for b, x in row.items()}
                                          for row in rows]
-               for p, (den, rows) in r.items()} for i, r in system.residues.items()}
+               for p, (den, rows) in r.items()} for i, r in residues.items()}
     worst, conditions = 0, 0
     for hyperplanes in codim2_flats(system.params.N):
         # points p < q meet on a hyperplane whose residue is that of z_{q-1} at p

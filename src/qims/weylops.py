@@ -139,6 +139,12 @@ def _expand(node, params: Parameters):
     application (rightmost-first) order; coefficients are unreduced ``int``
     pairs.  Derived boundary nodes are substituted here, so
     downstream application only ever sees interior generators.
+
+    Equal strings merge once, in :class:`FlatOp`.  Merging them after every
+    ``Add`` and ``Mul`` too made ``flatten`` 0.60-0.78x as fast on H_1, its
+    parts and Omega_12 at L2-L4, N1-N3: the full expansion is at most 2.2x
+    its merged size (H_1 at L2N1 expands to 20 terms for 9 merged, at L4N3
+    to 385 for 283), so the per-node merges cost more than they save.
     """
     L, N = params.L, params.N
     tag = node[0]

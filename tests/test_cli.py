@@ -12,7 +12,8 @@ from conftest import (fast_decay_m1_params, m1_window_params, m_window_params,
                       resonant_params, underflow_params)
 import random
 
-from qims.cli import emit_matrix, emit_scalar, json_text, main, parse_scalar, write_output
+from qims.cli import Matrix, emit_scalar, json_text, main, parse_scalar, write_output
+from qims.errors import SubspaceError
 
 
 def write_cfg(tmp_path, name, payload):
@@ -398,10 +399,12 @@ def test_underflowing_window_probe_exit3(tmp_path, capsys):
 
 
 def test_series_beyond_float_factorials(tmp_path, capsys):
-    # k! alone overflows a float from k = 171.  The tail bound is proven: for
-    # each coefficient, its distance to order 600 is at most tail_bound times
-    # the coefficient, up to one ulp of float rounding in the partial sums;
-    # also at z = 0.8, where the last term over the sum understates it
+    # k! alone overflows a float from k = 171.  tail_bound covers truncation
+    # and the rounding of the partial sum: each order-K coefficient a lies
+    # within tail_bound |a| of the exact sum of the series' computed terms, also
+    # at z = 0.8, where the last term over the sum understates the tail.  The
+    # order-600 reference b lies within its own tail_bound |b| of that sum,
+    # its truncation far below its rounding, so that slack is b's rounding only
     def series(params, z, order):
         cfg = window_cfg(params, 1, [z], order=order)
         assert main(["--config", write_cfg(tmp_path, "c.json", cfg), "series"]) == 0
@@ -413,14 +416,15 @@ def test_series_beyond_float_factorials(tmp_path, capsys):
     cases += [(fast_decay_m1_params(L, random.Random(seed)), z, (20, 60))
               for L in (2, 3, 4) for seed in range(3) for z in ("0.3", "0.8")]
     for params, z, orders in cases:
-        fine, _ = series(params, z, 600)
+        fine, fine_tail = series(params, z, 600)
         tails = []
         for order in orders:
             coarse, tail = series(params, z, order)
             for a, b in zip(coarse, fine):
-                assert abs(a - b) <= (tail + sys.float_info.epsilon) * abs(b), (params.L, z, order)
+                assert abs(a - b) <= tail * abs(a) + fine_tail * abs(b), (params.L, z, order)
             tails.append(tail)
-        assert tails[1] < tails[0]
+        if z == "0.8":  # truncation dominates; elsewhere rounding, which grows with K, does
+            assert tails[1] < tails[0]
 
 
 def _assert_beyond_six_axes_exit2(tmp_path, capsys, monkeypatch, cfg, tail=""):
@@ -538,26 +542,65 @@ def test_writer_joins_lists_of_dicts_like_json_dumps():
     assert json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def test_equal_exact_cells_share_one_dict_and_print_alike():
-    rows = emit_matrix([[F(0), 0, F(1, 2)], [F(1, 2), 0.5, F(0)]])
-    assert rows[0][0] is rows[0][1] is rows[1][2] and rows[0][2] is rows[1][0]
-    assert rows[1][1] == {"value": 0.5, "kind": "float"}
-    # one shared dict at two indents, next to hash-equal dicts that print apart
-    payload = {"m": rows, "c": rows[0][0], "f": [{"a": 1}, {"a": True}, {"a": 1.0}]}
-    assert json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def test_equal_exact_cells_print_alike():
+    # int 0 and Fraction(0) are one exact value in two objects, next to a float
+    # cell; the matrix at two indents, beside hash-equal dicts that print apart
+    mat = [[F(0), 0, F(1, 2)], [F(1, 2), 0.5, F(0)]]
+    cells = [[emit_scalar(x) for x in row] for row in mat]
+    assert cells[0][0] == cells[0][1] == cells[1][2] and cells[0][2] == cells[1][0]
+    assert cells[1][1] == {"value": 0.5, "kind": "float"}
+    payload = {"m": Matrix(mat), "c": {"n": Matrix(mat)}, "f": [{"a": 1}, {"a": True}, {"a": 1.0}]}
+    plain = {**payload, "m": cells, "c": {"n": cells}}
+    assert json_text(payload) == json.dumps(plain, indent=2, sort_keys=True) + "\n"
 
 
-def test_shared_cells_print_the_json_dumps_bytes():
+def test_shared_cells_print_the_json_dumps_bytes(tmp_path, capsys, monkeypatch):
     # the shape of a restricted Hamiltonian at large M: 151 x 151, 98% zero,
-    # with int 0 and Fraction(0) cells both printing "0/1"
+    # with int 0 and Fraction(0) cells both printing "0/1", negative entries,
+    # entries wider than 64 bits, and the float and complex cells of a decimal z
+    from qims import cohomology
+    from qims.pfaffian import PfaffianSystem
     rnd = random.Random(11)
-    mat = [[F(rnd.randint(-9, 9), rnd.randint(1, 4)) if rnd.random() < 0.02
-            else rnd.choice([0, F(0)]) for _ in range(151)] for _ in range(151)]
-    payload = {"dimension": 151, "matrix": emit_matrix(mat)}
-    text = json_text(payload)
-    assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    plain = {"dimension": 151, "matrix": [[emit_scalar(x) for x in row] for row in mat]}
-    assert text == json.dumps(plain, indent=2, sort_keys=True) + "\n"
+
+    def cell():
+        u = rnd.random()
+        if u < 0.012:
+            return F(rnd.randint(-9, 9), rnd.randint(1, 4))
+        if u < 0.016:
+            return F(rnd.choice([-1, 1]) * (3 ** 50 + rnd.randint(0, 9)), 2 ** 70 + 1)
+        if u < 0.018:
+            return rnd.uniform(-2, 2)
+        if u < 0.02:
+            return complex(rnd.uniform(-1, 1), rnd.uniform(-1, 1))
+        return rnd.choice([0, F(0)])
+
+    mat = [[cell() for _ in range(151)] for _ in range(151)]
+    kinds = {type(x) for row in mat for x in row}
+    assert kinds == {int, F, float, complex}
+    assert any(isinstance(x, F) and x < 0 and x.numerator.bit_length() > 64
+               for row in mat for x in row)
+    cells = [[emit_scalar(x) for x in row] for row in mat]
+    text = json_text({"dimension": 151, "matrix": Matrix(mat)})
+    assert text == json.dumps({"dimension": 151, "matrix": cells},
+                              indent=2, sort_keys=True) + "\n"
+
+    # the same writer behind both call sites: hamiltonian's matrix ...
+    monkeypatch.setattr(PfaffianSystem, "matrix_at", lambda self, i, z: mat)
+    path = write_cfg(tmp_path, "h.json", base_cfg(2, 1, 1))
+    assert main(["--config", path, "hamiltonian"]) == 0
+    out = capsys.readouterr().out
+    payload = {**json.loads(out), "matrix": cells}
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # ... and verify's discrepancy
+    monkeypatch.setattr(cohomology, "compare_cohomology_operator",
+                        lambda *args: cohomology.CohomologyComparison(
+                            False, F(1), None, tuple(map(tuple, mat))))
+    cfg = window_cfg(m_window_params(2, 1, 1), 1, ["2/5"], tolerances={"pde": 1e-4})
+    assert main(["--config", write_cfg(tmp_path, "v.json", cfg), "verify"]) == 1
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    payload["cohomology_vs_operator"]["discrepancy"] = cells
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_entry_point_subprocess(tmp_path):
@@ -639,11 +682,13 @@ def test_unreadable_files_exit2(tmp_path, capsys):
 
 @pytest.mark.parametrize("command,i", [("hamiltonian", "0"), ("hamiltonian", "3"),
                                        ("verify", "3")])
-def test_time_index_out_of_range_exit2(tmp_path, capsys, command, i):
+def test_time_index_out_of_range_exit2(tmp_path, capsys, monkeypatch, command, i):
+    built = counted_restrictions(monkeypatch)
     path = write_cfg(tmp_path, "c.json", base_cfg(2, 2, 1))
     assert main(["--config", path, command, "--i", i]) == 2
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["type"] == "ParameterError" and "out of range 1..2" in error["message"]
+    assert built == []  # rejected before any restriction
 
 
 
@@ -878,6 +923,52 @@ def test_check_all_builds_the_restriction_once(tmp_path, capsys, monkeypatch):
     path = write_cfg(tmp_path, "c.json", cfg)
     assert main(["--config", path, "check", "all", "--dmax", "1"]) == 0
     assert len(builds) == 1
+
+
+def counted_restrictions(monkeypatch, leak_at=None):
+    """The time index of every restriction built from here on, in order; the
+    restriction of H_``leak_at`` raises SubspaceError instead."""
+    from qims import cohomology, pfaffian
+    built = []
+    restrict = pfaffian.restricted_residues
+
+    def counting(params, i, *args):
+        built.append(i)
+        if i == leak_at:
+            raise SubspaceError(f"H_{i} leaks (planted)")
+        return restrict(params, i, *args)
+    for module in (pfaffian, cohomology):
+        monkeypatch.setattr(module, "restricted_residues", counting)
+    return built
+
+
+def test_hamiltonian_restricts_only_the_time_it_prints(tmp_path, capsys, monkeypatch):
+    built = counted_restrictions(monkeypatch)
+    path = write_cfg(tmp_path, "c.json", base_cfg(2, 3, 1))
+    assert main(["--config", path, "hamiltonian", "--i", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["i"] == 2
+    assert built == [2]
+
+
+@pytest.mark.parametrize("cfg,argv,rc,built", [
+    (lambda: base_cfg(2, 2, 1), ["check", "subspace"], 2, [1, 2]),
+    (lambda: base_cfg(2, 2, 1), ["check", "flatness"], 2, [1, 2]),
+    (loop_cfg, ["pfaffian"], 2, [1, 2]),
+    (lambda: base_cfg(2, 2, 1), ["hamiltonian", "--i", "1"], 0, [1]),
+], ids=["subspace", "flatness", "pfaffian", "hamiltonian"])
+def test_a_leak_under_one_time_fails_what_reads_every_time(tmp_path, capsys, monkeypatch,
+                                                           cfg, argv, rc, built):
+    # a SubspaceError is a configuration error (exit 2); only hamiltonian --i 1
+    # never restricts H_2
+    restricted = counted_restrictions(monkeypatch, leak_at=2)
+    assert main(["--config", write_cfg(tmp_path, "c.json", cfg())] + argv) == rc
+    out = json.loads(capsys.readouterr().out)
+    if rc:
+        assert out["error"] == {"code": 2, "type": "SubspaceError",
+                                "message": "H_2 leaks (planted)"}
+    else:
+        assert out["i"] == 1
+    assert restricted == built
 
 
 def test_readme_commands_run_on_readme_config(tmp_path, monkeypatch):

@@ -253,6 +253,22 @@ def test_one_index_restriction_equals_the_system_residues(L, N, M):
         assert restricted_residues(params, i, basis, index_of, f"V{M}") == system.residues[i]
 
 
+def test_each_time_is_restricted_once_on_first_use(monkeypatch):
+    built = []
+    monkeypatch.setattr("qims.pfaffian.restricted_residues",
+                        lambda params, i, *args: built.append(i)
+                        or restricted_residues(params, i, *args))
+    system = v_system(2, 3, 1, seed=4)
+    exact = system.matrix_at(2, (F(1, 5), F(1, 2), F(7, 10)))
+    decimal = system.matrix_float(2, (0.2, 0.5, 0.7))
+    assert np.abs(np.array(exact, dtype=complex) - decimal).max() < 1e-12
+    assert built == [2]
+    # reading every time restricts the rest in order and reuses H_2's
+    assert list(system.residues) == [1, 2, 3] and built == [2, 1, 3]
+    flatness_residual(system)
+    assert built == [2, 1, 3]
+
+
 def ft_system(T=(2, 1)):
     params = make_parameters(3, 2, e=[F(1, 2), F(1, 3), F(1, 6)],
                              kappa=[F(1, 3), F(-T[0]), F(-T[1])], theta=[F(1, 7), F(2, 9)])

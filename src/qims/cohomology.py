@@ -20,7 +20,11 @@ LEMMA_MIN_L[lemma]) draws one exact point, shared by that level's
 identities, whose copies, f-row prefix sums and C(n, 1, 2) table are built
 once (``_Point``); each identity still gets one point per round, so
 ``lemma_samples`` points in all, and draws its own (n, l).
-``lemma_residual`` is the one-identity case of the same evaluator.
+``lemma_residual`` is the one-identity case of the same evaluator.  The
+evaluator runs in plain ints: a point's f0, f-rows and prefix sums are
+numerators over one denominator shared by all copies, each C(n, 1, 2)
+column numerators over its own, and each identity is a few int sums over
+the swaps, combined with their prefactors and reduced once to a Fraction.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from operator import add, mul, sub
 
 from .errors import ParameterError
 from .polyalg import check_exact, enumerate_basis, flat_pos
@@ -189,233 +194,203 @@ LEMMA_MIN_L = {"l_lt_n": 3, "n_lt_l": 4, "one_lt_l": 3, "l_eq_n": 2, "l_eq_0": 2
 LEMMA_IDS = tuple(LEMMA_MIN_L)
 
 
-class _Ratio:
-    """An exact rational kept as an unreduced pair of ints: no gcd per step.
-
-    Ratios over an equal denominator add without cross multiplication, which
-    keeps sums over inputs that share one denominator small.
-    """
-
-    __slots__ = ("n", "d")
-
-    def __init__(self, n, d=1):
-        self.n = n
-        self.d = d
-
-    def __add__(a, b):
-        if isinstance(b, int):
-            return _Ratio(a.n + b * a.d, a.d)
-        if a.d == b.d:
-            return _Ratio(a.n + b.n, a.d)
-        return _Ratio(a.n * b.d + b.n * a.d, a.d * b.d)
-
-    __radd__ = __add__
-
-    def __neg__(a):
-        return _Ratio(-a.n, a.d)
-
-    def __sub__(a, b):
-        if isinstance(b, int):
-            return _Ratio(a.n - b * a.d, a.d)
-        if a.d == b.d:
-            return _Ratio(a.n - b.n, a.d)
-        return _Ratio(a.n * b.d - b.n * a.d, a.d * b.d)
-
-    def __rsub__(a, b):
-        return _Ratio(b * a.d - a.n, a.d)
-
-    def __mul__(a, b):
-        if isinstance(b, int):
-            return _Ratio(a.n * b, a.d)
-        return _Ratio(a.n * b.n, a.d * b.d)
-
-    __rmul__ = __mul__
-
-    def __truediv__(a, b):
-        if not b.n:
-            raise ZeroDivisionError("division by zero")
-        return _Ratio(a.n * b.d, a.d * b.n)
-
-    def __rtruediv__(a, b):
-        if not a.n:
-            raise ZeroDivisionError("division by zero")
-        return _Ratio(b * a.d, a.n)
+def _reduced(terms, num=1, den=1):
+    """|sum of a/b over the int pairs (a, b) of ``terms``| times num/den, as a
+    reduced Fraction: the one gcd of a residual.  A zero b or den raises
+    ZeroDivisionError."""
+    top, bottom = 0, 1
+    for a, b in terms:
+        top, bottom = top * b + a * bottom, bottom * b
+    return abs(Fraction(top * num, bottom * den))
 
 
-def _reduced(r):
-    """|r| as a reduced Fraction: the one gcd of a residual."""
-    return abs(Fraction(r.n, r.d))
-
-
-def _ratios(*xs):
-    """Exact rationals (ints or Fractions) as ``_Ratio``s over their least
-    common denominator."""
+def _numerators(*xs):
+    """``(q, [X, ...])``: the exact rationals xs (ints or Fractions) as integer
+    numerators X over their least common denominator q."""
     q = math.lcm(*(x.denominator for x in xs))
-    return [_Ratio(x.numerator * (q // x.denominator), q) for x in xs]
+    return q, [x.numerator * (q // x.denominator) for x in xs]
 
 
-def _copy(c, zs, q):
-    """One copy's ``f0 = 1/prod g_m`` and, for each z in ``zs``, the row
-    ``[f_1(z), ..., f_{L-1}(z)]`` with ``f_n(z) = f0 g_n / (1 - z c_last)``;
-    the g_m are the chain gaps ``t_{m-1} - t_m`` with t_0 = 1.  ``c`` and
-    ``zs`` are the integer numerators of coordinates over one denominator q,
-    so f0 = q^(L-1)/prod G_m and f_n(z) = q^L G_n/(prod G_m (q^2 - Z c_last))
-    in the gaps' numerators G_m."""
-    gaps = [a - b for a, b in zip((q,) + c, c)]
-    den = math.prod(gaps)
-    poles = [q * q - z * c[-1] for z in zs]
-    if not den or 0 in poles:
+def _f_tables(L, q, X, Z):
+    """``(D, f0, rows)``: every copy's f0 and its f-rows at each z of ``Z`` as
+    integer numerators over one denominator D, with ``f0[k]`` and
+    ``rows[z][m-1][k]`` for copy k and level m.
+
+    ``X`` holds the integer numerators over q of one chain (copy 0 only) or
+    of two (all 2^(L-1) copies), ``Z`` those of the z's.  A copy's gap at
+    level m, G_m = c_{m-1} - c_m with c_0 = q, is one of the four values
+    fixed by the chains of levels m-1 and m (of two at m = 1), and its pole
+    q^2 - Z c_last one of two per z.  D = P W is the product P of these
+    distinct gaps times the product W of the poles, so with the copy's scale
+    s = P/prod G_m, f0 = 1/prod g_m is q^(L-1) s W/D and f_m(z) =
+    f0 g_m/(1 - z c_last) is q^L G_m s (W/(q^2 - Z c_last))/D.
+    """
+    levels = [[q - x[0] for x in X]]
+    levels += [[a[m - 1] - b[m] for a in X for b in X] for m in range(1, L - 1)]
+    poles = [q * q - z * x[-1] for z in Z for x in X]
+    P, W = math.prod(map(math.prod, levels)), math.prod(poles)
+    if not (P and W):
         raise ZeroDivisionError("division by zero")
-    top = q ** len(c)  # q^(L-1)
-    return _Ratio(top, den), [[_Ratio(top * q * g, den * w) for g in gaps] for w in poles]
+    chains = [[X[k >> m & 1][m] for m in range(L - 1)] for k in range(len(X) ** (L - 1))]
+    gaps = [list(map(sub, (q, *c), c)) for c in chains]
+    scale = [P // math.prod(g) for g in gaps]
+    by_level = list(zip(*gaps))
+    rows = []
+    for z in Z:
+        w = [q ** L * W // (q * q - z * x[-1]) for x in X]
+        base = [s * w[k >> (L - 2) & 1] for k, s in enumerate(scale)]
+        rows.append([list(map(mul, base, g)) for g in by_level])
+    top = q ** (L - 1) * W
+    return P * W, [top * s for s in scale], rows
 
 
 def _c_columns(L, t1, t2):
-    """C(n, 1, 2) of copy k against its partner, as lists over k, for n = L-1
-    down to 1, from the integer numerators ``t1``, ``t2`` of coordinates over
-    one denominator.
+    """``(E_n, [numerator of C(n, 1, 2) over E_n for each copy k])`` for
+    n = L-1 down to 1, from the integer numerators ``t1``, ``t2`` of
+    coordinates over one denominator.
 
     C(n, 1, 2) sums, over the levels m = n..L-1, copy 1's t_m times
     -1/(t_m - t_{m-1}^(2)) + 2/(t_m - t_m^(2)) - 1/(t_m - t_{m+1}^(2)), with
     no partner below the last level; C(1, 1, 2) adds t_1/(t_1 - 1), which
-    cancels level 1's first fraction (t_0^(2) = 1).  A level's term reads
-    only the swap bits of levels m-1..m+1, so each level has at most 8
-    distinct terms, and each C(n) is C(n + 1) plus level n's term.
+    cancels level 1's first fraction (t_0^(2) = 1).  Level m's divisors are
+    +-d_m = +-(t1_m - t2_m) and the four cross differences a_{m-1} - b_m
+    (product A_m, A_1 = 1) and a_m - b_{m+1} (product A_{m+1}) of chains a, b,
+    so C(n) has the denominator E_n = d_n A_n E_{n+1} (E_L = 1) and each
+    C(n) is C(n + 1) plus level n's term.  A level's term reads only the swap
+    bits of levels m-1..m+1, so each level has at most 8 distinct numerators.
     """
     full = (1 << (L - 1)) - 1
     X = (t1, t2)
-
-    def frac(x, y):
-        if x == y:
-            raise ZeroDivisionError("division by zero")
-        return _Ratio(x, x - y)  # x/(x - y), both over one denominator
-
-    def term(m, k):
-        # copy 1's t_j (partner 0) or copy 2's (partner 1) in swap k
-        at = lambda j, partner: X[(k >> (j - 1) & 1) ^ partner][j - 1]
-        x = at(m, 0)
-        out = 2 * frac(x, at(m, 1))
-        if m > 1:
-            out = out - frac(x, at(m - 1, 1))
-        if m < L - 1:
-            out = out - frac(x, at(m + 1, 1))
-        return out
-
-    col = None
+    cross = {m: [a[m - 2] - b[m - 1] for a in X for b in X] for m in range(2, L)}
+    col, E, R, B = None, 1, 1, 1  # R = E_{m+1}/A_{m+1}, B = A_{m+1}
     for m in range(L - 1, 0, -1):
+        d = t1[m - 1] - t2[m - 1]
+        A = math.prod(cross[m]) if m > 1 else 1
+        if not (d and A):
+            raise ZeroDivisionError("division by zero")
         shift, mask = (m - 2, 7) if m > 1 else (0, 3)
-        terms = [term(m, key << shift) for key in range(min(mask, full >> shift) + 1)]
+        two, dA, dB = 2 * A * B, d * A, d * B
+        terms = []
+        for key in range(min(mask, full >> shift) + 1):
+            # the chains of levels m-1, m, m+1 in this swap
+            lo, b, hi = (key & 1, key >> 1 & 1, key >> 2) if m > 1 else (0, key & 1, key >> 1)
+            inner = two if b == 0 else -two  # 2/(t_m - t_m^(2)), t_m^(2) on chain 1 - b
+            if m > 1:
+                inner += dB * (A // cross[m][2 - 2 * lo + b])
+            if m < L - 1:
+                inner -= dA * (B // cross[m + 1][2 * b + 1 - hi])
+            terms.append(X[b][m - 1] * inner * R)
         row = [terms[k >> shift & mask] for k in range(full + 1)]
-        col = row if col is None else [a + b for a, b in zip(col, row)]
-        yield col
+        scale = d * A
+        col = row if col is None else [c * scale + u for c, u in zip(col, row)]
+        R, E, B = E * d, E * scale, A
+        yield E, col
 
 
-def _jacobi(t, zi, zj):
-    lhs = t / (1 - zi * t)
-    rhs = (1 - zj * t) / (zi - zj) * (1 / (1 - zi * t) - 1 / (1 - zj * t))
-    return _reduced(lhs - rhs)
+def _jacobi(q, t, zi, zj):
+    """The jacobi residual at t, zi, zj given as integer numerators over q:
+    with w = q^2 (1 - z t), the sides are q t/w_i and q (w_j - w_i)/((zi - zj) w_i)."""
+    wi, wj = q * q - zi * t, q * q - zj * t
+    return _reduced([(q * wj * (t * (zi - zj) - wj + wi), wi * wj * (zi - zj))])
+
+
+def _sym2(u, v):
+    """Sum of u(copy 1) v(copy 2) over the per-level swaps, for lists over the
+    copies k: copy 2 of swap k is copy full ^ k = full - k."""
+    return sum(map(mul, u, reversed(v)))
 
 
 class _Point:
     """One exact point (t1, t2, zi, zj) and its tables, shared by every
     identity evaluated there.
 
-    Copy k takes t2 at the levels whose bit is set in k, t1 elsewhere; its
-    partner is the complement ``full ^ k``.  Built once: each copy's f0, its
-    f-rows at zi and zj, the prefix sums of its zi row, and C(n, 1, 2) for
-    every swap and every n down to the lowest asked for.  Without t2 only
-    copy 0 (all t1) is built, which is all the identity f0 reads.  Without
-    zj, or at zj = zi, the zj row is the zi row and the cross-index lines
-    drop out.
+    The coordinates are exact rationals (ints or Fractions), held as integer
+    numerators over one denominator.  Copy k takes t2 at the levels whose
+    bit is set in k, t1 elsewhere; its partner is the complement
+    ``full ^ k``.  Built once, in plain ints: every copy's f0, its f-rows at
+    zi and zj and the prefix sums of its zi row over one shared denominator
+    (``_f_tables``), and C(n, 1, 2) for every swap and every n down to the
+    lowest asked for, over one denominator per n (``_c_columns``).  Without
+    t2 only copy 0 (all t1) is built, which is all the identity f0 reads.
+    Without zj, or at zj = zi, the zj row is the zi row and the cross-index
+    lines drop out.
     """
 
     def __init__(self, L, t1, t2, zi, zj=None):
         zs = (zi,) if zj is None or zj == zi else (zi, zj)
-        xs = _ratios(*t1, *(t2 or ()), *zs)
+        q, xs = _numerators(*t1, *(t2 or ()), *zs)
         split = len(xs) - len(zs)
-        self.L, self.t1, self.t2, zs = L, xs[:L - 1], xs[L - 1:split], xs[split:]
-        self.zi, self.zj, self.degenerate = zs[0], zs[-1], len(zs) == 1
-        X = ([x.n for x in self.t1], [x.n for x in self.t2])
-        self.full = full = (1 << (L - 1)) - 1 if t2 else 0
-        copies = [_copy(tuple(X[k >> m & 1][m] for m in range(L - 1)), [z.n for z in zs],
-                        zs[0].d) for k in range(full + 1)]
-        self.f0 = [f0 for f0, rows in copies]
-        self.fi = [rows[0] for f0, rows in copies]
-        self.fj = [rows[-1] for f0, rows in copies]
-        self.pi = [list(accumulate(row)) for row in self.fi]
+        X = (xs[:L - 1], xs[L - 1:split]) if t2 else (xs[:L - 1],)
+        self.L, self.q, self.X, self.Z, self.degenerate = L, q, X, xs[split:], len(zs) == 1
+        self.den, self.f0, rows = _f_tables(L, q, X, self.Z)
+        self.fi, self.fj = rows[0], rows[-1]
+        self.pi = list(accumulate(self.fi, lambda a, b: list(map(add, a, b))))
         self.columns = _c_columns(L, *X) if t2 else None
-        self.C = []  # C(L-1, 1, 2), C(L-2, 1, 2), ... as far as built
+        self.C = []  # (E_n, C(n, 1, 2)) for n = L-1, L-2, ... as far as built
 
     def c_column(self, n):
-        """C(n, 1, 2) of every swap; the levels below n are never built, so a
-        pole there does not raise."""
+        """C(n, 1, 2) of every swap, as (denominator, numerators); the levels
+        below n are never built, so a pole there does not raise."""
         while len(self.C) < self.L - n:
             self.C.append(next(self.columns))
         return self.C[self.L - 1 - n]
 
     def residual(self, lemma_id, n=None, l=None):
-        """|LHS - RHS| of one identity here, reduced once to a Fraction."""
-        L, zi, zj, full = self.L, self.zi, self.zj, self.full
+        """|LHS - RHS| of one identity here: each side's block sums are ints,
+        combined with their prefactors and reduced once to a Fraction."""
+        q, zi, zj = self.q, self.Z[0], self.Z[-1]
         if lemma_id == "jacobi":
-            return _jacobi(self.t1[-1], zi, zj)
-        # f0, f_m(zi), f_m(zj) and f_1(zi) + ... + f_m(zi) of copy k, 1-based in m
-        f0 = lambda k: self.f0[k]
-        fi = lambda k, m: self.fi[k][m - 1]
-        fj = lambda k, m: self.fj[k][m - 1]
-        pi = lambda k, m: self.pi[k][m - 1]
+            return _jacobi(q, self.X[0][-1], zi, zj)
+        # f0[k], and fi[m-1][k], fj[m-1][k], pi[m-1][k] for f_m(zi), f_m(zj) and
+        # f_1(zi) + ... + f_m(zi) of copy k, all over self.den
+        f0, fi, fj, pi = self.f0, self.fi, self.fj, self.pi
         if lemma_id == "f0":
-            c = self.t1[-1]
-            return _reduced(c / (1 - zi * c) - (-f0(0) + pi(0, L - 1)) / ((zi - 1) * f0(0)))
+            t, p, f = self.X[0][-1], pi[-1][0], f0[0]
+            w = q * q - zi * t  # q^2 (1 - zi t)
+            return _reduced([(q * (t * (zi - q) * f - w * (p - f)), w * (zi - q) * f)])
 
-        # Every term of every identity below carries 1/(c1_last c2_last) =
-        # 1/(t1_last t2_last) whatever the swap, so that factor is left out of
-        # the terms and applied once at the end.
+        # Each side is a few sums of copy-1 by copy-2 products over the swaps,
+        # kept as (int sum, int divisor) pairs: the divisor carries the sum's
+        # prefactor, zj/(zi - zj), 1/(zi - zj) or 1/(zi - 1), with the q's of
+        # zi, zj cancelled, and C(n, 1, 2)'s denominator.  Every term also
+        # carries 1/den^2 and 1/(c1_last c2_last) = 1/(t1_last t2_last)
+        # whatever the swap; those are applied once at the end.
         if lemma_id == "one_lt_l":
             n = 1
-        C = self.c_column(n)
-        degenerate = self.degenerate
-
-        def sym2(u, v):
-            """Sum of u(copy 1) v(copy 2) over the per-level swaps.  The terms
-            of swaps k and full ^ k share a denominator; each pair is added
-            first, without cross multiplication."""
-            return sum(u(k) * v(full ^ k) + u(full ^ k) * v(k) for k in range(full // 2 + 1))
-
-        def lhs_with(v):
-            """Sum of C(n, 1, 2) f_n(copy 1, zi) v(copy 2) over the swaps."""
-            return sum(C[k] * fi(k, n) * v(full ^ k) for k in range(full + 1))
-
+        E, C = self.c_column(n)
+        fin, fjn, last = fi[n - 1], fj[n - 1], pi[-1]
+        cf = list(map(mul, C, fin))  # C(n, 1, 2) f_n(zi) of copy 1
+        diff = lambda u, v: list(map(sub, u, v))
         if lemma_id == "l_lt_n":
-            lhs = lhs_with(lambda k: fj(k, l))
-            rhs = sym2(lambda k: fi(k, n), lambda k: fi(k, l))
-            if not degenerate:
-                rhs += zj / (zi - zj) * sym2(lambda k: fi(k, n) - fj(k, n),
-                                             lambda k: fi(k, l) - fj(k, l))
+            fil, fjl = fi[l - 1], fj[l - 1]
+            terms = [(_sym2(cf, fjl), E), (-_sym2(fin, fil), 1)]
+            if not self.degenerate:
+                terms.append((-zj * _sym2(diff(fin, fjn), diff(fil, fjl)), zi - zj))
         elif lemma_id in ("n_lt_l", "one_lt_l"):
-            lhs = lhs_with(lambda k: fj(k, l))
-            rhs = 0
-            if not degenerate:
-                rhs += sym2(lambda k: fi(k, n) - fj(k, n),
-                            lambda k: zi * fi(k, l) - zj * fj(k, l)) / (zi - zj)
+            fjl = fj[l - 1]
+            terms = [(_sym2(cf, fjl), E)]
+            if not self.degenerate:
+                zfl = [zi * a - zj * b for a, b in zip(fi[l - 1], fjl)]
+                terms.append((-_sym2(diff(fin, fjn), zfl), zi - zj))
             if lemma_id == "one_lt_l":
-                rhs += sym2(lambda k: f0(k) - fi(k, 1) - zi * (pi(k, L - 1) - fi(k, 1)),
-                            lambda k: fj(k, l)) / (zi - 1)
+                u = [q * (a - b) - zi * (c - b) for a, b, c in zip(f0, fin, last)]
+                terms.append((-_sym2(u, fjl), zi - q))
         elif lemma_id == "l_eq_n":
-            lhs = lhs_with(lambda k: fj(k, n))
-            rhs = sym2(lambda k: fi(k, n), lambda k: fi(k, n))
+            terms = [(_sym2(cf, fjn), E), (-_sym2(fin, fin), 1)]
             if n != 1:
-                rhs += sym2(lambda k: -f0(k) + pi(k, n) + zi * (pi(k, L - 1) - pi(k, n)),
-                            lambda k: fj(k, n)) / (zi - 1)
-            if not degenerate:
-                rhs += zj / (zi - zj) * sym2(lambda k: fi(k, n) - fj(k, n),
-                                             lambda k: fi(k, n) - fj(k, n))
+                u = [q * (b - a) + zi * (c - b) for a, b, c in zip(f0, pi[n - 1], last)]
+                terms.append((-_sym2(u, fjn), zi - q))
+            if not self.degenerate:
+                d = diff(fin, fjn)
+                terms.append((-zj * _sym2(d, d), zi - zj))
         else:  # l_eq_0
-            lhs = lhs_with(f0)
-            rhs = sym2(lambda k: fi(k, n),
-                       lambda k: -(2 if n == 1 else 1) * f0(k) + zi * pi(k, L - 1)) / (zi - 1)
+            a0 = -(2 if n == 1 else 1) * q
+            rhs = _sym2(fin, [a0 * a + zi * c for a, c in zip(f0, last)])
             if n == 1:
-                rhs += sym2(lambda k: f0(k) - zi * (pi(k, L - 1) - fi(k, 1)), f0) / (zi - 1)
-        return _reduced((lhs - rhs) / (self.t1[-1] * self.t2[-1]))
+                rhs += _sym2([q * a - zi * (c - b) for a, b, c in zip(f0, fin, last)], f0)
+            terms = [(_sym2(cf, f0), E), (-rhs, zi - q)]
+        t1, t2 = self.X
+        return _reduced(terms, q * q, self.den ** 2 * t1[-1] * t2[-1])
 
 
 # the inputs of each identity's sample besides L
@@ -439,10 +414,13 @@ def lemma_residual(lemma_id: str, *, L, t1=None, t2=None, zi=None, zj=None,
     The inputs are exact rationals (ints or Fractions; a decimal is a
     ParameterError); the sides are rational functions, so the residual is
     exactly zero whenever the identity holds.  ``zj = zi`` selects the
-    degenerate clauses (the cross-index lines drop out).  This is the
-    one-identity case of ``lemma_round``'s evaluator ``_Point``: both sides
-    are evaluated on unreduced integer ratios and reduced once, to a
-    Fraction; a zero divisor raises ZeroDivisionError.
+    degenerate clauses (the cross-index lines drop out); ``n`` and ``l`` are
+    ints (a bool is a ParameterError).  This is the one-identity case of
+    ``lemma_round``'s evaluator ``_Point``: the coordinates become integer
+    numerators over one denominator, the point's tables plain ints over one
+    shared denominator (one per n for C(n, 1, 2)), each side a few int sums
+    over the swaps, and the residual one Fraction, reduced once; a zero
+    divisor raises ZeroDivisionError.
     """
     _check_level(lemma_id, L)
     given = {"t1": t1, "t2": t2, "zi": zi, "zj": zj, "n": n, "l": l, "t": t}
@@ -457,7 +435,10 @@ def lemma_residual(lemma_id: str, *, L, t1=None, t2=None, zi=None, zj=None,
                                      f"got {len(given[name])}")
             for x in given[name]:
                 check_exact(x)
-        elif name not in ("n", "l"):
+        elif name in ("n", "l"):
+            if type(given[name]) is not int:
+                raise ParameterError(f"{lemma_id} needs an integer {name}, got {given[name]!r}")
+        else:
             check_exact(given[name])
     if lemma_id == "l_lt_n" and not (1 <= l < n <= L - 1):
         raise ParameterError("l_lt_n requires 1 <= l < n <= L-1")
@@ -466,13 +447,14 @@ def lemma_residual(lemma_id: str, *, L, t1=None, t2=None, zi=None, zj=None,
     if lemma_id in ("l_eq_n", "l_eq_0") and not 1 <= n <= L - 1:
         raise ParameterError(f"{lemma_id} requires 1 <= n <= L-1")
     if lemma_id == "one_lt_l":
-        if n not in (None, 1):
+        if n is not None and (type(n) is not int or n != 1):
             raise ParameterError("one_lt_l fixes n = 1")
         if not 1 < l <= L - 1:
             raise ParameterError("one_lt_l requires 1 < l <= L-1")
 
     if lemma_id == "jacobi":
-        return _jacobi(*_ratios(t, zi, zj))
+        q, xs = _numerators(t, zi, zj)
+        return _jacobi(q, *xs)
     if lemma_id == "f0":
         return _Point(L, t1, None, zi).residual("f0")
     # l_eq_0 reads no zj

@@ -1,10 +1,13 @@
 """The reduction lemmas in plain ``Fraction`` arithmetic: the oracle for the kernel.
 
 ``lemma_residual`` here is the evaluator ``qims.cohomology.lemma_residual``
-used before it was compiled to unreduced integer ratios: every term of every
-swap recomputes its copy's gaps, ``f0`` and ``f_n`` from the coordinates, and
-every step reduces by a gcd.  The tests compare the kernel with it exactly.
-It assumes a valid sample; argument checks live in the kernel.
+used before it was compiled to plain integers (the kernel now holds a
+point's tables as int numerators over shared denominators and reduces each
+residual once): every term of every swap recomputes its copy's gaps, ``f0``
+and ``f_n`` from the coordinates, and every step reduces by a gcd.  The
+tests compare the kernel with it exactly, on the identities and with a
+constant planted in C(n, 1, 2) or in f0 of both.  It assumes a valid
+sample; argument checks live in the kernel.
 
 ``random_lemma_sample`` is the sampler before it drew integers: each
 coordinate is ``Fraction(a, 61) + Fraction(b, 431)``, deduplicated as a

@@ -249,11 +249,44 @@ def test_lemma_kernel_matches_fraction_oracle(lemma):
 
 def plant_in_C(monkeypatch):
     """Add 1 to C(n, 1, 2) in both evaluators: every entry of the kernel's
-    columns and the oracle's _C."""
+    columns (its denominator to each numerator) and the oracle's _C."""
     monkeypatch.setattr(cohomology, "_c_columns", lambda *a, cols=cohomology._c_columns:
-                        ([c + 1 for c in col] for col in cols(*a)))
+                        ((E, [c + E for c in col]) for E, col in cols(*a)))
     monkeypatch.setattr(lemma_oracle, "_C",
                         lambda n, c1, c2, L, C=lemma_oracle._C: C(n, c1, c2, L) + 1)
+
+
+def plant_in_f0(monkeypatch):
+    """Add 1 to f0 of every copy in both evaluators: the shared denominator to
+    each numerator of the kernel's f0 table, and the oracle's _f0."""
+    def planted(*a, tables=cohomology._f_tables):
+        D, f0, rows = tables(*a)
+        return D, [f + D for f in f0], rows
+    monkeypatch.setattr(cohomology, "_f_tables", planted)
+    monkeypatch.setattr(lemma_oracle, "_f0", lambda c, L, f0=lemma_oracle._f0: f0(c, L) + 1)
+
+
+# the identities that read f0, with the n at which they do (None: every n)
+WITH_F0 = {"f0": None, "l_eq_0": None, "one_lt_l": None, "l_eq_n": 2}
+
+
+@pytest.mark.parametrize("lemma", WITH_F0)
+def test_lemma_kernel_matches_oracle_with_f0_planted(lemma, monkeypatch):
+    # a constant planted in f0 of both evaluators breaks every identity that
+    # reads f0, which an error of one overall factor in the f-tables would not
+    plant_in_f0(monkeypatch)
+    rnd = random.Random(8)
+    for L in range(LEMMA_MIN_L[lemma], LEMMA_MIN_L[lemma] + 3):
+        s = random_lemma_sample(lemma, L, rnd)
+        cases = [s, dict(s, zj=s["zi"])] if lemma in DEGENERATE else [s]
+        for x in cases:
+            for idx in index_choices(lemma, L):
+                if WITH_F0[lemma] is not None and idx["n"] < WITH_F0[lemma]:
+                    continue
+                y = dict(x, **idx)
+                got = lemma_residual(lemma, **y)
+                assert type(got) is F and got != 0, (lemma, y)
+                assert got == lemma_oracle.lemma_residual(lemma, **y), (lemma, y)
 
 
 @pytest.mark.parametrize("lemma", WITH_C)
@@ -413,3 +446,18 @@ def test_lemma_residual_rejects_malformed_samples(lemma):
     for x in decimals:
         with pytest.raises(ParameterError, match="no decimal scalar 0.3"):
             lemma_residual(lemma, **x)
+
+
+@pytest.mark.parametrize("lemma", [x for x in LEMMA_IDS if x not in ("jacobi", "f0")])
+def test_lemma_residual_rejects_non_int_indices(lemma):
+    # a float, bool or str n or l is a ParameterError, not a TypeError from
+    # indexing or comparing, nor n = True read as n = 1; one_lt_l fixes n = 1
+    L = LEMMA_MIN_L[lemma] + 1
+    s = random_lemma_sample(lemma, L, random.Random(12))
+    keys = [key for key in ("n", "l") if key in s] + (["n"] if lemma == "one_lt_l" else [])
+    for key in keys:
+        value = s.get(key, 1)
+        for bad in (float(value), value + 0.5, True, False, str(value)):
+            with pytest.raises(ParameterError, match=f"{lemma} needs an integer {key}"
+                               if key in s else "one_lt_l fixes n = 1"):
+                lemma_residual(lemma, **dict(s, **{key: bad}))
